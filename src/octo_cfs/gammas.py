@@ -30,12 +30,13 @@ class GammaSet:
     name: str
 
     def slash(self, k) -> np.ndarray:
-        """k-slash = gamma^mu k_mu for a contravariant vector k = (k0, k1, ...)."""
+        """k-slash = gamma^mu k_mu for contravariant vectors k = (k0, k1, ...): (..., d+1) -> (..., 4, 4)."""
         k = np.asarray(k, dtype=float)
-        out = k[0] * self.gamma[0]
-        for j in range(1, len(k)):
-            out = out - k[j] * self.gamma[j]
-        return out
+        n = k.shape[-1]
+        # one contraction against the flattened gamma stack; cheaper than
+        # tensordot for the single vectors the momentum-space checks pass
+        flat = (k * np.diag(self.metric)[:n]) @ np.reshape(self.gamma[:n], (n, 16))
+        return flat.reshape(k.shape[:-1] + (4, 4))
 
     def chiral_right(self) -> np.ndarray:
         return 0.5 * (np.eye(4, dtype=complex) + self.gamma5)

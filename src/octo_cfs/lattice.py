@@ -79,24 +79,42 @@ def chiral_sandwich(tau: float, gammas: GammaSet):
     return a, b
 
 
-def _mode_matrices(mass: float, spec: LatticeSpec, gammas: GammaSet, tau_reg=None):
-    """Per-mode (kvecs, omegas, weights, matrices (kslash+m)/(2 omega) * weight)."""
+def mode_table(mass: float, spec: LatticeSpec, gammas: GammaSet):
+    """Grid momenta (K, d), on-shell frequencies (K,) and k-slash stack (K, 4, 4) with k0 = -omega."""
     kvecs = spec.momenta()
     omegas = np.sqrt(np.sum(kvecs * kvecs, axis=1) + mass * mass)
-    weights = np.exp(-spec.epsilon * omegas)
-    mats = np.empty((len(kvecs), 4, 4), dtype=complex)
-    for i, (k, w) in enumerate(zip(kvecs, omegas)):
-        if w == 0.0:
-            # exactly null mode of the massless sea: measure zero in the
-            # continuum integral, dropped on the lattice
-            mats[i] = 0.0
-            continue
-        kslash = gammas.slash(np.concatenate([[-w], k]))
-        mats[i] = (kslash + mass * np.eye(4)) / (2.0 * w)
+    return kvecs, omegas, gammas.slash(np.column_stack([-omegas, kvecs]))
+
+
+def _mode_matrices(mass: float, spec: LatticeSpec, gammas: GammaSet, tau_reg=None):
+    """Per-mode (omegas, kslash, matrices (kslash+m)/(2 omega) * exp(-eps omega))."""
+    _, omegas, kslash = mode_table(mass, spec, gammas)
+    # the exactly null mode of the massless sea has measure zero in the
+    # continuum integral and is dropped on the lattice
+    live = omegas > 0.0
+    mats = np.zeros_like(kslash)
+    mats[live] = (kslash[live] + mass * np.eye(4)) / (2.0 * omegas[live, None, None])
     if tau_reg is not None and tau_reg != 1.0:
         a, b = chiral_sandwich(tau_reg, gammas)
         mats = np.einsum("ab,kbc,cd->kad", a, mats, b)
-    return kvecs, omegas, weights, mats * weights[:, None, None]
+    return omegas, kslash, mats * np.exp(-spec.epsilon * omegas)[:, None, None]
+
+
+def mode_sum(time_phase: np.ndarray, mats: np.ndarray, spec: LatticeSpec) -> np.ndarray:
+    """Kernel over displacements: sum_k time_phase[t, k] e^{+i k dx} mats[k] / (L a)^d.
+
+    The grid momenta 2 pi n/(L a), n = -L/2..L/2-1, are the DFT frequencies
+    of the periodic spatial grid, so the spatial sum is one inverse FFT over
+    the (shifted) momentum axes and equals the direct sum to rounding.
+    """
+    d = spec.spatial_dims
+    grid = (len(time_phase),) + (spec.L,) * d + (4, 4)
+    terms = (time_phase[:, :, None, None] * mats).reshape(grid)
+    axes = tuple(range(1, 1 + d))
+    rel = np.fft.ifftn(np.fft.ifftshift(terms, axes=axes), axes=axes)
+    # (dk / 2 pi)^d per mode: the kernel approximates the continuum integral
+    # and stays put when the grid is refined at fixed physical box size
+    return rel * (spec.L**d / (spec.L * spec.a) ** d)
 
 
 class SectorKernel:
@@ -164,48 +182,23 @@ def sea_kernel(mass: float, spec: LatticeSpec, tau_reg=None, gammas: GammaSet = 
     if mass < 0:
         raise ValueError("mass must be non-negative")
     gammas = gammas or dirac_rep()
-    kvecs, omegas, _, mats = _mode_matrices(mass, spec, gammas, tau_reg)
+    omegas, _, mats = _mode_matrices(mass, spec, gammas, tau_reg)
     dts = np.arange(-(spec.T - 1), spec.T) * spec.a
-    time_phase = np.exp(1j * np.outer(dts, omegas))  # e^{+i omega dt}
-    dxs = np.arange(spec.L) * spec.a
-    rel = np.zeros((2 * spec.T - 1,) + (spec.L,) * spec.spatial_dims + (4, 4), dtype=complex)
-    if spec.spatial_dims == 1:
-        space_phase = np.exp(1j * np.outer(dxs, kvecs[:, 0]))  # e^{+i k dx}
-        rel = np.einsum("tk,xk,kab->txab", time_phase, space_phase, mats)
-    else:
-        phases = [np.exp(1j * np.outer(dxs, kvecs[:, j])) for j in range(3)]
-        rel = np.einsum(
-            "tk,xk,yk,zk,kab->txyzab", time_phase, phases[0], phases[1], phases[2], mats
-        )
-    # (dk / 2 pi)^d per mode: the kernel approximates the continuum integral
-    # and stays put when the grid is refined at fixed physical box size
-    rel /= (spec.L * spec.a) ** spec.spatial_dims
+    rel = mode_sum(np.exp(1j * np.outer(dts, omegas)), mats, spec)  # e^{+i omega dt}
     return SectorKernel(spec, rel, mass=mass, gammas=gammas)
 
 
 def mode_onshell_residuals(mass: float, spec: LatticeSpec, gammas: GammaSet = None) -> np.ndarray:
     """Per-mode max-norm of (kslash - m)(kslash + m), zero on the mass shell."""
-    gammas = gammas or dirac_rep()
-    kvecs = spec.momenta()
-    omegas = np.sqrt(np.sum(kvecs * kvecs, axis=1) + mass * mass)
-    out = np.empty(len(kvecs))
-    for i, (k, w) in enumerate(zip(kvecs, omegas)):
-        kslash = gammas.slash(np.concatenate([[-w], k]))
-        out[i] = np.abs((kslash - mass * np.eye(4)) @ (kslash + mass * np.eye(4))).max()
-    return out
+    _, _, kslash = mode_table(mass, spec, gammas or dirac_rep())
+    m = mass * np.eye(4)
+    return np.abs((kslash - m) @ (kslash + m)).max(axis=(1, 2))
 
 
 def mode_dirac_residuals(mass: float, spec: LatticeSpec, gammas: GammaSet = None) -> np.ndarray:
     """Momentum-space (kslash - m) applied per mode: the time-continuum variant."""
-    gammas = gammas or dirac_rep()
-    _, _, _, mats = _mode_matrices(mass, spec, gammas)
-    kvecs = spec.momenta()
-    omegas = np.sqrt(np.sum(kvecs * kvecs, axis=1) + mass * mass)
-    out = np.empty(len(kvecs))
-    for i, (k, w) in enumerate(zip(kvecs, omegas)):
-        kslash = gammas.slash(np.concatenate([[-w], k]))
-        out[i] = np.abs((kslash - mass * np.eye(4)) @ mats[i]).max()
-    return out
+    _, kslash, mats = _mode_matrices(mass, spec, gammas or dirac_rep())
+    return np.abs((kslash - mass * np.eye(4)) @ mats).max(axis=(1, 2))
 
 
 def dirac_apply(kernel: SectorKernel, mass: float, pseudo: float = 0.0) -> np.ndarray:
@@ -384,47 +377,39 @@ def left_algebra_action(op: np.ndarray, ok: OctonionKernel) -> OctonionKernel:
     return OctonionKernel(neutrino=kernels[0], charged=tuple(kernels[1:]))
 
 
-@dataclass
-class SeaMode:
-    omega: float
-    kvec: np.ndarray
-    spinor: np.ndarray  # unit-normalized over the spacetime lattice
-    weight: float  # exp(-eps * omega)
+@dataclass(frozen=True)
+class SeaModes:
+    """Occupied sea modes as parallel arrays, one row per spinor mode."""
+
+    omega: np.ndarray  # (M,)
+    kvec: np.ndarray  # (M, spatial_dims)
+    spinor: np.ndarray  # (M, 4), unit-normalized over the spacetime lattice
+    weight: np.ndarray  # (M,), exp(-eps * omega)
 
 
-def occupied_modes(masses, spec: LatticeSpec, tau_reg: float = 1.0, gammas: GammaSet = None) -> list:
+def occupied_modes(masses, spec: LatticeSpec, tau_reg: float = 1.0, gammas: GammaSet = None) -> SeaModes:
     """Negative-energy mode family of the seas with the given masses.
 
     Two spinor modes per grid momentum per mass, extracted as the non-null
     eigendirections of the Hermitian matrix (kslash + m) gamma0.
     """
     gammas = gammas or dirac_rep()
-    g0 = gammas.gamma[0]
     a_tau = gammas.chiral_left() + tau_reg * gammas.chiral_right()
     n_sites = spec.T * spec.n_spatial
-    modes = []
+    omega, kvec, spinor = [np.zeros(0)], [np.zeros((0, spec.spatial_dims))], [np.zeros((0, 4), complex)]
     for mass in masses:
-        kvecs = spec.momenta()
-        omegas = np.sqrt(np.sum(kvecs * kvecs, axis=1) + mass * mass)
-        for k, w in zip(kvecs, omegas):
-            kslash = gammas.slash(np.concatenate([[-w], k]))
-            h = (kslash + mass * np.eye(4)) @ g0
-            vals, vecs = np.linalg.eigh(h)
-            cut = 1e-9 * np.abs(vals).max()
-            for r in np.nonzero(np.abs(vals) > cut)[0]:
-                u = a_tau @ vecs[:, r]
-                nrm = np.linalg.norm(u)
-                if nrm < 1e-14:
-                    continue
-                modes.append(
-                    SeaMode(
-                        omega=float(w),
-                        kvec=k.copy(),
-                        spinor=u / (nrm * np.sqrt(n_sites)),
-                        weight=float(np.exp(-spec.epsilon * w)),
-                    )
-                )
-    return modes
+        kvecs, omegas, kslash = mode_table(mass, spec, gammas)
+        vals, vecs = np.linalg.eigh((kslash + mass * np.eye(4)) @ gammas.gamma[0])
+        u = np.einsum("ab,kbr->kra", a_tau, vecs)  # (mode, eigen-index, spinor)
+        nrm = np.linalg.norm(u, axis=2)
+        keep = (np.abs(vals) > 1e-9 * np.abs(vals).max(axis=1, keepdims=True)) & (nrm >= 1e-14)
+        k, r = np.nonzero(keep)
+        omega.append(omegas[k])
+        kvec.append(kvecs[k])
+        spinor.append(u[k, r] / (nrm[k, r, None] * np.sqrt(n_sites)))
+    omega = np.concatenate(omega)
+    return SeaModes(omega=omega, kvec=np.concatenate(kvec), spinor=np.concatenate(spinor),
+                    weight=np.exp(-spec.epsilon * omega))
 
 
 def local_correlation(masses, spec: LatticeSpec, x, tau_reg: float = 1.0,
@@ -442,13 +427,12 @@ def local_correlation(masses, spec: LatticeSpec, x, tau_reg: float = 1.0,
     x = tuple(int(v) for v in x)
     if len(x) != 1 + spec.spatial_dims:
         raise ValueError("point must have one time and spatial_dims space coordinates")
-    psi = np.empty((4, len(modes)), dtype=complex)
-    for j, mode in enumerate(modes):
-        phase = mode.omega * x[0] + float(np.dot(mode.kvec, np.asarray(x[1:], dtype=float)))
-        psi[:, j] = np.sqrt(mode.weight) * mode.spinor * np.exp(1j * phase * spec.a)
+    n_modes = len(modes.omega)
+    phase = modes.omega * x[0] + modes.kvec @ np.asarray(x[1:], dtype=float)
+    psi = (np.sqrt(modes.weight)[:, None] * modes.spinor * np.exp(1j * phase * spec.a)[:, None]).T
     f_mat = -psi.conj().T @ gammas.gamma[0] @ psi
-    cfg = cfg or cfs.SystemConfig(f=max(len(modes), 1), n=2, kappa=1.0)
-    if len(modes) == 0:
+    cfg = cfg or cfs.SystemConfig(f=max(n_modes, 1), n=2, kappa=1.0)
+    if n_modes == 0:
         return cfs.OperatorPoint(matrix=np.zeros((0, 0), dtype=complex), eigenvalues=np.zeros(0))
     return cfs.validate_point(f_mat, cfg)
 

@@ -13,14 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .gammas import GammaSet, clifford_residual, dirac_rep, majorana_rep
-from .lattice import LatticeSpec, SectorKernel, dirac_apply
+from .lattice import LatticeSpec, SectorKernel, dirac_apply, mode_sum
 
 VARIANTS = ("paper", "derived")
-
-
-def gamma_majorana() -> GammaSet:
-    """The Majorana-representation gamma matrices assembled from Pauli blocks."""
-    return majorana_rep()
 
 
 def reality_check(m: float, n: float, gammas: GammaSet = None) -> dict:
@@ -90,31 +85,16 @@ def p_m_kernel(spec: LatticeSpec, m: float, n: float, variant: str,
     kvecs = spec.momenta()
     omegas = np.sqrt(np.sum(kvecs * kvecs, axis=1) + m * m + n * n)
     weights = np.exp(-spec.epsilon * omegas) / (2.0 * omegas)
-
-    mats = []
-    mode_resid = 0.0
-    for k, w, wt in zip(kvecs, omegas, weights):
-        for sign in (+1.0, -1.0):
-            k4 = np.concatenate([[sign * w], k])
-            f = _factor(k4, m, n, variant, gs)
-            op = gs.slash(k4) + 1j * n * gs.gamma5 - m * np.eye(4)
-            mode_resid = max(mode_resid, float(np.abs(op @ f).max()) * wt)
-            mats.append((k4, wt * f))
-
     dts = np.arange(-(spec.T - 1), spec.T) * spec.a
-    dxs = np.arange(spec.L) * spec.a
-    shape = (2 * spec.T - 1,) + (spec.L,) * spec.spatial_dims + (4, 4)
-    rel = np.zeros(shape, dtype=complex)
-    k4s = np.array([k4 for k4, _ in mats])
-    fs = np.array([f for _, f in mats])
-    time_phase = np.exp(-1j * np.outer(dts, k4s[:, 0]))  # e^{-i k0 dt}
-    if spec.spatial_dims == 1:
-        space_phase = np.exp(1j * np.outer(dxs, k4s[:, 1]))
-        rel = np.einsum("tk,xk,kab->txab", time_phase, space_phase, fs)
-    else:
-        phases = [np.exp(1j * np.outer(dxs, k4s[:, 1 + j])) for j in range(3)]
-        rel = np.einsum("tk,xk,yk,zk,kab->txyzab", time_phase, phases[0], phases[1], phases[2], fs)
-    rel /= (spec.L * spec.a) ** spec.spatial_dims
+
+    rel = 0.0
+    mode_resid = 0.0
+    for sign in (+1.0, -1.0):
+        k4s = np.column_stack([sign * omegas, kvecs])
+        resid = np.abs(momentum_residual(k4s, m, n, variant, gs)).max(axis=(1, 2))
+        mode_resid = max(mode_resid, float((resid * weights).max()))
+        fs = weights[:, None, None] * _factor(k4s, m, n, variant, gs)
+        rel = rel + mode_sum(np.exp(-1j * np.outer(dts, k4s[:, 0])), fs, spec)  # e^{-i k0 dt}
     kernel = SectorKernel(spec, rel, mass=m, gammas=gs)
 
     position_resid = float(np.abs(dirac_apply(kernel, m, pseudo=n)).max())

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octo_cfs import cfs
-from octo_cfs.gammas import majorana_rep
+from octo_cfs.gammas import dirac_rep, majorana_rep
 from octo_cfs.lattice import (
     LatticeSpec,
     MassData,
@@ -12,6 +14,7 @@ from octo_cfs.lattice import (
     build_vacuum_aux,
     build_vacuum_direct,
     chiral_asymmetry,
+    chiral_sandwich,
     dirac_residual,
     dirac_residual_single,
     left_algebra_action,
@@ -56,6 +59,73 @@ def test_mode_onshell_factorization_exact():
 def test_mode_dirac_residuals_time_continuum():
     for m in (0.0, 0.7):
         assert mode_dirac_residuals(m, SPEC).max() < 1e-10
+
+
+def direct_sea_kernel(mass, spec, tau_reg=None, gammas=None):
+    """Per-mode matrices and the direct 1+1 / 1+3 einsum mode sum: the oracle for the FFT path."""
+    gammas = gammas or dirac_rep()
+    kvecs = spec.momenta()
+    omegas = np.sqrt(np.sum(kvecs * kvecs, axis=1) + mass * mass)
+    mats = np.zeros((len(kvecs), 4, 4), dtype=complex)
+    for i, (k, w) in enumerate(zip(kvecs, omegas)):
+        if w != 0.0:
+            mats[i] = (gammas.slash(np.concatenate([[-w], k])) + mass * np.eye(4)) / (2.0 * w)
+    if tau_reg is not None:
+        a, b = chiral_sandwich(tau_reg, gammas)
+        mats = np.einsum("ab,kbc,cd->kad", a, mats, b)
+    mats *= np.exp(-spec.epsilon * omegas)[:, None, None]
+    dts = np.arange(-(spec.T - 1), spec.T) * spec.a
+    time_phase = np.exp(1j * np.outer(dts, omegas))
+    dxs = np.arange(spec.L) * spec.a
+    if spec.spatial_dims == 1:
+        space_phase = np.exp(1j * np.outer(dxs, kvecs[:, 0]))
+        rel = np.einsum("tk,xk,kab->txab", time_phase, space_phase, mats)
+    else:
+        phases = [np.exp(1j * np.outer(dxs, kvecs[:, j])) for j in range(3)]
+        rel = np.einsum(
+            "tk,xk,yk,zk,kab->txyzab", time_phase, phases[0], phases[1], phases[2], mats
+        )
+    return rel / (spec.L * spec.a) ** spec.spatial_dims
+
+
+@st.composite
+def lattice_specs(draw):
+    dims = draw(st.sampled_from(["1+1", "1+3"]))
+    L = 2 * draw(st.integers(1, 8 if dims == "1+1" else 3))
+    a = draw(st.floats(0.25, 1.0))
+    eps = draw(st.floats(a, 3.0))
+    return LatticeSpec(L=L, T=draw(st.integers(3, 6)), a=a, epsilon=eps, dims=dims)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=lattice_specs(),
+    mass=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    tau_reg=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True)),
+    majorana=st.booleans(),
+)
+def test_sea_kernel_matches_direct_mode_sum(spec, mass, tau_reg, majorana):
+    gs = majorana_rep() if majorana else dirac_rep()
+    oracle = direct_sea_kernel(mass, spec, tau_reg=tau_reg, gammas=gs)
+    rel = sea_kernel(mass, spec, tau_reg=tau_reg, gammas=gs).rel
+    assert np.abs(rel - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ks=st.lists(st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4), min_size=1, max_size=6),
+    n=st.sampled_from([2, 4]),
+    majorana=st.booleans(),
+)
+def test_batched_slash_matches_per_vector(ks, n, majorana):
+    gs = majorana_rep() if majorana else dirac_rep()
+    ks = np.array(ks)[:, :n]
+    batched = gs.slash(ks)
+    assert batched.shape == (len(ks), 4, 4)
+    for k, s in zip(ks, batched):
+        assert np.array_equal(s, gs.slash(k))
+        direct = k[0] * gs.gamma[0] - sum(k[j] * gs.gamma[j] for j in range(1, n))
+        assert np.allclose(s, direct, rtol=0.0, atol=1e-14 * max(1.0, np.abs(k).max()))
 
 
 def test_kernel_hermiticity_identity():
@@ -249,8 +319,8 @@ def test_local_correlation_empty_sea_is_zero():
 
 def test_mode_weights_monotone_in_epsilon():
     spec_tight = LatticeSpec(L=8, T=6, a=0.5, epsilon=0.5)
-    w_tight = np.array([m.weight for m in occupied_modes([0.7], spec_tight)])
-    w_loose = np.array([m.weight for m in occupied_modes([0.7], SPEC)])
+    w_tight = occupied_modes([0.7], spec_tight).weight
+    w_loose = occupied_modes([0.7], SPEC).weight
     assert np.all(w_tight > w_loose)
 
 

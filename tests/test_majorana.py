@@ -6,7 +6,6 @@ from octo_cfs.lattice import LatticeSpec
 from octo_cfs.majorana import (
     check_report,
     factorization_residual,
-    gamma_majorana,
     momentum_residual,
     p_m_kernel,
     reality_check,
@@ -21,7 +20,7 @@ def test_clifford_relations_exact():
 
 
 def test_gamma_matrix_squares():
-    gs = gamma_majorana()
+    gs = majorana_rep()
     assert np.array_equal(gs.gamma[0] @ gs.gamma[0], np.eye(4))
     assert np.array_equal(gs.gamma[1] @ gs.gamma[1], -np.eye(4))
     assert np.array_equal(gs.gamma5 @ gs.gamma[0] + gs.gamma[0] @ gs.gamma5, np.zeros((4, 4)))
@@ -41,7 +40,7 @@ def test_reality_dirac_negative_control():
 
 
 def test_derived_variant_factorizes_exactly():
-    gs = gamma_majorana()
+    gs = majorana_rep()
     for _ in range(1000):
         k = rng.standard_normal(4)
         m = rng.random() + 0.1
@@ -50,7 +49,7 @@ def test_derived_variant_factorizes_exactly():
 
 
 def test_derived_variant_onshell_zero():
-    gs = gamma_majorana()
+    gs = majorana_rep()
     for _ in range(50):
         m, n = rng.random() + 0.1, rng.random()
         kvec = rng.standard_normal(3)
@@ -60,7 +59,7 @@ def test_derived_variant_onshell_zero():
 
 
 def test_paper_variant_does_not_cancel_with_pseudoscalar_mass():
-    gs = gamma_majorana()
+    gs = majorana_rep()
     worst = 0.0
     for _ in range(50):
         m, n = rng.random() + 0.1, rng.random() + 0.5
@@ -72,7 +71,7 @@ def test_paper_variant_does_not_cancel_with_pseudoscalar_mass():
 
 
 def test_paper_variant_reduces_to_derived_at_n_zero():
-    gs = gamma_majorana()
+    gs = majorana_rep()
     k = rng.standard_normal(4)
     a = momentum_residual(k, 0.7, 0.0, "paper", gs)
     b = momentum_residual(k, 0.7, 0.0, "derived", gs)
@@ -96,28 +95,31 @@ def test_p_m_reduces_to_symmetric_sea_at_n_zero():
     # sea kernel: both k0 signs of (kslash + m)/(2 omega)
     from octo_cfs.lattice import sea_kernel
 
-    spec = LatticeSpec(L=6, T=4, a=0.5, epsilon=1.0)
-    m = 0.9
-    gs = gamma_majorana()
-    pm, _ = p_m_kernel(spec, m=m, n=0.0, variant="paper")
-    sea_neg = sea_kernel(m, spec, gammas=gs)
-    # rebuild the positive-energy half directly from modes
-    kvecs = spec.momenta()
-    omegas = np.sqrt(np.sum(kvecs * kvecs, axis=1) + m * m)
-    dts = np.arange(-(spec.T - 1), spec.T) * spec.a
-    dxs = np.arange(spec.L) * spec.a
-    mats = np.array(
-        [
-            (gs.slash(np.concatenate([[w], k])) + m * np.eye(4))
-            * np.exp(-spec.epsilon * w)
-            / (2.0 * w)
-            for k, w in zip(kvecs, omegas)
-        ]
-    )
-    tp = np.exp(-1j * np.outer(dts, omegas))
-    sp = np.exp(1j * np.outer(dxs, kvecs[:, 0]))
-    pos = np.einsum("tk,xk,kab->txab", tp, sp, mats) / (spec.L * spec.a)
-    assert np.allclose(pm.rel, sea_neg.rel + pos, atol=1e-12)
+    for spec in (LatticeSpec(L=6, T=4, a=0.5, epsilon=1.0),
+                 LatticeSpec(L=4, T=4, a=0.5, epsilon=1.0, dims="1+3")):
+        m = 0.9
+        gs = majorana_rep()
+        pm, _ = p_m_kernel(spec, m=m, n=0.0, variant="paper")
+        sea_neg = sea_kernel(m, spec, gammas=gs)
+        # rebuild the positive-energy half directly from modes
+        kvecs = spec.momenta()
+        omegas = np.sqrt(np.sum(kvecs * kvecs, axis=1) + m * m)
+        dts = np.arange(-(spec.T - 1), spec.T) * spec.a
+        dxs = np.arange(spec.L) * spec.a
+        d = spec.spatial_dims
+        xs = np.stack(np.meshgrid(*([dxs] * d), indexing="ij"), axis=-1).reshape(-1, d)
+        mats = np.array(
+            [
+                (gs.slash(np.concatenate([[w], k])) + m * np.eye(4))
+                * np.exp(-spec.epsilon * w)
+                / (2.0 * w)
+                for k, w in zip(kvecs, omegas)
+            ]
+        )
+        tp = np.exp(-1j * np.outer(dts, omegas))
+        sp = np.exp(1j * xs @ kvecs.T)
+        pos = np.einsum("tk,xk,kab->txab", tp, sp, mats) / (spec.L * spec.a) ** d
+        assert np.allclose(pm.rel, sea_neg.rel + pos.reshape(pm.rel.shape), atol=1e-12)
 
 
 def test_p_m_requires_positive_shell():
