@@ -382,8 +382,8 @@ def cmd_cfs_minimize(args) -> int:
             "ell_support": report.ell_support,
             "ell_spread": report.ell_spread,
             "off_support_max_neg_ell": report.off_support_max_neg_ell,
-            "mu_final": report.mu_final,
-            "n_outer": report.n_outer,
+            "nit": report.nit,
+            "nfev": report.nfev,
             "converged": report.converged,
         },
     }

@@ -2,9 +2,9 @@
 
 Weights live on the probability simplex through a softmax reparametrization,
 so the volume constraint is exact by construction; the trace constraint is
-enforced by a quadratic penalty with an increasing multiplier. Gradients of
-the inner unconstrained problems are central finite differences (the
-Lagrangian is only piecewise smooth in the eigenvalue moduli).
+an exact equality constraint of one SLSQP solve. Gradients of the action
+and of the trace are central finite differences (the Lagrangian is only
+piecewise smooth in the eigenvalue moduli).
 """
 
 from __future__ import annotations
@@ -12,9 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
+import scipy.linalg
 
 from . import cfs
+
+MAXITER = 400  # SLSQP iteration cap
+FD_STEP = 1e-6  # relative central-difference step
+PROBE_SAMPLES = 200  # random points in the off-support ell probe
 
 
 class InfeasibleStart(RuntimeError):
@@ -44,14 +48,7 @@ class MeasureFamily:
 
 @dataclass
 class MinimizeOptions:
-    mu_init: float = 10.0
-    mu_growth: float = 10.0
-    mu_max: float = 1e10
-    inner_maxiter: int = 400
-    fd_step: float = 1e-6
-    constraint_tol: float = 1e-10
     seed: int = 0
-    probe_samples: int = 200
 
 
 @dataclass
@@ -63,10 +60,10 @@ class MinimizeReport:
     ell_support: list
     ell_spread: float
     off_support_max_neg_ell: float
-    mu_final: float
-    n_outer: int
+    nit: int
+    nfev: int
     converged: bool
-    inner_status: str = ""
+    status: str = ""
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -74,10 +71,10 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _central_gradient(fun, v, step):
+def _central_gradient(fun, v):
     g = np.zeros_like(v)
     for i in range(len(v)):
-        h = step * max(1.0, abs(v[i]))
+        h = FD_STEP * max(1.0, abs(v[i]))
         vp = v.copy()
         vm = v.copy()
         vp[i] += h
@@ -98,7 +95,12 @@ def minimize(
     x0: np.ndarray,
     options: MinimizeOptions | None = None,
 ):
-    """Penalty-method minimization of the causal action within the family.
+    """Minimize the causal action within the family at unit volume and trace.
+
+    One SLSQP solve over (shape parameters, softmax logits) keeps the trace
+    T = 1 as an exact equality constraint; the softmax makes the volume
+    exact. Raises InfeasibleStart for an invalid x0, LineSearchFailure if
+    the solve diverges and MaxIterations if |T - 1| > 1e-6 at its end.
 
     Returns (DiscreteMeasure, MinimizeReport). The report carries the
     Euler-Lagrange residuals on the support (with the post-hoc Lagrange
@@ -107,6 +109,8 @@ def minimize(
     not asserted, since family-restricted optima need not satisfy the
     global inequality.
     """
+    import scipy.optimize
+
     opt = options or MinimizeOptions()
     v = np.asarray(x0, dtype=float)
     if v.shape != (family.n_params + family.n_points,):
@@ -120,55 +124,36 @@ def minimize(
     except (cfs.NotHermitian, cfs.SignatureViolation) as exc:
         raise InfeasibleStart(f"initial family point invalid: {exc}") from exc
 
-    def objective(mu):
-        def f(vv):
-            points, w = _unpack(family, vv)
-            a = cfs.action(points, w, cfg)
-            _, trace = cfs.constraints(points, w)
-            return a + mu * (trace - 1.0) ** 2
+    def action_of(vv):
+        return cfs.action(*_unpack(family, vv), cfg)
 
-        return f
+    def trace_gap(vv):
+        return cfs.constraints(*_unpack(family, vv))[1] - 1.0
 
-    mu = opt.mu_init
-    n_outer = 0
-    converged = False
-    status = ""
-    while True:
-        n_outer += 1
-        f = objective(mu)
-        res = scipy.optimize.minimize(
-            f,
-            v,
-            method="BFGS",
-            jac=lambda vv: _central_gradient(f, vv, opt.fd_step),
-            options={"maxiter": opt.inner_maxiter, "gtol": 1e-10},
-        )
-        if not np.all(np.isfinite(res.x)):
-            raise LineSearchFailure(f"inner solve diverged at mu={mu:.1e}")
-        v = res.x
-        status = res.message
-        points, w = _unpack(family, v)
-        _, trace = cfs.constraints(points, w)
-        if abs(trace - 1.0) <= opt.constraint_tol:
-            converged = True
-            break
-        if mu >= opt.mu_max:
-            break
-        mu *= opt.mu_growth
-
-    points, w = _unpack(family, v)
-    if not converged and abs(cfs.constraints(points, w)[1] - 1.0) > 1e-6:
-        raise MaxIterations(
-            f"trace constraint not met after mu={mu:.1e}: trace={cfs.constraints(points, w)[1]}"
-        )
+    res = scipy.optimize.minimize(
+        action_of,
+        v,
+        method="SLSQP",
+        jac=lambda vv: _central_gradient(action_of, vv),
+        constraints=[
+            {"type": "eq", "fun": trace_gap, "jac": lambda vv: _central_gradient(trace_gap, vv)}
+        ],
+        options={"maxiter": MAXITER, "ftol": 1e-14},
+    )
+    if not np.all(np.isfinite(res.x)):
+        raise LineSearchFailure(f"SLSQP diverged: {res.message}")
+    points, w = _unpack(family, res.x)
+    trace = cfs.constraints(points, w)[1]
+    if abs(trace - 1.0) > 1e-6:
+        raise MaxIterations(f"trace constraint not met ({res.message}): trace={trace}")
 
     validated = [cfs.validate_point(p, cfg) for p in points]
     merged_pts, merged_w = cfs.merge_duplicates(validated, w)
     merged_w = merged_w / merged_w.sum()
     measure = cfs.DiscreteMeasure(points=merged_pts, weights=merged_w)
 
-    a_val = cfs.action(measure, cfg=cfg)
     volume, trace = cfs.constraints(measure)
+    # support row sum_j w_j L(x_i, x_j); the action is its weighted mean
     row = np.array(
         [
             sum(
@@ -181,20 +166,20 @@ def minimize(
     s_posthoc = float(np.dot(measure.weights, row))
     ell_support = (row - s_posthoc).tolist()
     ell_spread = float(row.max() - row.min())
-    off_max = _probe_off_support(measure, cfg, s_posthoc, opt)
+    off_max = _probe_off_support(measure, cfg, s_posthoc, opt.seed)
 
     report = MinimizeReport(
-        action=float(a_val),
+        action=s_posthoc,
         volume=volume,
         trace=trace,
         s_posthoc=s_posthoc,
         ell_support=ell_support,
         ell_spread=ell_spread,
         off_support_max_neg_ell=off_max,
-        mu_final=mu,
-        n_outer=n_outer,
-        converged=converged,
-        inner_status=str(status),
+        nit=int(res.nit),
+        nfev=int(res.nfev),
+        converged=bool(res.success),
+        status=str(res.message),
     )
     return measure, report
 
@@ -213,12 +198,12 @@ def _perturbed_point(rng, point: cfs.OperatorPoint, cfg, rel=0.05):
     return cfs.validate_point(0.5 * (m + m.conj().T), cfg)
 
 
-def _probe_off_support(measure, cfg, s_posthoc, opt: MinimizeOptions) -> float:
+def _probe_off_support(measure, cfg, s_posthoc, seed: int) -> float:
     """max(-ell) over random perturbations of the support plus random points."""
-    rng = np.random.default_rng(opt.seed)
+    rng = np.random.default_rng(seed)
     worst = -np.inf
     cfg_s = cfs.SystemConfig(f=cfg.f, n=cfg.n, kappa=cfg.kappa, s=s_posthoc)
-    for i in range(opt.probe_samples):
+    for i in range(PROBE_SAMPLES):
         if i % 2 == 0:
             base = measure.points[int(rng.integers(len(measure.points)))]
             z = _perturbed_point(rng, base, cfg)

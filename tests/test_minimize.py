@@ -35,8 +35,8 @@ def test_softmax_simplex():
     assert np.all(w > 0) and abs(w.sum() - 1.0) < 1e-15
 
 
-def test_minimize_mirror_family_matches_grid_oracle():
-    kappa = 0.2
+@pytest.mark.parametrize("kappa", [0.05, 0.2, 0.5])
+def test_minimize_mirror_family_matches_grid_oracle(kappa):
     cfg = cfs.SystemConfig(f=2, n=1, kappa=kappa)
     fam, x0 = make_family({"type": "mirror_pair"}, cfg)
     measure, report = minimize(fam, cfg, x0, MinimizeOptions(seed=3))
@@ -120,7 +120,7 @@ def test_traceless_family_cannot_meet_constraint():
 
     fam = MeasureFamily(n_points=1, n_params=1, point_fn=point_fn)
     with pytest.raises(MaxIterations):
-        minimize(fam, cfg, np.array([1.0, 0.0]), MinimizeOptions(mu_max=1e4))
+        minimize(fam, cfg, np.array([1.0, 0.0]))
 
 
 def test_make_family_sign_template_validated():
