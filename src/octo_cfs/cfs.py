@@ -89,14 +89,20 @@ def validate_point(m, cfg: SystemConfig, tol: float = RANK_TOL) -> OperatorPoint
         raise NotHermitian("point is not Hermitian")
     a = 0.5 * (a + a.conj().T)
     w = np.linalg.eigvalsh(a) if a.size else np.zeros(0)
+    check_signature(w, cfg.n, tol)
+    return OperatorPoint(matrix=a, eigenvalues=w)
+
+
+def check_signature(w, n: int, tol: float = RANK_TOL) -> float:
+    """Zero cut tol * max(1, max|w|) of a real spectrum; raises if more than n lie beyond it on either side."""
     cut = tol * max(1.0, np.abs(w).max(initial=0.0))
     n_pos = int(np.sum(w > cut))
     n_neg = int(np.sum(w < -cut))
-    if n_pos > cfg.n or n_neg > cfg.n:
+    if n_pos > n or n_neg > n:
         raise SignatureViolation(
-            f"{n_pos} positive and {n_neg} negative eigenvalues exceed spin dimension {cfg.n}"
+            f"{n_pos} positive and {n_neg} negative eigenvalues exceed spin dimension {n}"
         )
-    return OperatorPoint(matrix=a, eigenvalues=w)
+    return cut
 
 
 def random_point(rng, cfg: SystemConfig, scale: float = 1.0) -> OperatorPoint:

@@ -26,6 +26,7 @@ from .lattice import (
     build_vacuum_direct,
     dirac_residual,
     left_algebra_action,
+    load_header,
     load_kernels,
     local_correlation,
     mode_onshell_residuals,
@@ -443,15 +444,15 @@ def cmd_vacuum_build(args) -> int:
     return EXIT_OK
 
 
-def _load_container(path):
+def _load_container(load, path):
     try:
-        return load_kernels(path)
+        return load(path)
     except (OSError, KeyError, ValueError) as exc:
         raise ValidationError(f"cannot load kernel container {path}: {exc}") from exc
 
 
 def cmd_vacuum_residual(args) -> int:
-    header, kernels = _load_container(args.infile)
+    header, kernels = _load_container(load_kernels, args.infile)
     md = MassData.from_json(header["masses"])
     aux = [kernels[f"aux_{name}"] for name in aux_labels()]
     res = dirac_residual(aux, aux_masses(md))
@@ -466,7 +467,7 @@ def cmd_vacuum_residual(args) -> int:
 
 
 def cmd_vacuum_localize(args) -> int:
-    header, _ = _load_container(args.infile)
+    header = _load_container(load_header, args.infile)
     spec = LatticeSpec.from_json(header["lattice"])
     md = MassData.from_json(header["masses"])
     point = tuple(int(v) for v in args.point.split(","))
@@ -478,13 +479,12 @@ def cmd_vacuum_localize(args) -> int:
     except cfs.SignatureViolation as exc:
         raise CheckFailure(f"local correlation violates the signature bound: {exc}") from exc
     def describe(f):
-        w = np.sort(f.eigenvalues)
-        cut = 1e-9 * max(1.0, np.abs(w).max(initial=0.0))
+        w = f.eigenvalues  # ascending, exact zeros outside the rank
         return {
             "eigenvalues": [float(v) for v in w],
-            "n_positive": int(np.sum(w > cut)),
-            "n_negative": int(np.sum(w < -cut)),
-            "rank": int(np.sum(np.abs(w) > cut)),
+            "n_positive": int(np.sum(w > 0)),
+            "n_negative": int(np.sum(w < 0)),
+            "rank": int(np.count_nonzero(w)),
         }
     payload = {
         "meta": _meta(args, "vacuum localize", infile=args.infile, point=list(point)),
@@ -496,7 +496,7 @@ def cmd_vacuum_localize(args) -> int:
 
 
 def cmd_vacuum_act(args) -> int:
-    header, kernels = _load_container(args.infile)
+    header, kernels = _load_container(load_kernels, args.infile)
     spec = LatticeSpec.from_json(header["lattice"])
     md = MassData.from_json(header["masses"])
     try:

@@ -9,6 +9,7 @@ momentum mode is damped by the soft ultraviolet cutoff exp(-eps * omega).
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import zipfile
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, cfs
 from .gammas import GammaSet, dirac_rep
 
 #: Recorded Gram convention for the local correlation operators.
@@ -412,44 +413,70 @@ def occupied_modes(masses, spec: LatticeSpec, tau_reg: float = 1.0, gammas: Gamm
                     weight=np.exp(-spec.epsilon * omega))
 
 
+class LocalCorrelation(cfs.OperatorPoint):
+    """F = -psi^dag metric psi kept as its factor psi; the dense `matrix` is built on first access.
+
+    `eigenvalues` is the full ascending spectrum, one entry per column of psi,
+    with exact zeros outside the rank.
+    """
+
+    def __init__(self, psi: np.ndarray, metric: np.ndarray, eigenvalues: np.ndarray):
+        self.psi = psi
+        self.metric = metric
+        self.eigenvalues = eigenvalues
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        f = -self.psi.conj().T @ self.metric @ self.psi
+        return 0.5 * (f + f.conj().T)
+
+
+def _cut(w: np.ndarray, n: int) -> np.ndarray:
+    """Ascending spectrum with the entries inside the cfs.validate_point zero cut set to exactly 0."""
+    cut = cfs.check_signature(w, n)
+    return np.sort(np.where(np.abs(w) > cut, w, 0.0))
+
+
 def local_correlation(masses, spec: LatticeSpec, x, tau_reg: float = 1.0,
-                      gammas: GammaSet = None, cfg=None):
+                      gammas: GammaSet = None) -> LocalCorrelation:
     """Local correlation operator F(x): Gram matrix of the occupied modes at x.
 
     F_ij = - <psi_i(x) | gamma0 psi_j(x)> with sqrt(exp(-eps omega)) weights
-    on each side; at most 2 positive and 2 negative eigenvalues per Dirac
-    sector. Returns a validated cfs.OperatorPoint.
+    on each side, where psi is the 4 x M matrix of the M weighted mode
+    spinors at x. F has rank <= 4 and at most 2 positive and 2 negative
+    eigenvalues. With the thin QR psi^dag = Q r, F = Q (-r gamma0 r^dag) Q^dag,
+    so F's nonzero spectrum is that of the 4 x 4 Hermitian matrix
+    -r gamma0 r^dag (r^dag r = psi psi^dag); the M x M matrix is only built
+    when `matrix` is read.
     """
-    from . import cfs
-
     gammas = gammas or dirac_rep()
-    modes = occupied_modes(masses, spec, tau_reg=tau_reg, gammas=gammas)
     x = tuple(int(v) for v in x)
     if len(x) != 1 + spec.spatial_dims:
         raise ValueError("point must have one time and spatial_dims space coordinates")
-    n_modes = len(modes.omega)
+    modes = occupied_modes(masses, spec, tau_reg=tau_reg, gammas=gammas)
     phase = modes.omega * x[0] + modes.kvec @ np.asarray(x[1:], dtype=float)
     psi = (np.sqrt(modes.weight)[:, None] * modes.spinor * np.exp(1j * phase * spec.a)[:, None]).T
-    f_mat = -psi.conj().T @ gammas.gamma[0] @ psi
-    cfg = cfg or cfs.SystemConfig(f=max(n_modes, 1), n=2, kappa=1.0)
-    if n_modes == 0:
-        return cfs.OperatorPoint(matrix=np.zeros((0, 0), dtype=complex), eigenvalues=np.zeros(0))
-    return cfs.validate_point(f_mat, cfg)
+    g0 = gammas.gamma[0]
+    r = np.linalg.qr(psi.conj().T, mode="r")  # min(M, 4) x 4
+    w = np.zeros(psi.shape[1])
+    w[: len(r)] = np.linalg.eigvalsh(-r @ g0 @ r.conj().T)
+    return LocalCorrelation(psi, g0, _cut(w, n=2))
 
 
-def vacuum_local_correlation(md: MassData, spec: LatticeSpec, x, gammas: GammaSet = None):
-    """Block-diagonal F(x) over the eight sectors (n = 2 per Dirac sector)."""
-    import scipy.linalg
+def vacuum_local_correlation(md: MassData, spec: LatticeSpec, x, gammas: GammaSet = None) -> LocalCorrelation:
+    """F(x) over the eight sectors, block-diagonal in them (n = 2 per Dirac sector, 16 in all).
 
-    from . import cfs
-
+    The spectrum is the neutrino spectrum plus 7 copies of the charged one;
+    the 8M x 8M matrix is only built when `matrix` is read.
+    """
     gammas = gammas or dirac_rep()
     nu = local_correlation(md.neutrino_masses, spec, x, tau_reg=md.tau_reg, gammas=gammas)
     ch = local_correlation(md.charged_masses, spec, x, gammas=gammas)
-    blocks = [nu.matrix] + [ch.matrix] * 7
-    full = scipy.linalg.block_diag(*blocks)
-    cfg = cfs.SystemConfig(f=full.shape[0], n=16, kappa=1.0)
-    return cfs.validate_point(full, cfg)
+    m_nu, m_ch = nu.psi.shape[1], ch.psi.shape[1]
+    psi = np.block([[nu.psi, np.zeros((4, 7 * m_ch))],
+                    [np.zeros((28, m_nu)), np.kron(np.eye(7), ch.psi)]])
+    w = np.concatenate([nu.eigenvalues] + [ch.eigenvalues] * 7)
+    return LocalCorrelation(psi, np.kron(np.eye(8), gammas.gamma[0]), _cut(w, n=16))
 
 
 def save_kernels(path, spec: LatticeSpec, md: MassData, kernels: dict) -> None:
@@ -474,11 +501,17 @@ def save_kernels(path, spec: LatticeSpec, md: MassData, kernels: dict) -> None:
             zf.writestr(info, buf.getvalue())
 
 
+def load_header(path) -> dict:
+    """The JSON header of a kernel container, without reading its kernel chunks."""
+    with zipfile.ZipFile(path, "r") as zf:
+        return json.loads(zf.read("header.json"))
+
+
 def load_kernels(path):
     """Inverse of save_kernels: (header, {sector name: SectorKernel})."""
+    header = load_header(path)
+    spec = LatticeSpec.from_json(header["lattice"])
     with zipfile.ZipFile(path, "r") as zf:
-        header = json.loads(zf.read("header.json"))
-        spec = LatticeSpec.from_json(header["lattice"])
         kernels = {}
         for name in header["sectors"]:
             rel = np.load(io.BytesIO(zf.read(f"{name}.npy")))

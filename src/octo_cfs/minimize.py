@@ -209,6 +209,8 @@ def _probe_off_support(measure, cfg, s_posthoc, seed: int) -> float:
             z = _perturbed_point(rng, base, cfg)
         else:
             z = cfs.random_point(rng, cfg)
+            while not z.matrix.any():  # ell(0) = -s: the zero point probes nothing
+                z = cfs.random_point(rng, cfg)
         worst = max(worst, -cfs.ell(z, measure, cfg_s))
     return float(worst)
 

@@ -225,12 +225,15 @@ def test_exit_codes(tmp_path):
 def test_reproducibility_byte_identical(tmp_path):
     fam_path = tmp_path / "family.json"
     fam_path.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.2}, "family": {"type": "mirror_pair"}}))
+    vac = tmp_path / "vac.okn"
+    assert run(["vacuum", "build", "--L", "8", "--T", "6", "--tau", "0.7", "--out", str(vac)]) == 0
     for cmd_suffix in (
         ["octonion", "check", "--seed", "9"],
         ["clifford", "identities", "--seed", "9"],
         ["ideals", "su3"],
         ["majorana", "check", "--seed", "9"],
         ["cfs", "minimize", "--family", str(fam_path), "--seed", "1"],
+        ["vacuum", "localize", "--infile", str(vac), "--point", "2,3"],
     ):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

@@ -18,6 +18,7 @@ from octo_cfs.lattice import (
     dirac_residual,
     dirac_residual_single,
     left_algebra_action,
+    load_header,
     load_kernels,
     local_correlation,
     mass_matrix,
@@ -312,6 +313,39 @@ def test_local_correlation_translation_invariance():
         assert np.allclose(s, spectra[0], atol=1e-10)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    dims_l=st.one_of(st.tuples(st.just("1+1"), st.sampled_from([2, 4, 6, 8, 10])), st.just(("1+3", 4))),
+    T=st.integers(3, 5),
+    masses=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=1, max_size=3),
+    tau_reg=st.floats(-8.0, 0.0).map(lambda e: 10.0**e),  # log-uniform in (0, 1]
+    x=st.lists(st.integers(-10, 10), min_size=4, max_size=4),
+    majorana=st.booleans(),
+)
+def test_local_correlation_matches_dense_spectrum(dims_l, T, masses, tau_reg, x, majorana):
+    dims, L = dims_l
+    spec = LatticeSpec(L=L, T=T, a=0.5, epsilon=1.0, dims=dims)
+    gs = majorana_rep() if majorana else dirac_rep()
+    f = local_correlation(masses, spec, x[: 1 + spec.spatial_dims], tau_reg=tau_reg, gammas=gs)
+    m = f.psi.shape[1]
+    oracle = cfs.validate_point(f.matrix, cfs.SystemConfig(f=m, n=2, kappa=1.0)).eigenvalues
+    top = np.abs(oracle).max()
+    cut = cfs.RANK_TOL * max(1.0, top)
+
+    def signature(w):
+        return int(np.sum(w > cut)), int(np.sum(w < -cut)), int(np.sum(np.abs(w) > cut))
+
+    assert f.matrix.shape == (m, m) and len(f.eigenvalues) == m
+    assert np.all(np.diff(f.eigenvalues) >= 0.0)
+    assert signature(f.eigenvalues) == signature(oracle)
+    assert np.count_nonzero(f.eigenvalues) == signature(oracle)[2]  # exact zeros outside the rank
+    # both paths round at the scale |psi|^2 of the terms of psi^dag gamma0 psi;
+    # it equals max|w| at tau_reg = 1 and exceeds it where chiral
+    # regularization makes F a cancellation of larger terms
+    scale = max(top, np.linalg.norm(f.psi, 2) ** 2)
+    assert np.abs(f.eigenvalues - np.where(np.abs(oracle) > cut, oracle, 0.0)).max() <= 1e-12 * scale
+
+
 def test_local_correlation_empty_sea_is_zero():
     f = local_correlation([], SPEC, (1, 1))
     assert f.matrix.shape == (0, 0)
@@ -346,6 +380,16 @@ def test_vacuum_local_correlation_signature():
     cut = 1e-9 * np.abs(f.eigenvalues).max()
     assert np.sum(f.eigenvalues > cut) <= 16
     assert np.sum(f.eigenvalues < -cut) <= 16
+
+
+def test_vacuum_local_correlation_three_spatial_dimensions():
+    # the 8M x 8M block-diagonal matrix (24576^2, 9 GiB) is never built
+    spec3 = LatticeSpec(L=8, T=8, a=0.5, epsilon=2.0, dims="1+3")
+    f = vacuum_local_correlation(MD, spec3, (2, 3, 1, 0))
+    w = f.eigenvalues
+    assert len(w) == 8 * 3072
+    assert (np.sum(w > 0), np.sum(w < 0), np.count_nonzero(w)) == (16, 16, 32)
+    assert "matrix" not in vars(f)
 
 
 def test_three_spatial_dimensions():
@@ -384,6 +428,7 @@ def test_container_round_trip_and_determinism(tmp_path):
     save_kernels(p2, SPEC, MD, kernels)
     assert p1.read_bytes() == p2.read_bytes()
     header, loaded = load_kernels(p1)
+    assert load_header(p1) == header
     assert header["lattice"]["L"] == SPEC.L
     assert header["tau_reg"] == MD.tau_reg
     assert "local_correlation_convention" in header

@@ -54,6 +54,8 @@ def test_minimize_mirror_family_matches_grid_oracle(kappa):
     assert abs(oracle - (0.25 + kappa / 2.0)) < 1e-12
     assert len(measure.points) == 2
     assert np.allclose(sorted(measure.weights), [0.5, 0.5], atol=1e-5)
+    # ell(0) = -s: a probe that only reached the zero point would read exactly s
+    assert report.off_support_max_neg_ell < report.s_posthoc
 
 
 def test_minimize_single_point_diagonal_family():
