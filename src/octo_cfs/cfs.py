@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 #: Relative eigenvalue threshold below which a product eigenvalue counts as zero.
 RANK_TOL = 1e-9
@@ -122,64 +121,84 @@ def random_point(rng, cfg: SystemConfig, scale: float = 1.0) -> OperatorPoint:
     return validate_point(m, cfg)
 
 
-def product_spectrum(x, y, cfg: SystemConfig, tol: float = RANK_TOL) -> np.ndarray:
-    """All 2n eigenvalues of xy: the non-zero ones padded with zeros.
+#: Rows of `xs` per batched closed-chain eigensolve in `pair_spectra`.
+PAIR_BLOCK = 64
 
-    Sorted by descending modulus, then by phase, so equal inputs give a
-    deterministic ordering.
+
+def _frames(points, cfg: SystemConfig):
+    """Per point: the top min(2n, f) eigenpairs by modulus with sub-cut eigenvalues zeroed, and ||x||_2.
+
+    One stacked `eigh`; the zero cut is the spin-space cut. Raises
+    EigensolverError for a point with more than 2n eigenvalues beyond it.
     """
-    a = _asmat(x)
-    b = _asmat(y)
-    try:
-        lam = np.linalg.eigvals(a @ b)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigensolverError(f"eigensolver failed on product: {exc}") from exc
-    # zero threshold relative to ||x|| ||y||: a vanishing product must yield
-    # the all-zero spectrum, not relatively-ordered eigenvalue dust
-    scale = float(np.linalg.norm(a, 2) * np.linalg.norm(b, 2))
-    lam = np.where(np.abs(lam) > tol * max(scale, 1e-300), lam, 0.0)
-    nonzero = lam[lam != 0.0]
-    if len(nonzero) > 2 * cfg.n:
-        # keep the 2n largest; anything beyond the bound is numerical dust
-        order = np.argsort(-np.abs(nonzero))
-        extra = np.abs(nonzero[order[2 * cfg.n :]])
-        if extra.max(initial=0.0) > 1e-5 * scale:
-            raise EigensolverError("product has more than 2n significant eigenvalues")
-        nonzero = nonzero[order[: 2 * cfg.n]]
-    out = np.zeros(2 * cfg.n, dtype=complex)
-    out[: len(nonzero)] = nonzero
-    order = np.lexsort((np.angle(out), -np.abs(out)))
-    return out[order]
+    a = np.array([_asmat(p) for p in points], dtype=complex).reshape(len(points), cfg.f, cfg.f)
+    w, v = np.linalg.eigh(a)
+    top = np.abs(w).max(axis=1, initial=0.0)
+    w = np.where(np.abs(w) > RANK_TOL * np.maximum(1.0, top)[:, None], w, 0.0)
+    if np.any(np.count_nonzero(w, axis=1) > 2 * cfg.n):
+        raise EigensolverError("point has more than 2n eigenvalues beyond the zero cut")
+    order = np.argsort(-np.abs(w), axis=1, kind="stable")[:, : 2 * cfg.n]
+    return np.take_along_axis(w, order, axis=1), np.take_along_axis(v, order[:, None, :], axis=2), top
 
 
-def lagrangian(x, y, cfg: SystemConfig) -> float:
-    """kappa-Lagrangian: sum_ij (|l_i|-|l_j|)^2 / 4n + kappa (sum_j |l_j|)^2."""
-    m = np.abs(product_spectrum(x, y, cfg))
-    d = m[:, None] - m[None, :]
-    return float(np.sum(d * d) / (4.0 * cfg.n) + cfg.kappa * np.sum(m) ** 2)
+def pair_spectra(xs, ys, cfg: SystemConfig) -> np.ndarray:
+    """The 2n eigenvalues of xy for every pair of xs x ys: (len(xs), len(ys), 2n).
+
+    They are those of the closed chain Lambda_x G Lambda_y G*, G = U_x* U_y, on the
+    spin spaces: one batched 2n x 2n `eigvals` per block of rows. Eigenvalues below
+    RANK_TOL * ||x|| ||y|| are exact zeros (a vanishing product yields the all-zero
+    spectrum, not dust); each spectrum is sorted by descending modulus, then phase.
+    """
+    wx, ux, nx = _frames(xs, cfg)
+    wy, uy, ny = (wx, ux, nx) if ys is xs else _frames(ys, cfg)
+    out = np.zeros((len(wx), len(wy), 2 * cfg.n), dtype=complex)
+    for r in range(0, len(wx), PAIR_BLOCK):
+        sl = slice(r, r + PAIR_BLOCK)
+        g = ux[sl].conj().swapaxes(1, 2)[:, None] @ uy[None]
+        lam = np.linalg.eigvals((wx[sl, None, :, None] * g * wy[None, :, None, :]) @ g.conj().swapaxes(2, 3))
+        scale = np.maximum(nx[sl, None, None] * ny[None, :, None], 1e-300)
+        out[sl, :, : lam.shape[2]] = np.where(np.abs(lam) > RANK_TOL * scale, lam, 0.0)
+    return np.take_along_axis(out, np.lexsort((np.angle(out), -np.abs(out))), axis=2)
 
 
-def causal_class(x, y, cfg: SystemConfig, rtol: float = CAUSAL_TOL) -> str:
-    """Spacelike, timelike, or lightlike separation of the pair (x, y).
+def lagrangians(xs, ys, cfg: SystemConfig) -> np.ndarray:
+    """kappa-Lagrangian sum_ij (|l_i|-|l_j|)^2 / 4n + kappa (sum_j |l_j|)^2 of every pair of xs x ys."""
+    m = np.abs(pair_spectra(xs, ys, cfg))  # first term as its equal sum_i (m_i - mean m)^2
+    return np.sum((m - m.mean(axis=-1, keepdims=True)) ** 2, axis=-1) + cfg.kappa * np.sum(m, axis=-1) ** 2
+
+
+def causal_classes(lam: np.ndarray, rtol: float = CAUSAL_TOL) -> np.ndarray:
+    """Causal class of each spectrum along the last axis of `lam`.
 
     Spacelike: all 2n moduli equal (the all-zero spectrum counts as equal).
     Timelike: all eigenvalues real, moduli not all equal. Lightlike: the rest.
     """
-    lam = product_spectrum(x, y, cfg)
     m = np.abs(lam)
-    top = m.max(initial=0.0)
-    if top == 0.0 or (top - m.min()) <= rtol * top:
-        return SPACELIKE
-    if np.abs(lam.imag).max(initial=0.0) <= rtol * top:
-        return TIMELIKE
-    return LIGHTLIKE
+    top = m.max(axis=-1, initial=0.0)
+    spacelike = top - m.min(axis=-1) <= rtol * top  # includes the all-zero spectrum
+    timelike = np.abs(lam.imag).max(axis=-1, initial=0.0) <= rtol * top
+    return np.where(spacelike, SPACELIKE, np.where(timelike, TIMELIKE, LIGHTLIKE))
+
+
+def product_spectrum(x, y, cfg: SystemConfig) -> np.ndarray:
+    """All 2n eigenvalues of xy (one pair of `pair_spectra`)."""
+    return pair_spectra([x], [y], cfg)[0, 0]
+
+
+def lagrangian(x, y, cfg: SystemConfig) -> float:
+    """kappa-Lagrangian of one pair (see `lagrangians`)."""
+    return float(lagrangians([x], [y], cfg)[0, 0])
+
+
+def causal_class(x, y, cfg: SystemConfig, rtol: float = CAUSAL_TOL) -> str:
+    """Spacelike, timelike, or lightlike separation of the pair (x, y) (see `causal_classes`)."""
+    return str(causal_classes(product_spectrum(x, y, cfg), rtol))
 
 
 def lagrangian_first_term(x, y, cfg: SystemConfig) -> float:
     """The (1/4n) sum (|l_i|-|l_j|)^2 part alone (vanishes on spacelike pairs)."""
     m = np.abs(product_spectrum(x, y, cfg))
-    d = m[:, None] - m[None, :]
-    return float(np.sum(d * d) / (4.0 * cfg.n))
+    return float(np.sum((m - m.mean()) ** 2))
 
 
 @dataclass
@@ -197,11 +216,11 @@ class DiscreteMeasure:
             raise ValueError("weights must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-10:
             raise ValueError("weights must sum to one (volume constraint)")
-        for i in range(len(self.points)):
-            for j in range(i + 1, len(self.points)):
-                d = np.linalg.norm(_asmat(self.points[i]) - _asmat(self.points[j]), 2)
-                if d <= 1e-12:
-                    raise ValueError("duplicate points in the measure support")
+        # operator-norm distances to all later points: max|eigvalsh| of the Hermitian differences
+        mats = np.array([_asmat(p) for p in self.points])
+        for i in range(len(mats) - 1):
+            if np.abs(np.linalg.eigvalsh(mats[i + 1 :] - mats[i])).max(axis=-1).min() <= 1e-12:
+                raise ValueError("duplicate points in the measure support")
 
 
 def merge_duplicates(points, weights, tol: float = 1e-9):
@@ -225,11 +244,7 @@ def action(measure_or_points, weights=None, cfg: SystemConfig = None) -> float:
         points, w = measure_or_points.points, measure_or_points.weights
     else:
         points, w = measure_or_points, np.asarray(weights, dtype=float)
-    total = 0.0
-    for i, xi in enumerate(points):
-        for j, xj in enumerate(points):
-            total += w[i] * w[j] * lagrangian(xi, xj, cfg)
-    return total
+    return float(w @ (lagrangians(points, points, cfg) @ w))
 
 
 def constraints(measure_or_points, weights=None):
@@ -243,15 +258,14 @@ def constraints(measure_or_points, weights=None):
     return volume, trace
 
 
-def ell(x, measure: DiscreteMeasure, cfg: SystemConfig) -> float:
-    """Euler-Lagrange function ell(x) = sum_j w_j L(x, x_j) - s."""
-    return (
-        sum(
-            wj * lagrangian(x, xj, cfg)
-            for wj, xj in zip(measure.weights, measure.points)
-        )
-        - cfg.s
-    )
+def ell(x, measure: DiscreteMeasure, cfg: SystemConfig):
+    """Euler-Lagrange function ell(x) = sum_j w_j L(x, x_j) - s.
+
+    x is one point (returns a float) or a list of points (one `lagrangians` call, an array).
+    """
+    single = isinstance(x, OperatorPoint) or np.ndim(x) == 2
+    row = lagrangians([x] if single else x, measure.points, cfg) @ measure.weights - cfg.s
+    return float(row[0]) if single else row
 
 
 @dataclass
@@ -321,23 +335,16 @@ def physical_wavefunction(u, points) -> list:
 def completeness_check(x, y, phi) -> float:
     """Residual of P(x,y) phi = -sum_i psi^{b_i}(x) <psi^{b_i}(y)| phi>_y.
 
-    The basis b_i is the canonical orthonormal basis of C^f; phi is
-    projected to S_y first.
+    The basis b_i is the canonical orthonormal basis of C^f, so the sum is
+    pi_x pi_y (y phi); phi is projected to S_y first. x and y are points or
+    their already built SpinSpace.
     """
-    a = _asmat(x)
-    b = _asmat(y)
-    f = a.shape[0]
-    sx = spin_space(a)
-    sy = spin_space(b)
+    sx = x if isinstance(x, SpinSpace) else spin_space(x)
+    sy = y if isinstance(y, SpinSpace) else spin_space(y)
     phi = sy.basis @ (sy.basis.conj().T @ np.asarray(phi, dtype=complex))
-    lhs = sx.basis @ (sx.basis.conj().T @ (b @ phi))
-    rhs = np.zeros(f, dtype=complex)
-    for i in range(f):
-        e = np.zeros(f, dtype=complex)
-        e[i] = 1.0
-        psi_x = sx.basis @ (sx.basis.conj().T @ e)
-        psi_y = sy.basis @ (sy.basis.conj().T @ e)
-        rhs -= psi_x * (-(psi_y.conj() @ (b @ phi)))
+    y_phi = sy.point @ phi
+    lhs = sx.basis @ (sx.basis.conj().T @ y_phi)
+    rhs = sx.basis @ (sx.basis.conj().T @ (sy.basis @ (sy.basis.conj().T @ y_phi)))
     return float(np.linalg.norm(lhs - rhs))
 
 
@@ -354,6 +361,7 @@ def spin_connection(sx: SpinSpace, sy: SpinSpace, tol: float = 1e-8) -> np.ndarr
         raise NotSpinConnectable("spin spaces have different dimensions")
     if np.array_equal(sx.point, sy.point):
         return np.eye(sx.dim, dtype=complex)
+    import scipy.linalg  # sqrtm only; kept out of the CLI's import time
     p_xy = kernel(sx, sy)
     a_yx = kernel(sy, sx) @ p_xy  # closed chain on S_y
     try:

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+import zipfile
 
 import numpy as np
 
@@ -314,20 +315,21 @@ def cmd_cfs_classify(args) -> int:
         raise ValidationError(f"cannot load pairs file {args.pairs}: {exc}") from exc
     rng = np.random.default_rng(args.seed)
     spins = [cfs.spin_space(p) for p in points]
+    spectra = cfs.pair_spectra(points, points, cfg)
+    classes = cfs.causal_classes(spectra)
     results = []
     rows = []
     for i, j in pairs:
-        lam = cfs.product_spectrum(points[i], points[j], cfg)
-        cls = cfs.causal_class(points[i], points[j], cfg)
-        a_chain = cfs.closed_chain(spins[i], spins[j])
-        chain_tr_dev = abs(np.trace(a_chain) - lam.sum())
+        # tr(A_xy) against tr(xy) = sum_ab x_ab y_ba, independent of the engine's eigensolve
+        tr_xy = np.sum(points[i].matrix * points[j].matrix.T)
+        chain_tr_dev = abs(np.trace(cfs.closed_chain(spins[i], spins[j])) - tr_xy)
         phi = rng.standard_normal(cfg.f) + 1j * rng.standard_normal(cfg.f)
         entry = {
             "pair": [i, j],
-            "class": cls,
-            "spectrum": [[z.real, z.imag] for z in lam],
+            "class": classes[i, j],
+            "spectrum": [[z.real, z.imag] for z in spectra[i, j]],
             "closed_chain_trace_residual": float(chain_tr_dev),
-            "completeness_residual": cfs.completeness_check(points[i], points[j], phi),
+            "completeness_residual": cfs.completeness_check(spins[i], spins[j], phi),
         }
         if args.geometry:
             try:
@@ -338,7 +340,7 @@ def cmd_cfs_classify(args) -> int:
             except cfs.NotSpinConnectable as exc:
                 entry["spin_connection_unitarity"] = f"not spin-connectable: {exc}"
         results.append(entry)
-        rows.append((i, j, cls))
+        rows.append((i, j, classes[i, j]))
     payload = {"meta": _meta(args, "cfs classify", pairs=args.pairs), "results": results}
     if args.geometry and len(points) >= 3:
         try:
@@ -396,7 +398,7 @@ def cmd_cfs_el_residual(args) -> int:
     measure, cfg = _load_measure(args.measure)
     if args.s is not None:
         cfg = cfs.SystemConfig(f=cfg.f, n=cfg.n, kappa=cfg.kappa, s=args.s)
-    ells = [cfs.ell(x, measure, cfg) for x in measure.points]
+    ells = cfs.ell(measure.points, measure, cfg).tolist()
     payload = {
         "meta": _meta(args, "cfs el-residual", measure=args.measure, s=cfg.s),
         "ell": ells,
@@ -447,7 +449,7 @@ def cmd_vacuum_build(args) -> int:
 def _load_container(load, path):
     try:
         return load(path)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise ValidationError(f"cannot load kernel container {path}: {exc}") from exc
 
 

@@ -9,10 +9,9 @@ piecewise smooth in the eigenvalue moduli).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import cfs
 
@@ -154,15 +153,7 @@ def minimize(
 
     volume, trace = cfs.constraints(measure)
     # support row sum_j w_j L(x_i, x_j); the action is its weighted mean
-    row = np.array(
-        [
-            sum(
-                wj * cfs.lagrangian(xi, xj, cfg)
-                for wj, xj in zip(measure.weights, measure.points)
-            )
-            for xi in measure.points
-        ]
-    )
+    row = cfs.lagrangians(measure.points, measure.points, cfg) @ measure.weights
     s_posthoc = float(np.dot(measure.weights, row))
     ell_support = (row - s_posthoc).tolist()
     ell_spread = float(row.max() - row.min())
@@ -192,8 +183,8 @@ def _perturbed_point(rng, point: cfs.OperatorPoint, cfg, rel=0.05):
     w2 = w.copy()
     w2[keep] *= 1.0 + rel * rng.standard_normal(int(keep.sum()))
     g = rng.standard_normal((cfg.f, cfg.f)) + 1j * rng.standard_normal((cfg.f, cfg.f))
-    h = rel * 0.5 * (g + g.conj().T) / np.sqrt(cfg.f)
-    u = scipy.linalg.expm(1j * h)
+    e, v = np.linalg.eigh(rel * 0.5 * (g + g.conj().T) / np.sqrt(cfg.f))
+    u = (v * np.exp(1j * e)) @ v.conj().T  # exp(ih) of the Hermitian h
     m = (u @ (vecs * w2)) @ vecs.conj().T @ u.conj().T
     return cfs.validate_point(0.5 * (m + m.conj().T), cfg)
 
@@ -201,8 +192,7 @@ def _perturbed_point(rng, point: cfs.OperatorPoint, cfg, rel=0.05):
 def _probe_off_support(measure, cfg, s_posthoc, seed: int) -> float:
     """max(-ell) over random perturbations of the support plus random points."""
     rng = np.random.default_rng(seed)
-    worst = -np.inf
-    cfg_s = cfs.SystemConfig(f=cfg.f, n=cfg.n, kappa=cfg.kappa, s=s_posthoc)
+    probes = []
     for i in range(PROBE_SAMPLES):
         if i % 2 == 0:
             base = measure.points[int(rng.integers(len(measure.points)))]
@@ -211,8 +201,8 @@ def _probe_off_support(measure, cfg, s_posthoc, seed: int) -> float:
             z = cfs.random_point(rng, cfg)
             while not z.matrix.any():  # ell(0) = -s: the zero point probes nothing
                 z = cfs.random_point(rng, cfg)
-        worst = max(worst, -cfs.ell(z, measure, cfg_s))
-    return float(worst)
+        probes.append(z)
+    return float(np.max(-cfs.ell(probes, measure, replace(cfg, s=s_posthoc))))
 
 
 def make_family(spec: dict, cfg: cfs.SystemConfig) -> tuple:

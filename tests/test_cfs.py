@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from octo_cfs import cfs
 from octo_cfs.cfs import (
     LIGHTLIKE,
+    RANK_TOL,
     SPACELIKE,
     TIMELIKE,
     DiscreteMeasure,
+    EigensolverError,
     NotHermitian,
     NotSpinConnectable,
     SignatureViolation,
@@ -21,9 +26,11 @@ from octo_cfs.cfs import (
     kernel,
     lagrangian,
     lagrangian_first_term,
+    lagrangians,
     measure_from_json,
     measure_to_json,
     merge_duplicates,
+    pair_spectra,
     physical_wavefunction,
     product_spectrum,
     random_point,
@@ -188,6 +195,10 @@ def test_discrete_measure_validation():
         DiscreteMeasure(points=[x, x], weights=[0.5, 0.5])
     with pytest.raises(ValueError):
         DiscreteMeasure(points=[x, y], weights=[0.7, 0.7])
+    # duplicates are points within operator-norm distance 1e-12
+    with pytest.raises(ValueError):
+        DiscreteMeasure(points=[x, y, diag_point(cfg, 1.0, 5e-13)], weights=[0.25, 0.25, 0.5])
+    DiscreteMeasure(points=[x, y, diag_point(cfg, 1.0, 1e-11)], weights=[0.25, 0.25, 0.5])
     pts, w = merge_duplicates([x, x, y], [0.25, 0.25, 0.5])
     assert len(pts) == 2 and np.allclose(w, [0.5, 0.5])
 
@@ -373,3 +384,168 @@ def test_measure_json_round_trip():
     assert cfg2 == cfg
     assert np.allclose(m2.points[0].matrix, x.matrix)
     assert np.allclose(m2.weights, m.weights)
+
+
+# ---------------------------------------------------------------- pair engine
+
+
+def dense_product_spectrum(x, y, cfg):
+    """Reference for the pair engine: the per-pair f x f path it replaced.
+
+    eigvals of xy, zero cut at RANK_TOL * ||x||_2 ||y||_2 (SVD norms), at most 2n
+    non-zero eigenvalues, sorted by descending modulus, then by phase.
+    """
+    a = np.asarray(getattr(x, "matrix", x), dtype=complex)
+    b = np.asarray(getattr(y, "matrix", y), dtype=complex)
+    lam = np.linalg.eigvals(a @ b)
+    scale = float(np.linalg.norm(a, 2) * np.linalg.norm(b, 2))
+    lam = np.where(np.abs(lam) > RANK_TOL * max(scale, 1e-300), lam, 0.0)
+    nonzero = lam[lam != 0.0]
+    if len(nonzero) > 2 * cfg.n:
+        order = np.argsort(-np.abs(nonzero))
+        if np.abs(nonzero[order[2 * cfg.n :]]).max() > 1e-5 * scale:
+            raise EigensolverError("product has more than 2n significant eigenvalues")
+        nonzero = nonzero[order[: 2 * cfg.n]]
+    out = np.zeros(2 * cfg.n, dtype=complex)
+    out[: len(nonzero)] = nonzero
+    return out[np.lexsort((np.angle(out), -np.abs(out)))]
+
+
+def dense_lagrangian(x, y, cfg):
+    m = np.abs(dense_product_spectrum(x, y, cfg))
+    d = m[:, None] - m[None, :]
+    return float(np.sum(d * d) / (4.0 * cfg.n) + cfg.kappa * np.sum(m) ** 2)
+
+
+def _opnorm(p):
+    return float(np.linalg.norm(p.matrix, 2))
+
+
+@st.composite
+def point_sets(draw):
+    """(cfg, xs, ys, kind) with f <= 16, n <= 4.
+
+    kind "random": `random_point`s at a drawn scale (rank-deficient whenever
+    the rank is below f), plus zero points. "orthogonal": xs and ys live on
+    orthogonal subspaces, so every cross product vanishes. "commuting": xs
+    are c(1,..,1,-1,..,-1) and ys c'(1,-1,1,-1,..) in one shared basis of
+    2n vectors, so every cross product has 2n equal moduli.
+    """
+    n = draw(st.integers(1, 4))
+    f = draw(st.integers(2 * n, 16))
+    cfg = SystemConfig(f=f, n=n, kappa=draw(st.floats(0.01, 1.0)))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "orthogonal", "commuting"]))
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    q, _ = np.linalg.qr(r.standard_normal((f, f)) + 1j * r.standard_normal((f, f)))
+
+    def on(cols, vals):
+        u, _ = np.linalg.qr(r.standard_normal((len(cols),) * 2) + 1j * r.standard_normal((len(cols),) * 2))
+        b = q[:, cols] @ u
+        return validate_point((b * vals) @ b.conj().T, cfg)
+
+    def alternating(size):
+        return (0.2 + r.random(size)) * np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
+
+    if kind == "random":
+        scale = draw(st.floats(0.1, 10.0))
+        zeros = draw(st.integers(0, 1))
+        xs = [random_point(r, cfg, scale) for _ in range(nx)] + [validate_point(np.zeros((f, f)), cfg)] * zeros
+        ys = [random_point(r, cfg, scale) for _ in range(ny)]
+    elif kind == "orthogonal":
+        ka = min(2 * n, f // 2)
+        kb = min(2 * n, f - ka)
+        xs = [on(list(range(ka)), alternating(ka)) for _ in range(nx)]
+        ys = [on(list(range(ka, ka + kb)), alternating(kb)) for _ in range(ny)]
+    else:
+        b = q[:, : 2 * n]
+        sx = np.repeat([1.0, -1.0], n)
+        sy = np.tile([1.0, -1.0], n)
+        xs = [validate_point(((0.3 + r.random()) * b * sx) @ b.conj().T, cfg) for _ in range(nx)]
+        ys = [validate_point(((0.3 + r.random()) * b * sy) @ b.conj().T, cfg) for _ in range(ny)]
+    return cfg, xs, ys, kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=point_sets())
+def test_pair_spectra_match_dense_oracle(case):
+    cfg, xs, ys, kind = case
+    for left, right in ((xs, ys), (xs, xs)):
+        lam = pair_spectra(left, right, cfg)
+        assert lam.shape == (len(left), len(right), 2 * cfg.n)
+        for i, x in enumerate(left):
+            for j, y in enumerate(right):
+                ref = dense_product_spectrum(x, y, cfg)
+                assert multiset_distance(lam[i, j], ref) <= 1e-12 * _opnorm(x) * _opnorm(y)
+                m = np.abs(lam[i, j])
+                assert np.all(m[:-1] >= m[1:])  # descending modulus
+        if kind == "orthogonal" and right is ys:
+            assert not lam.any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=point_sets(), c=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_pair_engine_invariants(case, c, seed):
+    cfg, xs, ys, kind = case
+    big = max(_opnorm(p) for p in xs + ys) ** 2
+    lag = lagrangians(xs, xs, cfg)
+    tol_l = 1e-12 * big**2 * (1.0 + cfg.kappa * 4 * cfg.n**2)
+    # L(x, y) = L(y, x)
+    assert np.abs(lag - lag.T).max() <= tol_l
+    # invariance under a common unitary x -> U x U*
+    r = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(r.standard_normal((cfg.f, cfg.f)) + 1j * r.standard_normal((cfg.f, cfg.f)))
+    rot = [validate_point(u @ p.matrix @ u.conj().T, cfg) for p in xs]
+    assert np.abs(lagrangians(rot, rot, cfg) - lag).max() <= tol_l
+    # homogeneity of the spectrum under x -> c x, and sum of eigenvalues = tr(xy)
+    lam = pair_spectra(xs, ys, cfg)
+    scaled = pair_spectra([validate_point(c * p.matrix, cfg) for p in xs], ys, cfg)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            unit = _opnorm(x) * _opnorm(y)
+            assert multiset_distance(scaled[i, j], c * lam[i, j]) <= 1e-12 * c * unit
+            assert abs(lam[i, j].sum() - np.sum(x.matrix * y.matrix.T)) <= 1e-12 * unit
+    cross = lagrangians(xs, ys, cfg)
+    if kind == "orthogonal":
+        assert np.all(cross == 0.0)  # spacelike with the all-zero spectrum: exactly 0
+    if kind == "commuting":
+        for x in xs:
+            for y in ys:
+                assert causal_class(x, y, cfg) == SPACELIKE
+                assert lagrangian_first_term(x, y, cfg) < 1e-12
+
+
+def test_pair_engine_matches_dense_lagrangian_across_blocks(monkeypatch):
+    cfg = SystemConfig(f=8, n=2, kappa=0.3)
+    r = np.random.default_rng(7)
+    xs = [random_point(r, cfg) for _ in range(7)]
+    ys = [random_point(r, cfg) for _ in range(4)]
+    ref = np.array([[dense_lagrangian(x, y, cfg) for y in ys] for x in xs])
+    whole = lagrangians(xs, ys, cfg)
+    monkeypatch.setattr(cfs, "PAIR_BLOCK", 3)
+    blocked = lagrangians(xs, ys, cfg)
+    assert np.abs(whole - ref).max() <= 1e-13 * max(1.0, ref.max())
+    assert np.abs(blocked - whole).max() <= 1e-14 * max(1.0, ref.max())
+
+
+def test_pair_engine_rejects_point_beyond_spin_dimension():
+    cfg = SystemConfig(f=4, n=1, kappa=0.1)
+    x = np.diag([1.0, -1.0, 0.5, 0.0]).astype(complex)  # three eigenvalues beyond the cut, 2n = 2
+    y = np.eye(4, dtype=complex)
+    with pytest.raises(EigensolverError):
+        pair_spectra([x], [y], cfg)
+
+
+def test_ell_batch_matches_single_points():
+    cfg = SystemConfig(f=6, n=2, kappa=0.2, s=0.1)
+    r = np.random.default_rng(12)
+    pts = [random_point(r, cfg) for _ in range(5)]
+    while any(not p.matrix.any() for p in pts):
+        pts = [random_point(r, cfg) for _ in range(5)]
+    measure = DiscreteMeasure(points=pts, weights=np.full(5, 0.2))
+    batch = ell(pts, measure, cfg)
+    single = np.array([ell(p, measure, cfg) for p in pts])
+    assert batch.shape == (5,)
+    assert np.abs(batch - single).max() <= 1e-14
+    a = action(measure, cfg=cfg)
+    assert abs(float(measure.weights @ batch) - (a - cfg.s)) <= 1e-14

@@ -185,6 +185,27 @@ def test_vacuum_pipeline(tmp_path):
     assert act_vac.exists()
 
 
+def test_vacuum_commands_reject_non_container(tmp_path):
+    not_zip = tmp_path / "notes.md"
+    not_zip.write_text("# not a kernel container\n")
+    for cmd in (["residual"], ["localize", "--point", "2,3"], ["act", "--op", "1,2"]):
+        assert run(["vacuum", cmd[0], "--infile", str(not_zip), *cmd[1:]]) == 2
+
+
+def test_cli_import_loads_no_scipy():
+    import os
+    import subprocess
+    import sys
+
+    import octo_cfs
+
+    src = os.path.dirname(os.path.dirname(octo_cfs.__file__))
+    code = "import sys, octo_cfs.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_majorana_check(tmp_path):
     out = tmp_path / "maj.json"
     assert run(["majorana", "check", "--seed", "2", "--out", str(out)]) == 0
@@ -227,12 +248,21 @@ def test_reproducibility_byte_identical(tmp_path):
     fam_path.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.2}, "family": {"type": "mirror_pair"}}))
     vac = tmp_path / "vac.okn"
     assert run(["vacuum", "build", "--L", "8", "--T", "6", "--tau", "0.7", "--out", str(vac)]) == 0
+    r = np.random.default_rng(5)
+    cfg = cfs.SystemConfig(f=6, n=2, kappa=0.2)
+    pts = [p for p in (cfs.random_point(r, cfg) for _ in range(8)) if p.matrix.any()][:5]
+    meas_path = tmp_path / "measure.json"
+    meas = cfs.DiscreteMeasure(points=pts, weights=np.full(len(pts), 1.0 / len(pts)))
+    meas_path.write_text(json.dumps(cfs.measure_to_json(meas, cfg)))
     for cmd_suffix in (
         ["octonion", "check", "--seed", "9"],
         ["clifford", "identities", "--seed", "9"],
         ["ideals", "su3"],
         ["majorana", "check", "--seed", "9"],
         ["cfs", "minimize", "--family", str(fam_path), "--seed", "1"],
+        ["cfs", "action", "--measure", str(meas_path)],
+        ["cfs", "el-residual", "--measure", str(meas_path), "--s", "0.3"],
+        ["cfs", "classify", "--pairs", str(meas_path), "--geometry"],
         ["vacuum", "localize", "--infile", str(vac), "--point", "2,3"],
     ):
         out1 = tmp_path / "a.json"
