@@ -12,28 +12,13 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import zipfile
 
 import numpy as np
 
-from . import __version__, cfs, majorana, minimize as minimize_mod, potentials, witt
-from .lattice import (
-    LatticeSpec,
-    MassData,
-    aux_labels,
-    aux_masses,
-    build_vacuum_aux,
-    build_vacuum_direct,
-    dirac_residual,
-    left_algebra_action,
-    load_header,
-    load_kernels,
-    local_correlation,
-    mode_onshell_residuals,
-    save_kernels,
-    to_octonionic,
-)
+from . import __version__, cfs, lattice, majorana, minimize as minimize_mod, potentials, witt
 from .mult_algebra import (
     SpanClosureError,
     chain,
@@ -311,6 +296,10 @@ def cmd_cfs_classify(args) -> int:
         pairs = obj.get("pairs") or [
             [i, j] for i in range(len(points)) for j in range(i + 1, len(points))
         ]
+        for pair in pairs:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(type(i) is int and 0 <= i < len(points) for i in pair)):
+                raise ValueError(f"pair {pair!r} is not two point indices in [0, {len(points)})")
     except (OSError, KeyError, ValueError, cfs.NotHermitian, cfs.SignatureViolation) as exc:
         raise ValidationError(f"cannot load pairs file {args.pairs}: {exc}") from exc
     rng = np.random.default_rng(args.seed)
@@ -419,27 +408,28 @@ def _parse_masses(text: str, count: int = 3):
 
 def cmd_vacuum_build(args) -> int:
     try:
-        spec = LatticeSpec(L=args.L, T=args.T, a=args.a, epsilon=args.eps, dims=args.dims)
-        md = MassData(
+        spec = lattice.LatticeSpec(L=args.L, T=args.T, a=args.a, epsilon=args.eps, dims=args.dims)
+        md = lattice.MassData(
             charged_masses=_parse_masses(args.masses),
             neutrino_masses=_parse_masses(args.neutrino_masses),
             tau_reg=args.tau,
         )
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    aux = build_vacuum_aux(md, spec)
-    direct = build_vacuum_direct(md, spec)
-    kernels = {f"aux_{name}": k for name, k in zip(aux_labels(), aux)}
-    kernels.update({f"e{i}": k for i, k in enumerate(direct)})
-    save_kernels(args.out, spec, md, kernels)
-    onshell = max(float(mode_onshell_residuals(m, spec).max()) for m in set(md.charged_masses + md.neutrino_masses))
+    need, have = lattice.build_peak_bytes(spec), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValidationError(f"the build would hold {need:.3g} bytes of kernels, above {have:.3g} bytes of memory")
+    seas = lattice.vacuum_seas(md, spec)
+    bases = lattice.sector_bases(seas, md.tau_reg)
+    lattice.save_kernels(args.out, spec, md, seas, lattice.VACUUM_COEFFICIENTS)
+    masses = set(md.charged_masses + md.neutrino_masses)
     payload = {
         "meta": _meta(args, "vacuum build", out=args.out),
         "lattice": spec.to_json(),
         "masses": md.to_json(),
-        "sectors": sorted(kernels.keys()),
-        "onshell_residual_max": onshell,
-        "hermiticity_residual_max": max(k.hermiticity_residual() for k in direct),
+        "sectors": sorted([f"aux_{name}" for name in lattice.aux_labels()] + [f"e{i}" for i in range(8)]),
+        "onshell_residual_max": max(float(lattice.mode_onshell_residuals(m, spec).max()) for m in masses),
+        "hermiticity_residual_max": max(k.hermiticity_residual() for k in bases),
     }
     # --out names the kernel container; the report goes to stdout
     _emit(args_no_out(args), payload)
@@ -454,30 +444,29 @@ def _load_container(load, path):
 
 
 def cmd_vacuum_residual(args) -> int:
-    header, kernels = _load_container(load_kernels, args.infile)
-    md = MassData.from_json(header["masses"])
-    aux = [kernels[f"aux_{name}"] for name in aux_labels()]
-    res = dirac_residual(aux, aux_masses(md))
-    rows = list(zip(aux_labels(), (float(r) for r in res)))
+    header, seas, _ = _load_container(lattice.load_kernels, args.infile)
+    md = lattice.MassData.from_json(header["masses"])
+    res = lattice.dirac_residual(lattice.vacuum_aux(seas), lattice.aux_masses(md))
+    labels = lattice.aux_labels()
     payload = {
         "meta": _meta(args, "vacuum residual", infile=args.infile),
-        "residuals": {name: float(r) for name, r in zip(aux_labels(), res)},
+        "residuals": {name: float(r) for name, r in zip(labels, res)},
         "max": float(res.max()),
     }
-    _emit(args, payload, rows=rows, fields=("summand", "residual"))
+    _emit(args, payload, rows=list(zip(labels, (float(r) for r in res))), fields=("summand", "residual"))
     return EXIT_OK
 
 
 def cmd_vacuum_localize(args) -> int:
-    header = _load_container(load_header, args.infile)
-    spec = LatticeSpec.from_json(header["lattice"])
-    md = MassData.from_json(header["masses"])
+    header = _load_container(lattice.load_header, args.infile)
+    spec = lattice.LatticeSpec.from_json(header["lattice"])
+    md = lattice.MassData.from_json(header["masses"])
     point = tuple(int(v) for v in args.point.split(","))
     if len(point) != 1 + spec.spatial_dims:
         raise ValidationError(f"--point needs {1 + spec.spatial_dims} comma-separated coordinates")
     try:
-        f_nu = local_correlation(list(md.neutrino_masses), spec, point, tau_reg=md.tau_reg)
-        f_ch = local_correlation(list(md.charged_masses), spec, point)
+        f_nu = lattice.local_correlation(list(md.neutrino_masses), spec, point, tau_reg=md.tau_reg)
+        f_ch = lattice.local_correlation(list(md.charged_masses), spec, point)
     except cfs.SignatureViolation as exc:
         raise CheckFailure(f"local correlation violates the signature bound: {exc}") from exc
     def describe(f):
@@ -498,33 +487,29 @@ def cmd_vacuum_localize(args) -> int:
 
 
 def cmd_vacuum_act(args) -> int:
-    header, kernels = _load_container(load_kernels, args.infile)
-    spec = LatticeSpec.from_json(header["lattice"])
-    md = MassData.from_json(header["masses"])
+    header, seas, coefficients = _load_container(lattice.load_kernels, args.infile)
+    spec = lattice.LatticeSpec.from_json(header["lattice"])
+    md = lattice.MassData.from_json(header["masses"])
     try:
         word = [int(v) for v in args.op.split(",")]
         op = chain(word).astype(complex)
     except ValueError as exc:
         raise ValidationError(f"--op must be a comma-separated word of indices 0..7: {exc}") from exc
-    direct = [kernels[f"e{i}"] for i in range(8)]
-    acted = left_algebra_action(op, to_octonionic(direct))
-    out_kernels = {f"e{i}": acted.coefficient(i) for i in range(8)}
+    coefficients = op @ coefficients
     if args.out:
-        save_kernels(args.out, spec, md, out_kernels)
+        lattice.save_kernels(args.out, spec, md, seas, coefficients)
+    sectors = lattice.materialize(coefficients, lattice.sector_bases(seas, md.tau_reg))
     payload = {
         "meta": _meta(args, "vacuum act", infile=args.infile, op=word, out=args.out),
-        "sector_norms": {f"e{i}": float(np.abs(acted.coefficient(i).rel).max()) for i in range(8)},
+        "sector_norms": {f"e{i}": float(np.abs(k.rel).max()) for i, k in enumerate(sectors)},
     }
     _emit(args_no_out(args), payload)
     return EXIT_OK
 
 
 def args_no_out(args):
-    """The --out of `vacuum act` names the kernel container, not the report."""
-    class _A:
-        out = None
-        format = getattr(args, "format", "json")
-    return _A()
+    """The --out of `vacuum build` and `vacuum act` names the kernel container, not the report."""
+    return argparse.Namespace(out=None, format=getattr(args, "format", "json"))
 
 
 # ---------------------------------------------------------------- majorana

@@ -146,19 +146,6 @@ class SectorKernel:
         )
         return self.rel[idx]
 
-    def __add__(self, other: "SectorKernel") -> "SectorKernel":
-        if other.spec != self.spec:
-            raise ValueError("kernels live on different lattices")
-        return SectorKernel(self.spec, self.rel + other.rel, mass=None, gammas=self.gammas)
-
-    def __mul__(self, c) -> "SectorKernel":
-        return SectorKernel(self.spec, self.rel * c, mass=self.mass, gammas=self.gammas)
-
-    __rmul__ = __mul__
-
-    def copy(self) -> "SectorKernel":
-        return SectorKernel(self.spec, self.rel.copy(), mass=self.mass, gammas=self.gammas)
-
     def operator_norm_distance(self, other: "SectorKernel") -> float:
         return float(np.abs(self.rel - other.rel).max())
 
@@ -224,10 +211,12 @@ def dirac_residual_single(kernel: SectorKernel, mass: float, pseudo: float = 0.0
 
 
 def dirac_residual(kernels, masses) -> np.ndarray:
-    """Per-summand residuals of (i d-slash - mY) P^aux = 0."""
-    return np.array(
-        [dirac_residual_single(k, m) for k, m in zip(kernels, masses)]
-    )
+    """Per-summand residuals of (i d-slash - mY) P^aux = 0; a repeated (kernel, mass) pair is evaluated once."""
+    found = {}
+    for k, m in zip(kernels, masses):
+        if (id(k), m) not in found:
+            found[id(k), m] = dirac_residual_single(k, m)
+    return np.array([found[id(k), m] for k, m in zip(kernels, masses)])
 
 
 @dataclass(frozen=True)
@@ -275,36 +264,54 @@ def aux_masses(md: MassData) -> np.ndarray:
 
 
 def aux_labels() -> list:
-    labels = ["nu_1", "nu_2", "nu_3", "nu_he"]
-    for a in range(1, 8):
-        labels += [f"c{a}_{b}" for b in (1, 2, 3)]
-    return labels
+    return ["nu_1", "nu_2", "nu_3", "nu_he"] + [f"c{a}_{b}" for a in range(1, 8) for b in (1, 2, 3)]
+
+
+#: Labels of the six tau = 1 seas a vacuum is built from, in storage order.
+SEA_LABELS = ("nu_1", "nu_2", "nu_3", "c_1", "c_2", "c_3")
+
+#: Sector coefficients of the built vacuum over the bases (E_nu, E_c): e0 = E_nu, e1..e7 = E_c.
+VACUUM_COEFFICIENTS = np.array([[1, 0]] + [[0, 1]] * 7, dtype=complex)
+
+
+def vacuum_seas(md: MassData, spec: LatticeSpec, gammas: GammaSet = None) -> list:
+    """The six tau = 1 Dirac seas, one per mass, in SEA_LABELS order."""
+    return [sea_kernel(m, spec, gammas=gammas) for m in md.neutrino_masses + md.charged_masses]
+
+
+def vacuum_aux(seas) -> list:
+    """The 25 aux summands by reference to the seas: nu_1..3, the zero nu_he slot, then 7 x c_1..3."""
+    zero = SectorKernel(seas[0].spec, np.zeros_like(seas[0].rel), mass=0.0, gammas=seas[0].gammas)
+    return [*seas[:3], zero, *seas[3:] * 7]
 
 
 def build_vacuum_aux(md: MassData, spec: LatticeSpec, gammas: GammaSet = None) -> list:
     """The 25-summand auxiliary kernel: 4 neutrino slots (last one zero) + 21 charged."""
-    gammas = gammas or dirac_rep()
-    out = [sea_kernel(m, spec, gammas=gammas) for m in md.neutrino_masses]
-    zero = np.zeros((2 * spec.T - 1,) + (spec.L,) * spec.spatial_dims + (4, 4), dtype=complex)
-    out.append(SectorKernel(spec, zero, mass=0.0, gammas=gammas))
-    charged = [sea_kernel(m, spec, gammas=gammas) for m in md.charged_masses]
-    for _ in range(7):
-        out.extend(k.copy() for k in charged)
-    return out
+    return vacuum_aux(vacuum_seas(md, spec, gammas))
+
+
+def sector_bases(seas, tau_reg: float) -> tuple:
+    """(E_nu, E_c) = (a (sum of the neutrino seas) b, sum of the charged seas).
+
+    The chiral sandwich (a, b) of tau_reg is the same for every mode, so it commutes with the mode sum.
+    """
+    spec, gammas = seas[0].spec, seas[0].gammas
+    a, b = chiral_sandwich(tau_reg, gammas)
+    nu = np.einsum("ab,...bc,cd->...ad", a, seas[0].rel + seas[1].rel + seas[2].rel, b)
+    charged = seas[3].rel + seas[4].rel + seas[5].rel
+    return SectorKernel(spec, nu, gammas=gammas), SectorKernel(spec, charged, gammas=gammas)
+
+
+def materialize(coefficients: np.ndarray, bases) -> list:
+    """The eight sector kernels e_i = C[i, 0] E_nu + C[i, 1] E_c of an 8 x 2 coefficient matrix C."""
+    nu, charged = bases
+    return [SectorKernel(nu.spec, c0 * nu.rel + c1 * charged.rel, gammas=nu.gammas) for c0, c1 in coefficients]
 
 
 def build_vacuum_direct(md: MassData, spec: LatticeSpec, gammas: GammaSet = None) -> list:
-    """Eight sector kernels: the asymmetry-regularized neutrino sector plus 7 charged copies."""
-    gammas = gammas or dirac_rep()
-    nu = None
-    for m in md.neutrino_masses:
-        k = sea_kernel(m, spec, tau_reg=md.tau_reg, gammas=gammas)
-        nu = k if nu is None else nu + k
-    charged = None
-    for m in md.charged_masses:
-        k = sea_kernel(m, spec, gammas=gammas)
-        charged = k if charged is None else charged + k
-    return [nu] + [charged.copy() for _ in range(7)]
+    """Eight sector kernels: the asymmetry-regularized neutrino sector plus 7 references to the charged one."""
+    nu, charged = sector_bases(vacuum_seas(md, spec, gammas), md.tau_reg)
+    return [nu] + [charged] * 7
 
 
 def chiral_asymmetry(tau_reg: float, gammas: GammaSet = None) -> np.ndarray:
@@ -347,9 +354,6 @@ class OctonionKernel:
     def coefficient(self, i: int) -> SectorKernel:
         return self.neutrino if i == 0 else self.charged[i - 1]
 
-    def stacked(self) -> np.ndarray:
-        return np.stack([self.neutrino.rel] + [k.rel for k in self.charged])
-
 
 def to_octonionic(direct) -> OctonionKernel:
     """Relabel the 8 direct summands as octonion coefficients (sector a -> e_a)."""
@@ -371,11 +375,9 @@ def left_algebra_action(op: np.ndarray, ok: OctonionKernel) -> OctonionKernel:
     op = np.asarray(op, dtype=complex)
     if op.shape != (8, 8):
         raise ValueError("op must be an 8x8 matrix")
-    stacked = ok.stacked()
-    new = np.einsum("ij,j...->i...", op, stacked)
+    new = np.einsum("ij,j...->i...", op, np.stack([k.rel for k in to_direct(ok)]))
     spec, gammas = ok.neutrino.spec, ok.neutrino.gammas
-    kernels = [SectorKernel(spec, new[i], mass=None, gammas=gammas) for i in range(8)]
-    return OctonionKernel(neutrino=kernels[0], charged=tuple(kernels[1:]))
+    return to_octonionic([SectorKernel(spec, rel, gammas=gammas) for rel in new])
 
 
 @dataclass(frozen=True)
@@ -479,24 +481,38 @@ def vacuum_local_correlation(md: MassData, spec: LatticeSpec, x, gammas: GammaSe
     return LocalCorrelation(psi, np.kron(np.eye(8), gammas.gamma[0]), _cut(w, n=16))
 
 
-def save_kernels(path, spec: LatticeSpec, md: MassData, kernels: dict) -> None:
-    """Chunked container: a JSON header plus one binary chunk per sector kernel."""
+#: Kernel-container layout: one chunk per sea, the sector coefficients in the header.
+CONTAINER_FORMAT = 2
+
+
+def build_peak_bytes(spec: LatticeSpec) -> int:
+    """Bytes `vacuum build` holds at its peak: 12 kernels (6 seas, 2 sector bases, 4 transients)."""
+    return 12 * (2 * spec.T - 1) * spec.n_spatial * 16 * 16
+
+
+def save_kernels(path, spec: LatticeSpec, md: MassData, seas, coefficients: np.ndarray) -> None:
+    """Container: a JSON header with the 8 x 2 sector coefficients plus one chunk per sea (SEA_LABELS order).
+
+    Chunks are stored: deflate shrinks a sea chunk about 5x but writes it about 10x slower.
+    """
     header = {
+        "format": CONTAINER_FORMAT,
         "version": __version__,
         "lattice": spec.to_json(),
         "masses": md.to_json(),
         "epsilon": spec.epsilon,
         "tau_reg": md.tau_reg,
-        "sectors": sorted(kernels.keys()),
+        "seas": list(SEA_LABELS),
+        "coefficients": cfs.complex_matrix_to_json(coefficients),
         "local_correlation_convention": LOCAL_CORRELATION_CONVENTION,
     }
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+    with zipfile.ZipFile(path, "w") as zf:
         # fixed timestamps keep the container byte-identical across runs
         info = zipfile.ZipInfo("header.json", date_time=(1980, 1, 1, 0, 0, 0))
         zf.writestr(info, json.dumps(header, indent=2, sort_keys=True))
-        for name in sorted(kernels.keys()):
+        for name, sea in zip(SEA_LABELS, seas):
             buf = io.BytesIO()
-            np.save(buf, kernels[name].rel)
+            np.save(buf, sea.rel)
             info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
             zf.writestr(info, buf.getvalue())
 
@@ -504,16 +520,16 @@ def save_kernels(path, spec: LatticeSpec, md: MassData, kernels: dict) -> None:
 def load_header(path) -> dict:
     """The JSON header of a kernel container, without reading its kernel chunks."""
     with zipfile.ZipFile(path, "r") as zf:
-        return json.loads(zf.read("header.json"))
+        header = json.loads(zf.read("header.json"))
+    if not isinstance(header, dict) or header.get("format") != CONTAINER_FORMAT:
+        raise ValueError(f"not a format {CONTAINER_FORMAT} kernel container; rebuild it with `vacuum build`")
+    return header
 
 
 def load_kernels(path):
-    """Inverse of save_kernels: (header, {sector name: SectorKernel})."""
+    """Inverse of save_kernels: (header, the six seas, the 8 x 2 sector coefficients)."""
     header = load_header(path)
     spec = LatticeSpec.from_json(header["lattice"])
     with zipfile.ZipFile(path, "r") as zf:
-        kernels = {}
-        for name in header["sectors"]:
-            rel = np.load(io.BytesIO(zf.read(f"{name}.npy")))
-            kernels[name] = SectorKernel(spec, rel)
-    return header, kernels
+        seas = [SectorKernel(spec, np.load(io.BytesIO(zf.read(f"{name}.npy")))) for name in SEA_LABELS]
+    return header, seas, cfs.complex_matrix_from_json(header["coefficients"])

@@ -92,9 +92,6 @@ class Octonion:
     def zero(cls):
         return cls(np.zeros(8))
 
-    def as_complex(self):
-        return ComplexOctonion(self.coeffs.astype(complex))
-
     def __add__(self, other):
         return Octonion(self.coeffs + other.coeffs)
 

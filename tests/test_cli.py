@@ -1,9 +1,13 @@
 import json
+import time
+import tracemalloc
+import zipfile
 
 import numpy as np
 
 from octo_cfs import cfs
 from octo_cfs.cli import main
+from octo_cfs.lattice import LatticeSpec, MassData, aux_labels, aux_masses, build_vacuum_aux, dirac_residual_single
 
 
 def run(args, capsys=None):
@@ -130,6 +134,16 @@ def test_cfs_classify_geometry(tmp_path):
     assert rep["holonomy_012_loop_residual"] < 1e-7
 
 
+def test_cfs_classify_rejects_bad_pair_indices(tmp_path, capsys):
+    cfg = {"f": 2, "n": 1, "kappa": 0.1}
+    point = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+    path = tmp_path / "pairs.json"
+    for bad in ([0, 99], [-1, 0], [0]):
+        path.write_text(json.dumps({"config": cfg, "points": [point] * 3, "pairs": [[0, 1], bad]}))
+        assert run(["cfs", "classify", "--pairs", str(path)]) == 2
+        assert repr(bad) in capsys.readouterr().err
+
+
 def test_cfs_minimize_and_el_residual(tmp_path):
     fam = {"config": {"f": 2, "n": 1, "kappa": 0.2}, "family": {"type": "mirror_pair"}}
     fam_path = tmp_path / "family.json"
@@ -183,6 +197,57 @@ def test_vacuum_pipeline(tmp_path):
     act_vac = tmp_path / "acted.okn"
     assert run(["vacuum", "act", "--infile", str(vac), "--op", "1", "--out", str(act_vac)]) == 0
     assert act_vac.exists()
+    # an acted container keeps the seas, so its aux residuals are the built ones
+    act_res = tmp_path / "act_res.json"
+    assert run(["vacuum", "residual", "--infile", str(act_vac), "--out", str(act_res)]) == 0
+    assert read_json(act_res)["residuals"] == read_json(res_out)["residuals"]
+
+
+def test_vacuum_container_holds_six_seas_and_residuals_are_exact(tmp_path, capsys):
+    vac = tmp_path / "vac.okn"
+    assert run(["vacuum", "build", "--L", "8", "--T", "6", "--tau", "0.7", "--out", str(vac)]) == 0
+    built = json.loads(capsys.readouterr().out)
+    assert len(built["sectors"]) == 33
+    with zipfile.ZipFile(vac) as zf:
+        assert sorted(zf.namelist()) == sorted(["header.json", "nu_1.npy", "nu_2.npy", "nu_3.npy",
+                                                "c_1.npy", "c_2.npy", "c_3.npy"])
+        header = json.loads(zf.read("header.json"))
+    assert header["format"] == 2
+    assert header["coefficients"] == [[[1.0, 0.0], [0.0, 0.0]]] + [[[0.0, 0.0], [1.0, 0.0]]] * 7
+    out = tmp_path / "res.json"
+    assert run(["vacuum", "residual", "--infile", str(vac), "--out", str(out)]) == 0
+    residuals = read_json(out)["residuals"]
+    spec = LatticeSpec.from_json(built["lattice"])
+    md = MassData.from_json(built["masses"])
+    for name, k, m in zip(aux_labels(), build_vacuum_aux(md, spec), aux_masses(md)):
+        assert residuals[name] == dirac_residual_single(k, m)
+
+
+def test_vacuum_build_size_guard_allocates_nothing(tmp_path, capsys):
+    vac = tmp_path / "huge.okn"
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    code = run(["vacuum", "build", "--dims", "1+3", "--L", "1024", "--T", "1024", "--out", str(vac)])
+    elapsed = time.perf_counter() - t0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 2
+    assert elapsed < 5.0 and peak < 1_000_000
+    assert not vac.exists()
+    assert "bytes of kernels" in capsys.readouterr().err
+
+
+def test_vacuum_commands_reject_old_format_container(tmp_path, capsys):
+    old = tmp_path / "old.okn"
+    header = {"lattice": {"L": 8, "T": 6, "a": 0.5, "epsilon": 1.0, "dims": "1+1"},
+              "masses": {"charged_masses": [0.5, 0.7, 0.9], "neutrino_masses": [0.1, 0.2, 0.3]},
+              "sectors": ["e0"]}
+    with zipfile.ZipFile(old, "w") as zf:
+        zf.writestr("header.json", json.dumps(header))
+        zf.writestr("e0.npy", b"")
+    for cmd in (["residual"], ["localize", "--point", "2,3"], ["act", "--op", "1,2"]):
+        assert run(["vacuum", cmd[0], "--infile", str(old), *cmd[1:]]) == 2
+        assert "rebuild it with `vacuum build`" in capsys.readouterr().err
 
 
 def test_vacuum_commands_reject_non_container(tmp_path):
@@ -243,7 +308,7 @@ def test_exit_codes(tmp_path):
     assert exc.value.code == 2
 
 
-def test_reproducibility_byte_identical(tmp_path):
+def test_reproducibility_byte_identical(tmp_path, capsys):
     fam_path = tmp_path / "family.json"
     fam_path.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.2}, "family": {"type": "mirror_pair"}}))
     vac = tmp_path / "vac.okn"
@@ -264,9 +329,18 @@ def test_reproducibility_byte_identical(tmp_path):
         ["cfs", "el-residual", "--measure", str(meas_path), "--s", "0.3"],
         ["cfs", "classify", "--pairs", str(meas_path), "--geometry"],
         ["vacuum", "localize", "--infile", str(vac), "--point", "2,3"],
+        ["vacuum", "residual", "--infile", str(vac)],
     ):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
         assert run(cmd_suffix + ["--out", str(out1)]) == 0
         assert run(cmd_suffix + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+    # `vacuum act --out` names the acted container; the report goes to stdout
+    capsys.readouterr()
+    reports = []
+    for name in ("acted1.okn", "acted2.okn"):
+        assert run(["vacuum", "act", "--infile", str(vac), "--op", "1,2", "--out", str(tmp_path / name)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1].replace("acted2.okn", "acted1.okn")
+    assert (tmp_path / "acted1.okn").read_bytes() == (tmp_path / "acted2.okn").read_bytes()

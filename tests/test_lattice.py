@@ -1,13 +1,18 @@
+import zipfile
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octo_cfs import cfs
 from octo_cfs.gammas import dirac_rep, majorana_rep
 from octo_cfs.lattice import (
+    SEA_LABELS,
+    VACUUM_COEFFICIENTS,
     LatticeSpec,
     MassData,
+    SectorKernel,
     apply_blocks,
     aux_labels,
     aux_masses,
@@ -22,14 +27,17 @@ from octo_cfs.lattice import (
     load_kernels,
     local_correlation,
     mass_matrix,
+    materialize,
     mode_dirac_residuals,
     mode_onshell_residuals,
     occupied_modes,
     save_kernels,
     sea_kernel,
+    sector_bases,
     to_direct,
     to_octonionic,
     vacuum_local_correlation,
+    vacuum_seas,
 )
 from octo_cfs.mult_algebra import left_unit
 from octo_cfs.octonion import basis_product
@@ -181,8 +189,8 @@ def test_dirac_residual_second_order_convergence():
 def test_generation_sum_linearity():
     m = 0.6
     single = sea_kernel(m, SPEC)
-    summed = sea_kernel(m, SPEC) + sea_kernel(m, SPEC) + sea_kernel(m, SPEC)
-    assert np.allclose(summed.rel, 3.0 * single.rel, atol=1e-14)
+    summed = sea_kernel(m, SPEC).rel + sea_kernel(m, SPEC).rel + sea_kernel(m, SPEC).rel
+    assert np.allclose(summed, 3.0 * single.rel, atol=1e-14)
 
 
 def test_build_vacuum_direct_sector_structure():
@@ -245,6 +253,21 @@ def test_dirac_residual_aux_summands():
     assert abs(res[4] - res[7]) < 1e-14
 
 
+def test_dirac_residual_evaluates_each_kernel_mass_pair_once(monkeypatch):
+    from octo_cfs import lattice
+
+    aux = build_vacuum_aux(MD, SPEC)
+    expect = [dirac_residual_single(k, m) for k, m in zip(aux, aux_masses(MD))]
+    calls = []
+    single = lattice.dirac_residual_single
+    monkeypatch.setattr(lattice, "dirac_residual_single", lambda k, m: calls.append(m) or single(k, m))
+    assert dirac_residual(aux, aux_masses(MD)).tolist() == expect
+    assert len(calls) == 7
+    # one kernel under two masses is two evaluations
+    k = aux[4]
+    assert dirac_residual([k, k, k], [0.5, 0.9, 0.5]).tolist() == [single(k, 0.5), single(k, 0.9), single(k, 0.5)]
+
+
 def test_octonionic_round_trip_bit_exact():
     direct = build_vacuum_direct(MD, SPEC)
     ok = to_octonionic(direct)
@@ -267,10 +290,10 @@ def test_left_algebra_action_identity_and_fano_row():
 
     # action of L_{e1} on a kernel supported in sector j lands in sector k
     # with the sign from the Fano table row of e1
-    zero = 0.0 * direct[0]
+    zero = np.zeros_like(direct[0].rel)
     for j in range(8):
-        sectors = [zero.copy() for _ in range(8)]
-        sectors[j] = direct[1].copy()
+        sectors = [SectorKernel(SPEC, zero.copy()) for _ in range(8)]
+        sectors[j] = SectorKernel(SPEC, direct[1].rel.copy())
         okj = to_octonionic(sectors)
         acted = left_algebra_action(left_unit(1), okj)
         k, sign = basis_product(1, j)
@@ -420,17 +443,71 @@ def test_minimal_time_window():
 
 
 def test_container_round_trip_and_determinism(tmp_path):
-    direct = build_vacuum_direct(MD, SPEC)
-    kernels = {f"e{i}": k for i, k in enumerate(direct)}
+    seas = vacuum_seas(MD, SPEC)
+    coefficients = left_unit(3) @ VACUUM_COEFFICIENTS * (0.5 - 0.25j)
     p1 = tmp_path / "vac1.okn"
     p2 = tmp_path / "vac2.okn"
-    save_kernels(p1, SPEC, MD, kernels)
-    save_kernels(p2, SPEC, MD, kernels)
+    save_kernels(p1, SPEC, MD, seas, coefficients)
+    save_kernels(p2, SPEC, MD, seas, coefficients)
     assert p1.read_bytes() == p2.read_bytes()
-    header, loaded = load_kernels(p1)
+    header, loaded, loaded_coefficients = load_kernels(p1)
     assert load_header(p1) == header
+    assert header["format"] == 2
+    assert header["seas"] == list(SEA_LABELS)
     assert header["lattice"]["L"] == SPEC.L
     assert header["tau_reg"] == MD.tau_reg
     assert "local_correlation_convention" in header
-    for name, k in kernels.items():
-        assert np.array_equal(loaded[name].rel, k.rel)
+    assert np.array_equal(loaded_coefficients, coefficients)
+    for k, sea in zip(loaded, seas):
+        assert np.array_equal(k.rel, sea.rel)
+    with zipfile.ZipFile(p1) as zf:
+        names = zf.namelist()
+        assert names == ["header.json"] + [f"{label}.npy" for label in SEA_LABELS]
+        assert all(info.compress_type == zipfile.ZIP_STORED for info in zf.infolist())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spec=lattice_specs(),
+    tau_reg=st.floats(0.0, 1.0, exclude_min=True),
+    neutrino=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=3, max_size=3).filter(any),
+    charged=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=3, max_size=3),
+    majorana=st.booleans(),
+)
+@example(spec=LatticeSpec(L=6, T=3, a=0.375, epsilon=3.0, dims="1+3"), tau_reg=0.5,
+         neutrino=[0.0, 0.0, 0.0625], charged=[0.0, 0.0, 0.0], majorana=True)
+def test_materialized_sectors_match_tau_regularized_seas(spec, tau_reg, neutrino, charged, majorana):
+    md = MassData(charged_masses=charged, neutrino_masses=neutrino, tau_reg=tau_reg)
+    gs = majorana_rep() if majorana else dirac_rep()
+    # oracle: each neutrino sea carries the chiral sandwich inside its own mode sum
+    e0 = sum(sea_kernel(m, spec, tau_reg=tau_reg, gammas=gs).rel for m in neutrino)
+    charged_sum = sum(sea_kernel(m, spec, gammas=gs).rel for m in charged)
+    seas = vacuum_seas(md, spec, gs)
+    assert [k.mass for k in seas] == list(md.neutrino_masses + md.charged_masses)
+    sectors = materialize(VACUUM_COEFFICIENTS, sector_bases(seas, tau_reg))
+    direct = build_vacuum_direct(md, spec, gs)
+    # both paths round in the FFT at the scale of the unsandwiched sum; the
+    # sandwich (operator norm 1) then shrinks the right-handed part by tau_reg
+    scale = np.abs(seas[0].rel + seas[1].rel + seas[2].rel).max()
+    for nu in (sectors[0], direct[0]):
+        assert np.abs(nu.rel - e0).max() <= 1e-15 * scale
+    for k in sectors[1:] + direct[1:]:
+        assert np.array_equal(k.rel, charged_sum)
+    assert all(k is direct[1] for k in direct[2:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    parts=st.lists(st.floats(-10.0, 10.0), min_size=160, max_size=160),
+)
+def test_coefficient_action_matches_left_algebra_action(parts):
+    parts = np.array(parts)
+    op = (parts[:64] + 1j * parts[64:128]).reshape(8, 8)
+    c = (parts[128:144] + 1j * parts[144:]).reshape(8, 2)
+    bases = sector_bases(vacuum_seas(MD, SPEC), MD.tau_reg)
+    sectors = materialize(c, bases)
+    oracle = left_algebra_action(op, to_octonionic(sectors))
+    # both paths round at the scale sum_j |op_ij| max|e_j| of the sum the oracle forms
+    scales = np.abs(op) @ np.array([np.abs(k.rel).max() for k in sectors])
+    for i, k in enumerate(materialize(op @ c, bases)):
+        assert np.abs(k.rel - oracle.coefficient(i).rel).max() <= 1e-15 * scales[i]
