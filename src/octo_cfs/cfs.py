@@ -126,7 +126,7 @@ PAIR_BLOCK = 64
 
 
 def _frames(points, cfg: SystemConfig):
-    """Per point: the top min(2n, f) eigenpairs by modulus with sub-cut eigenvalues zeroed, and ||x||_2.
+    """Per point: the top min(2n, f) eigenpairs by modulus with sub-cut eigenvalues zeroed, ||x||_2, the matrix.
 
     One stacked `eigh`; the zero cut is the spin-space cut. Raises
     EigensolverError for a point with more than 2n eigenvalues beyond it.
@@ -138,26 +138,32 @@ def _frames(points, cfg: SystemConfig):
     if np.any(np.count_nonzero(w, axis=1) > 2 * cfg.n):
         raise EigensolverError("point has more than 2n eigenvalues beyond the zero cut")
     order = np.argsort(-np.abs(w), axis=1, kind="stable")[:, : 2 * cfg.n]
-    return np.take_along_axis(w, order, axis=1), np.take_along_axis(v, order[:, None, :], axis=2), top
+    return np.take_along_axis(w, order, axis=1), np.take_along_axis(v, order[:, None, :], axis=2), top, a
 
 
 def pair_spectra(xs, ys, cfg: SystemConfig) -> np.ndarray:
     """The 2n eigenvalues of xy for every pair of xs x ys: (len(xs), len(ys), 2n).
 
     They are those of the closed chain Lambda_x G Lambda_y G*, G = U_x* U_y, on the
-    spin spaces: one batched 2n x 2n `eigvals` per block of rows. Eigenvalues below
-    RANK_TOL * ||x|| ||y|| are exact zeros (a vanishing product yields the all-zero
-    spectrum, not dust); each spectrum is sorted by descending modulus, then phase.
+    spin spaces: one batched 2n x 2n `eigvals` per block of rows; when ys is xs, of
+    the pairs i <= j only (yx has the spectrum of xy). Eigenvalues below RANK_TOL *
+    ||x|| ||y|| are exact zeros (a vanishing product yields the all-zero spectrum, not
+    dust); each spectrum is sorted by descending modulus, then phase.
     """
-    wx, ux, nx = _frames(xs, cfg)
-    wy, uy, ny = (wx, ux, nx) if ys is xs else _frames(ys, cfg)
+    sym = ys is xs
+    wx, ux, nx = _frames(xs, cfg)[:3]  # the stacked matrices are not needed here
+    wy, uy, ny = (wx, ux, nx) if sym else _frames(ys, cfg)[:3]
     out = np.zeros((len(wx), len(wy), 2 * cfg.n), dtype=complex)
     for r in range(0, len(wx), PAIR_BLOCK):
-        sl = slice(r, r + PAIR_BLOCK)
-        g = ux[sl].conj().swapaxes(1, 2)[:, None] @ uy[None]
-        lam = np.linalg.eigvals((wx[sl, None, :, None] * g * wy[None, :, None, :]) @ g.conj().swapaxes(2, 3))
-        scale = np.maximum(nx[sl, None, None] * ny[None, :, None], 1e-300)
-        out[sl, :, : lam.shape[2]] = np.where(np.abs(lam) > RANK_TOL * scale, lam, 0.0)
+        c = r if sym else 0  # ys is xs: only the triangle j >= i, which starts at column r
+        g = ux[r : r + PAIR_BLOCK].conj().swapaxes(1, 2)[:, None] @ uy[None, c:]
+        a, b = np.nonzero((np.arange(c, len(wy)) >= np.arange(r, r + len(g))[:, None]) | (not sym))
+        i, j, g = r + a, c + b, (g[a, b] if sym else g.reshape(-1, *g.shape[2:]))  # a view when all are kept
+        lam = np.linalg.eigvals((wx[i, :, None] * g * wy[j, None, :]) @ g.conj().swapaxes(1, 2))
+        scale = np.maximum(nx[i] * ny[j], 1e-300)[:, None]
+        out[i, j, : lam.shape[1]] = np.where(np.abs(lam) > RANK_TOL * scale, lam, 0.0)
+        if sym:
+            out[j, i] = out[i, j]
     return np.take_along_axis(out, np.lexsort((np.angle(out), -np.abs(out))), axis=2)
 
 
@@ -216,10 +222,13 @@ class DiscreteMeasure:
             raise ValueError("weights must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-10:
             raise ValueError("weights must sum to one (volume constraint)")
-        # operator-norm distances to all later points: max|eigvalsh| of the Hermitian differences
+        # operator-norm distances to all later points: max|eigvalsh| of the Hermitian differences,
+        # solved only where ||d||_2 >= ||d||_F / sqrt(f) admits <= 1e-12 (factor 2 for rounding)
         mats = np.array([_asmat(p) for p in self.points])
         for i in range(len(mats) - 1):
-            if np.abs(np.linalg.eigvalsh(mats[i + 1 :] - mats[i])).max(axis=-1).min() <= 1e-12:
+            d = mats[i + 1 :] - mats[i]
+            near = d[np.linalg.norm(d, axis=(1, 2)) <= 2e-12 * np.sqrt(d.shape[1])]
+            if len(near) and np.abs(np.linalg.eigvalsh(near)).max(axis=-1).min() <= 1e-12:
                 raise ValueError("duplicate points in the measure support")
 
 
@@ -275,10 +284,11 @@ class SpinSpace:
     point: np.ndarray
     basis: np.ndarray  # f x d, orthonormal columns spanning image(x)
     eigenvalues: np.ndarray  # the d non-zero eigenvalues of x (basis order)
-    signature: tuple  # (p, q) of the spin product -<u|x v>
+    signature: tuple = field(init=False)  # (p, q) of the spin product -<u|x v>
     gram: np.ndarray = field(init=False)  # matrix of the spin product in `basis`
 
     def __post_init__(self):
+        self.signature = (int(np.sum(self.eigenvalues < 0)), int(np.sum(self.eigenvalues > 0)))
         self.gram = -np.diag(self.eigenvalues).astype(complex)
 
     @property
@@ -286,29 +296,22 @@ class SpinSpace:
         return self.basis.shape[1]
 
 
-def spin_space(x, tol: float = RANK_TOL) -> SpinSpace:
-    """Spin space S_x = image(x) with the spin product  <u|v>_x = -<u, x v>."""
+def spin_space(x) -> SpinSpace:
+    """Spin space S_x = image(x) with the spin product  <u|v>_x = -<u, x v>.
+
+    The basis is that of `_frames` (n = f bounds no rank): the eigenvectors beyond the zero cut.
+    """
     a = _asmat(x)
-    w, v = np.linalg.eigh(a)
-    cut = tol * max(1.0, np.abs(w).max(initial=0.0))
-    keep = np.abs(w) > cut
-    w_kept = w[keep]
-    basis = v[:, keep]
-    # signature of the form -x restricted to the image
-    p = int(np.sum(w_kept < 0))
-    q = int(np.sum(w_kept > 0))
-    return SpinSpace(point=a, basis=basis, eigenvalues=w_kept, signature=(p, q))
+    w, v, _, _ = _frames([a], SystemConfig(len(a), len(a), 1.0))
+    k = np.count_nonzero(w[0])
+    return SpinSpace(point=a, basis=v[0, :, :k], eigenvalues=w[0, :k])
 
 
 def spin_product(x, u, v) -> complex:
     """ <u|v>_x = -<u, x v>;  u, v are projected to the image of x if necessary."""
     a = _asmat(x)
-    sx = spin_space(a)
-    pu = sx.basis @ (sx.basis.conj().T @ u)
-    pv = sx.basis @ (sx.basis.conj().T @ v)
-    if np.linalg.norm(pu - u) > 1e-8 * max(1.0, np.linalg.norm(u)) or np.linalg.norm(
-        pv - v
-    ) > 1e-8 * max(1.0, np.linalg.norm(v)):
+    pu, pv = physical_wavefunction(u, [a]) + physical_wavefunction(v, [a])
+    if any(np.linalg.norm(p - t) > 1e-8 * max(1.0, np.linalg.norm(t)) for p, t in ((pu, u), (pv, v))):
         warnings.warn("vector outside the spin space was projected", stacklevel=2)
     return complex(-(pu.conj() @ (a @ pv)))
 
@@ -332,48 +335,72 @@ def physical_wavefunction(u, points) -> list:
     return out
 
 
+def kernel_residuals(points, pairs, phi, cfg: SystemConfig):
+    """|tr(A_xy) - tr(xy)| and the completeness residual of each pair k = (i, j) of `pairs`.
+
+    tr(A_xy) = sum_ab |G_ab|^2 lambda_x,a lambda_y,b in the spin-space bases (G = U_x* U_y), tr(xy)
+    is summed entrywise. Completeness: P(x,y) phi = -sum_i psi^{b_i}(x) <psi^{b_i}(y)|phi>_y for the
+    probe phi[k] projected to S_y; with b_i the canonical basis of C^f the sum is pi_x pi_y (y phi).
+    """
+    w, u, _, mats = _frames(points, cfg)
+    i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    tr_chain = np.einsum("ka,kab,kb->k", w[i], np.abs(u[i].conj().swapaxes(1, 2) @ u[j]) ** 2, w[j])
+    pi = (u * (w != 0)[:, None, :]) @ u.conj().swapaxes(1, 2)  # projectors onto the spin spaces
+    y_phi = mats[j] @ (pi[j] @ np.reshape(phi, (len(i), cfg.f, 1)))
+    return (np.abs(tr_chain - np.einsum("iab,jba->ij", mats, mats)[i, j]),
+            np.linalg.norm((pi[i] @ y_phi - pi[i] @ (pi[j] @ y_phi))[..., 0], axis=1))
+
+
 def completeness_check(x, y, phi) -> float:
-    """Residual of P(x,y) phi = -sum_i psi^{b_i}(x) <psi^{b_i}(y)| phi>_y.
+    """Completeness residual of one pair of points (see `kernel_residuals`)."""
+    f = len(_asmat(x))
+    return float(kernel_residuals([x, y], [(0, 1)], [phi], SystemConfig(f, f, 1.0))[1][0])
 
-    The basis b_i is the canonical orthonormal basis of C^f, so the sum is
-    pi_x pi_y (y phi); phi is projected to S_y first. x and y are points or
-    their already built SpinSpace.
+
+def spin_connections(points, pairs, cfg: SystemConfig, tol: float = 1e-8):
+    """Spin connection D_{x,y}: S_y -> S_x of each pair (i, j), and its unitarity residual.
+
+    D = P(x,y) A^{-1/2}, A = P(y,x) P(x,y) on S_y, is the unitary factor of the polar decomposition of
+    P(x,y) w.r.t. the spin products (gram matrices -Lambda). In the bases of `spin_space`, P(x,y) =
+    G Lambda_y with G = U_x* U_y; A^{-1/2} = V diag(mu^{-1/2}) V^{-1} (principal branch, as `sqrtm`)
+    comes from one batched `eig` per spin dimension. A pair gets D (I for x == y) or the
+    NotSpinConnectable that stops it: unequal dimensions, a singular A or V, or a residual
+    ||D* gram_x D - gram_y|| (NaN for a non-finite D) above tol * max(1, ||gram_y||).
     """
-    sx = x if isinstance(x, SpinSpace) else spin_space(x)
-    sy = y if isinstance(y, SpinSpace) else spin_space(y)
-    phi = sy.basis @ (sy.basis.conj().T @ np.asarray(phi, dtype=complex))
-    y_phi = sy.point @ phi
-    lhs = sx.basis @ (sx.basis.conj().T @ y_phi)
-    rhs = sx.basis @ (sx.basis.conj().T @ (sy.basis @ (sy.basis.conj().T @ y_phi)))
-    return float(np.linalg.norm(lhs - rhs))
+    w, u, _, mats = _frames(points, cfg)
+    i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    dim, same = np.count_nonzero(w, axis=1), np.all(mats[i] == mats[j], axis=(1, 2))
+    out = [NotSpinConnectable("spin spaces have different dimensions") for _ in i]
+    resid = np.full(len(i), np.nan)
+    for k in np.unique(dim[i]):
+        sel = np.flatnonzero((dim[i] == k) & (dim[j] == k))
+        lx, ly = w[i[sel], :k], w[j[sel], :k]
+        g = u[i[sel], :, :k].conj().swapaxes(1, 2) @ u[j[sel], :, :k]
+        p_xy = g * ly[:, None, :]
+        mu, v = np.linalg.eig((g.conj().swapaxes(1, 2) * lx[:, None, :]) @ p_xy)
+        ok = np.all(mu != 0, axis=1) & (np.linalg.det(v) != 0)
+        v_inv = np.linalg.inv(np.where(ok[:, None, None], v, np.eye(k)))
+        d = p_xy @ (v / np.sqrt(np.where(ok[:, None], mu, 1.0))[:, None, :]) @ v_inv
+        r = np.linalg.norm(ly[:, None, :] * np.eye(k) - d.conj().swapaxes(1, 2) @ (lx[:, :, None] * d), axis=(1, 2))
+        bound = tol * np.maximum(1.0, np.linalg.norm(ly, axis=1))
+        for s, p in enumerate(sel):
+            if same[p]:
+                out[p], resid[p] = np.eye(k, dtype=complex), 0.0
+            elif not ok[s]:
+                out[p] = NotSpinConnectable("polar factor does not exist: singular closed chain or eigenbasis")
+            elif not r[s] <= bound[s]:  # also a D that is not finite
+                out[p] = NotSpinConnectable(f"unitarity residual {r[s]:.3e} exceeds tolerance")
+            else:
+                out[p], resid[p] = d[s], r[s]
+    return out, resid
 
 
-def spin_connection(sx: SpinSpace, sy: SpinSpace, tol: float = 1e-8) -> np.ndarray:
-    """Unitary factor of the polar decomposition of P(x,y) w.r.t. the spin products.
-
-    D = P(x,y) (P(y,x)P(x,y))^{-1/2}: S_y -> S_x preserves the spin
-    products: conj(D).T @ G_x @ D = G_y. For x == y the connection is
-    normalized to the identity. Raises NotSpinConnectable when the kernel
-    is singular, the spin spaces have different dimension, or the
-    unitarity residual exceeds tol.
-    """
-    if sx.dim != sy.dim:
-        raise NotSpinConnectable("spin spaces have different dimensions")
-    if np.array_equal(sx.point, sy.point):
-        return np.eye(sx.dim, dtype=complex)
-    import scipy.linalg  # sqrtm only; kept out of the CLI's import time
-    p_xy = kernel(sx, sy)
-    a_yx = kernel(sy, sx) @ p_xy  # closed chain on S_y
-    try:
-        h = scipy.linalg.sqrtm(a_yx)
-        d = p_xy @ np.linalg.inv(h)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NotSpinConnectable(f"polar factor does not exist: {exc}") from exc
-    if not np.all(np.isfinite(d)):
-        raise NotSpinConnectable("polar factor is singular")
-    resid = np.linalg.norm(d.conj().T @ sx.gram @ d - sy.gram)
-    if resid > tol * max(1.0, np.linalg.norm(sy.gram)):
-        raise NotSpinConnectable(f"unitarity residual {resid:.3e} exceeds tolerance")
+def spin_connection(sx: SpinSpace, sy: SpinSpace) -> np.ndarray:
+    """Spin connection D_{x,y} of one pair (see `spin_connections`); raises NotSpinConnectable."""
+    f = len(sx.point)
+    (d,), _ = spin_connections([sx.point, sy.point], [(0, 1)], SystemConfig(f, f, 1.0))
+    if isinstance(d, NotSpinConnectable):
+        raise d
     return d
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -303,44 +304,33 @@ def cmd_cfs_classify(args) -> int:
     except (OSError, KeyError, ValueError, cfs.NotHermitian, cfs.SignatureViolation) as exc:
         raise ValidationError(f"cannot load pairs file {args.pairs}: {exc}") from exc
     rng = np.random.default_rng(args.seed)
-    spins = [cfs.spin_space(p) for p in points]
     spectra = cfs.pair_spectra(points, points, cfg)
     classes = cfs.causal_classes(spectra)
+    phi = rng.standard_normal((len(pairs), 2, cfg.f))
+    chain_tr_dev, complete = cfs.kernel_residuals(points, pairs, phi[:, 0] + 1j * phi[:, 1], cfg)
+    loop = [(0, 1), (1, 2), (2, 0), (0, 2), (2, 1), (1, 0)] if len(points) >= 3 else []
+    conns, unitarity = cfs.spin_connections(points, pairs + loop, cfg) if args.geometry else ([], [])
     results = []
-    rows = []
-    for i, j in pairs:
-        # tr(A_xy) against tr(xy) = sum_ab x_ab y_ba, independent of the engine's eigensolve
-        tr_xy = np.sum(points[i].matrix * points[j].matrix.T)
-        chain_tr_dev = abs(np.trace(cfs.closed_chain(spins[i], spins[j])) - tr_xy)
-        phi = rng.standard_normal(cfg.f) + 1j * rng.standard_normal(cfg.f)
+    for k, (i, j) in enumerate(pairs):
         entry = {
             "pair": [i, j],
             "class": classes[i, j],
             "spectrum": [[z.real, z.imag] for z in spectra[i, j]],
-            "closed_chain_trace_residual": float(chain_tr_dev),
-            "completeness_residual": cfs.completeness_check(spins[i], spins[j], phi),
+            "closed_chain_trace_residual": float(chain_tr_dev[k]),
+            "completeness_residual": float(complete[k]),
         }
         if args.geometry:
-            try:
-                d = cfs.spin_connection(spins[i], spins[j])
-                entry["spin_connection_unitarity"] = float(
-                    np.linalg.norm(d.conj().T @ spins[i].gram @ d - spins[j].gram)
-                )
-            except cfs.NotSpinConnectable as exc:
-                entry["spin_connection_unitarity"] = f"not spin-connectable: {exc}"
+            bad = isinstance(conns[k], cfs.NotSpinConnectable)
+            entry["spin_connection_unitarity"] = f"not spin-connectable: {conns[k]}" if bad else float(unitarity[k])
         results.append(entry)
-        rows.append((i, j, classes[i, j]))
     payload = {"meta": _meta(args, "cfs classify", pairs=args.pairs), "results": results}
-    if args.geometry and len(points) >= 3:
-        try:
-            r = cfs.holonomy(spins[0], spins[1], spins[2])
-            r_back = cfs.holonomy(spins[0], spins[2], spins[1])
-            payload["holonomy_012_loop_residual"] = float(
-                np.abs(r @ r_back - np.eye(spins[0].dim)).max()
-            )
-        except cfs.NotSpinConnectable as exc:
-            payload["holonomy_012_loop_residual"] = f"not spin-connectable: {exc}"
-    _emit(args, payload, rows=rows, fields=("i", "j", "class"))
+    if args.geometry and loop:
+        d = conns[len(pairs):]  # D_01 D_12 D_20, then D_02 D_21 D_10: R(0,1,2) R(0,2,1) = I
+        bad = [c for c in d if isinstance(c, cfs.NotSpinConnectable)]
+        payload["holonomy_012_loop_residual"] = f"not spin-connectable: {bad[0]}" if bad else float(
+            np.abs(d[0] @ d[1] @ d[2] @ d[3] @ d[4] @ d[5] - np.eye(len(d[0]))).max()
+        )
+    _emit(args, payload, rows=[(i, j, classes[i, j]) for i, j in pairs], fields=("i", "j", "class"))
     return EXIT_OK
 
 
@@ -366,18 +356,8 @@ def cmd_cfs_minimize(args) -> int:
     payload = {
         "meta": _meta(args, "cfs minimize", family=args.family, kappa=cfg.kappa),
         "measure": cfs.measure_to_json(measure, cfg),
-        "report": {
-            "action": report.action,
-            "volume": report.volume,
-            "trace": report.trace,
-            "s_posthoc": report.s_posthoc,
-            "ell_support": report.ell_support,
-            "ell_spread": report.ell_spread,
-            "off_support_max_neg_ell": report.off_support_max_neg_ell,
-            "nit": report.nit,
-            "nfev": report.nfev,
-            "converged": report.converged,
-        },
+        # every report field but SLSQP's message text
+        "report": {k: v for k, v in dataclasses.asdict(report).items() if k != "status"},
     }
     _emit(args, payload)
     return EXIT_OK
@@ -461,9 +441,12 @@ def cmd_vacuum_localize(args) -> int:
     header = _load_container(lattice.load_header, args.infile)
     spec = lattice.LatticeSpec.from_json(header["lattice"])
     md = lattice.MassData.from_json(header["masses"])
-    point = tuple(int(v) for v in args.point.split(","))
+    try:
+        point = tuple(int(v) for v in args.point.split(","))
+    except ValueError:
+        point = ()
     if len(point) != 1 + spec.spatial_dims:
-        raise ValidationError(f"--point needs {1 + spec.spatial_dims} comma-separated coordinates")
+        raise ValidationError(f"--point needs {1 + spec.spatial_dims} comma-separated integer coordinates")
     try:
         f_nu = lattice.local_correlation(list(md.neutrino_masses), spec, point, tau_reg=md.tau_reg)
         f_ch = lattice.local_correlation(list(md.charged_masses), spec, point)
@@ -492,6 +475,8 @@ def cmd_vacuum_act(args) -> int:
     md = lattice.MassData.from_json(header["masses"])
     try:
         word = [int(v) for v in args.op.split(",")]
+        if not all(0 <= v <= 7 for v in word):
+            raise ValueError(f"{args.op!r} has an index outside 0..7")
         op = chain(word).astype(complex)
     except ValueError as exc:
         raise ValidationError(f"--op must be a comma-separated word of indices 0..7: {exc}") from exc
@@ -538,30 +523,18 @@ def cmd_potentials_scan(args) -> int:
             p = potentials.TreeParams(**params)
         except (TypeError, ValueError) as exc:
             raise ValidationError(str(exc)) from exc
-        pts = potentials.tree_stationary_points(p)
-        rows = [
-            (q.kind, q.sL, q.sR, q.value, q.classification, q.is_global) for q in pts
-        ]
+        fields = ("kind", "sL", "sR", "value", "classification", "is_global")
+        rows = [tuple(getattr(q, k) for k in fields) for q in potentials.tree_stationary_points(p)]
         regime = (
             "parity_violating" if p.mu2 > 0 and p.lambda2 > 2 * p.lambda1
             else "symmetric" if p.mu2 > 0 else "unbroken"
         )
         payload = {
             "meta": _meta(args, "potentials scan", mode="tree", params=params),
-            "stationary_points": [
-                {
-                    "kind": q.kind,
-                    "sL": q.sL,
-                    "sR": q.sR,
-                    "value": q.value,
-                    "classification": q.classification,
-                    "is_global": q.is_global,
-                }
-                for q in pts
-            ],
+            "stationary_points": [dict(zip(fields, row)) for row in rows],
             "regime": regime,
         }
-        _emit(args, payload, rows=rows, fields=("kind", "sL", "sR", "value", "classification", "is_global"))
+        _emit(args, payload, rows=rows, fields=fields)
         return EXIT_OK
     try:
         p = potentials.LoopParams(**params)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
@@ -35,6 +36,7 @@ from octo_cfs.cfs import (
     product_spectrum,
     random_point,
     spin_connection,
+    spin_connections,
     spin_product,
     spin_space,
     validate_point,
@@ -198,6 +200,9 @@ def test_discrete_measure_validation():
     # duplicates are points within operator-norm distance 1e-12
     with pytest.raises(ValueError):
         DiscreteMeasure(points=[x, y, diag_point(cfg, 1.0, 5e-13)], weights=[0.25, 0.25, 0.5])
+    # operator norm 0.9e-12, Frobenius norm 0.9e-12 sqrt(2) > 1e-12: only the eigvalsh fallback rejects it
+    with pytest.raises(ValueError):
+        DiscreteMeasure(points=[x, validate_point(x.matrix + 0.9e-12 * np.eye(2), cfg)], weights=[0.5, 0.5])
     DiscreteMeasure(points=[x, y, diag_point(cfg, 1.0, 1e-11)], weights=[0.25, 0.25, 0.5])
     pts, w = merge_duplicates([x, x, y], [0.25, 0.25, 0.5])
     assert len(pts) == 2 and np.allclose(w, [0.5, 0.5])
@@ -366,6 +371,57 @@ def test_holonomy_reversed_loop_inverts():
     assert done >= 10
 
 
+def sqrtm_spin_connection(sx, sy, tol=1e-8):
+    """Reference for `spin_connections`: the per-pair `scipy.linalg.sqrtm` path it replaced."""
+    if sx.dim != sy.dim:
+        raise NotSpinConnectable("spin spaces have different dimensions")
+    if np.array_equal(sx.point, sy.point):
+        return np.eye(sx.dim, dtype=complex)
+    p_xy = kernel(sx, sy)
+    a_yx = kernel(sy, sx) @ p_xy  # closed chain on S_y
+    try:
+        d = p_xy @ np.linalg.inv(scipy.linalg.sqrtm(a_yx))
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise NotSpinConnectable(f"polar factor does not exist: {exc}") from exc
+    if not np.all(np.isfinite(d)):
+        raise NotSpinConnectable("polar factor is singular")
+    if np.linalg.norm(d.conj().T @ sx.gram @ d - sy.gram) > tol * max(1.0, np.linalg.norm(sy.gram)):
+        raise NotSpinConnectable("unitarity residual exceeds tolerance")
+    return d
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 3), extra=st.integers(0, 6), count=st.integers(2, 6),
+       scale=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_spin_connections_match_sqrtm_oracle(n, extra, count, scale, seed):
+    """Random points of random rank (so also mismatched dimensions and zero points), f <= 12."""
+    cfg = SystemConfig(f=min(2 * n + extra, 12), n=n, kappa=0.1)
+    r = np.random.default_rng(seed)
+    pts = [random_point(r, cfg, scale) for _ in range(count)]
+    pairs = [(i, j) for i in range(count) for j in range(count)]
+    conns, resid = spin_connections(pts, pairs, cfg)
+    spaces = [spin_space(p) for p in pts]
+    for (i, j), d, res in zip(pairs, conns, resid):
+        sx, sy = spaces[i], spaces[j]
+        try:
+            ref = sqrtm_spin_connection(sx, sy)
+        except NotSpinConnectable:
+            assert isinstance(d, NotSpinConnectable)
+            assert np.isnan(res)
+            continue
+        assert not isinstance(d, NotSpinConnectable), (i, j, d)
+        # U_x D U_y* does not depend on the order or the phases of either basis; both paths lose
+        # about eps * cond(A) of D to rounding, so a near-singular chain A widens the 1e-12
+        amb, amb_ref = sx.basis @ d @ sy.basis.conj().T, sx.basis @ ref @ sy.basis.conj().T
+        rtol = 1e-12 + 1e-15 * np.linalg.cond(kernel(sy, sx) @ kernel(sx, sy)) if sx.dim else 0.0
+        assert np.linalg.norm(amb - amb_ref) <= rtol * np.linalg.norm(amb_ref)
+        unitarity = np.linalg.norm(d.conj().T @ sx.gram @ d - sy.gram)
+        assert unitarity <= 1e-8 * max(1.0, np.linalg.norm(sy.gram))
+        assert abs(unitarity - res) <= 1e-12 * max(1.0, np.linalg.norm(sy.gram))
+        if i == j:
+            assert np.array_equal(d, np.eye(sx.dim)) and res == 0.0
+
+
 def test_spin_connection_dimension_mismatch():
     cfg = SystemConfig(f=4, n=2, kappa=0.1)
     x = validate_point(np.diag([1.0, -1.0, 0.5, 0]).astype(complex), cfg)
@@ -526,6 +582,13 @@ def test_pair_engine_matches_dense_lagrangian_across_blocks(monkeypatch):
     blocked = lagrangians(xs, ys, cfg)
     assert np.abs(whole - ref).max() <= 1e-13 * max(1.0, ref.max())
     assert np.abs(blocked - whole).max() <= 1e-14 * max(1.0, ref.max())
+    # ys is xs: only the triangle i <= j is solved (its row blocks cross the diagonal), the rest mirrored
+    sym = lagrangians(xs, xs, cfg)
+    assert np.array_equal(sym, sym.T)
+    ref_sym = np.array([[dense_lagrangian(x, y, cfg) for y in xs] for x in xs])
+    assert np.abs(sym - ref_sym).max() <= 1e-13 * max(1.0, ref_sym.max())
+    upper = np.triu_indices(len(xs))
+    assert pair_spectra(xs, xs, cfg)[upper].tobytes() == pair_spectra(xs, list(xs), cfg)[upper].tobytes()
 
 
 def test_pair_engine_rejects_point_beyond_spin_dimension():

@@ -115,7 +115,7 @@ def test_cfs_classify(tmp_path):
     assert rep["results"][0]["class"] == "timelike"
 
 
-def test_cfs_classify_geometry(tmp_path):
+def _geometry_pairs_file(tmp_path):
     cfg = {"f": 2, "n": 1, "kappa": 0.1}
     points = [
         [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
@@ -124,6 +124,11 @@ def test_cfs_classify_geometry(tmp_path):
     ]
     path = tmp_path / "pairs.json"
     path.write_text(json.dumps({"config": cfg, "points": points}))
+    return path
+
+
+def test_cfs_classify_geometry(tmp_path):
+    path = _geometry_pairs_file(tmp_path)
     out = tmp_path / "geo.json"
     assert run(["cfs", "classify", "--pairs", str(path), "--geometry", "--out", str(out)]) == 0
     rep = read_json(out)
@@ -250,6 +255,16 @@ def test_vacuum_commands_reject_old_format_container(tmp_path, capsys):
         assert "rebuild it with `vacuum build`" in capsys.readouterr().err
 
 
+def test_vacuum_commands_reject_bad_point_and_op(tmp_path, capsys):
+    vac = tmp_path / "vac.okn"
+    assert run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(vac)]) == 0
+    capsys.readouterr()
+    for cmd, reason in ((["localize", "--point", "2,x"], "integer coordinates"),
+                        (["act", "--op", "1,99"], "'1,99' has an index outside 0..7")):
+        assert run(["vacuum", cmd[0], "--infile", str(vac), *cmd[1:]]) == 2
+        assert reason in capsys.readouterr().err
+
+
 def test_vacuum_commands_reject_non_container(tmp_path):
     not_zip = tmp_path / "notes.md"
     not_zip.write_text("# not a kernel container\n")
@@ -257,7 +272,8 @@ def test_vacuum_commands_reject_non_container(tmp_path):
         assert run(["vacuum", cmd[0], "--infile", str(not_zip), *cmd[1:]]) == 2
 
 
-def test_cli_import_loads_no_scipy():
+def _scipy_modules_after(statement):
+    """The scipy modules a fresh interpreter holds after `import octo_cfs.cli` and `statement`."""
     import os
     import subprocess
     import sys
@@ -265,10 +281,21 @@ def test_cli_import_loads_no_scipy():
     import octo_cfs
 
     src = os.path.dirname(os.path.dirname(octo_cfs.__file__))
-    code = "import sys, octo_cfs.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys, octo_cfs.cli; {statement}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules_after("pass") == "[]"
+
+
+def test_cfs_classify_geometry_loads_no_scipy(tmp_path):
+    argv = ["cfs", "classify", "--pairs", str(_geometry_pairs_file(tmp_path)), "--geometry",
+            "--out", str(tmp_path / "geo.json")]
+    assert _scipy_modules_after(f"assert octo_cfs.cli.main({argv!r}) == 0") == "[]"
+    assert "holonomy_012_loop_residual" in read_json(tmp_path / "geo.json")
 
 
 def test_majorana_check(tmp_path):
