@@ -417,9 +417,13 @@ def measure_to_json(measure: DiscreteMeasure, cfg: SystemConfig) -> dict:
     }
 
 
+def config_from_json(c: dict) -> SystemConfig:
+    """SystemConfig from a file's "config" object: f, n, kappa and an optional s."""
+    return SystemConfig(f=int(c["f"]), n=int(c["n"]), kappa=float(c["kappa"]), s=float(c.get("s", 0.0)))
+
+
 def measure_from_json(obj: dict):
-    c = obj["config"]
-    cfg = SystemConfig(f=int(c["f"]), n=int(c["n"]), kappa=float(c["kappa"]), s=float(c.get("s", 0.0)))
+    cfg = config_from_json(obj["config"])
     points = [validate_point(complex_matrix_from_json(p), cfg) for p in obj["points"]]
     measure = DiscreteMeasure(points=points, weights=np.asarray(obj["weights"], dtype=float))
     return measure, cfg

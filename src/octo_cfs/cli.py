@@ -288,15 +288,13 @@ def cmd_cfs_classify(args) -> int:
     try:
         with open(args.pairs) as fh:
             obj = json.load(fh)
-        cfg = cfs.SystemConfig(
-            f=int(obj["config"]["f"]),
-            n=int(obj["config"]["n"]),
-            kappa=float(obj["config"]["kappa"]),
-        )
+        cfg = cfs.config_from_json(obj["config"])
         points = [cfs.validate_point(cfs.complex_matrix_from_json(p), cfg) for p in obj["points"]]
-        pairs = obj.get("pairs") or [
+        pairs = obj["pairs"] if "pairs" in obj else [
             [i, j] for i in range(len(points)) for j in range(i + 1, len(points))
         ]
+        if not isinstance(pairs, list):
+            raise ValueError(f"pairs {pairs!r} is not a list of index pairs")
         for pair in pairs:
             if not (isinstance(pair, list) and len(pair) == 2
                     and all(type(i) is int and 0 <= i < len(points) for i in pair)):
@@ -338,11 +336,9 @@ def cmd_cfs_minimize(args) -> int:
     try:
         with open(args.family) as fh:
             spec = json.load(fh)
-        cfg = cfs.SystemConfig(
-            f=int(spec["config"]["f"]),
-            n=int(spec["config"]["n"]),
-            kappa=args.kappa if args.kappa is not None else float(spec["config"]["kappa"]),
-        )
+        cfg = cfs.config_from_json(spec["config"])
+        if args.kappa is not None:
+            cfg = dataclasses.replace(cfg, kappa=args.kappa)
         family, x0 = minimize_mod.make_family(spec["family"], cfg)
     except (OSError, KeyError, ValueError) as exc:
         raise ValidationError(f"cannot load family file {args.family}: {exc}") from exc
@@ -366,7 +362,7 @@ def cmd_cfs_minimize(args) -> int:
 def cmd_cfs_el_residual(args) -> int:
     measure, cfg = _load_measure(args.measure)
     if args.s is not None:
-        cfg = cfs.SystemConfig(f=cfg.f, n=cfg.n, kappa=cfg.kappa, s=args.s)
+        cfg = dataclasses.replace(cfg, s=args.s)
     ells = cfs.ell(measure.points, measure, cfg).tolist()
     payload = {
         "meta": _meta(args, "cfs el-residual", measure=args.measure, s=cfg.s),
@@ -445,8 +441,13 @@ def cmd_vacuum_localize(args) -> int:
         point = tuple(int(v) for v in args.point.split(","))
     except ValueError:
         point = ()
-    if len(point) != 1 + spec.spatial_dims:
-        raise ValidationError(f"--point needs {1 + spec.spatial_dims} comma-separated integer coordinates")
+    bounds = (spec.T,) + (spec.L,) * spec.spatial_dims
+    if len(point) != len(bounds):
+        raise ValidationError(f"--point needs {len(bounds)} comma-separated integer coordinates")
+    if not all(0 <= v < b for v, b in zip(point, bounds)):
+        raise ValidationError(
+            f"--point {args.point} is off the lattice: need 0 <= t < {spec.T} and 0 <= x_j < {spec.L}"
+        )
     try:
         f_nu = lattice.local_correlation(list(md.neutrino_masses), spec, point, tau_reg=md.tau_reg)
         f_ch = lattice.local_correlation(list(md.charged_masses), spec, point)

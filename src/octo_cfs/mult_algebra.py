@@ -76,69 +76,56 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AlgebraSpan:
-    """Linearly independent basis of a multiplicatively generated matrix span."""
+    """Multiplicatively generated matrix span, held as orthonormal rows of vectorized matrices."""
 
-    basis: list
+    orthonormal: np.ndarray  # dimension x 64, rows orthonormal under the conjugate inner product
     field: str
-    dimension: int
-    orthonormal: np.ndarray  # rows: orthonormalized vectorized basis elements
+
+    @property
+    def dimension(self) -> int:
+        return len(self.orthonormal)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The orthonormal rows as 8x8 matrices."""
+        return self.orthonormal.reshape(-1, 8, 8)
 
 
-def _try_add(vec, ortho_rows, tol_scale):
-    v = vec.copy()
-    for q in ortho_rows:
-        v -= (np.conj(q) @ v) * q
-    # second pass guards against loss of orthogonality
-    for q in ortho_rows:
-        v -= (np.conj(q) @ v) * q
-    nrm = np.linalg.norm(v)
-    if nrm > SPAN_TOL * tol_scale:
-        ortho_rows.append(v / nrm)
-        return True
-    return False
+def _extend(q, rows, tol):
+    """Grow q by the directions of `rows` outside its span; return (q, new directions)."""
+    for _ in range(2):  # the second projection restores orthogonality lost to rounding
+        rows = rows - (rows @ q.conj().T) @ q
+    _, sv, vh = np.linalg.svd(rows, full_matrices=False)
+    new = vh[sv > tol]
+    return np.vstack([q, new]), new
 
 
 def span_dimension(generators, field="real", max_passes=8) -> AlgebraSpan:
     """Associative algebra generated by the given 8x8 matrices under product and span.
 
-    Breadth-first closure over products of the current basis with the
-    generators; stops at a fixed point. Raises SpanClosureError if the span
-    is still growing after `max_passes` passes (product length bound).
+    Breadth-first closure: each pass multiplies the previous pass's new
+    directions by every generator and keeps what lies outside the span so
+    far. Closure needs only the span, so the new orthonormal directions serve
+    as the next frontier. Stops at a fixed point; raises SpanClosureError if
+    the span is still growing after `max_passes` passes (product length bound).
     """
     if field not in ("real", "complex"):
         raise ValueError("field must be 'real' or 'complex'")
     if len(generators) == 0:
         raise ValueError("span_dimension needs at least one generator")
-    dtype = float if field == "real" else complex
-    gens = [np.asarray(g, dtype=dtype) for g in generators]
-    tol_scale = max(np.linalg.norm(g) for g in gens)
-
-    ortho: list = []
-    basis: list = []
-    frontier: list = []
-    for g in gens:
-        if _try_add(g.ravel(), ortho, tol_scale):
-            basis.append(g)
-            frontier.append(g)
-
+    gens = np.array(generators, dtype=float if field == "real" else complex)
+    if gens.shape[1:] != (8, 8):
+        raise ValueError("span_dimension takes 8x8 matrices")
+    tol = SPAN_TOL * np.linalg.norm(gens, axis=(1, 2)).max()
+    q, frontier = _extend(np.zeros((0, 64), gens.dtype), gens.reshape(-1, 64), tol)
     for _ in range(max_passes):
-        if not frontier:
+        if not len(frontier):
             break
-        new_frontier = []
-        for b in frontier:
-            for g in gens:
-                m = b @ g
-                if _try_add(m.ravel(), ortho, tol_scale):
-                    basis.append(m)
-                    new_frontier.append(m)
-        frontier = new_frontier
-    if frontier:
-        raise SpanClosureError(
-            f"span still growing after {max_passes} passes (dimension {len(basis)})"
-        )
-    return AlgebraSpan(
-        basis=basis, field=field, dimension=len(basis), orthonormal=np.array(ortho)
-    )
+        products = frontier.reshape(-1, 1, 8, 8) @ gens
+        q, frontier = _extend(q, products.reshape(-1, 64), tol)
+    if len(frontier):
+        raise SpanClosureError(f"span still growing after {max_passes} passes (dimension {len(q)})")
+    return AlgebraSpan(orthonormal=q, field=field)
 
 
 def in_span(m: np.ndarray, span: AlgebraSpan) -> float:
@@ -147,10 +134,8 @@ def in_span(m: np.ndarray, span: AlgebraSpan) -> float:
     nrm = np.linalg.norm(v)
     if nrm == 0.0:
         return 0.0
-    r = v.copy()
-    for q in span.orthonormal:
-        r -= (np.conj(q) @ r) * q
-    return float(np.linalg.norm(r) / nrm)
+    q = span.orthonormal
+    return float(np.linalg.norm(v - (q.conj() @ v) @ q) / nrm)
 
 
 def end8_to_json(m: np.ndarray) -> dict:
@@ -191,13 +176,9 @@ def left_right_equality() -> dict:
     """Span comparison of the generated left and right multiplication algebras."""
     left_span = span_dimension([left_unit(i) for i in range(1, 8)], field="real")
     right_span = span_dimension([right_unit(i) for i in range(1, 8)], field="real")
-    union_rows = np.vstack(
-        [
-            np.array([b.ravel() for b in left_span.basis]),
-            np.array([b.ravel() for b in right_span.basis]),
-        ]
+    union_rank = int(
+        np.linalg.matrix_rank(np.vstack([left_span.orthonormal, right_span.orthonormal]), tol=SPAN_TOL)
     )
-    union_rank = int(np.linalg.matrix_rank(union_rows, tol=SPAN_TOL * np.abs(union_rows).max()))
     return {
         "left_dim": left_span.dimension,
         "right_dim": right_span.dimension,

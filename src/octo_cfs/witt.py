@@ -213,14 +213,6 @@ def _restrict(op: np.ndarray, states, tol=1e-9) -> np.ndarray:
     return out
 
 
-#: Gell-Mann convention (lambda3, lambda8) weight oracle for the fundamental.
-_FUND_WEIGHTS = (
-    (1.0, 1.0 / np.sqrt(3.0)),
-    (-1.0, 1.0 / np.sqrt(3.0)),
-    (0.0, -2.0 / np.sqrt(3.0)),
-)
-
-
 def gell_mann_weight_sets():
     """Reference (lambda3, lambda8) weight multisets of 3 and 3bar.
 

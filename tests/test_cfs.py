@@ -21,6 +21,7 @@ from octo_cfs.cfs import (
     causal_class,
     closed_chain,
     completeness_check,
+    config_from_json,
     constraints,
     ell,
     holonomy,
@@ -438,6 +439,7 @@ def test_measure_json_round_trip():
     obj = measure_to_json(m, cfg)
     m2, cfg2 = measure_from_json(obj)
     assert cfg2 == cfg
+    assert config_from_json({"f": 2, "n": 1, "kappa": 0.1}) == SystemConfig(f=2, n=1, kappa=0.1, s=0.0)
     assert np.allclose(m2.points[0].matrix, x.matrix)
     assert np.allclose(m2.weights, m.weights)
 

@@ -115,6 +115,17 @@ def test_cfs_classify(tmp_path):
     assert rep["results"][0]["class"] == "timelike"
 
 
+def test_cfs_classify_explicit_empty_pairs(tmp_path):
+    point = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.1}, "points": [point] * 3, "pairs": []}))
+    out = tmp_path / "cls.json"
+    assert run(["cfs", "classify", "--pairs", str(path), "--out", str(out)]) == 0
+    assert read_json(out)["results"] == []
+    path.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.1}, "points": [point] * 3, "pairs": None}))
+    assert run(["cfs", "classify", "--pairs", str(path)]) == 2
+
+
 def _geometry_pairs_file(tmp_path):
     cfg = {"f": 2, "n": 1, "kappa": 0.1}
     points = [
@@ -169,6 +180,17 @@ def test_cfs_minimize_and_el_residual(tmp_path):
     ]) == 0
     rep2 = read_json(out2)
     assert rep2["spread"] < 1e-5 * (1 + abs(rep["report"]["action"]))
+
+
+def test_cfs_minimize_kappa_flag_overrides_file_config(tmp_path):
+    fam_path = tmp_path / "family.json"
+    fam_path.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.2, "s": 0.3},
+                                    "family": {"type": "mirror_pair"}}))
+    out = tmp_path / "min.json"
+    assert run(["cfs", "minimize", "--family", str(fam_path), "--kappa", "0.5", "--out", str(out)]) == 0
+    rep = read_json(out)
+    assert rep["measure"]["config"] == {"f": 2, "n": 1, "kappa": 0.5, "s": 0.3}
+    assert abs(rep["report"]["action"] - (0.25 + 0.25)) < 1e-6
 
 
 def test_cfs_action_invalid_measure(tmp_path):
@@ -259,7 +281,11 @@ def test_vacuum_commands_reject_bad_point_and_op(tmp_path, capsys):
     vac = tmp_path / "vac.okn"
     assert run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(vac)]) == 0
     capsys.readouterr()
+    off = "off the lattice: need 0 <= t < 4 and 0 <= x_j < 4"
     for cmd, reason in ((["localize", "--point", "2,x"], "integer coordinates"),
+                        (["localize", "--point", "99,3"], off),
+                        (["localize", "--point", "2,-1"], off),
+                        (["localize", "--point", "3,4"], off),
                         (["act", "--op", "1,99"], "'1,99' has an index outside 0..7")):
         assert run(["vacuum", cmd[0], "--infile", str(vac), *cmd[1:]]) == 2
         assert reason in capsys.readouterr().err
