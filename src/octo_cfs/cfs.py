@@ -52,10 +52,10 @@ class SystemConfig:
     def __post_init__(self):
         if self.f < 1 or self.n < 1:
             raise ValueError("f and n must be positive integers")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.s < 0:
-            raise ValueError("s must be non-negative")
+        if not 0 < self.kappa < np.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
+        if not 0 <= self.s < np.inf:
+            raise ValueError(f"s must be non-negative and finite, got {self.s}")
 
 
 @dataclass

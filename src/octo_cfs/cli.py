@@ -9,6 +9,7 @@ projection of tabular results.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -80,9 +81,26 @@ def _to_plain(obj):
     return obj
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Scope that writes `path`; an OSError there exits 2 with the path and the OS reason."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
+
+
+def _override(cfg, flag, value):
+    """cfg with the value of --flag when given; a value SystemConfig rejects exits 2 naming the flag."""
+    try:
+        return cfg if value is None else dataclasses.replace(cfg, **{flag: value})
+    except ValueError as exc:
+        raise ValidationError(f"--{flag}: {exc}") from exc
+
+
 def _write(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", newline="") as fh:
+        with _writing(args.out), open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -336,9 +354,7 @@ def cmd_cfs_minimize(args) -> int:
     try:
         with open(args.family) as fh:
             spec = json.load(fh)
-        cfg = cfs.config_from_json(spec["config"])
-        if args.kappa is not None:
-            cfg = dataclasses.replace(cfg, kappa=args.kappa)
+        cfg = _override(cfs.config_from_json(spec["config"]), "kappa", args.kappa)
         family, x0 = minimize_mod.make_family(spec["family"], cfg)
     except (OSError, KeyError, ValueError) as exc:
         raise ValidationError(f"cannot load family file {args.family}: {exc}") from exc
@@ -361,8 +377,7 @@ def cmd_cfs_minimize(args) -> int:
 
 def cmd_cfs_el_residual(args) -> int:
     measure, cfg = _load_measure(args.measure)
-    if args.s is not None:
-        cfg = dataclasses.replace(cfg, s=args.s)
+    cfg = _override(cfg, "s", args.s)
     ells = cfs.ell(measure.points, measure, cfg).tolist()
     payload = {
         "meta": _meta(args, "cfs el-residual", measure=args.measure, s=cfg.s),
@@ -397,7 +412,8 @@ def cmd_vacuum_build(args) -> int:
         raise ValidationError(f"the build would hold {need:.3g} bytes of kernels, above {have:.3g} bytes of memory")
     seas = lattice.vacuum_seas(md, spec)
     bases = lattice.sector_bases(seas, md.tau_reg)
-    lattice.save_kernels(args.out, spec, md, seas, lattice.VACUUM_COEFFICIENTS)
+    with _writing(args.out):
+        lattice.save_kernels(args.out, spec, md, seas, lattice.VACUUM_COEFFICIENTS)
     masses = set(md.charged_masses + md.neutrino_masses)
     payload = {
         "meta": _meta(args, "vacuum build", out=args.out),
@@ -483,7 +499,8 @@ def cmd_vacuum_act(args) -> int:
         raise ValidationError(f"--op must be a comma-separated word of indices 0..7: {exc}") from exc
     coefficients = op @ coefficients
     if args.out:
-        lattice.save_kernels(args.out, spec, md, seas, coefficients)
+        with _writing(args.out):
+            lattice.save_kernels(args.out, spec, md, seas, coefficients)
     sectors = lattice.materialize(coefficients, lattice.sector_bases(seas, md.tau_reg))
     payload = {
         "meta": _meta(args, "vacuum act", infile=args.infile, op=word, out=args.out),

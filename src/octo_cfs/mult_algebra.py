@@ -130,12 +130,15 @@ def span_dimension(generators, field="real", max_passes=8) -> AlgebraSpan:
 
 def in_span(m: np.ndarray, span: AlgebraSpan) -> float:
     """Relative residual of m after projection onto the span (0 means member)."""
-    v = m.ravel().astype(complex if span.field == "complex" else float)
+    v = np.ravel(m)
     nrm = np.linalg.norm(v)
     if nrm == 0.0:
         return 0.0
     q = span.orthonormal
-    return float(np.linalg.norm(v - (q.conj() @ v) @ q) / nrm)
+    coef = q.conj() @ v
+    if span.field == "real":
+        coef = coef.real  # a real span has real coefficients: all of Im m is residual
+    return float(np.linalg.norm(v - coef @ q) / nrm)
 
 
 def end8_to_json(m: np.ndarray) -> dict:

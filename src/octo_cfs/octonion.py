@@ -2,7 +2,8 @@
 
 The seven imaginary units multiply according to the oriented Fano lines
 123, 145, 176, 246, 257, 347, 365; each line is cyclic and together with
-e0 closes into a quaternion subalgebra.
+e0 closes into a quaternion subalgebra. O and C (x) O share one
+implementation, parametrized by the coefficient field.
 """
 
 from __future__ import annotations
@@ -23,106 +24,93 @@ FANO_LINES = (
 )
 
 
-def _build_epsilon():
-    eps = np.zeros((8, 8, 8))
-    for a, b, c in FANO_LINES:
-        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
-            eps[i, j, k] = 1.0
-            eps[j, i, k] = -1.0
-            eps[i, k, j] = -1.0
-            eps[k, j, i] = -1.0
-            eps[k, i, j] = 1.0
-            eps[j, k, i] = 1.0
-    return eps
+def _structure_tensor():
+    # C[i, j, k]: coefficient of e_k in e_i e_j.
+    C = np.zeros((8, 8, 8))
+    r = np.arange(8)
+    C[0, r, r] = C[r, 0, r] = 1.0
+    C[r[1:], r[1:], 0] = -1.0
+    for line in FANO_LINES:
+        for i, j, k in (line, line[1:] + line[:1], line[2:] + line[:2]):
+            C[i, j, k], C[j, i, k] = 1.0, -1.0
+    return C
 
 
-#: Fully antisymmetric sign tensor on {1..7}^3 (zero slices at index 0).
-EPSILON = _build_epsilon()
+#: Structure tensor of the algebra: (x y)_k = sum_ij C[i,j,k] x_i y_j.
+STRUCTURE = _structure_tensor()
 
 
 def epsilon(i, j, k):
     """Completely antisymmetric structure sign epsilon_ijk on indices 1..7."""
     if not all(1 <= t <= 7 for t in (i, j, k)):
         raise ValueError("epsilon indices must lie in 1..7")
-    return float(EPSILON[i, j, k])
+    return float(STRUCTURE[i, j, k])
 
 
-def _build_structure_tensor():
-    # C[i, j, k]: coefficient of e_k in e_i e_j.
-    C = np.zeros((8, 8, 8))
-    C[0, :, :] = np.eye(8)
-    C[:, 0, :] = np.eye(8)
-    for i in range(1, 8):
-        C[i, i, :] = 0.0
-        C[i, i, 0] = -1.0
-        for j in range(1, 8):
-            if i != j:
-                C[i, j, :] = EPSILON[i, j, :]
-    return C
+class _OctonionBase:
+    """x = x0 e0 + ... + x7 e7 with coefficients in the field `_field` (float or complex).
 
-
-#: Structure tensor of the algebra: (x y)_k = sum_ij C[i,j,k] x_i y_j.
-STRUCTURE = _build_structure_tensor()
-
-
-def _mul_coeffs(a, b):
-    return np.einsum("ijk,i,j->k", STRUCTURE, a, b)
-
-
-class Octonion:
-    """Real octonion x = x0 e0 + ... + x7 e7."""
+    Sums, differences and products need both operands over the same field;
+    scalars of that field multiply from either side.
+    """
 
     __slots__ = ("coeffs",)
+    _field = float
+    _scalar = numbers.Real
 
     def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=float)
-        if c.shape != (8,):
-            raise ValueError("an octonion needs exactly 8 coefficients")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("octonion coefficients must be finite")
+        c = np.asarray(coeffs, dtype=self._field)
+        if c.shape != (8,) or not np.all(np.isfinite(c)):
+            raise ValueError(f"{type(self).__name__} needs exactly 8 finite coefficients")
         self.coeffs = c
 
     @classmethod
     def e(cls, i):
-        c = np.zeros(8)
-        c[i] = 1.0
-        return cls(c)
+        return cls(np.eye(8)[i])
 
     @classmethod
     def zero(cls):
         return cls(np.zeros(8))
 
     def __add__(self, other):
-        return Octonion(self.coeffs + other.coeffs)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return type(self)(self.coeffs + other.coeffs)
 
     def __sub__(self, other):
-        return Octonion(self.coeffs - other.coeffs)
+        return self + -other if isinstance(other, type(self)) else NotImplemented
 
     def __neg__(self):
-        return Octonion(-self.coeffs)
+        return type(self)(-self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, Octonion):
-            return Octonion(_mul_coeffs(self.coeffs, other.coeffs))
-        if isinstance(other, numbers.Real):
-            return Octonion(self.coeffs * float(other))
-        return NotImplemented
+        if isinstance(other, type(self)):
+            return type(self)(np.einsum("ijk,i,j->k", STRUCTURE, self.coeffs, other.coeffs))
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
-        if isinstance(other, numbers.Real):
-            return Octonion(self.coeffs * float(other))
+        if isinstance(other, self._scalar):
+            return type(self)(self.coeffs * self._field(other))
         return NotImplemented
 
     def __eq__(self, other):
-        return isinstance(other, Octonion) and np.array_equal(self.coeffs, other.coeffs)
+        return isinstance(other, type(self)) and np.array_equal(self.coeffs, other.coeffs)
 
     def __repr__(self):
-        return f"Octonion({self.coeffs.tolist()})"
+        return f"{type(self).__name__}({self.coeffs.tolist()})"
 
-    def conj(self):
+    def conj_octonion(self):
+        """Octonion conjugate: flips the sign of e1..e7."""
         c = self.coeffs.copy()
         c[1:] = -c[1:]
-        return Octonion(c)
+        return type(self)(c)
+
+
+class Octonion(_OctonionBase):
+    """Real octonion x = x0 e0 + ... + x7 e7."""
+
+    __slots__ = ()
+    conj = _OctonionBase.conj_octonion
 
     def norm(self):
         return float(np.sqrt(np.dot(self.coeffs, self.coeffs)))
@@ -141,7 +129,7 @@ class Octonion:
         return cls(obj)
 
 
-class ComplexOctonion:
+class ComplexOctonion(_OctonionBase):
     """Element of C (x) O: eight complex coefficients over e0..e7.
 
     Three involutions are exposed: `conj_octonion` flips e1..e7,
@@ -149,59 +137,9 @@ class ComplexOctonion:
     composition (the adjoint used by the Witt construction).
     """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=complex)
-        if c.shape != (8,):
-            raise ValueError("a complex octonion needs exactly 8 coefficients")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("complex octonion coefficients must be finite")
-        self.coeffs = c
-
-    @classmethod
-    def e(cls, i):
-        c = np.zeros(8, dtype=complex)
-        c[i] = 1.0
-        return cls(c)
-
-    @classmethod
-    def zero(cls):
-        return cls(np.zeros(8, dtype=complex))
-
-    def __add__(self, other):
-        return ComplexOctonion(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return ComplexOctonion(self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return ComplexOctonion(-self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexOctonion):
-            return ComplexOctonion(_mul_coeffs(self.coeffs, other.coeffs))
-        if isinstance(other, numbers.Complex):
-            return ComplexOctonion(self.coeffs * complex(other))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, numbers.Complex):
-            return ComplexOctonion(self.coeffs * complex(other))
-        return NotImplemented
-
-    def __eq__(self, other):
-        return isinstance(other, ComplexOctonion) and np.array_equal(
-            self.coeffs, other.coeffs
-        )
-
-    def __repr__(self):
-        return f"ComplexOctonion({self.coeffs.tolist()})"
-
-    def conj_octonion(self):
-        c = self.coeffs.copy()
-        c[1:] = -c[1:]
-        return ComplexOctonion(c)
+    __slots__ = ()
+    _field = complex
+    _scalar = numbers.Complex
 
     def conj_complex(self):
         return ComplexOctonion(np.conj(self.coeffs))
@@ -219,20 +157,16 @@ class ComplexOctonion:
 
 def mul(a, b):
     """Product a*b; both operands must share the coefficient field."""
-    if isinstance(a, Octonion) and isinstance(b, Octonion):
-        return a * b
-    if isinstance(a, ComplexOctonion) and isinstance(b, ComplexOctonion):
-        return a * b
-    raise TypeError("mul requires two octonions over the same field")
+    if not (isinstance(a, _OctonionBase) and type(a) is type(b)):
+        raise TypeError("mul requires two octonions over the same field")
+    return a * b
 
 
 def conj(a):
     """Octonion conjugate (flips the sign of e1..e7)."""
-    if isinstance(a, Octonion):
-        return a.conj()
-    if isinstance(a, ComplexOctonion):
-        return a.conj_octonion()
-    raise TypeError("conj expects an Octonion or ComplexOctonion")
+    if not isinstance(a, _OctonionBase):
+        raise TypeError("conj expects an Octonion or ComplexOctonion")
+    return a.conj_octonion()
 
 
 def norm(a: Octonion) -> float:

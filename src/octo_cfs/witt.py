@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .mult_algebra import dagger, left_unit
+from .mult_algebra import left_unit
 
 
 class ConsistencyError(RuntimeError):

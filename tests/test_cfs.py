@@ -614,3 +614,11 @@ def test_ell_batch_matches_single_points():
     assert np.abs(batch - single).max() <= 1e-14
     a = action(measure, cfg=cfg)
     assert abs(float(measure.weights @ batch) - (a - cfg.s)) <= 1e-14
+
+
+def test_system_config_rejects_non_finite_or_out_of_range_parameters():
+    for bad in ({"kappa": 0.0}, {"kappa": -1.0}, {"kappa": np.nan}, {"kappa": np.inf},
+                {"kappa": 0.1, "s": -1.0}, {"kappa": 0.1, "s": np.nan}, {"kappa": 0.1, "s": np.inf}):
+        with pytest.raises(ValueError):
+            SystemConfig(f=2, n=1, **bad)
+    assert SystemConfig(f=2, n=1, kappa=0.1, s=0.0).s == 0.0

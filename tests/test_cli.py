@@ -397,3 +397,33 @@ def test_reproducibility_byte_identical(tmp_path, capsys):
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1].replace("acted2.okn", "acted1.okn")
     assert (tmp_path / "acted1.okn").read_bytes() == (tmp_path / "acted2.okn").read_bytes()
+
+
+def test_cfs_flags_reject_non_finite_or_out_of_range_values(tmp_path, capsys):
+    measure = str(_measure_file(tmp_path))
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.2}, "family": {"type": "mirror_pair"}}))
+    cases = [(["el-residual", "--measure", measure, "--s", v], "--s") for v in ("-1", "nan", "inf")]
+    cases += [(["minimize", "--family", str(family), "--kappa", v], "--kappa") for v in ("0", "-0.5", "nan", "inf")]
+    for argv, flag in cases:
+        assert run(["cfs", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and "family file" not in err
+    family.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": float("nan")}, "family": {"type": "mirror_pair"}}))
+    assert run(["cfs", "minimize", "--family", str(family)]) == 2
+    assert "cannot load family file" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2_with_path_and_reason(tmp_path, capsys):
+    vac = tmp_path / "vac.okn"
+    assert run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(vac)]) == 0
+    missing = tmp_path / "missing"
+    for argv, out in ((["cfs", "action", "--measure", str(_measure_file(tmp_path))], missing / "o.json"),
+                      (["vacuum", "build", "--L", "4", "--T", "4"], missing / "v.okn"),
+                      (["vacuum", "act", "--infile", str(vac), "--op", "1"], missing / "a.okn"),
+                      (["octonion", "table"], tmp_path)):
+        capsys.readouterr()
+        assert run([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write --out {out}: ")
+    assert not missing.exists()

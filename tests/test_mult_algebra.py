@@ -277,3 +277,11 @@ def test_end8_json_round_trip():
     obj = end8_to_json(z)
     assert obj["field"] == "complex"
     assert np.array_equal(end8_from_json(obj), z)
+
+
+def test_in_span_counts_imaginary_part_against_real_span():
+    real_span = span_dimension([I8], field="real")
+    assert in_span(1j * I8, real_span) == 1.0
+    assert abs(in_span(I8 + 1j * I8, real_span) - 1 / np.sqrt(2)) < 1e-15
+    assert in_span(I8 + 0j, real_span) < 1e-15
+    assert in_span(1j * I8, span_dimension([I8], field="complex")) < 1e-15

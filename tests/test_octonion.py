@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from octo_cfs.octonion import (
     FANO_LINES,
+    STRUCTURE,
     ComplexOctonion,
     Octonion,
     associator,
@@ -209,3 +212,74 @@ def test_table_rows():
     assert rows[1][2] == "e3"
     assert rows[2][1] == "-e3"
     assert rows[1][1] == "-e0"
+
+
+def _oracle_epsilon():
+    """The sign tensor filled from FANO_LINES one permutation at a time, as the table was first built."""
+    eps = np.zeros((8, 8, 8))
+    for a, b, c in FANO_LINES:
+        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+            eps[i, j, k] = 1.0
+            eps[j, i, k] = -1.0
+            eps[i, k, j] = -1.0
+            eps[k, j, i] = -1.0
+            eps[k, i, j] = 1.0
+            eps[j, k, i] = 1.0
+    return eps
+
+
+def _oracle_structure(eps):
+    C = np.zeros((8, 8, 8))
+    C[0, :, :] = np.eye(8)
+    C[:, 0, :] = np.eye(8)
+    for i in range(1, 8):
+        C[i, i, :] = 0.0
+        C[i, i, 0] = -1.0
+        for j in range(1, 8):
+            if i != j:
+                C[i, j, :] = eps[i, j, :]
+    return C
+
+
+def test_structure_and_epsilon_match_two_step_oracle():
+    eps = _oracle_epsilon()
+    oracle = _oracle_structure(eps)
+    assert np.array_equal(STRUCTURE, oracle)  # all 512 entries
+    assert not np.signbit(STRUCTURE[STRUCTURE == 0]).any()
+    for i, j, k in itertools.product(range(1, 8), repeat=3):  # all 343 triples
+        assert epsilon(i, j, k) == eps[i, j, k]
+
+
+def test_mixed_field_add_and_sub_rejected():
+    x = e(1)
+    z = ComplexOctonion(1j * np.ones(8))
+    for a, b in ((x, z), (z, x)):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+    with pytest.raises(TypeError):
+        x * 1j
+    with pytest.raises(TypeError):
+        1j * x
+
+
+def test_operations_keep_class_and_dtype():
+    x, y = rand_octonion(), rand_octonion()
+    z = ComplexOctonion(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    w = ComplexOctonion(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    real = [x * 2.0, 2.0 * x, x * 3, x + y, x - y, -x, x * y, mul(x, y), conj(x), x.conj(),
+            x.conj_octonion(), inv(x), associator(x, y, x), Octonion.e(3), Octonion.zero()]
+    cplx = [z * 1j, 1j * z, z * 2.0, 2.0 * z, z + w, z - w, -z, z * w, mul(z, w), conj(z),
+            z.conj_octonion(), z.conj_complex(), z.dagger(), associator(z, w, z),
+            ComplexOctonion.e(3), ComplexOctonion.zero(), projector(+1)]
+    for v in real:
+        assert type(v) is Octonion and v.coeffs.dtype == np.float64
+    for v in cplx:
+        assert type(v) is ComplexOctonion and v.coeffs.dtype == np.complex128
+    assert np.array_equal((2.0 * x).coeffs, 2.0 * x.coeffs)
+    assert np.array_equal((x * 2.0).coeffs, 2.0 * x.coeffs)
+    assert np.array_equal((z * 1j).coeffs, 1j * z.coeffs)
+    assert np.array_equal((x - y).coeffs, x.coeffs - y.coeffs)
+    assert repr(e(1)) == "Octonion([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])"
+    assert repr(ComplexOctonion.e(0)).startswith("ComplexOctonion([(1+0j), 0j")
