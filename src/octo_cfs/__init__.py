@@ -1,3 +1,14 @@
 """Octonion multiplication algebras, Clifford minimal ideals, and finite causal fermion systems."""
 
+import math
+import numbers
+
 __version__ = "0.1.0"
+
+
+def require_finite(obj, *names) -> None:
+    """ValueError unless each named attribute of `obj` is a finite real number."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite real number, got {value!r}")

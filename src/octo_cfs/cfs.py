@@ -83,6 +83,8 @@ def validate_point(m, cfg: SystemConfig, tol: float = RANK_TOL) -> OperatorPoint
         raise NotHermitian("point must be a square matrix")
     if a.shape[0] != cfg.f:
         raise NotHermitian(f"point must be {cfg.f} x {cfg.f}")
+    if not np.isfinite(a).all():
+        raise NotHermitian("point entries must be finite")
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     if np.abs(a - a.conj().T).max(initial=0.0) > 1e-12 * scale:
         raise NotHermitian("point is not Hermitian")
@@ -218,8 +220,8 @@ class DiscreteMeasure:
         self.weights = np.asarray(self.weights, dtype=float)
         if len(self.points) != len(self.weights):
             raise ValueError("points and weights must have equal length")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("weights must be positive")
+        if not np.all((self.weights > 0.0) & (self.weights < np.inf)):
+            raise ValueError("weights must be positive and finite")
         if abs(self.weights.sum() - 1.0) > 1e-10:
             raise ValueError("weights must sum to one (volume constraint)")
         # operator-norm distances to all later points: max|eigvalsh| of the Hermitian differences,

@@ -57,9 +57,9 @@ class CheckFailure(Exception):
     pass
 
 
-def _meta(args, command: str, **params) -> dict:
+def _meta(args, **params) -> dict:
     return {
-        "command": command,
+        "command": f"{args.group} {args.verb}",
         "version": __version__,
         "seed": getattr(args, "seed", None),
         "tolerance": getattr(args, "tol", None),
@@ -90,6 +90,15 @@ def _writing(path):
         raise ValidationError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
+@contextlib.contextmanager
+def _reading(what, path):
+    """Scope that reads and parses `path`; a missing or malformed input exits 2 naming the file."""
+    try:
+        yield
+    except (OSError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"cannot load {what} {path}: {exc}") from exc
+
+
 def _override(cfg, flag, value):
     """cfg with the value of --flag when given; a value SystemConfig rejects exits 2 naming the flag."""
     try:
@@ -98,7 +107,14 @@ def _override(cfg, flag, value):
         raise ValidationError(f"--{flag}: {exc}") from exc
 
 
-def _write(args, text: str) -> None:
+def _emit(args, payload: dict, rows=None, fields=None) -> None:
+    """JSON payload, or a CSV projection of `rows` when --format csv; to --out or stdout."""
+    if getattr(args, "format", "json") == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([fields, *rows])
+        text = buf.getvalue()
+    else:
+        text = json.dumps(_to_plain(payload), indent=2, sort_keys=True) + "\n"
     if getattr(args, "out", None):
         with _writing(args.out), open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -106,21 +122,8 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args, payload: dict, rows=None, fields=None) -> None:
-    """JSON payload, or a CSV projection of `rows` when --format csv."""
-    if getattr(args, "format", "json") == "csv" and rows is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow(row)
-        _write(args, buf.getvalue())
-    else:
-        _write(args, json.dumps(_to_plain(payload), indent=2, sort_keys=True) + "\n")
-
-
-def _finish_checks(args, meta: dict, checks: list) -> int:
-    payload = {"meta": meta, "checks": checks, "all_passed": all(c["passed"] for c in checks)}
+def _finish_checks(args, checks: list) -> int:
+    payload = {"meta": _meta(args), "checks": checks, "all_passed": all(c["passed"] for c in checks)}
     rows = [(c["name"], c["passed"], c["value"]) for c in checks]
     _emit(args, payload, rows=rows, fields=("check", "passed", "value"))
     return EXIT_OK if payload["all_passed"] else EXIT_CHECK_FAILED
@@ -130,7 +133,7 @@ def _finish_checks(args, meta: dict, checks: list) -> int:
 
 def cmd_octonion_table(args) -> int:
     rows = table_rows()
-    payload = {"meta": _meta(args, "octonion table"), "basis": [f"e{i}" for i in range(8)], "table": rows}
+    payload = {"meta": _meta(args), "basis": [f"e{i}" for i in range(8)], "table": rows}
     labeled = [[f"e{i}", *row] for i, row in enumerate(rows)]
     _emit(args, payload, rows=labeled, fields=["", *(f"e{j}" for j in range(8))])
     return EXIT_OK
@@ -184,7 +187,7 @@ def cmd_octonion_check(args) -> int:
         and np.abs((rp + rm).coeffs - ComplexOctonion.e(0).coeffs).max() == 0.0
     )
     checks.append({"name": "projectors_rho_pm", "passed": bool(proj_ok), "value": None})
-    return _finish_checks(args, _meta(args, "octonion check"), checks)
+    return _finish_checks(args, checks)
 
 
 # ---------------------------------------------------------------- clifford
@@ -192,11 +195,7 @@ def cmd_octonion_check(args) -> int:
 def cmd_clifford_dim(args) -> int:
     real = span_dimension([left_unit(i) for i in range(1, 8)], field="real")
     cplx = span_dimension([left_unit(i).astype(complex) for i in range(1, 8)], field="complex")
-    payload = {
-        "meta": _meta(args, "clifford dim"),
-        "real_dim": real.dimension,
-        "complex_dim": cplx.dimension,
-    }
+    payload = {"meta": _meta(args), "real_dim": real.dimension, "complex_dim": cplx.dimension}
     _emit(args, payload)
     return EXIT_OK
 
@@ -230,7 +229,7 @@ def cmd_clifford_identities(args) -> int:
     checks.append({"name": "quadratic_relation_200", "passed": quad < tol, "value": quad})
     rep = left_right_equality()
     checks.append({"name": "left_right_span_equality", "passed": bool(rep["equal"]), "value": rep["union_rank"]})
-    return _finish_checks(args, _meta(args, "clifford identities"), checks)
+    return _finish_checks(args, checks)
 
 
 # ---------------------------------------------------------------- ideals
@@ -240,7 +239,7 @@ def cmd_ideals_states(args) -> int:
     ch = witt.charges(states)
     rows = [(s.label, s.ideal, s.grade, str(ch[s.label])) for s in states]
     payload = {
-        "meta": _meta(args, "ideals states"),
+        "meta": _meta(args),
         "states": [
             {"label": s.label, "ideal": s.ideal, "grade": s.grade, "charge": str(ch[s.label])}
             for s in states
@@ -253,14 +252,10 @@ def cmd_ideals_states(args) -> int:
 def cmd_ideals_su3(args) -> int:
     gens = witt.su3_generators()
     f = witt.structure_constants(gens)
-    rows = []
-    for a in range(8):
-        for b in range(8):
-            for c in range(8):
-                if abs(f[a, b, c]) > 1e-12:
-                    rows.append((a + 1, b + 1, c + 1, round(float(f[a, b, c]), 12)))
+    rows = [(a + 1, b + 1, c + 1, round(float(f[a, b, c]), 12))
+            for a, b, c in np.argwhere(np.abs(f) > 1e-12).tolist()]
     payload = {
-        "meta": _meta(args, "ideals su3"),
+        "meta": _meta(args),
         "convention": "[Lambda_a, Lambda_b] = 2i f_abc Lambda_c",
         "nonzero": [{"a": r[0], "b": r[1], "c": r[2], "f": r[3]} for r in rows],
     }
@@ -270,7 +265,7 @@ def cmd_ideals_su3(args) -> int:
 
 def cmd_ideals_casimir(args) -> int:
     payload = {
-        "meta": _meta(args, "ideals casimir"),
+        "meta": _meta(args),
         "u": witt.classify_representation(states=witt.ideal_basis("u")),
         "d": witt.classify_representation(states=witt.ideal_basis("d")),
     }
@@ -280,20 +275,12 @@ def cmd_ideals_casimir(args) -> int:
 
 # ---------------------------------------------------------------- cfs
 
-def _load_measure(path):
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-        return cfs.measure_from_json(obj)
-    except (OSError, KeyError, ValueError, cfs.NotHermitian, cfs.SignatureViolation) as exc:
-        raise ValidationError(f"cannot load measure file {path}: {exc}") from exc
-
-
 def cmd_cfs_action(args) -> int:
-    measure, cfg = _load_measure(args.measure)
+    with _reading("measure file", args.measure), open(args.measure) as fh:
+        measure, cfg = cfs.measure_from_json(json.load(fh))
     volume, trace = cfs.constraints(measure)
     payload = {
-        "meta": _meta(args, "cfs action", measure=args.measure),
+        "meta": _meta(args, measure=args.measure),
         "action": cfs.action(measure, cfg=cfg),
         "volume": volume,
         "trace": trace,
@@ -303,9 +290,8 @@ def cmd_cfs_action(args) -> int:
 
 
 def cmd_cfs_classify(args) -> int:
-    try:
-        with open(args.pairs) as fh:
-            obj = json.load(fh)
+    with _reading("pairs file", args.pairs), open(args.pairs) as fh:
+        obj = json.load(fh)
         cfg = cfs.config_from_json(obj["config"])
         points = [cfs.validate_point(cfs.complex_matrix_from_json(p), cfg) for p in obj["points"]]
         pairs = obj["pairs"] if "pairs" in obj else [
@@ -317,8 +303,6 @@ def cmd_cfs_classify(args) -> int:
             if not (isinstance(pair, list) and len(pair) == 2
                     and all(type(i) is int and 0 <= i < len(points) for i in pair)):
                 raise ValueError(f"pair {pair!r} is not two point indices in [0, {len(points)})")
-    except (OSError, KeyError, ValueError, cfs.NotHermitian, cfs.SignatureViolation) as exc:
-        raise ValidationError(f"cannot load pairs file {args.pairs}: {exc}") from exc
     rng = np.random.default_rng(args.seed)
     spectra = cfs.pair_spectra(points, points, cfg)
     classes = cfs.causal_classes(spectra)
@@ -339,7 +323,7 @@ def cmd_cfs_classify(args) -> int:
             bad = isinstance(conns[k], cfs.NotSpinConnectable)
             entry["spin_connection_unitarity"] = f"not spin-connectable: {conns[k]}" if bad else float(unitarity[k])
         results.append(entry)
-    payload = {"meta": _meta(args, "cfs classify", pairs=args.pairs), "results": results}
+    payload = {"meta": _meta(args, pairs=args.pairs), "results": results}
     if args.geometry and loop:
         d = conns[len(pairs):]  # D_01 D_12 D_20, then D_02 D_21 D_10: R(0,1,2) R(0,2,1) = I
         bad = [c for c in d if isinstance(c, cfs.NotSpinConnectable)]
@@ -351,13 +335,10 @@ def cmd_cfs_classify(args) -> int:
 
 
 def cmd_cfs_minimize(args) -> int:
-    try:
-        with open(args.family) as fh:
-            spec = json.load(fh)
+    with _reading("family file", args.family), open(args.family) as fh:
+        spec = json.load(fh)
         cfg = _override(cfs.config_from_json(spec["config"]), "kappa", args.kappa)
         family, x0 = minimize_mod.make_family(spec["family"], cfg)
-    except (OSError, KeyError, ValueError) as exc:
-        raise ValidationError(f"cannot load family file {args.family}: {exc}") from exc
     options = minimize_mod.MinimizeOptions(seed=args.seed)
     try:
         measure, report = minimize_mod.minimize(family, cfg, x0, options)
@@ -366,7 +347,7 @@ def cmd_cfs_minimize(args) -> int:
     except (minimize_mod.LineSearchFailure, minimize_mod.MaxIterations) as exc:
         raise CheckFailure(f"optimizer failed: {exc}") from exc
     payload = {
-        "meta": _meta(args, "cfs minimize", family=args.family, kappa=cfg.kappa),
+        "meta": _meta(args, family=args.family, kappa=cfg.kappa),
         "measure": cfs.measure_to_json(measure, cfg),
         # every report field but SLSQP's message text
         "report": {k: v for k, v in dataclasses.asdict(report).items() if k != "status"},
@@ -376,11 +357,12 @@ def cmd_cfs_minimize(args) -> int:
 
 
 def cmd_cfs_el_residual(args) -> int:
-    measure, cfg = _load_measure(args.measure)
+    with _reading("measure file", args.measure), open(args.measure) as fh:
+        measure, cfg = cfs.measure_from_json(json.load(fh))
     cfg = _override(cfg, "s", args.s)
     ells = cfs.ell(measure.points, measure, cfg).tolist()
     payload = {
-        "meta": _meta(args, "cfs el-residual", measure=args.measure, s=cfg.s),
+        "meta": _meta(args, measure=args.measure, s=cfg.s),
         "ell": ells,
         "spread": max(ells) - min(ells) if ells else 0.0,
     }
@@ -410,38 +392,32 @@ def cmd_vacuum_build(args) -> int:
     need, have = lattice.build_peak_bytes(spec), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValidationError(f"the build would hold {need:.3g} bytes of kernels, above {have:.3g} bytes of memory")
-    seas = lattice.vacuum_seas(md, spec)
+    with _writing(args.container):
+        open(args.container, "ab").close()  # an unwritable --out fails before the build; "a" keeps an old file
+        seas = lattice.vacuum_seas(md, spec)
+        lattice.save_kernels(args.container, spec, md, seas, lattice.VACUUM_COEFFICIENTS)
     bases = lattice.sector_bases(seas, md.tau_reg)
-    with _writing(args.out):
-        lattice.save_kernels(args.out, spec, md, seas, lattice.VACUUM_COEFFICIENTS)
     masses = set(md.charged_masses + md.neutrino_masses)
     payload = {
-        "meta": _meta(args, "vacuum build", out=args.out),
+        "meta": _meta(args, out=args.container),
         "lattice": spec.to_json(),
         "masses": md.to_json(),
         "sectors": sorted([f"aux_{name}" for name in lattice.aux_labels()] + [f"e{i}" for i in range(8)]),
         "onshell_residual_max": max(float(lattice.mode_onshell_residuals(m, spec).max()) for m in masses),
         "hermiticity_residual_max": max(k.hermiticity_residual() for k in bases),
     }
-    # --out names the kernel container; the report goes to stdout
-    _emit(args_no_out(args), payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
-def _load_container(load, path):
-    try:
-        return load(path)
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise ValidationError(f"cannot load kernel container {path}: {exc}") from exc
-
-
 def cmd_vacuum_residual(args) -> int:
-    header, seas, _ = _load_container(lattice.load_kernels, args.infile)
-    md = lattice.MassData.from_json(header["masses"])
+    with _reading("kernel container", args.infile):
+        header, seas, _ = lattice.load_kernels(args.infile)
+        md = lattice.MassData.from_json(header["masses"])
     res = lattice.dirac_residual(lattice.vacuum_aux(seas), lattice.aux_masses(md))
     labels = lattice.aux_labels()
     payload = {
-        "meta": _meta(args, "vacuum residual", infile=args.infile),
+        "meta": _meta(args, infile=args.infile),
         "residuals": {name: float(r) for name, r in zip(labels, res)},
         "max": float(res.max()),
     }
@@ -450,9 +426,10 @@ def cmd_vacuum_residual(args) -> int:
 
 
 def cmd_vacuum_localize(args) -> int:
-    header = _load_container(lattice.load_header, args.infile)
-    spec = lattice.LatticeSpec.from_json(header["lattice"])
-    md = lattice.MassData.from_json(header["masses"])
+    with _reading("kernel container", args.infile):
+        header = lattice.load_header(args.infile)
+        spec = lattice.LatticeSpec.from_json(header["lattice"])
+        md = lattice.MassData.from_json(header["masses"])
     try:
         point = tuple(int(v) for v in args.point.split(","))
     except ValueError:
@@ -478,7 +455,7 @@ def cmd_vacuum_localize(args) -> int:
             "rank": int(np.count_nonzero(w)),
         }
     payload = {
-        "meta": _meta(args, "vacuum localize", infile=args.infile, point=list(point)),
+        "meta": _meta(args, infile=args.infile, point=list(point)),
         "neutrino_sector": describe(f_nu),
         "charged_sector": describe(f_ch),
     }
@@ -487,9 +464,10 @@ def cmd_vacuum_localize(args) -> int:
 
 
 def cmd_vacuum_act(args) -> int:
-    header, seas, coefficients = _load_container(lattice.load_kernels, args.infile)
-    spec = lattice.LatticeSpec.from_json(header["lattice"])
-    md = lattice.MassData.from_json(header["masses"])
+    with _reading("kernel container", args.infile):
+        header, seas, coefficients = lattice.load_kernels(args.infile)
+        spec = lattice.LatticeSpec.from_json(header["lattice"])
+        md = lattice.MassData.from_json(header["masses"])
     try:
         word = [int(v) for v in args.op.split(",")]
         if not all(0 <= v <= 7 for v in word):
@@ -498,28 +476,23 @@ def cmd_vacuum_act(args) -> int:
     except ValueError as exc:
         raise ValidationError(f"--op must be a comma-separated word of indices 0..7: {exc}") from exc
     coefficients = op @ coefficients
-    if args.out:
-        with _writing(args.out):
-            lattice.save_kernels(args.out, spec, md, seas, coefficients)
+    if args.container:
+        with _writing(args.container):
+            lattice.save_kernels(args.container, spec, md, seas, coefficients)
     sectors = lattice.materialize(coefficients, lattice.sector_bases(seas, md.tau_reg))
     payload = {
-        "meta": _meta(args, "vacuum act", infile=args.infile, op=word, out=args.out),
+        "meta": _meta(args, infile=args.infile, op=word, out=args.container),
         "sector_norms": {f"e{i}": float(np.abs(k.rel).max()) for i, k in enumerate(sectors)},
     }
-    _emit(args_no_out(args), payload)
+    _emit(args, payload)
     return EXIT_OK
-
-
-def args_no_out(args):
-    """The --out of `vacuum build` and `vacuum act` names the kernel container, not the report."""
-    return argparse.Namespace(out=None, format=getattr(args, "format", "json"))
 
 
 # ---------------------------------------------------------------- majorana
 
 def cmd_majorana_check(args) -> int:
     rep = majorana.check_report(seed=args.seed, variant=args.variant)
-    payload = {"meta": _meta(args, "majorana check", variant=args.variant), "report": rep}
+    payload = {"meta": _meta(args, variant=args.variant), "report": rep}
     _emit(args, payload)
     ok = (
         rep["clifford_residual_majorana"] == 0.0
@@ -536,11 +509,11 @@ def cmd_potentials_scan(args) -> int:
         params = json.loads(args.params)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"--params must be a JSON object: {exc}") from exc
+    try:
+        p = (potentials.TreeParams if args.tree else potentials.LoopParams)(**params)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(str(exc)) from exc
     if args.tree:
-        try:
-            p = potentials.TreeParams(**params)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(str(exc)) from exc
         fields = ("kind", "sL", "sR", "value", "classification", "is_global")
         rows = [tuple(getattr(q, k) for k in fields) for q in potentials.tree_stationary_points(p)]
         regime = (
@@ -548,137 +521,113 @@ def cmd_potentials_scan(args) -> int:
             else "symmetric" if p.mu2 > 0 else "unbroken"
         )
         payload = {
-            "meta": _meta(args, "potentials scan", mode="tree", params=params),
+            "meta": _meta(args, mode="tree", params=params),
             "stationary_points": [dict(zip(fields, row)) for row in rows],
             "regime": regime,
         }
-        _emit(args, payload, rows=rows, fields=fields)
-        return EXIT_OK
-    try:
-        p = potentials.LoopParams(**params)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(str(exc)) from exc
-    rep = potentials.one_loop_vacuum(p)
-    rows = [(k, v) for k, v in sorted(rep.items())]
-    payload = {"meta": _meta(args, "potentials scan", mode="loop", params=params), "vacuum": rep}
-    _emit(args, payload, rows=rows, fields=("quantity", "value"))
+    else:
+        rep = potentials.one_loop_vacuum(p)
+        fields, rows = ("quantity", "value"), sorted(rep.items())
+        payload = {"meta": _meta(args, mode="loop", params=params), "vacuum": rep}
+    _emit(args, payload, rows=rows, fields=fields)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- parser
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI, declared once: (group, verb) -> the handler and exactly the flags it reads.
+
+    A flag is (name, add_argument keywords); a tuple of names is a required choice of one of them.
+    The table is built per call, so it holds the module's current cmd_* functions.
+    """
+    out = ("--out", {})
+    fmt = ("--format", {"choices": ("json", "csv"), "default": "json"})
+    seed = ("--seed", {"type": int, "default": 0})
+    tol = ("--tol", {"type": float})
+    infile = ("--infile", {"required": True})
+    commands = {
+        ("octonion", "table"): (cmd_octonion_table, out, fmt),
+        ("octonion", "check"): (cmd_octonion_check, out,
+                                fmt,
+                                seed,
+                                tol),
+        ("clifford", "dim"): (cmd_clifford_dim, out),
+        ("clifford", "identities"): (cmd_clifford_identities, out,
+                                     fmt,
+                                     seed,
+                                     tol),
+        ("ideals", "states"): (cmd_ideals_states, out, fmt),
+        ("ideals", "su3"): (cmd_ideals_su3, out, fmt),
+        ("ideals", "casimir"): (cmd_ideals_casimir, out),
+        ("cfs", "action"): (cmd_cfs_action, out, ("--measure", {"required": True})),
+        ("cfs", "classify"): (cmd_cfs_classify, out,
+                              fmt,
+                              seed,
+                              ("--pairs", {"required": True}),
+                              ("--geometry", {"action": "store_true",
+                                              "help": "add spin-connection and holonomy residuals"})),
+        ("cfs", "minimize"): (cmd_cfs_minimize, out,
+                              seed,
+                              ("--family", {"required": True}),
+                              ("--kappa", {"type": float})),
+        ("cfs", "el-residual"): (cmd_cfs_el_residual, out,
+                                 fmt,
+                                 ("--measure", {"required": True}),
+                                 ("--s", {"type": float})),
+        # the --out of `vacuum build` and `vacuum act` names the kernel container; reports go to stdout
+        ("vacuum", "build"): (cmd_vacuum_build, ("--out", {"dest": "container", "default": "vacuum.okn"}),
+                              ("--L", {"type": int, "default": 8}),
+                              ("--T", {"type": int, "default": 8}),
+                              ("--a", {"type": float, "default": 0.5}),
+                              ("--eps", {"type": float, "default": 1.0}),
+                              ("--dims", {"choices": ("1+1", "1+3"), "default": "1+1"}),
+                              ("--masses", {"default": "0.5,0.7,0.9"}),
+                              ("--neutrino-masses", {"default": "0.1,0.2,0.3"}),
+                              ("--tau", {"type": float, "default": 1.0})),
+        ("vacuum", "residual"): (cmd_vacuum_residual, out,
+                                 fmt,
+                                 infile),
+        ("vacuum", "localize"): (cmd_vacuum_localize, out,
+                                 infile,
+                                 ("--point", {"required": True})),
+        ("vacuum", "act"): (cmd_vacuum_act, ("--out", {"dest": "container"}),
+                            infile,
+                            ("--op", {"required": True})),
+        ("majorana", "check"): (cmd_majorana_check, out,
+                                seed,
+                                ("--variant", {"choices": ("paper", "derived", "both"), "default": "both"})),
+        ("potentials", "scan"): (cmd_potentials_scan, out,
+                                 fmt,
+                                 (("--tree", "--loop"), {"action": "store_true"}),
+                                 ("--params", {"required": True})),
+    }
     parser = argparse.ArgumentParser(
         prog="octo-cfs",
         description="Octonion multiplication algebras, Clifford ideals, and causal fermion systems",
     )
     parser.add_argument("--version", action="version", version=f"octo-cfs {__version__}")
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    g = sub.add_parser("octonion").add_subparsers(dest="verb", required=True)
-    common(g.add_parser("table"))
-    common(g.add_parser("check"))
-
-    g = sub.add_parser("clifford").add_subparsers(dest="verb", required=True)
-    common(g.add_parser("dim"))
-    common(g.add_parser("identities"))
-
-    g = sub.add_parser("ideals").add_subparsers(dest="verb", required=True)
-    common(g.add_parser("states"))
-    common(g.add_parser("su3"))
-    common(g.add_parser("casimir"))
-
-    g = sub.add_parser("cfs").add_subparsers(dest="verb", required=True)
-    p = g.add_parser("action")
-    common(p)
-    p.add_argument("--measure", required=True)
-    p = g.add_parser("classify")
-    common(p)
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--geometry", action="store_true",
-                   help="add spin-connection and holonomy residuals")
-    p = g.add_parser("minimize")
-    common(p)
-    p.add_argument("--family", required=True)
-    p.add_argument("--kappa", type=float, default=None)
-    p = g.add_parser("el-residual")
-    common(p)
-    p.add_argument("--measure", required=True)
-    p.add_argument("--s", type=float, default=None)
-
-    g = sub.add_parser("vacuum").add_subparsers(dest="verb", required=True)
-    p = g.add_parser("build")
-    common(p)
-    p.add_argument("--L", type=int, default=8)
-    p.add_argument("--T", type=int, default=8)
-    p.add_argument("--a", type=float, default=0.5)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--dims", choices=("1+1", "1+3"), default="1+1")
-    p.add_argument("--masses", default="0.5,0.7,0.9")
-    p.add_argument("--neutrino-masses", dest="neutrino_masses", default="0.1,0.2,0.3")
-    p.add_argument("--tau", type=float, default=1.0)
-    p.set_defaults(out="vacuum.okn")
-    p = g.add_parser("residual")
-    common(p)
-    p.add_argument("--infile", required=True)
-    p = g.add_parser("localize")
-    common(p)
-    p.add_argument("--infile", required=True)
-    p.add_argument("--point", required=True)
-    p = g.add_parser("act")
-    common(p)
-    p.add_argument("--infile", required=True)
-    p.add_argument("--op", required=True)
-
-    g = sub.add_parser("majorana").add_subparsers(dest="verb", required=True)
-    p = g.add_parser("check")
-    common(p)
-    p.add_argument("--variant", choices=("paper", "derived", "both"), default="both")
-
-    g = sub.add_parser("potentials").add_subparsers(dest="verb", required=True)
-    p = g.add_parser("scan")
-    common(p)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--tree", action="store_true")
-    mode.add_argument("--loop", action="store_true")
-    p.add_argument("--params", required=True)
-
+    groups = parser.add_subparsers(dest="group", required=True)
+    verbs = {}
+    for (group, verb), (handler, *flags) in commands.items():
+        if group not in verbs:
+            verbs[group] = groups.add_parser(group).add_subparsers(dest="verb", required=True)
+        p = verbs[group].add_parser(verb)
+        p.set_defaults(handler=handler)
+        for names, kwargs in flags:
+            if isinstance(names, str):
+                p.add_argument(names, **kwargs)
+            else:
+                choice = p.add_mutually_exclusive_group(required=True)
+                for name in names:
+                    choice.add_argument(name, **kwargs)
     return parser
 
 
-_DISPATCH = {
-    ("octonion", "table"): cmd_octonion_table,
-    ("octonion", "check"): cmd_octonion_check,
-    ("clifford", "dim"): cmd_clifford_dim,
-    ("clifford", "identities"): cmd_clifford_identities,
-    ("ideals", "states"): cmd_ideals_states,
-    ("ideals", "su3"): cmd_ideals_su3,
-    ("ideals", "casimir"): cmd_ideals_casimir,
-    ("cfs", "action"): cmd_cfs_action,
-    ("cfs", "classify"): cmd_cfs_classify,
-    ("cfs", "minimize"): cmd_cfs_minimize,
-    ("cfs", "el-residual"): cmd_cfs_el_residual,
-    ("vacuum", "build"): cmd_vacuum_build,
-    ("vacuum", "residual"): cmd_vacuum_residual,
-    ("vacuum", "localize"): cmd_vacuum_localize,
-    ("vacuum", "act"): cmd_vacuum_act,
-    ("majorana", "check"): cmd_majorana_check,
-    ("potentials", "scan"): cmd_potentials_scan,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _DISPATCH[(args.group, args.verb)]
+    args = build_parser().parse_args(argv)
     try:
-        return handler(args)
+        return args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

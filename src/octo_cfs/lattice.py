@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, cfs
+from . import __version__, cfs, require_finite
 from .gammas import GammaSet, dirac_rep
 
 #: Recorded Gram convention for the local correlation operators.
@@ -38,6 +38,7 @@ class LatticeSpec:
     dims: str = "1+1"
 
     def __post_init__(self):
+        require_finite(self, "L", "T", "a", "epsilon")
         if self.L < 2 or self.L % 2:
             raise ValueError("L must be an even positive integer")
         if self.T < 3:
@@ -233,8 +234,9 @@ class MassData:
         object.__setattr__(self, "neutrino_masses", tuple(float(m) for m in self.neutrino_masses))
         if len(self.charged_masses) != 3 or len(self.neutrino_masses) != 3:
             raise ValueError("exactly three masses per sector")
-        if any(m < 0 for m in self.neutrino_masses):
-            raise ValueError("neutrino masses must be non-negative")
+        if not all(0.0 <= m < np.inf for m in self.charged_masses + self.neutrino_masses):
+            raise ValueError("masses must be finite and non-negative")
+        require_finite(self, "tau_reg", "m_ref")
         if sum(1 for m in self.neutrino_masses if m == 0.0) > 2:
             raise ValueError("at most two of the neutrino masses may vanish")
         if not 0.0 < self.tau_reg <= 1.0:

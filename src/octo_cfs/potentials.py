@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import require_finite
+
 
 @dataclass(frozen=True)
 class TreeParams:
@@ -23,6 +25,7 @@ class TreeParams:
     lambda2: float
 
     def __post_init__(self):
+        require_finite(self, "mu2", "lambda1", "lambda2")
         if self.lambda1 <= 0:
             raise ValueError("lambda1 must be positive (boundedness below)")
 
@@ -37,6 +40,7 @@ class LoopParams:
     M: float
 
     def __post_init__(self):
+        require_finite(self, "lambda1", "lambda2", "g", "M")
         if self.g <= 0 or self.M <= 0:
             raise ValueError("g and M must be positive")
 

@@ -4,9 +4,10 @@ import tracemalloc
 import zipfile
 
 import numpy as np
+import pytest
 
 from octo_cfs import cfs
-from octo_cfs.cli import main
+from octo_cfs.cli import build_parser, main
 from octo_cfs.lattice import LatticeSpec, MassData, aux_labels, aux_masses, build_vacuum_aux, dirac_residual_single
 
 
@@ -427,3 +428,180 @@ def test_unwritable_out_exits_2_with_path_and_reason(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write --out {out}: ")
     assert not missing.exists()
+
+
+# ---------------------------------------------------------------- the command table
+
+#: The common flags each command reads; every other common flag exits 2.
+COMMON_FLAGS = {"--out": "x.out", "--format": "csv", "--seed": "3", "--tol": "1e-9"}
+READS = {
+    ("octonion", "table"): ("--out", "--format"),
+    ("octonion", "check"): ("--out", "--format", "--seed", "--tol"),
+    ("clifford", "dim"): ("--out",),
+    ("clifford", "identities"): ("--out", "--format", "--seed", "--tol"),
+    ("ideals", "states"): ("--out", "--format"),
+    ("ideals", "su3"): ("--out", "--format"),
+    ("ideals", "casimir"): ("--out",),
+    ("cfs", "action"): ("--out",),
+    ("cfs", "classify"): ("--out", "--format", "--seed"),
+    ("cfs", "minimize"): ("--out", "--seed"),
+    ("cfs", "el-residual"): ("--out", "--format"),
+    ("vacuum", "build"): ("--out",),
+    ("vacuum", "residual"): ("--out", "--format"),
+    ("vacuum", "localize"): ("--out",),
+    ("vacuum", "act"): ("--out",),
+    ("majorana", "check"): ("--out", "--seed"),
+    ("potentials", "scan"): ("--out", "--format"),
+}
+REQUIRED = {
+    ("cfs", "action"): ["--measure", "m.json"],
+    ("cfs", "classify"): ["--pairs", "p.json"],
+    ("cfs", "minimize"): ["--family", "f.json"],
+    ("cfs", "el-residual"): ["--measure", "m.json"],
+    ("vacuum", "residual"): ["--infile", "v.okn"],
+    ("vacuum", "localize"): ["--infile", "v.okn", "--point", "2,3"],
+    ("vacuum", "act"): ["--infile", "v.okn", "--op", "1"],
+    ("potentials", "scan"): ["--tree", "--params", "{}"],
+}
+
+
+def _table(parser):
+    """(group, verb) -> subparser, read back from a built parser."""
+    import argparse
+
+    def choices(p):
+        return next(a for a in p._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    return {(g, v): pv for g, pg in choices(parser).items() for v, pv in choices(pg).items()}
+
+
+@pytest.mark.parametrize("command", sorted(READS), ids=" ".join)
+def test_each_command_takes_only_the_common_flags_it_reads(command, capsys):
+    argv = [*command, *REQUIRED.get(command, [])]
+    for flag, value in COMMON_FLAGS.items():
+        if flag in READS[command]:
+            build_parser().parse_args([*argv, flag, value])
+        else:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([*argv, flag, value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_every_cmd_handler_is_reachable_through_the_parser():
+    from octo_cfs import cli
+
+    table = _table(build_parser())
+    assert set(table) == set(READS) and sum(len(flags) for flags in READS.values()) == 33
+    reached = {p.get_default("handler") for p in table.values()}
+    assert reached == {f for name, f in vars(cli).items() if name.startswith("cmd_")}
+    args = build_parser().parse_args(["ideals", "casimir"])
+    assert args.handler is cli.cmd_ideals_casimir
+
+
+def test_readme_command_lines_parse():
+    import re
+    import shlex
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    lines = [line for line in lines if line]
+    assert len(lines) == 18 and all(line[0] == "octo-cfs" for line in lines)
+    for line in lines:
+        args = build_parser().parse_args(line[1:])
+        assert (args.group, args.verb) in READS
+
+
+def test_meta_seed_is_null_without_seed_flag(tmp_path):
+    out = tmp_path / "dim.json"
+    assert run(["clifford", "dim", "--out", str(out)]) == 0
+    assert read_json(out)["meta"]["seed"] is None
+    assert read_json(out)["meta"]["command"] == "clifford dim"
+
+
+def test_vacuum_container_out_keeps_its_default_and_report_goes_to_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = build_parser().parse_args(["vacuum", "build"])
+    assert args.container == "vacuum.okn" and not hasattr(args, "out")
+    assert build_parser().parse_args(["vacuum", "act", "--infile", "v.okn", "--op", "1"]).container is None
+    assert run(["vacuum", "build", "--L", "4", "--T", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["params"] == {"out": "vacuum.okn"}
+    assert (tmp_path / "vacuum.okn").exists()
+
+
+# ---------------------------------------------------------------- validation of inputs
+
+def test_vacuum_build_checks_out_before_building(tmp_path, capsys, monkeypatch):
+    from octo_cfs import lattice
+
+    vac = tmp_path / "vac.okn"
+    assert run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(vac)]) == 0
+    built = vac.read_bytes()
+
+    def never(*args, **kwargs):
+        raise AssertionError("vacuum_seas ran before --out was opened")
+
+    monkeypatch.setattr(lattice, "vacuum_seas", never)
+    out = tmp_path / "missing" / "v.okn"
+    capsys.readouterr()
+    assert run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write --out {out}: ")
+    # a build that fails after the check leaves an existing container as it was
+    with pytest.raises(AssertionError, match="vacuum_seas ran"):
+        run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(vac)])
+    assert vac.read_bytes() == built
+
+
+def test_non_finite_measure_input_exits_2(tmp_path, capsys):
+    base = json.loads(_measure_file(tmp_path).read_text())
+    nan_weight = {**base, "weights": [float("nan"), 1.0]}
+    nan_point = json.loads(json.dumps(base))
+    nan_point["points"][0][0][0] = [float("nan"), 0.0]
+    (tmp_path / "w.json").write_text(json.dumps(nan_weight))
+    (tmp_path / "p.json").write_text(json.dumps(nan_point))
+    # a pairs file has no weights, so only the measure commands read the NaN weight
+    cases = [("action", "--measure", "w.json", "measure file", "weights must be positive and finite"),
+             ("action", "--measure", "p.json", "measure file", "point entries must be finite"),
+             ("classify", "--pairs", "p.json", "pairs file", "point entries must be finite")]
+    for verb, flag, name, what, reason in cases:
+        path = tmp_path / name
+        assert run(["cfs", verb, flag, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: cannot load {what} {path}: {reason}\n"
+
+
+def test_non_finite_or_mistyped_parameters_exit_2(tmp_path, capsys):
+    out = tmp_path / "v.okn"
+    for flags, reason in ((["--a", "nan"], "a must be a finite real number"),
+                          (["--eps", "inf"], "epsilon must be a finite real number"),
+                          (["--masses", "nan,0.5,0.6"], "masses must be finite and non-negative")):
+        assert run(["vacuum", "build", "--L", "4", "--T", "4", *flags, "--out", str(out)]) == 2
+        assert reason in capsys.readouterr().err
+    assert not out.exists()
+    tree = '{"mu2": %s, "lambda1": 1.0, "lambda2": 3.0}'
+    loop = '{"lambda1": 0.0063, "lambda2": 1.0, "g": 1.0, "M": %s}'
+    for mode, params, reason in (("--tree", tree % '"a"', "mu2 must be a finite real number, got 'a'"),
+                                 ("--tree", tree % "NaN", "mu2 must be a finite real number, got nan"),
+                                 ("--loop", loop % "NaN", "M must be a finite real number, got nan")):
+        assert run(["potentials", "scan", mode, "--params", params]) == 2
+        assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", [["localize", "--point", "2,3"], ["residual"], ["act", "--op", "1"]],
+                         ids=lambda cmd: cmd[0])
+def test_container_header_without_masses_exits_2(tmp_path, capsys, cmd):
+    vac = tmp_path / "vac.okn"
+    assert run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(vac)]) == 0
+    with zipfile.ZipFile(vac) as zf:
+        chunks = {name: zf.read(name) for name in zf.namelist()}
+    header = json.loads(chunks["header.json"])
+    del header["masses"]
+    chunks["header.json"] = json.dumps(header).encode()
+    broken = tmp_path / "broken.okn"
+    with zipfile.ZipFile(broken, "w") as zf:
+        for name, data in chunks.items():
+            zf.writestr(name, data)
+    capsys.readouterr()
+    assert run(["vacuum", cmd[0], "--infile", str(broken), *cmd[1:]]) == 2
+    assert capsys.readouterr().err == f"error: cannot load kernel container {broken}: 'masses'\n"

@@ -60,6 +60,22 @@ def test_lattice_spec_validation():
     assert s3.momenta().shape == (64, 3)
 
 
+def test_lattice_and_mass_data_reject_non_finite_or_mistyped_values():
+    nan, inf = float("nan"), float("inf")
+    for kwargs in ({"a": nan}, {"a": inf}, {"epsilon": nan}, {"epsilon": inf}, {"a": "0.5"}, {"T": inf}):
+        with pytest.raises(ValueError, match="must be a finite real number"):
+            LatticeSpec(**{"L": 8, "T": 6, "a": 0.5, "epsilon": 1.0, **kwargs})
+    ok = {"charged_masses": (0.5, 0.7, 0.9), "neutrino_masses": (0.1, 0.2, 0.3)}
+    for kwargs in ({"charged_masses": (nan, 0.7, 0.9)}, {"neutrino_masses": (0.1, inf, 0.3)},
+                   {"charged_masses": (-0.5, 0.7, 0.9)}):
+        with pytest.raises(ValueError, match="masses must be finite and non-negative"):
+            MassData(**{**ok, **kwargs})
+    with pytest.raises(ValueError, match="m_ref must be a finite real number"):
+        MassData(**ok, m_ref=nan)
+    with pytest.raises(ValueError):
+        MassData(**ok, tau_reg=nan)
+
+
 def test_mode_onshell_factorization_exact():
     for m in (0.0, 0.5, 1.3):
         assert mode_onshell_residuals(m, SPEC).max() < 1e-12

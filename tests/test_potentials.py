@@ -183,3 +183,12 @@ def test_symmetric_stationary_is_stationary_on_diagonal():
     h = 1e-6 * s
     fd = (one_loop_potential(s + h, s + h, lp) - one_loop_potential(s - h, s - h, lp)) / (2 * h)
     assert abs(fd) < 1e-7 * max(1.0, abs(one_loop_potential(s, s, lp) / s))
+
+
+def test_params_reject_non_finite_or_mistyped_values():
+    for kwargs in ({"mu2": float("nan")}, {"lambda2": float("inf")}, {"mu2": "1.0"}, {"lambda1": None}):
+        with pytest.raises(ValueError, match="must be a finite real number"):
+            TreeParams(**{"mu2": 2.0, "lambda1": 1.0, "lambda2": 3.0, **kwargs})
+    for kwargs in ({"M": float("nan")}, {"g": float("inf")}, {"lambda1": "x"}):
+        with pytest.raises(ValueError, match="must be a finite real number"):
+            LoopParams(**{"lambda1": 0.0063, "lambda2": 1.0, "g": 1.0, "M": 1.0, **kwargs})
