@@ -420,8 +420,11 @@ def measure_to_json(measure: DiscreteMeasure, cfg: SystemConfig) -> dict:
 
 
 def config_from_json(c: dict) -> SystemConfig:
-    """SystemConfig from a file's "config" object: f, n, kappa and an optional s."""
-    return SystemConfig(f=int(c["f"]), n=int(c["n"]), kappa=float(c["kappa"]), s=float(c.get("s", 0.0)))
+    """SystemConfig from a file's "config" object: JSON integers f and n, kappa and an optional s."""
+    for key in ("f", "n"):
+        if type(c[key]) is not int:
+            raise ValueError(f"config {key} must be a JSON integer, got {c[key]!r}")
+    return SystemConfig(f=c["f"], n=c["n"], kappa=float(c["kappa"]), s=float(c.get("s", 0.0)))
 
 
 def measure_from_json(obj: dict):

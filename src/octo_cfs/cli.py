@@ -402,7 +402,7 @@ def cmd_vacuum_build(args) -> int:
         "meta": _meta(args, out=args.container),
         "lattice": spec.to_json(),
         "masses": md.to_json(),
-        "sectors": sorted([f"aux_{name}" for name in lattice.aux_labels()] + [f"e{i}" for i in range(8)]),
+        "sectors": sorted([f"aux_{name}" for name in lattice.AUX_SUMMANDS] + [f"e{i}" for i in range(8)]),
         "onshell_residual_max": max(float(lattice.mode_onshell_residuals(m, spec).max()) for m in masses),
         "hermiticity_residual_max": max(k.hermiticity_residual() for k in bases),
     }
@@ -414,14 +414,9 @@ def cmd_vacuum_residual(args) -> int:
     with _reading("kernel container", args.infile):
         header, seas, _ = lattice.load_kernels(args.infile)
         md = lattice.MassData.from_json(header["masses"])
-    res = lattice.dirac_residual(lattice.vacuum_aux(seas), lattice.aux_masses(md))
-    labels = lattice.aux_labels()
-    payload = {
-        "meta": _meta(args, infile=args.infile),
-        "residuals": {name: float(r) for name, r in zip(labels, res)},
-        "max": float(res.max()),
-    }
-    _emit(args, payload, rows=list(zip(labels, (float(r) for r in res))), fields=("summand", "residual"))
+    res = lattice.dirac_residual(seas, md)
+    payload = {"meta": _meta(args, infile=args.infile), "residuals": res, "max": max(res.values())}
+    _emit(args, payload, rows=list(res.items()), fields=("summand", "residual"))
     return EXIT_OK
 
 
@@ -634,7 +629,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (cfs.EigensolverError, SpanClosureError, np.linalg.LinAlgError) as exc:
+    except (cfs.EigensolverError, SpanClosureError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -88,7 +88,7 @@ def mode_table(mass: float, spec: LatticeSpec, gammas: GammaSet):
     return kvecs, omegas, gammas.slash(np.column_stack([-omegas, kvecs]))
 
 
-def _mode_matrices(mass: float, spec: LatticeSpec, gammas: GammaSet, tau_reg=None):
+def _mode_matrices(mass: float, spec: LatticeSpec, gammas: GammaSet):
     """Per-mode (omegas, kslash, matrices (kslash+m)/(2 omega) * exp(-eps omega))."""
     _, omegas, kslash = mode_table(mass, spec, gammas)
     # the exactly null mode of the massless sea has measure zero in the
@@ -96,9 +96,6 @@ def _mode_matrices(mass: float, spec: LatticeSpec, gammas: GammaSet, tau_reg=Non
     live = omegas > 0.0
     mats = np.zeros_like(kslash)
     mats[live] = (kslash[live] + mass * np.eye(4)) / (2.0 * omegas[live, None, None])
-    if tau_reg is not None and tau_reg != 1.0:
-        a, b = chiral_sandwich(tau_reg, gammas)
-        mats = np.einsum("ab,kbc,cd->kad", a, mats, b)
     return omegas, kslash, mats * np.exp(-spec.epsilon * omegas)[:, None, None]
 
 
@@ -161,17 +158,16 @@ class SectorKernel:
         return float(np.abs(mirrored - self.rel).max())
 
 
-def sea_kernel(mass: float, spec: LatticeSpec, tau_reg=None, gammas: GammaSet = None) -> SectorKernel:
+def sea_kernel(mass: float, spec: LatticeSpec, gammas: GammaSet = None) -> SectorKernel:
     """Negative-energy mode sum (kslash + m)/(2 omega) e^{-ik(x-y)} with k0 = -omega.
 
-    Every mode carries the regularization factor exp(-eps * omega); for
-    tau_reg < 1 the right-handed mode components are scaled by tau_reg
-    (the chiral-symmetry-breaking neutrino regularization).
+    Every mode carries the regularization factor exp(-eps * omega); the
+    chiral neutrino regularization is applied to the summed seas (sector_bases).
     """
     if mass < 0:
         raise ValueError("mass must be non-negative")
     gammas = gammas or dirac_rep()
-    omegas, _, mats = _mode_matrices(mass, spec, gammas, tau_reg)
+    omegas, _, mats = _mode_matrices(mass, spec, gammas)
     dts = np.arange(-(spec.T - 1), spec.T) * spec.a
     rel = mode_sum(np.exp(1j * np.outer(dts, omegas)), mats, spec)  # e^{+i omega dt}
     return SectorKernel(spec, rel, mass=mass, gammas=gammas)
@@ -206,18 +202,9 @@ def dirac_apply(kernel: SectorKernel, mass: float, pseudo: float = 0.0) -> np.nd
     return out
 
 
-def dirac_residual_single(kernel: SectorKernel, mass: float, pseudo: float = 0.0) -> float:
+def dirac_residual_single(kernel: SectorKernel, mass: float) -> float:
     """Max-norm lattice Dirac residual of one kernel."""
-    return float(np.abs(dirac_apply(kernel, mass, pseudo)).max())
-
-
-def dirac_residual(kernels, masses) -> np.ndarray:
-    """Per-summand residuals of (i d-slash - mY) P^aux = 0; a repeated (kernel, mass) pair is evaluated once."""
-    found = {}
-    for k, m in zip(kernels, masses):
-        if (id(k), m) not in found:
-            found[id(k), m] = dirac_residual_single(k, m)
-    return np.array([found[id(k), m] for k, m in zip(kernels, masses)])
+    return float(np.abs(dirac_apply(kernel, mass)).max())
 
 
 @dataclass(frozen=True)
@@ -260,20 +247,16 @@ class MassData:
         )
 
 
-def aux_masses(md: MassData) -> np.ndarray:
-    """The 25 diagonal masses of mY: (m~1, m~2, m~3, 0) + 7 x (m1, m2, m3)."""
-    return np.array(list(md.neutrino_masses) + [0.0] + list(md.charged_masses) * 7)
-
-
-def aux_labels() -> list:
-    return ["nu_1", "nu_2", "nu_3", "nu_he"] + [f"c{a}_{b}" for a in range(1, 8) for b in (1, 2, 3)]
-
-
 #: Labels of the six tau = 1 seas a vacuum is built from, in storage order.
 SEA_LABELS = ("nu_1", "nu_2", "nu_3", "c_1", "c_2", "c_3")
 
 #: Sector coefficients of the built vacuum over the bases (E_nu, E_c): e0 = E_nu, e1..e7 = E_c.
 VACUUM_COEFFICIENTS = np.array([[1, 0]] + [[0, 1]] * 7, dtype=complex)
+
+#: The 25 summands of the auxiliary vacuum, each mapped to the SEA_LABELS index of its sea:
+#: nu_1..3, the zero right-handed high-energy slot nu_he (None), then c_1..3 for each charged sector a.
+AUX_SUMMANDS = {"nu_1": 0, "nu_2": 1, "nu_3": 2, "nu_he": None,
+                **{f"c{a}_{b}": 2 + b for a in range(1, 8) for b in (1, 2, 3)}}
 
 
 def vacuum_seas(md: MassData, spec: LatticeSpec, gammas: GammaSet = None) -> list:
@@ -281,15 +264,10 @@ def vacuum_seas(md: MassData, spec: LatticeSpec, gammas: GammaSet = None) -> lis
     return [sea_kernel(m, spec, gammas=gammas) for m in md.neutrino_masses + md.charged_masses]
 
 
-def vacuum_aux(seas) -> list:
-    """The 25 aux summands by reference to the seas: nu_1..3, the zero nu_he slot, then 7 x c_1..3."""
-    zero = SectorKernel(seas[0].spec, np.zeros_like(seas[0].rel), mass=0.0, gammas=seas[0].gammas)
-    return [*seas[:3], zero, *seas[3:] * 7]
-
-
-def build_vacuum_aux(md: MassData, spec: LatticeSpec, gammas: GammaSet = None) -> list:
-    """The 25-summand auxiliary kernel: 4 neutrino slots (last one zero) + 21 charged."""
-    return vacuum_aux(vacuum_seas(md, spec, gammas))
+def dirac_residual(seas, md: MassData) -> dict:
+    """{aux label: lattice Dirac residual of its summand}; each sea is evaluated once, at its own mass."""
+    per_sea = [dirac_residual_single(k, m) for k, m in zip(seas, md.neutrino_masses + md.charged_masses)]
+    return {label: 0.0 if i is None else per_sea[i] for label, i in AUX_SUMMANDS.items()}
 
 
 def sector_bases(seas, tau_reg: float) -> tuple:
@@ -311,34 +289,8 @@ def materialize(coefficients: np.ndarray, bases) -> list:
 
 
 def build_vacuum_direct(md: MassData, spec: LatticeSpec, gammas: GammaSet = None) -> list:
-    """Eight sector kernels: the asymmetry-regularized neutrino sector plus 7 references to the charged one."""
-    nu, charged = sector_bases(vacuum_seas(md, spec, gammas), md.tau_reg)
-    return [nu] + [charged] * 7
-
-
-def chiral_asymmetry(tau_reg: float, gammas: GammaSet = None) -> np.ndarray:
-    """Block operator X = (1 + 1 + 1 + tau_reg chi_R) + 7 x (1, 1, 1), shape (25, 4, 4)."""
-    if not 0.0 < tau_reg <= 1.0:
-        raise ValueError("tau_reg must lie in (0, 1]")
-    gammas = gammas or dirac_rep()
-    blocks = np.tile(np.eye(4, dtype=complex), (25, 1, 1))
-    blocks[3] = tau_reg * gammas.chiral_right()
-    return blocks
-
-
-def mass_matrix(md: MassData) -> np.ndarray:
-    """Block-diagonal mY: the 4 + 21 diagonal mass blocks, shape (25, 4, 4)."""
-    return aux_masses(md)[:, None, None] * np.eye(4, dtype=complex)
-
-
-def apply_blocks(blocks: np.ndarray, kernels) -> list:
-    """Apply a 25-block operator summand-wise from the left."""
-    if len(blocks) != len(kernels):
-        raise ValueError("block count must match summand count")
-    return [
-        SectorKernel(k.spec, np.einsum("ab,...bc->...ac", b, k.rel), mass=k.mass, gammas=k.gammas)
-        for b, k in zip(blocks, kernels)
-    ]
+    """The eight sector kernels of the built vacuum: VACUUM_COEFFICIENTS materialized over the sector bases."""
+    return materialize(VACUUM_COEFFICIENTS, sector_bases(vacuum_seas(md, spec, gammas), md.tau_reg))
 
 
 @dataclass

@@ -98,8 +98,9 @@ def minimize(
 
     One SLSQP solve over (shape parameters, softmax logits) keeps the trace
     T = 1 as an exact equality constraint; the softmax makes the volume
-    exact. Raises InfeasibleStart for an invalid x0, LineSearchFailure if
-    the solve diverges and MaxIterations if |T - 1| > 1e-6 at its end.
+    exact. Raises InfeasibleStart for an invalid or non-finite x0,
+    LineSearchFailure if the solve diverges and MaxIterations if
+    |T - 1| > 1e-6 at its end.
 
     Returns (DiscreteMeasure, MinimizeReport). The report carries the
     Euler-Lagrange residuals on the support (with the post-hoc Lagrange
@@ -116,6 +117,8 @@ def minimize(
         raise InfeasibleStart(
             f"x0 must have length n_params + n_points = {family.n_params + family.n_points}"
         )
+    if not np.all(np.isfinite(v)):
+        raise InfeasibleStart(f"x0 must be finite, got {v.tolist()}")
     try:
         points0, _ = _unpack(family, v)
         for p in points0:
@@ -146,8 +149,9 @@ def minimize(
     if abs(trace - 1.0) > 1e-6:
         raise MaxIterations(f"trace constraint not met ({res.message}): trace={trace}")
 
-    validated = [cfs.validate_point(p, cfg) for p in points]
-    merged_pts, merged_w = cfs.merge_duplicates(validated, w)
+    kept = w > 0.0  # a weight the softmax underflowed to exactly 0 carries no measure
+    validated = [cfs.validate_point(p, cfg) for p, k in zip(points, kept) if k]
+    merged_pts, merged_w = cfs.merge_duplicates(validated, w[kept])
     merged_w = merged_w / merged_w.sum()
     measure = cfs.DiscreteMeasure(points=merged_pts, weights=merged_w)
 

@@ -175,9 +175,14 @@ def one_loop_vr_squared(p: LoopParams) -> float:
     """Closed-form stationary radius on the sR axis.
 
     v_R^2 = M^2 exp(25/6 - 1/2 - 64 pi^2 lambda1 / (3 g^4)), equivalent to
-    ln(v_R^2/M^2) - 25/6 = -1/2 - (64 pi^2 / 3 g^4) lambda1.
+    ln(v_R^2/M^2) - 25/6 = -1/2 - (64 pi^2 / 3 g^4) lambda1. Raises
+    FloatingPointError when v_R^2 over- or underflows the positive floats.
     """
-    return p.M**2 * np.exp(25.0 / 6.0 - 0.5 - p.lambda1 / p.loop_coeff)
+    with np.errstate(all="ignore"):
+        vr2 = np.square(p.M) * np.exp(25.0 / 6.0 - 0.5 - np.divide(p.lambda1, p.loop_coeff))
+    if not 0.0 < vr2 < np.inf:
+        raise FloatingPointError(f"v_R^2 = M^2 exp(11/3 - lambda1 / loop_coeff) = {vr2} is not a positive finite float")
+    return vr2
 
 
 def one_loop_symmetric_stationary(p: LoopParams) -> float:

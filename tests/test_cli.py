@@ -8,7 +8,7 @@ import pytest
 
 from octo_cfs import cfs
 from octo_cfs.cli import build_parser, main
-from octo_cfs.lattice import LatticeSpec, MassData, aux_labels, aux_masses, build_vacuum_aux, dirac_residual_single
+from octo_cfs.lattice import AUX_SUMMANDS, LatticeSpec, MassData, dirac_residual_single, vacuum_seas
 
 
 def run(args, capsys=None):
@@ -194,6 +194,29 @@ def test_cfs_minimize_kappa_flag_overrides_file_config(tmp_path):
     assert abs(rep["report"]["action"] - (0.25 + 0.25)) < 1e-6
 
 
+def test_cfs_action_rejects_non_integer_dimensions(tmp_path, capsys):
+    path = _measure_file(tmp_path)
+    measure = read_json(path)
+    for key, bad in (("f", 2.7), ("n", 1.5), ("f", 2.0), ("n", True)):
+        path.write_text(json.dumps({**measure, "config": {**measure["config"], key: bad}}))
+        assert run(["cfs", "action", "--measure", str(path)]) == 2
+        assert f"config {key} must be a JSON integer, got {bad!r}" in capsys.readouterr().err
+
+
+def test_cfs_minimize_init_with_underflowed_or_non_finite_logits(tmp_path, capsys):
+    fam_path = tmp_path / "family.json"
+    fam = {"config": {"f": 2, "n": 1, "kappa": 0.2}, "family": {"type": "mirror_pair"}}
+    fam["family"]["init"] = [1.2, 0.4, 800.0, 0.0]
+    fam_path.write_text(json.dumps(fam))
+    out = tmp_path / "min.json"
+    assert run(["cfs", "minimize", "--family", str(fam_path), "--out", str(out)]) == 0
+    assert read_json(out)["measure"]["weights"] == [1.0]
+    fam["family"]["init"] = [1.2, 0.4, float("nan"), -0.1]
+    fam_path.write_text(json.dumps(fam))
+    assert run(["cfs", "minimize", "--family", str(fam_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: x0 must be finite")
+
+
 def test_cfs_action_invalid_measure(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{\"config\": {\"f\": 2, \"n\": 1, \"kappa\": 0.1}, \"points\": [], }")
@@ -247,8 +270,14 @@ def test_vacuum_container_holds_six_seas_and_residuals_are_exact(tmp_path, capsy
     residuals = read_json(out)["residuals"]
     spec = LatticeSpec.from_json(built["lattice"])
     md = MassData.from_json(built["masses"])
-    for name, k, m in zip(aux_labels(), build_vacuum_aux(md, spec), aux_masses(md)):
-        assert residuals[name] == dirac_residual_single(k, m)
+    seas, masses = vacuum_seas(md, spec), md.neutrino_masses + md.charged_masses
+    assert list(residuals) == sorted(AUX_SUMMANDS)
+    for name, i in AUX_SUMMANDS.items():
+        assert residuals[name] == (0.0 if i is None else dirac_residual_single(seas[i], masses[i]))
+    csv_out = tmp_path / "res.csv"
+    assert run(["vacuum", "residual", "--infile", str(vac), "--format", "csv", "--out", str(csv_out)]) == 0
+    lines = csv_out.read_text().splitlines()
+    assert lines == ["summand,residual"] + [f"{name},{residuals[name]!r}" for name in AUX_SUMMANDS]
 
 
 def test_vacuum_build_size_guard_allocates_nothing(tmp_path, capsys):
@@ -349,6 +378,15 @@ def test_potentials_scan_tree_and_loop(tmp_path):
     assert rep2["vacuum"]["is_local_minimum"]
 
     assert run(["potentials", "scan", "--tree", "--params", "{bad"]) == 2
+
+
+def test_potentials_scan_loop_exits_3_when_vr_squared_leaves_the_float_range(capsys):
+    for g, M in ((1e-3, 1.0), (1e-100, 1.0), (1e-3, 1e200), (1.0, 1e200)):
+        params = json.dumps({"lambda1": 0.0063, "lambda2": 1.0, "g": g, "M": M})
+        assert run(["potentials", "scan", "--loop", "--params", params]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: v_R^2 = ") and "Warning" not in captured.err
 
 
 def test_exit_codes(tmp_path):

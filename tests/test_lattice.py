@@ -7,18 +7,16 @@ from hypothesis import strategies as st
 
 from octo_cfs import cfs
 from octo_cfs.gammas import dirac_rep, majorana_rep
+from octo_cfs import lattice
 from octo_cfs.lattice import (
+    AUX_SUMMANDS,
     SEA_LABELS,
     VACUUM_COEFFICIENTS,
     LatticeSpec,
     MassData,
     SectorKernel,
-    apply_blocks,
-    aux_labels,
-    aux_masses,
-    build_vacuum_aux,
+    _mode_matrices,
     build_vacuum_direct,
-    chiral_asymmetry,
     chiral_sandwich,
     dirac_residual,
     dirac_residual_single,
@@ -26,10 +24,10 @@ from octo_cfs.lattice import (
     load_header,
     load_kernels,
     local_correlation,
-    mass_matrix,
     materialize,
     mode_dirac_residuals,
     mode_onshell_residuals,
+    mode_sum,
     occupied_modes,
     save_kernels,
     sea_kernel,
@@ -86,7 +84,7 @@ def test_mode_dirac_residuals_time_continuum():
         assert mode_dirac_residuals(m, SPEC).max() < 1e-10
 
 
-def direct_sea_kernel(mass, spec, tau_reg=None, gammas=None):
+def direct_sea_kernel(mass, spec, gammas=None):
     """Per-mode matrices and the direct 1+1 / 1+3 einsum mode sum: the oracle for the FFT path."""
     gammas = gammas or dirac_rep()
     kvecs = spec.momenta()
@@ -95,9 +93,6 @@ def direct_sea_kernel(mass, spec, tau_reg=None, gammas=None):
     for i, (k, w) in enumerate(zip(kvecs, omegas)):
         if w != 0.0:
             mats[i] = (gammas.slash(np.concatenate([[-w], k])) + mass * np.eye(4)) / (2.0 * w)
-    if tau_reg is not None:
-        a, b = chiral_sandwich(tau_reg, gammas)
-        mats = np.einsum("ab,kbc,cd->kad", a, mats, b)
     mats *= np.exp(-spec.epsilon * omegas)[:, None, None]
     dts = np.arange(-(spec.T - 1), spec.T) * spec.a
     time_phase = np.exp(1j * np.outer(dts, omegas))
@@ -126,13 +121,12 @@ def lattice_specs(draw):
 @given(
     spec=lattice_specs(),
     mass=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
-    tau_reg=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True)),
     majorana=st.booleans(),
 )
-def test_sea_kernel_matches_direct_mode_sum(spec, mass, tau_reg, majorana):
+def test_sea_kernel_matches_direct_mode_sum(spec, mass, majorana):
     gs = majorana_rep() if majorana else dirac_rep()
-    oracle = direct_sea_kernel(mass, spec, tau_reg=tau_reg, gammas=gs)
-    rel = sea_kernel(mass, spec, tau_reg=tau_reg, gammas=gs).rel
+    oracle = direct_sea_kernel(mass, spec, gammas=gs)
+    rel = sea_kernel(mass, spec, gammas=gs).rel
     assert np.abs(rel - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
@@ -166,8 +160,8 @@ def test_kernel_hermiticity_identity():
 
 
 def test_neutrino_sector_hermiticity_with_chiral_breaking():
-    k = sea_kernel(0.3, SPEC, tau_reg=0.6)
-    assert k.hermiticity_residual() < 1e-10
+    nu, _ = sector_bases(vacuum_seas(MD, SPEC), 0.6)
+    assert nu.hermiticity_residual() < 1e-10
 
 
 def test_massless_trace_oracle():
@@ -226,62 +220,35 @@ def test_build_vacuum_direct_sector_structure():
 
 
 def test_aux_block_structure():
-    aux = build_vacuum_aux(MD, SPEC)
-    assert len(aux) == 25
-    assert np.abs(aux[3].rel).max() == 0.0  # right-handed high-energy slot
-    assert aux_labels()[3] == "nu_he"
-    masses = aux_masses(MD)
-    assert masses.shape == (25,)
-    assert masses[3] == 0.0
-    assert list(masses[:3]) == list(MD.neutrino_masses)
-    assert list(masses[4:7]) == list(MD.charged_masses)
-
-
-def test_chiral_asymmetry_blocks():
-    gs = majorana_rep()
-    x1 = chiral_asymmetry(1.0, gs)
-    assert np.allclose(x1[:3], np.eye(4))
-    # X.X = X on the fourth summand iff tau_reg = 1
-    assert np.allclose(x1[3] @ x1[3], x1[3], atol=1e-14)
-    x_half = chiral_asymmetry(0.5, gs)
-    assert not np.allclose(x_half[3] @ x_half[3], x_half[3])
-    with pytest.raises(ValueError):
-        chiral_asymmetry(0.0)
-
-    my = mass_matrix(MD)
-    assert my.shape == (25, 4, 4)
-    assert np.allclose(my[4], MD.charged_masses[0] * np.eye(4))
-
-    aux = build_vacuum_aux(MD, SPEC)
-    seas = apply_blocks(chiral_asymmetry(MD.tau_reg), aux)
-    assert len(seas) == 25
-    for i in range(3):
-        assert np.array_equal(seas[i].rel, aux[i].rel)
+    labels = ["nu_1", "nu_2", "nu_3", "nu_he"] + [f"c{a}_{b}" for a in range(1, 8) for b in (1, 2, 3)]
+    assert list(AUX_SUMMANDS) == labels
+    assert AUX_SUMMANDS["nu_he"] is None  # the zero right-handed high-energy slot
+    for label, i in AUX_SUMMANDS.items():
+        if label.startswith("c"):
+            assert SEA_LABELS[i] == "c_" + label.split("_")[1]
+        elif label != "nu_he":
+            assert SEA_LABELS[i] == label
 
 
 def test_dirac_residual_aux_summands():
-    aux = build_vacuum_aux(MD, SPEC)
-    res = dirac_residual(aux, aux_masses(MD))
-    assert res.shape == (25,)
-    assert res[3] == 0.0
-    assert np.all(res < 0.05)
-    # summands with identical masses give identical residuals
-    assert abs(res[4] - res[7]) < 1e-14
+    res = dirac_residual(vacuum_seas(MD, SPEC), MD)
+    assert list(res) == list(AUX_SUMMANDS)
+    assert res["nu_he"] == 0.0
+    assert all(r < 0.05 for r in res.values())
+    # summands of one sea share its residual
+    assert res["c1_1"] == res["c4_1"] != res["c1_2"]
 
 
-def test_dirac_residual_evaluates_each_kernel_mass_pair_once(monkeypatch):
-    from octo_cfs import lattice
-
-    aux = build_vacuum_aux(MD, SPEC)
-    expect = [dirac_residual_single(k, m) for k, m in zip(aux, aux_masses(MD))]
+def test_dirac_residual_evaluates_each_sea_once(monkeypatch):
+    seas = vacuum_seas(MD, SPEC)
+    masses = MD.neutrino_masses + MD.charged_masses
     calls = []
     single = lattice.dirac_residual_single
-    monkeypatch.setattr(lattice, "dirac_residual_single", lambda k, m: calls.append(m) or single(k, m))
-    assert dirac_residual(aux, aux_masses(MD)).tolist() == expect
-    assert len(calls) == 7
-    # one kernel under two masses is two evaluations
-    k = aux[4]
-    assert dirac_residual([k, k, k], [0.5, 0.9, 0.5]).tolist() == [single(k, 0.5), single(k, 0.9), single(k, 0.5)]
+    monkeypatch.setattr(lattice, "dirac_residual_single", lambda k, m: calls.append((k, m)) or single(k, m))
+    res = dirac_residual(seas, MD)
+    assert calls == list(zip(seas, masses))
+    for label, i in AUX_SUMMANDS.items():
+        assert res[label] == (0.0 if i is None else single(seas[i], masses[i]))
 
 
 def test_octonionic_round_trip_bit_exact():
@@ -496,7 +463,12 @@ def test_materialized_sectors_match_tau_regularized_seas(spec, tau_reg, neutrino
     md = MassData(charged_masses=charged, neutrino_masses=neutrino, tau_reg=tau_reg)
     gs = majorana_rep() if majorana else dirac_rep()
     # oracle: each neutrino sea carries the chiral sandwich inside its own mode sum
-    e0 = sum(sea_kernel(m, spec, tau_reg=tau_reg, gammas=gs).rel for m in neutrino)
+    a, b = chiral_sandwich(tau_reg, gs)
+    dts = np.arange(-(spec.T - 1), spec.T) * spec.a
+    e0 = 0.0
+    for m in neutrino:
+        omegas, _, mats = _mode_matrices(m, spec, gs)
+        e0 = e0 + mode_sum(np.exp(1j * np.outer(dts, omegas)), np.einsum("ab,kbc,cd->kad", a, mats, b), spec)
     charged_sum = sum(sea_kernel(m, spec, gammas=gs).rel for m in charged)
     seas = vacuum_seas(md, spec, gs)
     assert [k.mass for k in seas] == list(md.neutrino_masses + md.charged_masses)
@@ -505,11 +477,11 @@ def test_materialized_sectors_match_tau_regularized_seas(spec, tau_reg, neutrino
     # both paths round in the FFT at the scale of the unsandwiched sum; the
     # sandwich (operator norm 1) then shrinks the right-handed part by tau_reg
     scale = np.abs(seas[0].rel + seas[1].rel + seas[2].rel).max()
-    for nu in (sectors[0], direct[0]):
-        assert np.abs(nu.rel - e0).max() <= 1e-15 * scale
-    for k in sectors[1:] + direct[1:]:
+    assert np.abs(sectors[0].rel - e0).max() <= 1e-15 * scale
+    for k in sectors[1:]:
         assert np.array_equal(k.rel, charged_sum)
-    assert all(k is direct[1] for k in direct[2:])
+    for k, d in zip(sectors, direct):
+        assert np.array_equal(k.rel, d.rel)
 
 
 @settings(max_examples=40, deadline=None)

@@ -131,3 +131,22 @@ def test_make_family_sign_template_validated():
         make_family({"type": "diagonal", "signs": [[1.0, 1.0]]}, cfg)
     with pytest.raises(ValueError):
         make_family({"type": "unknown"}, cfg)
+
+
+def test_non_finite_start_raises():
+    cfg = cfs.SystemConfig(f=2, n=1, kappa=0.2)
+    fam, _ = make_family({"type": "mirror_pair"}, cfg)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InfeasibleStart, match="x0 must be finite"):
+            minimize(fam, cfg, np.array([1.2, 0.4, bad, -0.1]))
+
+
+def test_point_with_underflowed_weight_is_dropped():
+    # logits 800 apart: the softmax weight of the second point is exactly 0
+    cfg = cfs.SystemConfig(f=2, n=1, kappa=0.2)
+    fam, _ = make_family({"type": "mirror_pair"}, cfg)
+    x0 = np.array([1.2, 0.4, 800.0, 0.0])
+    assert softmax(x0[2:])[1] == 0.0
+    measure, report = minimize(fam, cfg, x0)
+    assert len(measure.points) == 1 and measure.weights.tolist() == [1.0]
+    assert abs(report.trace - 1.0) < 1e-6 and report.volume == 1.0

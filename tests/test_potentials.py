@@ -192,3 +192,10 @@ def test_params_reject_non_finite_or_mistyped_values():
     for kwargs in ({"M": float("nan")}, {"g": float("inf")}, {"lambda1": "x"}):
         with pytest.raises(ValueError, match="must be a finite real number"):
             LoopParams(**{"lambda1": 0.0063, "lambda2": 1.0, "g": 1.0, "M": 1.0, **kwargs})
+
+
+def test_vr_squared_outside_the_float_range_raises():
+    # g = 1e-3 underflows the exponential to 0, g = 1e-100 underflows g^4 to 0, M = 1e200 overflows M^2
+    for g, M in ((1e-3, 1.0), (1e-100, 1.0), (1e-3, 1e200), (1.0, 1e200)):
+        with pytest.raises(FloatingPointError, match="not a positive finite float"):
+            one_loop_vacuum(LoopParams(lambda1=0.0063, lambda2=1.0, g=g, M=M))
