@@ -124,10 +124,9 @@ class SectorKernel:
     satisfies gamma0 K(y,x)^dag gamma0 = K(x,y).
     """
 
-    def __init__(self, spec: LatticeSpec, rel: np.ndarray, mass=None, gammas: GammaSet = None):
+    def __init__(self, spec: LatticeSpec, rel: np.ndarray, gammas: GammaSet = None):
         self.spec = spec
         self.rel = rel
-        self.mass = mass
         self.gammas = gammas or dirac_rep()
         expect = (2 * spec.T - 1,) + (spec.L,) * spec.spatial_dims + (4, 4)
         if rel.shape != expect:
@@ -170,7 +169,7 @@ def sea_kernel(mass: float, spec: LatticeSpec, gammas: GammaSet = None) -> Secto
     omegas, _, mats = _mode_matrices(mass, spec, gammas)
     dts = np.arange(-(spec.T - 1), spec.T) * spec.a
     rel = mode_sum(np.exp(1j * np.outer(dts, omegas)), mats, spec)  # e^{+i omega dt}
-    return SectorKernel(spec, rel, mass=mass, gammas=gammas)
+    return SectorKernel(spec, rel, gammas=gammas)
 
 
 def mode_onshell_residuals(mass: float, spec: LatticeSpec, gammas: GammaSet = None) -> np.ndarray:

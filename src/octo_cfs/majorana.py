@@ -95,7 +95,7 @@ def p_m_kernel(spec: LatticeSpec, m: float, n: float, variant: str,
         mode_resid = max(mode_resid, float((resid * weights).max()))
         fs = weights[:, None, None] * _factor(k4s, m, n, variant, gs)
         rel = rel + mode_sum(np.exp(-1j * np.outer(dts, k4s[:, 0])), fs, spec)  # e^{-i k0 dt}
-    kernel = SectorKernel(spec, rel, mass=m, gammas=gs)
+    kernel = SectorKernel(spec, rel, gammas=gs)
 
     position_resid = float(np.abs(dirac_apply(kernel, m, pseudo=n)).max())
     scale = float(np.abs(rel).max())

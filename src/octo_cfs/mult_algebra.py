@@ -51,27 +51,17 @@ def right_unit(i) -> np.ndarray:
     return right_matrix(Octonion.e(i))
 
 
-def chain(word, side="left") -> np.ndarray:
-    """Product of per-letter multiplication matrices, leftmost letter outermost.
+def chain(word) -> np.ndarray:
+    """Product of the letters' left multiplication matrices, leftmost letter outermost.
 
     `word` is a sequence of basis indices 0..7.
     """
     if len(word) == 0:
         raise ValueError("chain needs a non-empty word")
-    unit = left_unit if side == "left" else right_unit
-    out = unit(word[0])
+    out = left_unit(word[0])
     for letter in word[1:]:
-        out = out @ unit(letter)
+        out = out @ left_unit(letter)
     return out
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Adjoint on End8: the conjugate transpose.
-
-    Agrees with the algebraic adjoint (complex conjugation composed with
-    octonion conjugation) on the generators, hence on the whole algebra.
-    """
-    return np.conj(m).T
 
 
 @dataclass
@@ -139,23 +129,6 @@ def in_span(m: np.ndarray, span: AlgebraSpan) -> float:
     if span.field == "real":
         coef = coef.real  # a real span has real coefficients: all of Im m is residual
     return float(np.linalg.norm(v - coef @ q) / nrm)
-
-
-def end8_to_json(m: np.ndarray) -> dict:
-    """Row-major nested-array serialization with an explicit field tag."""
-    m = np.asarray(m)
-    if np.iscomplexobj(m):
-        return {
-            "field": "complex",
-            "entries": [[[float(z.real), float(z.imag)] for z in row] for row in m],
-        }
-    return {"field": "real", "entries": [[float(v) for v in row] for row in m]}
-
-
-def end8_from_json(obj: dict) -> np.ndarray:
-    if obj["field"] == "complex":
-        return np.array([[complex(re, im) for re, im in row] for row in obj["entries"]])
-    return np.array(obj["entries"], dtype=float)
 
 
 def octonion_inner(x: Octonion, y: Octonion) -> float:

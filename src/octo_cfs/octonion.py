@@ -121,13 +121,6 @@ class Octonion(_OctonionBase):
             raise ZeroDivisionError("the zero octonion has no inverse")
         return Octonion(self.conj().coeffs / n2)
 
-    def to_json(self):
-        return self.coeffs.tolist()
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj)
-
 
 class ComplexOctonion(_OctonionBase):
     """Element of C (x) O: eight complex coefficients over e0..e7.
@@ -146,13 +139,6 @@ class ComplexOctonion(_OctonionBase):
 
     def dagger(self):
         return self.conj_octonion().conj_complex()
-
-    def to_json(self):
-        return [[float(z.real), float(z.imag)] for z in self.coeffs]
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls([complex(re, im) for re, im in obj])
 
 
 def mul(a, b):

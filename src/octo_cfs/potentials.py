@@ -171,6 +171,15 @@ def one_loop_gradient_sR(sL: float, sR: float, p: LoopParams) -> float:
     return 2.0 * p.lambda1 * sR + p.lambda2 * sL + cw
 
 
+def _loop_radius(p: LoopParams, lam: float, formula: str) -> float:
+    """M^2 exp(25/6 - 1/2 - lam / loop_coeff); raises FloatingPointError outside the positive floats."""
+    with np.errstate(all="ignore"):
+        s = np.square(p.M) * np.exp(25.0 / 6.0 - 0.5 - np.divide(lam, p.loop_coeff))
+    if not 0.0 < s < np.inf:
+        raise FloatingPointError(f"{formula} = {s} is not a positive finite float")
+    return s
+
+
 def one_loop_vr_squared(p: LoopParams) -> float:
     """Closed-form stationary radius on the sR axis.
 
@@ -178,17 +187,12 @@ def one_loop_vr_squared(p: LoopParams) -> float:
     ln(v_R^2/M^2) - 25/6 = -1/2 - (64 pi^2 / 3 g^4) lambda1. Raises
     FloatingPointError when v_R^2 over- or underflows the positive floats.
     """
-    with np.errstate(all="ignore"):
-        vr2 = np.square(p.M) * np.exp(25.0 / 6.0 - 0.5 - np.divide(p.lambda1, p.loop_coeff))
-    if not 0.0 < vr2 < np.inf:
-        raise FloatingPointError(f"v_R^2 = M^2 exp(11/3 - lambda1 / loop_coeff) = {vr2} is not a positive finite float")
-    return vr2
+    return _loop_radius(p, p.lambda1, "v_R^2 = M^2 exp(11/3 - lambda1 / loop_coeff)")
 
 
 def one_loop_symmetric_stationary(p: LoopParams) -> float:
-    """Stationary radius on the diagonal sL = sR (same closed form shifted by lambda2)."""
-    c = p.loop_coeff
-    return p.M**2 * np.exp(25.0 / 6.0 - 0.5 - (2.0 * p.lambda1 + p.lambda2) / (2.0 * c))
+    """Stationary radius on the diagonal sL = sR: the closed form of v_R^2 with lambda1 + lambda2 / 2."""
+    return _loop_radius(p, p.lambda1 + 0.5 * p.lambda2, "s_sym = M^2 exp(11/3 - (lambda1 + lambda2 / 2) / loop_coeff)")
 
 
 def one_loop_vacuum(p: LoopParams) -> dict:
@@ -196,20 +200,23 @@ def one_loop_vacuum(p: LoopParams) -> dict:
 
     The regime inequality lambda2 > 3 g^2 / 64 pi^2 is evaluated literally
     and recorded alongside the measured ordering of the stationary values.
+    Raises FloatingPointError when a stationary radius or a reported value
+    leaves the finite floats.
     """
     vr2 = one_loop_vr_squared(p)
-    h = 1e-6 * vr2
-    grad_fd = (one_loop_potential(0.0, vr2 + h, p) - one_loop_potential(0.0, vr2 - h, p)) / (2.0 * h)
-    hess_fd = (
-        one_loop_potential(0.0, vr2 + h, p)
-        - 2.0 * one_loop_potential(0.0, vr2, p)
-        + one_loop_potential(0.0, vr2 - h, p)
-    ) / h**2
     s_sym = one_loop_symmetric_stationary(p)
-    v_asym = one_loop_potential(0.0, vr2, p)
-    v_sym = one_loop_potential(s_sym, s_sym, p)
+    h = 1e-6 * vr2
+    with np.errstate(all="ignore"):  # a value that overflows is reported by the finiteness check below
+        grad_fd = (one_loop_potential(0.0, vr2 + h, p) - one_loop_potential(0.0, vr2 - h, p)) / (2.0 * h)
+        hess_fd = (
+            one_loop_potential(0.0, vr2 + h, p)
+            - 2.0 * one_loop_potential(0.0, vr2, p)
+            + one_loop_potential(0.0, vr2 - h, p)
+        ) / h**2
+        v_asym = one_loop_potential(0.0, vr2, p)
+        v_sym = one_loop_potential(s_sym, s_sym, p)
     regime = p.lambda2 > 3.0 * p.g**2 / (64.0 * np.pi**2)
-    return {
+    report = {
         "vR_squared": float(vr2),
         "value_asymmetric": float(v_asym),
         "gradient_residual": float(abs(grad_fd)),
@@ -221,6 +228,10 @@ def one_loop_vacuum(p: LoopParams) -> dict:
         "asymmetric_is_global": bool(v_asym < v_sym),
         "regime_lambda2_gt_3g2_over_64pi2": bool(regime),
     }
+    bad = [k for k, v in report.items() if not np.isfinite(v)]
+    if bad:
+        raise FloatingPointError(f"{', '.join(bad)} not finite at v_R^2 = {vr2}, s_sym = {s_sym}")
+    return report
 
 
 def grid_search_tree(p: TreeParams, bound: float, n: int = 400):

@@ -70,26 +70,17 @@ def idempotents(wb: WittBasis | None = None):
     return omega @ omega_dag, omega_dag @ omega
 
 
-_U_LABELS = (
-    ("nu", ()),
-    ("dbar_r", (0,)),
-    ("dbar_g", (1,)),
-    ("dbar_b", (2,)),
-    ("u_r", (2, 1)),
-    ("u_g", (0, 2)),
-    ("u_b", (1, 0)),
-    ("e+", (2, 1, 0)),
-)
-
-_D_LABELS = (
-    ("nubar", ()),
-    ("d_r", (0,)),
-    ("d_g", (1,)),
-    ("d_b", (2,)),
-    ("ubar_r", (2, 1)),
-    ("ubar_g", (0, 2)),
-    ("ubar_b", (1, 0)),
-    ("e-", (2, 1, 0)),
+#: (S^u label, S^d label, word): a state is its word's raising (S^u) or
+#: lowering (S^d) operators, by index, applied to the ideal's idempotent.
+_LABELS = (
+    ("nu", "nubar", ()),
+    ("dbar_r", "d_r", (0,)),
+    ("dbar_g", "d_g", (1,)),
+    ("dbar_b", "d_b", (2,)),
+    ("u_r", "ubar_r", (2, 1)),
+    ("u_g", "ubar_g", (0, 2)),
+    ("u_b", "ubar_b", (1, 0)),
+    ("e+", "e-", (2, 1, 0)),
 )
 
 
@@ -99,16 +90,13 @@ def ideal_basis(which: str) -> list:
         raise ValueError("ideal must be 'u' or 'd'")
     wb = witt_basis()
     P_u, P_d = idempotents(wb)
-    if which == "u":
-        ops, seed, labels = wb.alpha_dagger, P_u, _U_LABELS
-    else:
-        ops, seed, labels = wb.alpha, P_d, _D_LABELS
+    ops, seed, side = (wb.alpha_dagger, P_u, 0) if which == "u" else (wb.alpha, P_d, 1)
     states = []
-    for label, word in labels:
+    for *labels, word in _LABELS:
         m = seed
         for idx in reversed(word):
             m = ops[idx] @ m
-        states.append(IdealState(label=label, matrix=m, ideal=which, grade=len(word)))
+        states.append(IdealState(label=labels[side], matrix=m, ideal=which, grade=len(word)))
     return states
 
 
@@ -131,12 +119,24 @@ def su3_generators() -> SU3Generators:
     return SU3Generators(Lambda=lam, Q=q)
 
 
+def _coordinates(basis, images):
+    """pinv coordinates (..., k) of images (..., n, n) in the span of k basis matrices.
+
+    Also returns the norm (...) of each image's part outside the span.
+    """
+    basis, images = np.asarray(basis), np.asarray(images)
+    b = basis.reshape(len(basis), -1).T
+    w = images.reshape(-1, b.shape[0]).T
+    coef = np.linalg.pinv(b) @ w
+    resid = np.linalg.norm(b @ coef - w, axis=0)
+    lead = images.shape[: images.ndim - basis.ndim + 1]
+    return coef.T.reshape(*lead, len(basis)), resid.reshape(lead)
+
+
 def _eigenvalue_on_state(op: np.ndarray, state: np.ndarray, tol=1e-10) -> complex:
-    v = state.ravel()
-    w = (op @ state).ravel()
-    denom = np.vdot(v, v)
-    lam = np.vdot(v, w) / denom
-    if np.linalg.norm(w - lam * v) > tol * np.linalg.norm(v) * max(1.0, abs(lam)):
+    coef, resid = _coordinates([state], op @ state)
+    lam = coef[0]
+    if resid > tol * np.linalg.norm(state) * max(1.0, abs(lam)):
         raise ConsistencyError("state is not an eigenvector of the operator")
     return lam
 
@@ -154,63 +154,33 @@ def charges(states, gens: SU3Generators | None = None) -> dict:
     return out
 
 
-def ideal_orthonormal_basis(states) -> np.ndarray:
-    """Orthonormal columns (64 x k) spanning the vectorized ideal states."""
-    cols = np.array([s.matrix.ravel() for s in states]).T
-    q, _ = np.linalg.qr(cols)
-    return q
-
-
-def in_ideal(m: np.ndarray, ortho_cols: np.ndarray) -> float:
-    """Absolute residual of m after least-squares projection onto the ideal span."""
-    v = m.ravel().astype(complex)
-    r = v - ortho_cols @ (ortho_cols.conj().T @ v)
-    return float(np.linalg.norm(r))
-
-
 def structure_constants(gens: SU3Generators | None = None, tol=1e-10) -> np.ndarray:
     """f[a,b,c] with [Lambda_a, Lambda_b] = 2i sum_c f[a,b,c] Lambda_c."""
     gens = gens or su3_generators()
-    lam = gens.Lambda
-    basis = np.array([m.ravel() for m in lam]).T  # 64 x 8
-    pinv = np.linalg.pinv(basis)
-    f = np.zeros((8, 8, 8))
-    for a in range(8):
-        for b in range(8):
-            comm = lam[a] @ lam[b] - lam[b] @ lam[a]
-            coef = pinv @ comm.ravel()
-            resid = np.linalg.norm(basis @ coef - comm.ravel())
-            if resid > tol:
-                raise ConsistencyError("commutator does not lie in the generator span")
-            c = coef / 2j
-            if np.max(np.abs(c.imag)) > tol:
-                raise ConsistencyError("structure constants are not real")
-            f[a, b, :] = c.real
-    return f
+    lam = np.array(gens.Lambda)
+    comm = lam[:, None] @ lam[None] - lam[None] @ lam[:, None]  # comm[a, b] = [Lambda_a, Lambda_b]
+    coef, resid = _coordinates(lam, comm)
+    if np.max(resid) > tol:
+        raise ConsistencyError("commutator does not lie in the generator span")
+    f = coef / 2j
+    if np.max(np.abs(f.imag)) > tol:
+        raise ConsistencyError("structure constants are not real")
+    return f.real
 
 
 def casimir(gens: SU3Generators | None = None) -> np.ndarray:
     """Quadratic Casimir sum_a (Lambda_a / 2)^2."""
     gens = gens or su3_generators()
-    c = np.zeros((8, 8), dtype=complex)
-    for lam in gens.Lambda:
-        c += (lam / 2.0) @ (lam / 2.0)
-    return c
+    return sum((lam / 2.0) @ (lam / 2.0) for lam in gens.Lambda)
 
 
 def _restrict(op: np.ndarray, states, tol=1e-9) -> np.ndarray:
     """Matrix of left multiplication by op on the span of the given states."""
-    rows = np.array([s.matrix.ravel() for s in states]).T  # 64 x k
-    pinv = np.linalg.pinv(rows)
-    k = len(states)
-    out = np.zeros((k, k), dtype=complex)
-    for b, s in enumerate(states):
-        w = (op @ s.matrix).ravel()
-        coef = pinv @ w
-        if np.linalg.norm(rows @ coef - w) > tol * max(1.0, np.linalg.norm(w)):
-            raise ConsistencyError("operator does not preserve the state span")
-        out[:, b] = coef
-    return out
+    images = np.array([op @ s.matrix for s in states])
+    coef, resid = _coordinates([s.matrix for s in states], images)
+    if np.any(resid > tol * np.maximum(1.0, np.linalg.norm(images, axis=(1, 2)))):
+        raise ConsistencyError("operator does not preserve the state span")
+    return coef.T
 
 
 def gell_mann_weight_sets():
@@ -219,11 +189,9 @@ def gell_mann_weight_sets():
     Computed from the diagonal Gell-Mann matrices lambda3 = diag(1,-1,0)
     and lambda8 = diag(1,1,-2)/sqrt(3).
     """
-    lam3 = np.diag([1.0, -1.0, 0.0])
-    lam8 = np.diag([1.0, 1.0, -2.0]) / np.sqrt(3.0)
-    fund = sorted((lam3[i, i], lam8[i, i]) for i in range(3))
-    anti = sorted((-lam3[i, i], -lam8[i, i]) for i in range(3))
-    return fund, anti
+    lam3 = np.array([1.0, -1.0, 0.0])
+    lam8 = np.array([1.0, 1.0, -2.0]) / np.sqrt(3.0)
+    return sorted(zip(lam3, lam8)), sorted(zip(-lam3, -lam8))
 
 
 def _match_weight_set(weights, reference, tol=1e-9) -> bool:
@@ -245,7 +213,6 @@ def classify_representation(gens: SU3Generators | None = None, states=None) -> d
     cas = casimir(gens)
     fund, anti = gell_mann_weight_sets()
     report = {"ideal": states[0].ideal, "grades": []}
-    pieces = []
     for grade in range(4):
         sub = [s for s in states if s.grade == grade]
         block = _restrict(cas, sub)
@@ -258,13 +225,8 @@ def classify_representation(gens: SU3Generators | None = None, states=None) -> d
         else:
             w3 = np.diag(_restrict(gens.Lambda[2], sub))
             w8 = np.diag(_restrict(gens.Lambda[7], sub))
-            weights = [(w3[i].real, w8[i].real) for i in range(len(sub))]
-            if _match_weight_set(weights, fund):
-                rep = "3"
-            elif _match_weight_set(weights, anti):
-                rep = "3bar"
-            else:
-                rep = "?"
+            weights = list(zip(w3.real, w8.real))
+            rep = next((name for name, ref in (("3", fund), ("3bar", anti)) if _match_weight_set(weights, ref)), "?")
         report["grades"].append(
             {
                 "grade": grade,
@@ -274,6 +236,5 @@ def classify_representation(gens: SU3Generators | None = None, states=None) -> d
                 "labels": [s.label for s in sub],
             }
         )
-        pieces.append(rep)
-    report["decomposition"] = "+".join(pieces)
+    report["decomposition"] = "+".join(g["rep"] for g in report["grades"])
     return report

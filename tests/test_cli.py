@@ -389,6 +389,16 @@ def test_potentials_scan_loop_exits_3_when_vr_squared_leaves_the_float_range(cap
         assert captured.err.startswith("numerical failure: v_R^2 = ") and "Warning" not in captured.err
 
 
+def test_potentials_scan_loop_exits_3_when_the_symmetric_point_leaves_the_floats(capsys):
+    # lambda2 = -1000 overflows s_sym, -3.47 overflows V(s_sym, s_sym), 1000 underflows s_sym to 0
+    for lambda2 in (-1000, -3.47, 1000):
+        params = json.dumps({"lambda1": 0.0063, "lambda2": lambda2, "g": 1.0, "M": 1.0})
+        assert run(["potentials", "scan", "--loop", "--params", params]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: ") and "Warning" not in captured.err
+
+
 def test_exit_codes(tmp_path):
     import pytest
 

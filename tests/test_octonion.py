@@ -199,13 +199,6 @@ def test_split_rejects_truly_complex():
         split(x)
 
 
-def test_json_round_trip():
-    x = rand_octonion()
-    assert Octonion.from_json(x.to_json()) == x
-    z = ComplexOctonion(rng.standard_normal(8) + 1j * rng.standard_normal(8))
-    assert ComplexOctonion.from_json(z.to_json()) == z
-
-
 def test_table_rows():
     rows = table_rows()
     assert rows[0][3] == "e3"

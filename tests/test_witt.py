@@ -7,14 +7,16 @@ from scipy.linalg import expm
 from octo_cfs.mult_algebra import span_dimension, left_unit
 from octo_cfs.witt import (
     ConsistencyError,
+    SU3Generators,
+    _coordinates,
+    _eigenvalue_on_state,
+    _restrict,
     charges,
     casimir,
     classify_representation,
     gell_mann_weight_sets,
     ideal_basis,
-    ideal_orthonormal_basis,
     idempotents,
-    in_ideal,
     nilpotents,
     structure_constants,
     su3_generators,
@@ -95,15 +97,16 @@ def test_ideal_closure_under_algebra():
     basis_mats = span.basis
     for which in ("u", "d"):
         states = ideal_basis(which)
-        ortho = ideal_orthonormal_basis(states)
+        prods = []
         for _ in range(200):
             coef = rng.standard_normal(len(basis_mats)) + 1j * rng.standard_normal(
                 len(basis_mats)
             )
             g = sum(c * m for c, m in zip(coef, basis_mats))
             s = states[rng.integers(8)]
-            prod = g @ s.matrix
-            assert in_ideal(prod, ortho) < 1e-10 * max(1.0, np.linalg.norm(prod))
+            prods.append(g @ s.matrix)
+        _, resid = _coordinates([s.matrix for s in states], prods)
+        assert np.all(resid < 1e-10 * np.maximum(1.0, np.linalg.norm(prods, axis=(1, 2))))
 
 
 def test_su3_generator_basic_relations():
@@ -131,12 +134,9 @@ def test_generators_preserve_ideals():
     gens = su3_generators()
     for which in ("u", "d"):
         states = ideal_basis(which)
-        ortho = ideal_orthonormal_basis(states)
-        for m in gens.Lambda + [gens.Q]:
-            for s in states:
-                assert in_ideal(m @ s.matrix, ortho) < 1e-10 * max(
-                    1.0, np.linalg.norm(m @ s.matrix)
-                )
+        images = [m @ s.matrix for m in gens.Lambda + [gens.Q] for s in states]
+        _, resid = _coordinates([s.matrix for s in states], images)
+        assert np.all(resid < 1e-10 * np.maximum(1.0, np.linalg.norm(images, axis=(1, 2))))
 
 
 def test_structure_constants_antisymmetric_and_jacobi():
@@ -236,9 +236,76 @@ def test_casimir_matches_trace_normalization():
     gens = su3_generators()
     cas = casimir(gens)
     states = ideal_basis("u")
-    from octo_cfs.witt import _restrict
-
     block = _restrict(cas, states)
     eigs = np.sort(np.linalg.eigvals(block).real)
     expect = np.sort([0.0, 0.0] + [4.0 / 3.0] * 6)
     assert np.allclose(eigs, expect, atol=1e-9)
+
+
+# Oracles: the per-pair and per-state pinv loops that the batched span solve replaced.
+
+def loop_structure_constants(lam):
+    basis = np.array([m.ravel() for m in lam]).T
+    pinv = np.linalg.pinv(basis)
+    f = np.zeros((8, 8, 8))
+    for a in range(8):
+        for b in range(8):
+            comm = lam[a] @ lam[b] - lam[b] @ lam[a]
+            f[a, b, :] = (pinv @ comm.ravel() / 2j).real
+    return f
+
+
+def loop_restrict(op, states):
+    rows = np.array([s.matrix.ravel() for s in states]).T
+    pinv = np.linalg.pinv(rows)
+    return np.array([pinv @ (op @ s.matrix).ravel() for s in states]).T
+
+
+def rayleigh_eigenvalue(op, state):
+    v = state.ravel()
+    return np.vdot(v, (op @ state).ravel()) / np.vdot(v, v)
+
+
+def test_structure_constants_match_per_pair_loop():
+    gens = su3_generators()
+    assert np.max(np.abs(structure_constants(gens) - loop_structure_constants(gens.Lambda))) <= 1e-12
+
+
+def test_restrict_matches_per_state_loop_on_every_grade():
+    gens = su3_generators()
+    for which in ("u", "d"):
+        states = ideal_basis(which)
+        for grade in range(4):
+            sub = [s for s in states if s.grade == grade]
+            for op in [casimir(gens)] + gens.Lambda + [gens.Q]:
+                assert np.max(np.abs(_restrict(op, sub) - loop_restrict(op, sub))) <= 1e-12
+
+
+def test_charges_match_rayleigh_quotient():
+    gens = su3_generators()
+    states = ideal_basis("u") + ideal_basis("d")
+    expect = {}
+    for s in states:
+        op = gens.Q if s.ideal == "u" else -np.conj(gens.Q)
+        lam = rayleigh_eigenvalue(op, s.matrix)
+        assert abs(_eigenvalue_on_state(op, s.matrix) - lam) <= 1e-12
+        expect[s.label] = Fraction(round(3.0 * lam.real), 3)
+    assert charges(states, gens) == expect
+
+
+def test_restrict_rejects_operator_leaving_the_span():
+    grade1 = [s for s in ideal_basis("u") if s.grade == 1]
+    raise_color = witt_basis().alpha_dagger[0]  # maps grade 1 into grade 2
+    with pytest.raises(ConsistencyError, match="does not preserve the state span"):
+        _restrict(raise_color, grade1)
+
+
+def test_structure_constants_reject_non_closed_or_non_real_sets():
+    units = [left_unit(i).astype(complex) for i in range(1, 8)] + [I8.astype(complex)]
+    with pytest.raises(ConsistencyError, match="does not lie in the generator span"):
+        structure_constants(SU3Generators(Lambda=units, Q=I8))
+    # i Lambda_a closes, but with structure constants i f
+    gens = su3_generators()
+    rotated = SU3Generators(Lambda=[1j * m for m in gens.Lambda], Q=gens.Q)
+    with pytest.raises(ConsistencyError, match="structure constants are not real"):
+        structure_constants(rotated)
