@@ -123,50 +123,61 @@ def random_point(rng, cfg: SystemConfig, scale: float = 1.0) -> OperatorPoint:
     return validate_point(m, cfg)
 
 
-#: Rows of `xs` per batched closed-chain eigensolve in `pair_spectra`.
-PAIR_BLOCK = 64
+#: Pairs per batched closed-chain eigensolve in `pair_spectra`.
+PAIR_BLOCK = 256
 
 
 def _frames(points, cfg: SystemConfig):
     """Per point: the top min(2n, f) eigenpairs by modulus with sub-cut eigenvalues zeroed, ||x||_2, the matrix.
 
-    One stacked `eigh`; the zero cut is the spin-space cut. Raises
+    `points` is a list of points or an array (..., f, f), such as a stack (B, N, f, f) of B point sets;
+    the results keep its leading axes. One stacked `eigh`; the zero cut is the spin-space cut. Raises
     EigensolverError for a point with more than 2n eigenvalues beyond it.
     """
-    a = np.array([_asmat(p) for p in points], dtype=complex).reshape(len(points), cfg.f, cfg.f)
+    if isinstance(points, np.ndarray):
+        a = np.asarray(points, dtype=complex)
+    else:
+        a = np.array([_asmat(p) for p in points], dtype=complex).reshape(len(points), cfg.f, cfg.f)
     w, v = np.linalg.eigh(a)
-    top = np.abs(w).max(axis=1, initial=0.0)
-    w = np.where(np.abs(w) > RANK_TOL * np.maximum(1.0, top)[:, None], w, 0.0)
-    if np.any(np.count_nonzero(w, axis=1) > 2 * cfg.n):
+    top = np.abs(w).max(axis=-1, initial=0.0)
+    w = np.where(np.abs(w) > RANK_TOL * np.maximum(1.0, top)[..., None], w, 0.0)
+    if np.any(np.count_nonzero(w, axis=-1) > 2 * cfg.n):
         raise EigensolverError("point has more than 2n eigenvalues beyond the zero cut")
-    order = np.argsort(-np.abs(w), axis=1, kind="stable")[:, : 2 * cfg.n]
-    return np.take_along_axis(w, order, axis=1), np.take_along_axis(v, order[:, None, :], axis=2), top, a
+    order = np.argsort(-np.abs(w), axis=-1, kind="stable")[..., : 2 * cfg.n]
+    return np.take_along_axis(w, order, axis=-1), np.take_along_axis(v, order[..., None, :], axis=-1), top, a
 
 
-def pair_spectra(xs, ys, cfg: SystemConfig) -> np.ndarray:
+def pair_spectra(xs, ys, cfg: SystemConfig, _solved=None) -> np.ndarray:
     """The 2n eigenvalues of xy for every pair of xs x ys: (len(xs), len(ys), 2n).
 
     They are those of the closed chain Lambda_x G Lambda_y G*, G = U_x* U_y, on the
-    spin spaces: one batched 2n x 2n `eigvals` per block of rows; when ys is xs, of
+    spin spaces: one batched 2n x 2n `eigvals` per PAIR_BLOCK pairs; when ys is xs, of
     the pairs i <= j only (yx has the spectrum of xy). Eigenvalues below RANK_TOL *
     ||x|| ||y|| are exact zeros (a vanishing product yields the all-zero spectrum, not
-    dust); each spectrum is sorted by descending modulus, then phase.
+    dust); each spectrum is sorted by descending modulus, then phase. When ys is xs, xs
+    may also be a stack (B, N, f, f) of B point sets: the result is (B, N, N, 2n), each
+    set's spectra bitwise those it has alone. `_solved` is `_frames(xs, cfg)` if the
+    caller has it.
     """
     sym = ys is xs
-    wx, ux, nx = _frames(xs, cfg)[:3]  # the stacked matrices are not needed here
+    wx, ux, nx = (_solved or _frames(xs, cfg))[:3]  # the stacked matrices are not needed here
     wy, uy, ny = (wx, ux, nx) if sym else _frames(ys, cfg)[:3]
-    out = np.zeros((len(wx), len(wy), 2 * cfg.n), dtype=complex)
-    for r in range(0, len(wx), PAIR_BLOCK):
-        c = r if sym else 0  # ys is xs: only the triangle j >= i, which starts at column r
-        g = ux[r : r + PAIR_BLOCK].conj().swapaxes(1, 2)[:, None] @ uy[None, c:]
-        a, b = np.nonzero((np.arange(c, len(wy)) >= np.arange(r, r + len(g))[:, None]) | (not sym))
-        i, j, g = r + a, c + b, (g[a, b] if sym else g.reshape(-1, *g.shape[2:]))  # a view when all are kept
-        lam = np.linalg.eigvals((wx[i, :, None] * g * wy[j, None, :]) @ g.conj().swapaxes(1, 2))
-        scale = np.maximum(nx[i] * ny[j], 1e-300)[:, None]
-        out[i, j, : lam.shape[1]] = np.where(np.abs(lam) > RANK_TOL * scale, lam, 0.0)
-        if sym:
-            out[j, i] = out[i, j]
-    return np.take_along_axis(out, np.lexsort((np.angle(out), -np.abs(out))), axis=2)
+    batched = wx.ndim == 3
+    if not batched:  # one point set is the batch of one
+        wx, ux, nx, wy, uy, ny = (a[None] for a in (wx, ux, nx, wy, uy, ny))
+    i, j = np.triu_indices(wx.shape[1]) if sym else np.indices((wx.shape[1], wy.shape[1])).reshape(2, -1)
+    b, i, j = (a.ravel() for a in np.broadcast_arrays(np.arange(len(wx))[:, None], i, j))
+    out = np.zeros((len(wx), wx.shape[1], wy.shape[1], 2 * cfg.n), dtype=complex)
+    for s in range(0, len(b), PAIR_BLOCK):
+        bk, ik, jk = b[s : s + PAIR_BLOCK], i[s : s + PAIR_BLOCK], j[s : s + PAIR_BLOCK]
+        g = ux[bk, ik].conj().swapaxes(1, 2) @ uy[bk, jk]
+        lam = np.linalg.eigvals((wx[bk, ik, :, None] * g * wy[bk, jk, None, :]) @ g.conj().swapaxes(1, 2))
+        scale = np.maximum(nx[bk, ik] * ny[bk, jk], 1e-300)[:, None]
+        out[bk, ik, jk, : lam.shape[1]] = np.where(np.abs(lam) > RANK_TOL * scale, lam, 0.0)
+    if sym:
+        out[b, j, i] = out[b, i, j]
+    out = np.take_along_axis(out, np.lexsort((np.angle(out), -np.abs(out))), axis=-1)
+    return out if batched else out[0]
 
 
 def lagrangians(xs, ys, cfg: SystemConfig) -> np.ndarray:
@@ -249,13 +260,20 @@ def merge_duplicates(points, weights, tol: float = 1e-9):
     return out_pts, np.asarray(out_w)
 
 
-def action(measure_or_points, weights=None, cfg: SystemConfig = None) -> float:
-    """Causal action: the full double sum sum_ij w_i w_j L(x_i, x_j), diagonal included."""
+def action(measure_or_points, weights=None, cfg: SystemConfig = None):
+    """Causal action: the full double sum sum_ij w_i w_j L(x_i, x_j), diagonal included.
+
+    A stack (B, N, f, f) of B point sets with weights (B, N) gives the array of their B actions from
+    one `lagrangians` call; each equals the action of its set alone, bitwise.
+    """
     if isinstance(measure_or_points, DiscreteMeasure):
         points, w = measure_or_points.points, measure_or_points.weights
     else:
         points, w = measure_or_points, np.asarray(weights, dtype=float)
-    return float(w @ (lagrangians(points, points, cfg) @ w))
+    lag = lagrangians(points, points, cfg)
+    if w.ndim == 2:
+        return np.array([float(wb @ (lb @ wb)) for wb, lb in zip(w, lag)])
+    return float(w @ (lag @ w))
 
 
 def constraints(measure_or_points, weights=None):
@@ -337,14 +355,15 @@ def physical_wavefunction(u, points) -> list:
     return out
 
 
-def kernel_residuals(points, pairs, phi, cfg: SystemConfig):
+def kernel_residuals(points, pairs, phi, cfg: SystemConfig, _solved=None):
     """|tr(A_xy) - tr(xy)| and the completeness residual of each pair k = (i, j) of `pairs`.
 
     tr(A_xy) = sum_ab |G_ab|^2 lambda_x,a lambda_y,b in the spin-space bases (G = U_x* U_y), tr(xy)
     is summed entrywise. Completeness: P(x,y) phi = -sum_i psi^{b_i}(x) <psi^{b_i}(y)|phi>_y for the
     probe phi[k] projected to S_y; with b_i the canonical basis of C^f the sum is pi_x pi_y (y phi).
+    `_solved` is `_frames(points, cfg)` if the caller has it.
     """
-    w, u, _, mats = _frames(points, cfg)
+    w, u, _, mats = _solved or _frames(points, cfg)
     i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
     tr_chain = np.einsum("ka,kab,kb->k", w[i], np.abs(u[i].conj().swapaxes(1, 2) @ u[j]) ** 2, w[j])
     pi = (u * (w != 0)[:, None, :]) @ u.conj().swapaxes(1, 2)  # projectors onto the spin spaces
@@ -359,7 +378,7 @@ def completeness_check(x, y, phi) -> float:
     return float(kernel_residuals([x, y], [(0, 1)], [phi], SystemConfig(f, f, 1.0))[1][0])
 
 
-def spin_connections(points, pairs, cfg: SystemConfig, tol: float = 1e-8):
+def spin_connections(points, pairs, cfg: SystemConfig, tol: float = 1e-8, _solved=None):
     """Spin connection D_{x,y}: S_y -> S_x of each pair (i, j), and its unitarity residual.
 
     D = P(x,y) A^{-1/2}, A = P(y,x) P(x,y) on S_y, is the unitary factor of the polar decomposition of
@@ -367,9 +386,10 @@ def spin_connections(points, pairs, cfg: SystemConfig, tol: float = 1e-8):
     G Lambda_y with G = U_x* U_y; A^{-1/2} = V diag(mu^{-1/2}) V^{-1} (principal branch, as `sqrtm`)
     comes from one batched `eig` per spin dimension. A pair gets D (I for x == y) or the
     NotSpinConnectable that stops it: unequal dimensions, a singular A or V, or a residual
-    ||D* gram_x D - gram_y|| (NaN for a non-finite D) above tol * max(1, ||gram_y||).
+    ||D* gram_x D - gram_y|| (NaN for a non-finite D) above tol * max(1, ||gram_y||). `_solved` is
+    `_frames(points, cfg)` if the caller has it.
     """
-    w, u, _, mats = _frames(points, cfg)
+    w, u, _, mats = _solved or _frames(points, cfg)
     i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
     dim, same = np.count_nonzero(w, axis=1), np.all(mats[i] == mats[j], axis=(1, 2))
     out = [NotSpinConnectable("spin spaces have different dimensions") for _ in i]

@@ -304,12 +304,13 @@ def cmd_cfs_classify(args) -> int:
                     and all(type(i) is int and 0 <= i < len(points) for i in pair)):
                 raise ValueError(f"pair {pair!r} is not two point indices in [0, {len(points)})")
     rng = np.random.default_rng(args.seed)
-    spectra = cfs.pair_spectra(points, points, cfg)
+    solved = cfs._frames(points, cfg)  # one eigendecomposition of the points for all three engines
+    spectra = cfs.pair_spectra(points, points, cfg, _solved=solved)
     classes = cfs.causal_classes(spectra)
     phi = rng.standard_normal((len(pairs), 2, cfg.f))
-    chain_tr_dev, complete = cfs.kernel_residuals(points, pairs, phi[:, 0] + 1j * phi[:, 1], cfg)
+    chain_tr_dev, complete = cfs.kernel_residuals(points, pairs, phi[:, 0] + 1j * phi[:, 1], cfg, _solved=solved)
     loop = [(0, 1), (1, 2), (2, 0), (0, 2), (2, 1), (1, 0)] if len(points) >= 3 else []
-    conns, unitarity = cfs.spin_connections(points, pairs + loop, cfg) if args.geometry else ([], [])
+    conns, unitarity = cfs.spin_connections(points, pairs + loop, cfg, _solved=solved) if args.geometry else ([], [])
     results = []
     for k, (i, j) in enumerate(pairs):
         entry = {

@@ -4,7 +4,9 @@ Weights live on the probability simplex through a softmax reparametrization,
 so the volume constraint is exact by construction; the trace constraint is
 an exact equality constraint of one SLSQP solve. Gradients of the action
 and of the trace are central finite differences (the Lagrangian is only
-piecewise smooth in the eigenvalue moduli).
+piecewise smooth in the eigenvalue moduli); each gradient is one batched
+engine call: the 2p perturbed measures go through one `cfs.action` over
+their stack, and the trace gradient reuses the same unpacked measures.
 """
 
 from __future__ import annotations
@@ -70,22 +72,31 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _central_gradient(fun, v):
-    g = np.zeros_like(v)
-    for i in range(len(v)):
-        h = FD_STEP * max(1.0, abs(v[i]))
-        vp = v.copy()
-        vm = v.copy()
-        vp[i] += h
-        vm[i] -= h
-        g[i] = (fun(vp) - fun(vm)) / (2.0 * h)
-    return g
-
-
 def _unpack(family: MeasureFamily, v: np.ndarray):
     theta = v[: family.n_params]
     logits = v[family.n_params :]
     return family.point_fn(theta), softmax(logits)
+
+
+def _gradients(family: MeasureFamily, cfg: cfs.SystemConfig, v: np.ndarray):
+    """Central-difference gradients of the action and of the trace at v.
+
+    Coordinate i steps by h_i = FD_STEP * max(1, |v_i|) both ways; the 2p perturbed measures are
+    unpacked once and their actions come from one batched `cfs.action`. The traces are summed
+    point by point in the order of `cfs.constraints`, so both gradients are bitwise those of
+    per-coordinate differences of `cfs.action` and `cfs.constraints`.
+    """
+    h = FD_STEP * np.maximum(1.0, np.abs(v))
+    vs = np.tile(v, (2, len(v), 1))
+    diag = np.arange(len(v))
+    vs[0, diag, diag] += h
+    vs[1, diag, diag] -= h
+    points, weights = zip(*(_unpack(family, vv) for vv in vs.reshape(-1, len(v))))
+    stack, w = np.array(points, dtype=complex), np.array(weights)
+    tr = np.real(np.trace(stack, axis1=-2, axis2=-1))
+    gap = sum(w[:, k] * tr[:, k] for k in range(w.shape[1])) - 1.0  # differenced as trace_gap is
+    act = cfs.action(stack, w, cfg)
+    return (act[: len(v)] - act[len(v) :]) / (2.0 * h), (gap[: len(v)] - gap[len(v) :]) / (2.0 * h)
 
 
 def minimize(
@@ -132,14 +143,19 @@ def minimize(
     def trace_gap(vv):
         return cfs.constraints(*_unpack(family, vv))[1] - 1.0
 
+    cache = [None, None]  # SLSQP asks for both gradients at the same x: solve them once
+
+    def gradients(vv):
+        if cache[0] != vv.tobytes():
+            cache[:] = vv.tobytes(), _gradients(family, cfg, vv)
+        return cache[1]
+
     res = scipy.optimize.minimize(
         action_of,
         v,
         method="SLSQP",
-        jac=lambda vv: _central_gradient(action_of, vv),
-        constraints=[
-            {"type": "eq", "fun": trace_gap, "jac": lambda vv: _central_gradient(trace_gap, vv)}
-        ],
+        jac=lambda vv: gradients(vv)[0],
+        constraints=[{"type": "eq", "fun": trace_gap, "jac": lambda vv: gradients(vv)[1]}],
         options={"maxiter": MAXITER, "ftol": 1e-14},
     )
     if not np.all(np.isfinite(res.x)):
@@ -213,8 +229,9 @@ def make_family(spec: dict, cfg: cfs.SystemConfig) -> tuple:
     """Built-in families for the CLI. Returns (MeasureFamily, default_x0).
 
     type 'diagonal': each point is diagonal; entry (i, j) of point i is
-    sign[i][j] * theta^2 for the matching parameter. Signs validate
-    against the spin dimension.
+    signs[i][j] * theta^2 for the matching parameter. `signs` is a
+    non-empty 2-D table of -1, 0 and 1 that validates against the spin
+    dimension.
     type 'mirror_pair' (f = 2): two points diag(p, -q) and diag(-q, p)
     with p = u^2, q = v^2.
     """
@@ -234,7 +251,13 @@ def make_family(spec: dict, cfg: cfs.SystemConfig) -> tuple:
         x0 = np.array(spec.get("init", [1.2, 0.4, 0.1, -0.1]), dtype=float)
         return fam, x0
     if kind == "diagonal":
-        signs = np.asarray(spec["signs"], dtype=float)
+        try:
+            signs = np.asarray(spec["signs"], dtype=float)
+            ok = signs.ndim == 2 and signs.size > 0 and bool(np.isin(signs, (-1, 0, 1)).all())
+        except (TypeError, ValueError):  # ragged rows or entries that are not numbers
+            ok = False
+        if not ok:
+            raise ValueError(f"signs must be a non-empty 2-D table of -1, 0 and 1, got {spec['signs']!r}")
         n_points, f = signs.shape
         if f != cfg.f:
             raise ValueError("sign template width must equal f")

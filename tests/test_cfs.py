@@ -584,13 +584,53 @@ def test_pair_engine_matches_dense_lagrangian_across_blocks(monkeypatch):
     blocked = lagrangians(xs, ys, cfg)
     assert np.abs(whole - ref).max() <= 1e-13 * max(1.0, ref.max())
     assert np.abs(blocked - whole).max() <= 1e-14 * max(1.0, ref.max())
-    # ys is xs: only the triangle i <= j is solved (its row blocks cross the diagonal), the rest mirrored
+    # ys is xs: only the triangle i <= j is solved (in blocks of 3 pairs), the rest mirrored
     sym = lagrangians(xs, xs, cfg)
     assert np.array_equal(sym, sym.T)
     ref_sym = np.array([[dense_lagrangian(x, y, cfg) for y in xs] for x in xs])
     assert np.abs(sym - ref_sym).max() <= 1e-13 * max(1.0, ref_sym.max())
     upper = np.triu_indices(len(xs))
     assert pair_spectra(xs, xs, cfg)[upper].tobytes() == pair_spectra(xs, list(xs), cfg)[upper].tobytes()
+
+
+def _any_rank_point(r, cfg):
+    """Point of random rank k <= min(f, 2n) with at most n eigenvalues of each sign; unlike
+    `random_point` it also covers f < 2n."""
+    k = int(r.integers(0, min(cfg.f, 2 * cfg.n) + 1))
+    n_pos = int(r.integers(max(0, k - cfg.n), min(cfg.n, k) + 1))
+    q, _ = np.linalg.qr(r.standard_normal((cfg.f, k)) + 1j * r.standard_normal((cfg.f, k)))
+    vals = (0.2 + r.random(k)) * np.where(np.arange(k) < n_pos, 1.0, -1.0)
+    return validate_point((q * vals) @ q.conj().T, cfg).matrix
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.sampled_from([(2, 1), (3, 2), (4, 2), (6, 2), (5, 1)]), batch=st.integers(1, 6),
+       count=st.integers(1, 5), c=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_batched_action_matches_each_measure_alone(dims, batch, count, c, seed):
+    # (3, 2): f < 2n leaves fewer than 2n product eigenvalues
+    cfg = SystemConfig(f=dims[0], n=dims[1], kappa=0.25)
+    r = np.random.default_rng(seed)
+    stack = np.array([[_any_rank_point(r, cfg) for _ in range(count)] for _ in range(batch)])
+    w = r.dirichlet(np.ones(count), size=batch)
+    got = action(stack, w, cfg)
+    assert got.shape == (batch,)
+    alone = [action(list(stack[b]), w[b], cfg) for b in range(batch)]
+    assert got.tobytes() == np.array(alone).tobytes()
+    with pytest.MonkeyPatch.context() as mp:  # blocks that split the stack mid-set
+        mp.setattr(cfs, "PAIR_BLOCK", 4)
+        assert action(stack, w, cfg).tobytes() == got.tobytes()
+    tol = 1e-12 * np.maximum(1.0, np.abs(got))
+    scale = np.linspace(1.0, c, batch)
+    assert np.all(np.abs(action(scale[:, None, None, None] * stack, w, cfg) - scale**4 * got) <= scale**4 * tol)
+    lag = lagrangians(stack, stack, cfg)
+    for b in range(batch):  # L(x, y) = L(y, x), with both orders solved by the rectangular path
+        full = lagrangians(stack[b], list(stack[b]), cfg)
+        assert np.all(np.abs(full - full.T) <= 1e-12 * np.maximum(1.0, np.abs(full)))
+        assert np.all(np.abs(lag[b] - full) <= 1e-12 * np.maximum(1.0, np.abs(full)))
+    spectra = pair_spectra(stack, stack, cfg)
+    assert spectra.shape == (batch, count, count, 2 * cfg.n)
+    if cfg.f < 2 * cfg.n:
+        assert np.all(spectra[..., cfg.f:] == 0.0)
 
 
 def test_pair_engine_rejects_point_beyond_spin_dimension():

@@ -194,6 +194,28 @@ def test_cfs_minimize_kappa_flag_overrides_file_config(tmp_path):
     assert abs(rep["report"]["action"] - (0.25 + 0.25)) < 1e-6
 
 
+def test_cfs_minimize_causal_diagonal_family_is_pinned(tmp_path, capsys):
+    fam_path = tmp_path / "family.json"
+    fam_path.write_text(json.dumps({"config": {"f": 4, "n": 2, "kappa": 0.2}, "family": {
+        "type": "diagonal", "signs": [[1, 1, -1, -1], [-1, -1, 1, 1], [1, -1, 1, -1]]}}))
+    outs = []
+    for _ in range(2):
+        assert run(["cfs", "minimize", "--family", str(fam_path), "--seed", "1"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert abs(json.loads(outs[0])["report"]["action"] - 0.05625) <= 1e-10
+
+
+def test_cfs_minimize_rejects_bad_sign_templates(tmp_path, capsys):
+    fam_path = tmp_path / "family.json"
+    for bad in ([], [1, -1], [[1, 2]], [[1, -1], [1]], [[]], [["a", "b"]]):
+        fam_path.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.2},
+                                        "family": {"type": "diagonal", "signs": bad}}))
+        assert run(["cfs", "minimize", "--family", str(fam_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"signs must be a non-empty 2-D table of -1, 0 and 1, got {bad!r}" in captured.err
+
+
 def test_cfs_action_rejects_non_integer_dimensions(tmp_path, capsys):
     path = _measure_file(tmp_path)
     measure = read_json(path)

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octo_cfs import cfs
 from octo_cfs.minimize import (
+    FD_STEP,
     InfeasibleStart,
     MaxIterations,
     MeasureFamily,
     MinimizeOptions,
+    _gradients,
     make_family,
     minimize,
     softmax,
@@ -150,3 +154,51 @@ def test_point_with_underflowed_weight_is_dropped():
     measure, report = minimize(fam, cfg, x0)
     assert len(measure.points) == 1 and measure.weights.tolist() == [1.0]
     assert abs(report.trace - 1.0) < 1e-6 and report.volume == 1.0
+
+
+def _central_gradient(fun, v):
+    """Per-coordinate central differences, one call of fun per perturbed vector."""
+    g = np.zeros_like(v)
+    for i in range(len(v)):
+        h = FD_STEP * max(1.0, abs(v[i]))
+        vp = v.copy()
+        vm = v.copy()
+        vp[i] += h
+        vm[i] -= h
+        g[i] = (fun(vp) - fun(vm)) / (2.0 * h)
+    return g
+
+
+GRADIENT_FAMILIES = {
+    "mirror_pair": (cfs.SystemConfig(f=2, n=1, kappa=0.2), {"type": "mirror_pair"}),
+    "diagonal": (cfs.SystemConfig(f=4, n=2, kappa=0.2),
+                 {"type": "diagonal", "signs": [[1, 1, -1, -1], [-1, -1, 1, 1], [1, -1, 1, -1]]}),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(GRADIENT_FAMILIES)), data=st.data())
+def test_batched_gradients_equal_per_coordinate_differences(name, data):
+    cfg, spec = GRADIENT_FAMILIES[name]
+    fam, x0 = make_family(spec, cfg)
+    v = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=len(x0), max_size=len(x0))))
+
+    def unpack(vv):
+        return fam.point_fn(vv[: fam.n_params]), softmax(vv[fam.n_params :])
+
+    want_action = _central_gradient(lambda vv: cfs.action(*unpack(vv), cfg), v)
+    want_trace = _central_gradient(lambda vv: cfs.constraints(*unpack(vv))[1] - 1.0, v)
+    got_action, got_trace = _gradients(fam, cfg, v)
+    assert got_action.tobytes() == want_action.tobytes()
+    assert got_trace.tobytes() == want_trace.tobytes()
+
+
+def test_each_gradient_is_one_batched_action_call(monkeypatch):
+    cfg, spec = GRADIENT_FAMILIES["diagonal"]
+    fam, x0 = make_family(spec, cfg)
+    calls = []
+    action = cfs.action
+    monkeypatch.setattr(cfs, "action", lambda *a: calls.append(np.ndim(a[1])) or action(*a))
+    _, report = minimize(fam, cfg, x0, MinimizeOptions(seed=1))
+    # one plain call per objective evaluation, one batched call per shared gradient of SLSQP
+    assert calls.count(1) == report.nfev and 0 < calls.count(2) <= report.nit + 1
