@@ -107,10 +107,10 @@ def check_signature(w, n: int, tol: float = RANK_TOL) -> float:
 
 
 def random_point(rng, cfg: SystemConfig, scale: float = 1.0) -> OperatorPoint:
-    """Random rank <= 2n point with at most n positive and n negative eigenvalues."""
+    """Random rank <= min(2n, f) point with at most n positive and n negative eigenvalues."""
     f, n = cfg.f, cfg.n
-    n_pos = int(rng.integers(0, n + 1))
-    n_neg = int(rng.integers(0, n + 1))
+    n_pos = int(rng.integers(0, min(n, f) + 1))
+    n_neg = int(rng.integers(0, min(n, f - n_pos) + 1))
     k = n_pos + n_neg
     m = np.zeros((f, f), dtype=complex)
     if k:

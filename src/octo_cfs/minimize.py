@@ -2,7 +2,8 @@
 
 Weights live on the probability simplex through a softmax reparametrization,
 so the volume constraint is exact by construction; the trace constraint is
-an exact equality constraint of one SLSQP solve. Gradients of the action
+the one equality constraint of an SQP solve (`_sqp`, SLSQP's method for a
+single equality, in numpy). Gradients of the action
 and of the trace are central finite differences (the Lagrangian is only
 piecewise smooth in the eigenvalue moduli); each gradient is one batched
 engine call: the 2p perturbed measures go through one `cfs.action` over
@@ -12,12 +13,14 @@ their stack, and the trace gradient reuses the same unpacked measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import cfs
 
-MAXITER = 400  # SLSQP iteration cap
+MAXITER = 400  # SQP iteration cap
+ACC = 1e-14  # SQP stopping accuracy (SLSQP's acc)
 FD_STEP = 1e-6  # relative central-difference step
 PROBE_SAMPLES = 200  # random points in the off-support ell probe
 
@@ -107,7 +110,7 @@ def minimize(
 ):
     """Minimize the causal action within the family at unit volume and trace.
 
-    One SLSQP solve over (shape parameters, softmax logits) keeps the trace
+    One `_sqp` solve over (shape parameters, softmax logits) keeps the trace
     T = 1 as an exact equality constraint; the softmax makes the volume
     exact. Raises InfeasibleStart for an invalid or non-finite x0,
     LineSearchFailure if the solve diverges and MaxIterations if
@@ -120,8 +123,6 @@ def minimize(
     not asserted, since family-restricted optima need not satisfy the
     global inequality.
     """
-    import scipy.optimize
-
     opt = options or MinimizeOptions()
     v = np.asarray(x0, dtype=float)
     if v.shape != (family.n_params + family.n_points,):
@@ -137,29 +138,13 @@ def minimize(
     except (cfs.NotHermitian, cfs.SignatureViolation) as exc:
         raise InfeasibleStart(f"initial family point invalid: {exc}") from exc
 
-    def action_of(vv):
-        return cfs.action(*_unpack(family, vv), cfg)
+    def action_and_gap(vv):
+        points, w = _unpack(family, vv)
+        return cfs.action(points, w, cfg), cfs.constraints(points, w)[1] - 1.0
 
-    def trace_gap(vv):
-        return cfs.constraints(*_unpack(family, vv))[1] - 1.0
-
-    cache = [None, None]  # SLSQP asks for both gradients at the same x: solve them once
-
-    def gradients(vv):
-        if cache[0] != vv.tobytes():
-            cache[:] = vv.tobytes(), _gradients(family, cfg, vv)
-        return cache[1]
-
-    res = scipy.optimize.minimize(
-        action_of,
-        v,
-        method="SLSQP",
-        jac=lambda vv: gradients(vv)[0],
-        constraints=[{"type": "eq", "fun": trace_gap, "jac": lambda vv: gradients(vv)[1]}],
-        options={"maxiter": MAXITER, "ftol": 1e-14},
-    )
-    if not np.all(np.isfinite(res.x)):
-        raise LineSearchFailure(f"SLSQP diverged: {res.message}")
+    res = _sqp(action_and_gap, lambda vv: _gradients(family, cfg, vv), v)
+    if not np.all(np.isfinite(np.append(res.x, res.fun))):
+        raise LineSearchFailure(f"SQP diverged: {res.message}")
     points, w = _unpack(family, res.x)
     trace = cfs.constraints(points, w)[1]
     if abs(trace - 1.0) > 1e-6:
@@ -187,12 +172,71 @@ def minimize(
         ell_support=ell_support,
         ell_spread=ell_spread,
         off_support_max_neg_ell=off_max,
-        nit=int(res.nit),
-        nfev=int(res.nfev),
-        converged=bool(res.success),
-        status=str(res.message),
+        nit=res.nit,
+        nfev=res.nfev,
+        converged=res.success,
+        status=res.message,
     )
     return measure, report
+
+
+def _sqp(fun, grad, x):
+    """min f(x) subject to the one equality c(x) = 0 by SLSQP's method, in numpy.
+
+    `fun(x)` returns (f, c) and `grad(x)` returns their gradients (g, a). B is a damped (Powell)
+    BFGS approximation of the Hessian of the Lagrangian f - lam c, starting from the identity and
+    reset to it when the step is not a descent direction of the L1 merit f + mu |c|. Each step
+    solves the KKT system [[B, a], [a^T, 0]] by least squares, so a vanishing a ends unconverged,
+    not in a LinAlgError. The line search, the penalty update mu = max(|lam|, (mu + |lam|) / 2)
+    and the stopping tests are SLSQP's with acc = ACC. Returns x, fun, nit, nfev, success and
+    message.
+    """
+    n = len(x)
+    (f, c), (g, a) = fun(x), grad(x)
+    nfev, B, mu, resets = 1, np.eye(n), 0.0, 1
+
+    def result(success, failure=""):
+        message = "Optimization terminated successfully" if success else failure
+        return SimpleNamespace(x=x, fun=f, nit=nit, nfev=nfev, success=success, message=message)
+
+    for nit in range(1, MAXITER + 1):
+        kkt = np.block([[B, a[:, None]], [a[None, :], np.zeros((1, 1))]])
+        if not (np.all(np.isfinite(kkt)) and np.isfinite(f + c)):
+            return result(False, "Non-finite iterate")
+        sol = np.linalg.lstsq(kkt, -np.append(g, c), rcond=None)[0]
+        s, lam = sol[:n], -sol[n]  # B s + g = lam a
+        gs = float(g @ s)
+        mu = max(abs(lam), (mu + abs(lam)) / 2.0)
+        if abs(gs) + abs(lam * c) < ACC and abs(c) < ACC:
+            return result(True)
+        slope = gs - mu * abs(c)  # directional derivative of the merit along s
+        if slope >= 0.0:
+            resets += 1
+            if resets > 5:  # SLSQP's relaxed test, whose step clause holds here
+                return result(abs(c) < 10.0 * ACC, "Positive directional derivative for linesearch")
+            B = np.eye(n)
+            continue
+        x0, f0, t0, alpha = x, f, f + mu * abs(c), 1.0
+        for _ in range(11):
+            slope, s = alpha * slope, alpha * s
+            x = x0 + s
+            f, c = fun(x)
+            nfev += 1
+            drop = f + mu * abs(c) - t0
+            if drop <= slope / 10.0:
+                break
+            alpha = max(slope / (2.0 * (slope - drop)), 0.1)
+        if (abs(f - f0) < ACC or np.linalg.norm(s) < ACC) and abs(c) < ACC:
+            return result(True)
+        lag_grad0 = g - lam * a
+        g, a = grad(x)
+        u, bs = g - lam * a - lag_grad0, B @ s
+        su, sbs = float(s @ u), float(s @ bs)
+        if su < 0.2 * sbs:  # Powell's damping keeps B positive definite
+            theta = 0.8 * sbs / (sbs - su)
+            u, su = theta * u + (1.0 - theta) * bs, 0.2 * sbs
+        B = B + np.outer(u, u) / su - np.outer(bs, bs) / sbs
+    return result(False, "Iteration limit reached")
 
 
 def _perturbed_point(rng, point: cfs.OperatorPoint, cfg, rel=0.05):

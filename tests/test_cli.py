@@ -206,6 +206,15 @@ def test_cfs_minimize_causal_diagonal_family_is_pinned(tmp_path, capsys):
     assert abs(json.loads(outs[0])["report"]["action"] - 0.05625) <= 1e-10
 
 
+def test_cfs_minimize_with_f_below_2n(tmp_path):
+    # the off-support probe draws random points with at most f nonzero eigenvalues
+    fam_path = tmp_path / "family.json"
+    fam_path.write_text(json.dumps({"config": {"f": 2, "n": 2, "kappa": 0.2}, "family": {"type": "mirror_pair"}}))
+    out = tmp_path / "min.json"
+    assert run(["cfs", "minimize", "--family", str(fam_path), "--seed", "1", "--out", str(out)]) == 0
+    assert abs(read_json(out)["report"]["trace"] - 1.0) < 1e-6
+
+
 def test_cfs_minimize_rejects_bad_sign_templates(tmp_path, capsys):
     fam_path = tmp_path / "family.json"
     for bad in ([], [1, -1], [[1, 2]], [[1, -1], [1]], [[]], [["a", "b"]]):
@@ -374,6 +383,14 @@ def test_cfs_classify_geometry_loads_no_scipy(tmp_path):
             "--out", str(tmp_path / "geo.json")]
     assert _scipy_modules_after(f"assert octo_cfs.cli.main({argv!r}) == 0") == "[]"
     assert "holonomy_012_loop_residual" in read_json(tmp_path / "geo.json")
+
+
+def test_cfs_minimize_loads_no_scipy(tmp_path):
+    fam_path = tmp_path / "family.json"
+    fam_path.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.2}, "family": {"type": "mirror_pair"}}))
+    argv = ["cfs", "minimize", "--family", str(fam_path), "--out", str(tmp_path / "min.json")]
+    assert _scipy_modules_after(f"assert octo_cfs.cli.main({argv!r}) == 0") == "[]"
+    assert read_json(tmp_path / "min.json")["report"]["converged"]
 
 
 def test_majorana_check(tmp_path):

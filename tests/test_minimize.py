@@ -5,12 +5,17 @@ from hypothesis import strategies as st
 
 from octo_cfs import cfs
 from octo_cfs.minimize import (
+    ACC,
     FD_STEP,
+    MAXITER,
     InfeasibleStart,
+    LineSearchFailure,
     MaxIterations,
     MeasureFamily,
     MinimizeOptions,
     _gradients,
+    _sqp,
+    _unpack,
     make_family,
     minimize,
     softmax,
@@ -129,6 +134,14 @@ def test_traceless_family_cannot_meet_constraint():
         minimize(fam, cfg, np.array([1.0, 0.0]))
 
 
+def test_overflowing_start_raises_line_search_failure():
+    # theta = 1e40 puts 1e80 on the diagonal: the action overflows and its gradients are not finite
+    cfg = cfs.SystemConfig(f=2, n=1, kappa=0.2)
+    fam, _ = make_family({"type": "mirror_pair"}, cfg)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(LineSearchFailure, match="diverged"):
+        minimize(fam, cfg, np.array([1e40, 0.4, 0.1, -0.1]))
+
+
 def test_make_family_sign_template_validated():
     cfg = cfs.SystemConfig(f=2, n=1, kappa=0.1)
     with pytest.raises(ValueError):
@@ -200,5 +213,52 @@ def test_each_gradient_is_one_batched_action_call(monkeypatch):
     action = cfs.action
     monkeypatch.setattr(cfs, "action", lambda *a: calls.append(np.ndim(a[1])) or action(*a))
     _, report = minimize(fam, cfg, x0, MinimizeOptions(seed=1))
-    # one plain call per objective evaluation, one batched call per shared gradient of SLSQP
+    # one plain call per objective evaluation, one batched call per gradient of the SQP
     assert calls.count(1) == report.nfev and 0 < calls.count(2) <= report.nit + 1
+
+
+def test_sqp_reaches_the_closed_form_of_a_quadratic():
+    res = _sqp(lambda x: (float(x @ x), float(x.sum()) - 1.0), lambda x: (2.0 * x, np.ones(2)),
+               np.array([2.0, -3.0]))
+    assert res.success and np.allclose(res.x, [0.5, 0.5], atol=1e-12)
+
+
+def test_sqp_ends_unconverged_on_a_constraint_with_zero_gradient():
+    res = _sqp(lambda x: (float(x @ x), -1.0), lambda x: (2.0 * x, np.zeros(2)), np.array([1.0, 2.0]))
+    assert not res.success and np.all(np.isfinite(res.x))
+
+
+DIFFERENTIAL_FAMILIES = {
+    "mirror_pair": ({"f": 2, "n": 1}, {"type": "mirror_pair"}),
+    "diagonal_2x2": ({"f": 2, "n": 1}, {"type": "diagonal", "signs": [[1, -1], [-1, 1]]}),
+    "diagonal_3x4": ({"f": 4, "n": 2}, GRADIENT_FAMILIES["diagonal"][1]),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kappa", [0.05, 0.2, 0.5])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_FAMILIES))
+def test_sqp_reaches_the_action_of_slsqp(name, kappa, seed):
+    """A fixed table of starts: a drawn start may send the two solvers to different local optima."""
+    import scipy.optimize
+
+    dims, spec = DIFFERENTIAL_FAMILIES[name]
+    cfg = cfs.SystemConfig(kappa=kappa, **dims)
+    fam, x0 = make_family(spec, cfg)
+    v0 = x0 + 0.2 * np.random.default_rng(seed).standard_normal(len(x0))
+
+    def fun(v):
+        points, w = _unpack(fam, v)
+        return cfs.action(points, w, cfg), cfs.constraints(points, w)[1] - 1.0
+
+    def grad(v):
+        return _gradients(fam, cfg, v)
+
+    oracle = scipy.optimize.minimize(
+        lambda v: fun(v)[0], v0, method="SLSQP", jac=lambda v: grad(v)[0],
+        constraints=[{"type": "eq", "fun": lambda v: fun(v)[1], "jac": lambda v: grad(v)[1]}],
+        options={"maxiter": MAXITER, "ftol": ACC},
+    )
+    action, gap = fun(_sqp(fun, grad, v0).x)
+    assert abs(action - fun(oracle.x)[0]) < 1e-9
+    assert abs(gap) < 1e-8
