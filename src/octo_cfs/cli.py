@@ -68,14 +68,17 @@ def _meta(args, **params) -> dict:
 
 
 def _to_plain(obj):
+    """obj with containers, numpy arrays and scalars and complex numbers turned into JSON values."""
+    if type(obj) in (float, int, str, bool) or obj is None:
+        return obj
     if isinstance(obj, dict):
         return {k: _to_plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_to_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
         return _to_plain(obj.tolist())
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     return obj
@@ -150,22 +153,22 @@ def cmd_octonion_check(args) -> int:
         for line in FANO_LINES
         for a, b, c in (line, line[1:] + line[:1], line[2:] + line[:2])
     )
-    checks.append({"name": "fano_lines_cyclic", "passed": bool(cyc), "value": None})
+    checks.append({"name": "fano_lines_cyclic", "passed": cyc, "value": None})
     e = Octonion.e
     na = mul(e(4), mul(e(7), e(6))) == -e(5) and mul(mul(e(4), e(7)), e(6)) == e(5)
-    checks.append({"name": "nonassociative_pair_e4_e7_e6", "passed": bool(na), "value": None})
+    checks.append({"name": "nonassociative_pair_e4_e7_e6", "passed": na, "value": None})
     worst = 0.0
     for _ in range(1000):
         x = Octonion(rng.standard_normal(8))
         y = Octonion(rng.standard_normal(8))
         worst = max(worst, abs(norm(mul(x, y)) - norm(x) * norm(y)) / max(1.0, norm(x) * norm(y)))
-    checks.append({"name": "norm_multiplicative_1000", "passed": bool(worst < tol), "value": worst})
+    checks.append({"name": "norm_multiplicative_1000", "passed": worst < tol, "value": worst})
     worst_a = 0.0
     for _ in range(200):
         x = Octonion(rng.standard_normal(8))
         y = Octonion(rng.standard_normal(8))
         worst_a = max(worst_a, float(np.abs(associator(x, x, y).coeffs).max()))
-    checks.append({"name": "alternativity_200", "passed": bool(worst_a < tol * 100), "value": worst_a})
+    checks.append({"name": "alternativity_200", "passed": worst_a < tol * 100, "value": worst_a})
     worst_inv = 0.0
     worst_split = 0.0
     worst_conj = 0.0
@@ -176,9 +179,9 @@ def cmd_octonion_check(args) -> int:
         worst_split = max(worst_split, float(np.abs(unsplit(split(x)).coeffs - x.coeffs).max()))
         dev = mul(conj(x), conj(y)) - conj(mul(y, x))
         worst_conj = max(worst_conj, float(np.abs(dev.coeffs).max()))
-    checks.append({"name": "inverse_100", "passed": bool(worst_inv < tol * 100), "value": worst_inv})
+    checks.append({"name": "inverse_100", "passed": worst_inv < tol * 100, "value": worst_inv})
     checks.append({"name": "split_round_trip_100", "passed": worst_split == 0.0, "value": worst_split})
-    checks.append({"name": "conj_antiautomorphism_100", "passed": bool(worst_conj < tol * 100), "value": worst_conj})
+    checks.append({"name": "conj_antiautomorphism_100", "passed": worst_conj < tol * 100, "value": worst_conj})
     rp, rm = projector(+1), projector(-1)
     proj_ok = (
         mul(rp, rp) == rp
@@ -186,7 +189,7 @@ def cmd_octonion_check(args) -> int:
         and np.abs(mul(rp, rm).coeffs).max() == 0.0
         and np.abs((rp + rm).coeffs - ComplexOctonion.e(0).coeffs).max() == 0.0
     )
-    checks.append({"name": "projectors_rho_pm", "passed": bool(proj_ok), "value": None})
+    checks.append({"name": "projectors_rho_pm", "passed": proj_ok, "value": None})
     return _finish_checks(args, checks)
 
 
@@ -228,7 +231,7 @@ def cmd_clifford_identities(args) -> int:
         quad = max(quad, quadratic_relation_check(x, y) / max(1.0, norm(x) * norm(y)))
     checks.append({"name": "quadratic_relation_200", "passed": quad < tol, "value": quad})
     rep = left_right_equality()
-    checks.append({"name": "left_right_span_equality", "passed": bool(rep["equal"]), "value": rep["union_rank"]})
+    checks.append({"name": "left_right_span_equality", "passed": rep["equal"], "value": rep["union_rank"]})
     return _finish_checks(args, checks)
 
 
@@ -475,10 +478,10 @@ def cmd_vacuum_act(args) -> int:
     if args.container:
         with _writing(args.container):
             lattice.save_kernels(args.container, spec, md, seas, coefficients)
-    sectors = lattice.materialize(coefficients, lattice.sector_bases(seas, md.tau_reg))
+    norms = lattice.sector_norms(coefficients, lattice.sector_bases(seas, md.tau_reg))
     payload = {
         "meta": _meta(args, infile=args.infile, op=word, out=args.container),
-        "sector_norms": {f"e{i}": float(np.abs(k.rel).max()) for i, k in enumerate(sectors)},
+        "sector_norms": {f"e{i}": v for i, v in enumerate(norms)},
     }
     _emit(args, payload)
     return EXIT_OK

@@ -148,12 +148,11 @@ class SectorKernel:
 
     def hermiticity_residual(self) -> float:
         """Max-norm residual of gamma0 K(-d)^dag gamma0 = K(d)."""
-        g0 = self.gammas.gamma[0]
-        flipped = self.rel[::-1]
+        g0, L = self.gammas.gamma[0], self.spec.L
+        mirrored = self.rel[::-1]  # K(-d): time offsets reversed, each spatial offset x taken at -x mod L
         for ax in range(1, 1 + self.spec.spatial_dims):
-            flipped = np.flip(flipped, axis=ax)
-            flipped = np.roll(flipped, 1, axis=ax)
-        mirrored = np.einsum("ab,...cb,cd->...ad", g0, np.conj(flipped), g0)
+            mirrored = np.take(mirrored, -np.arange(L) % L, axis=ax)
+        mirrored = g0 @ np.conj(mirrored).swapaxes(-1, -2) @ g0
         return float(np.abs(mirrored - self.rel).max())
 
 
@@ -186,19 +185,23 @@ def mode_dirac_residuals(mass: float, spec: LatticeSpec, gammas: GammaSet = None
 
 
 def dirac_apply(kernel: SectorKernel, mass: float, pseudo: float = 0.0) -> np.ndarray:
-    """(i d-slash + i gamma5 n - m) K with central differences, on interior time offsets."""
-    spec, g = kernel.spec, kernel.gammas
-    rel = kernel.rel
-    dt = (rel[2:] - rel[:-2]) / (2.0 * spec.a)
-    out = 1j * np.einsum("ab,...bc->...ac", g.gamma[0], dt)
+    """(i d-slash + i gamma5 n - m) K with central differences, on interior time offsets.
+
+    One matmul of the row [i gamma_mu / 2a ..., i n gamma5 - m] with a buffer stacking dt K, the d dx_j K and K.
+    """
+    g, d, rel = kernel.gammas, kernel.spec.spatial_dims, kernel.rel
     inner = rel[1:-1]
-    for j in range(spec.spatial_dims):
-        ax = 1 + j
-        dj = (np.roll(inner, -1, axis=ax) - np.roll(inner, 1, axis=ax)) / (2.0 * spec.a)
-        out += 1j * np.einsum("ab,...bc->...ac", g.gamma[1 + j], dj)
-    mass_term = mass * np.eye(4) - 1j * pseudo * g.gamma5
-    out -= np.einsum("ab,...bc->...ac", mass_term, inner)
-    return out
+    buf = np.empty(inner.shape[:-2] + (d + 2, 4, 4), dtype=rel.dtype)
+    np.subtract(rel[2:], rel[:-2], out=buf[..., 0, :, :])
+    for j in range(1, d + 1):
+        src, dst = np.moveaxis(inner, j, 0), np.moveaxis(buf[..., j, :, :], j, 0)
+        np.subtract(src[2:], src[:-2], out=dst[1:-1])  # K(x+1) - K(x-1), wrapping at both ends
+        np.subtract(src[1:2], src[-1:], out=dst[:1])
+        np.subtract(src[:1], src[-2:-1], out=dst[-1:])
+    buf[..., d + 1, :, :] = inner
+    row = np.hstack([1j * gm / (2.0 * kernel.spec.a) for gm in g.gamma[: d + 1]]
+                    + [1j * pseudo * g.gamma5 - mass * np.eye(4)])
+    return row @ buf.reshape(inner.shape[:-2] + (4 * (d + 2), 4))
 
 
 def dirac_residual_single(kernel: SectorKernel, mass: float) -> float:
@@ -276,7 +279,7 @@ def sector_bases(seas, tau_reg: float) -> tuple:
     """
     spec, gammas = seas[0].spec, seas[0].gammas
     a, b = chiral_sandwich(tau_reg, gammas)
-    nu = np.einsum("ab,...bc,cd->...ad", a, seas[0].rel + seas[1].rel + seas[2].rel, b)
+    nu = a @ (seas[0].rel + seas[1].rel + seas[2].rel) @ b
     charged = seas[3].rel + seas[4].rel + seas[5].rel
     return SectorKernel(spec, nu, gammas=gammas), SectorKernel(spec, charged, gammas=gammas)
 
@@ -285,6 +288,13 @@ def materialize(coefficients: np.ndarray, bases) -> list:
     """The eight sector kernels e_i = C[i, 0] E_nu + C[i, 1] E_c of an 8 x 2 coefficient matrix C."""
     nu, charged = bases
     return [SectorKernel(nu.spec, c0 * nu.rel + c1 * charged.rel, gammas=nu.gammas) for c0, c1 in coefficients]
+
+
+def sector_norms(coefficients: np.ndarray, bases) -> list:
+    """Max-norm of each sector e_i of `materialize`; each distinct row of C is materialized once, one at a time."""
+    rows = [tuple(row) for row in coefficients]
+    norms = {row: float(np.abs(materialize([row], bases)[0].rel).max()) for row in dict.fromkeys(rows)}
+    return [norms[row] for row in rows]
 
 
 def build_vacuum_direct(md: MassData, spec: LatticeSpec, gammas: GammaSet = None) -> list:
@@ -356,7 +366,7 @@ def occupied_modes(masses, spec: LatticeSpec, tau_reg: float = 1.0, gammas: Gamm
     for mass in masses:
         kvecs, omegas, kslash = mode_table(mass, spec, gammas)
         vals, vecs = np.linalg.eigh((kslash + mass * np.eye(4)) @ gammas.gamma[0])
-        u = np.einsum("ab,kbr->kra", a_tau, vecs)  # (mode, eigen-index, spinor)
+        u = (a_tau @ vecs).swapaxes(1, 2)  # (mode, eigen-index, spinor)
         nrm = np.linalg.norm(u, axis=2)
         keep = (np.abs(vals) > 1e-9 * np.abs(vals).max(axis=1, keepdims=True)) & (nrm >= 1e-14)
         k, r = np.nonzero(keep)

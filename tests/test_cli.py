@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from octo_cfs import cfs
-from octo_cfs.cli import build_parser, main
+from octo_cfs.cli import _to_plain, build_parser, main
 from octo_cfs.lattice import AUX_SUMMANDS, LatticeSpec, MassData, dirac_residual_single, vacuum_seas
 
 
@@ -485,6 +485,39 @@ def test_reproducibility_byte_identical(tmp_path, capsys):
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1].replace("acted2.okn", "acted1.okn")
     assert (tmp_path / "acted1.okn").read_bytes() == (tmp_path / "acted2.okn").read_bytes()
+
+
+def test_vacuum_act_in_place_matches_act_to_another_path(tmp_path, capsys):
+    # act reads every sea before it writes, so --out may name its own --infile
+    vac = tmp_path / "vac.okn"
+    assert run(["vacuum", "build", "--L", "8", "--T", "6", "--tau", "0.7", "--out", str(vac)]) == 0
+    same = tmp_path / "same.okn"
+    same.write_bytes(vac.read_bytes())
+    capsys.readouterr()
+    assert run(["vacuum", "act", "--infile", str(vac), "--op", "1,2", "--out", str(tmp_path / "other.okn")]) == 0
+    to_other = json.loads(capsys.readouterr().out)
+    assert run(["vacuum", "act", "--infile", str(same), "--op", "1,2", "--out", str(same)]) == 0
+    in_place = json.loads(capsys.readouterr().out)
+    assert in_place["sector_norms"] == to_other["sector_norms"]
+    assert in_place["meta"]["params"] == {**to_other["meta"]["params"], "infile": str(same), "out": str(same)}
+    assert same.read_bytes() == (tmp_path / "other.okn").read_bytes()
+
+
+def test_to_plain_maps_numpy_scalars_and_complex_to_json_values():
+    obj = {
+        "b": np.bool_(True), "f": np.float64(0.1), "f32": np.float32(0.5), "i": np.int64(7), "u": np.uint8(3),
+        "z": np.complex128(1 - 2j), "c": 2 + 3j, "s": np.str_("x"), "a": np.array([[1.5, 2.0]]),
+        "t": (np.False_, None, "y", 4, 0.25, True), "nested": [{"k": np.arange(2)}],
+    }
+    plain = _to_plain(obj)
+    assert plain == {
+        "b": True, "f": 0.1, "f32": 0.5, "i": 7, "u": 3, "z": [1.0, -2.0], "c": [2.0, 3.0], "s": "x",
+        "a": [[1.5, 2.0]], "t": [False, None, "y", 4, 0.25, True], "nested": [{"k": [0, 1]}],
+    }
+    kinds = {k: type(v) for k, v in plain.items()}
+    assert kinds["b"] is bool and kinds["f"] is float and kinds["i"] is int and kinds["s"] is str
+    assert type(plain["t"][0]) is bool and type(plain["z"][0]) is float
+    json.dumps(plain)
 
 
 def test_cfs_flags_reject_non_finite_or_out_of_range_values(tmp_path, capsys):

@@ -18,6 +18,7 @@ from octo_cfs.lattice import (
     _mode_matrices,
     build_vacuum_direct,
     chiral_sandwich,
+    dirac_apply,
     dirac_residual,
     dirac_residual_single,
     left_algebra_action,
@@ -32,12 +33,13 @@ from octo_cfs.lattice import (
     save_kernels,
     sea_kernel,
     sector_bases,
+    sector_norms,
     to_direct,
     to_octonionic,
     vacuum_local_correlation,
     vacuum_seas,
 )
-from octo_cfs.mult_algebra import left_unit
+from octo_cfs.mult_algebra import chain, left_unit
 from octo_cfs.octonion import basis_product
 
 rng = np.random.default_rng(53)
@@ -145,6 +147,113 @@ def test_batched_slash_matches_per_vector(ks, n, majorana):
         assert np.array_equal(s, gs.slash(k))
         direct = k[0] * gs.gamma[0] - sum(k[j] * gs.gamma[j] for j in range(1, n))
         assert np.allclose(s, direct, rtol=0.0, atol=1e-14 * max(1.0, np.abs(k).max()))
+
+
+def einsum_dirac_apply(kernel, mass, pseudo=0.0):
+    """(i d-slash + i gamma5 n - m) K by rolls and one einsum per term: the oracle for dirac_apply's stacked matmul."""
+    spec, g = kernel.spec, kernel.gammas
+    rel = kernel.rel
+    dt = (rel[2:] - rel[:-2]) / (2.0 * spec.a)
+    out = 1j * np.einsum("ab,...bc->...ac", g.gamma[0], dt)
+    inner = rel[1:-1]
+    for j in range(spec.spatial_dims):
+        ax = 1 + j
+        dj = (np.roll(inner, -1, axis=ax) - np.roll(inner, 1, axis=ax)) / (2.0 * spec.a)
+        out += 1j * np.einsum("ab,...bc->...ac", g.gamma[1 + j], dj)
+    mass_term = mass * np.eye(4) - 1j * pseudo * g.gamma5
+    out -= np.einsum("ab,...bc->...ac", mass_term, inner)
+    return out
+
+
+def einsum_mirror(kernel):
+    """gamma0 K(-d)^dag gamma0 by flip, roll and einsum: the oracle for hermiticity_residual's reflection."""
+    g0 = kernel.gammas.gamma[0]
+    flipped = kernel.rel[::-1]
+    for ax in range(1, 1 + kernel.spec.spatial_dims):
+        flipped = np.flip(flipped, axis=ax)
+        flipped = np.roll(flipped, 1, axis=ax)
+    return np.einsum("ab,...cb,cd->...ad", g0, np.conj(flipped), g0)
+
+
+def einsum_occupied_spinors(masses, spec, tau_reg, gammas):
+    """The spinor column of occupied_modes with the chiral factor applied by einsum."""
+    a_tau = gammas.chiral_left() + tau_reg * gammas.chiral_right()
+    n_sites = spec.T * spec.n_spatial
+    spinor = [np.zeros((0, 4), complex)]
+    for mass in masses:
+        _, _, kslash = lattice.mode_table(mass, spec, gammas)
+        vals, vecs = np.linalg.eigh((kslash + mass * np.eye(4)) @ gammas.gamma[0])
+        u = np.einsum("ab,kbr->kra", a_tau, vecs)
+        nrm = np.linalg.norm(u, axis=2)
+        keep = (np.abs(vals) > 1e-9 * np.abs(vals).max(axis=1, keepdims=True)) & (nrm >= 1e-14)
+        k, r = np.nonzero(keep)
+        spinor.append(u[k, r] / (nrm[k, r, None] * np.sqrt(n_sites)))
+    return np.concatenate(spinor)
+
+
+@st.composite
+def random_kernels(draw, count=1):
+    """`count` random complex kernels on one small 1+1 or 1+3 lattice; none is gamma0-Hermitian."""
+    dims = draw(st.sampled_from(["1+1", "1+3"]))
+    L, T = draw(st.sampled_from([2, 4, 6])), draw(st.sampled_from([3, 4, 5]))
+    a = draw(st.floats(0.25, 1.0))
+    spec = LatticeSpec(L=L, T=T, a=a, epsilon=a, dims=dims)
+    gs = majorana_rep() if draw(st.booleans()) else dirac_rep()
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (2 * T - 1,) + (L,) * spec.spatial_dims + (4, 4)
+    return [SectorKernel(spec, r.normal(size=shape) + 1j * r.normal(size=shape), gammas=gs) for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kernels=random_kernels(),
+    mass=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    pseudo=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+)
+def test_dirac_apply_matches_einsum_oracle(kernels, mass, pseudo):
+    (k,) = kernels
+    out, oracle = dirac_apply(k, mass, pseudo=pseudo), einsum_dirac_apply(k, mass, pseudo=pseudo)
+    assert out.shape == oracle.shape == k.rel[1:-1].shape
+    # every entry sums 4(d+2) products, each below max|K| (1/a + m + |n|)
+    scale = np.abs(k.rel).max() * (1.0 / k.spec.a + mass + abs(pseudo))
+    assert np.abs(out - oracle).max() <= 1e-14 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernels=random_kernels())
+def test_hermiticity_residual_matches_einsum_oracle(kernels):
+    (k,) = kernels
+    mirrored = einsum_mirror(k)
+    oracle = float(np.abs(mirrored - k.rel).max())
+    assert oracle > 0.1  # a random kernel is far from gamma0-Hermitian, so a residual of 0 fails here
+    assert abs(k.hermiticity_residual() - oracle) <= 1e-15 * np.abs(k.rel).max()
+    # its gamma0-Hermitian part has a vanishing residual
+    part = SectorKernel(k.spec, 0.5 * (k.rel + mirrored), gammas=k.gammas)
+    assert part.hermiticity_residual() <= 1e-15 * np.abs(k.rel).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernels=random_kernels(count=6), tau_reg=st.floats(0.0, 1.0, exclude_min=True))
+def test_sector_bases_match_einsum_sandwich(kernels, tau_reg):
+    a, b = chiral_sandwich(tau_reg, kernels[0].gammas)
+    nu_sum = kernels[0].rel + kernels[1].rel + kernels[2].rel
+    nu, charged = sector_bases(kernels, tau_reg)
+    # the sandwich factors have unit absolute row sums, so each entry rounds at the scale of max|sum|
+    assert np.abs(nu.rel - np.einsum("ab,...bc,cd->...ad", a, nu_sum, b)).max() <= 4e-15 * np.abs(nu_sum).max()
+    assert np.array_equal(charged.rel, kernels[3].rel + kernels[4].rel + kernels[5].rel)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=lattice_specs(), tau_reg=st.floats(0.0, 1.0, exclude_min=True),
+       masses=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=1, max_size=3),
+       majorana=st.booleans())
+def test_occupied_modes_match_einsum_oracle(spec, tau_reg, masses, majorana):
+    gs = majorana_rep() if majorana else dirac_rep()
+    spinor = occupied_modes(masses, spec, tau_reg=tau_reg, gammas=gs).spinor
+    oracle = einsum_occupied_spinors(masses, spec, tau_reg, gs)
+    assert spinor.shape == oracle.shape
+    # unit spinors scaled by 1/sqrt(sites), each entry a sum of four products
+    assert np.abs(spinor - oracle).max() <= 4e-15 / np.sqrt(spec.T * spec.n_spatial)
 
 
 def test_kernel_hermiticity_identity():
@@ -500,3 +609,19 @@ def test_coefficient_action_matches_left_algebra_action(parts):
     scales = np.abs(op) @ np.array([np.abs(k.rel).max() for k in sectors])
     for i, k in enumerate(materialize(op @ c, bases)):
         assert np.abs(k.rel - oracle.coefficient(i).rel).max() <= 1e-15 * scales[i]
+
+
+def test_sector_norms_equal_per_row_materialize(monkeypatch):
+    bases = sector_bases(vacuum_seas(MD, SPEC), MD.tau_reg)
+    acted = chain([1, 2]).astype(complex) @ VACUUM_COEFFICIENTS
+    c = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    c[5], c[7] = c[2], c[2]
+    for coefficients, distinct in ((VACUUM_COEFFICIENTS, 2), (acted, 3), (c, 6)):
+        calls = []
+        single = lattice.materialize
+        monkeypatch.setattr(lattice, "materialize", lambda rows, b: calls.append(rows) or single(rows, b))
+        norms = sector_norms(coefficients, bases)
+        monkeypatch.undo()
+        assert len(calls) == distinct and all(len(rows) == 1 for rows in calls)
+        assert norms == [float(np.abs(k.rel).max()) for k in materialize(coefficients, bases)]
+        assert all(type(v) is float for v in norms)
