@@ -277,14 +277,19 @@ def action(measure_or_points, weights=None, cfg: SystemConfig = None):
 
 
 def constraints(measure_or_points, weights=None):
-    """(volume, trace) integrals of the measure."""
+    """(volume, trace) integrals of the measure, the trace summed point by point in support order.
+
+    A stack (B, N, f, f) of B point sets with weights (B, N) gives two arrays (B,); each entry equals
+    the integral of its set alone, bitwise.
+    """
     if isinstance(measure_or_points, DiscreteMeasure):
         points, w = measure_or_points.points, measure_or_points.weights
     else:
         points, w = measure_or_points, np.asarray(weights, dtype=float)
-    volume = float(np.sum(w))
-    trace = float(sum(wi * np.real(np.trace(_asmat(p))) for wi, p in zip(w, points)))
-    return volume, trace
+    mats = points if isinstance(points, np.ndarray) else np.array([_asmat(p) for p in points])
+    tr = np.real(np.trace(mats, axis1=-2, axis2=-1))
+    volume, trace = np.sum(w, axis=-1), sum(w[..., k] * tr[..., k] for k in range(w.shape[-1]))
+    return (volume, trace) if w.ndim == 2 else (float(volume), float(trace))
 
 
 def ell(x, measure: DiscreteMeasure, cfg: SystemConfig):

@@ -534,6 +534,18 @@ def cmd_potentials_scan(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def _bounded(convert, ok, bound: str):
+    """argparse type: `convert` the text and reject a value outside `bound` at parse time (exit 2)."""
+    def parse(text):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:  # not a number of that type
+            pass
+        raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI, declared once: (group, verb) -> the handler and exactly the flags it reads.
 
@@ -542,8 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     """
     out = ("--out", {})
     fmt = ("--format", {"choices": ("json", "csv"), "default": "json"})
-    seed = ("--seed", {"type": int, "default": 0})
-    tol = ("--tol", {"type": float})
+    seed = ("--seed", {"type": _bounded(int, lambda v: v >= 0, "a non-negative integer"), "default": 0})
+    tol = ("--tol", {"type": _bounded(float, lambda v: 0 <= v < np.inf, "a finite number >= 0")})
     infile = ("--infile", {"required": True})
     commands = {
         ("octonion", "table"): (cmd_octonion_table, out, fmt),

@@ -3,11 +3,10 @@
 Weights live on the probability simplex through a softmax reparametrization,
 so the volume constraint is exact by construction; the trace constraint is
 the one equality constraint of an SQP solve (`_sqp`, SLSQP's method for a
-single equality, in numpy). Gradients of the action
-and of the trace are central finite differences (the Lagrangian is only
-piecewise smooth in the eigenvalue moduli); each gradient is one batched
-engine call: the 2p perturbed measures go through one `cfs.action` over
-their stack, and the trace gradient reuses the same unpacked measures.
+single equality, in numpy). Gradients of the action and of the trace are
+central finite differences (the Lagrangian is only piecewise smooth in the
+eigenvalue moduli); each gradient unpacks the 2p perturbed vectors as one
+stack for one batched `cfs.action` and `cfs.constraints`.
 """
 
 from __future__ import annotations
@@ -39,15 +38,26 @@ class MaxIterations(RuntimeError):
 
 @dataclass
 class MeasureFamily:
-    """Points as differentiable functions of shape parameters, plus simplex weights.
+    """Diagonal points whose entries are signed squares of shape parameters, plus simplex weights.
 
-    `point_fn` maps a parameter vector of length `n_params` to a list of
-    `n_points` Hermitian f x f matrices.
+    `index` and `signs` are (N, f) tables: entry j of point i is signs[i, j] * theta[index[i, j]] ** 2,
+    so entries may share a parameter. The family has N points and max(index) + 1 parameters.
     """
 
-    n_points: int
-    n_params: int
-    point_fn: callable
+    index: np.ndarray
+    signs: np.ndarray
+
+    def __post_init__(self):
+        self.index, self.signs = np.asarray(self.index, dtype=int), np.asarray(self.signs, dtype=float)
+        self.n_points, self.n_params = len(self.index), int(self.index.max()) + 1
+
+    def point_fn(self, theta: np.ndarray) -> np.ndarray:
+        """The points at theta (..., n_params) as an array (..., N, f, f)."""
+        entries = self.signs * theta[..., self.index] ** 2
+        f = entries.shape[-1]
+        points = np.zeros(entries.shape + (f,), dtype=complex)
+        points[..., np.arange(f), np.arange(f)] = entries
+        return points
 
 
 @dataclass
@@ -71,35 +81,32 @@ class MinimizeReport:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    """Softmax along the last axis."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _unpack(family: MeasureFamily, v: np.ndarray):
-    theta = v[: family.n_params]
-    logits = v[family.n_params :]
-    return family.point_fn(theta), softmax(logits)
+    """(points, weights) of one vector v or of each row of a stack of them."""
+    return family.point_fn(v[..., : family.n_params]), softmax(v[..., family.n_params :])
 
 
 def _gradients(family: MeasureFamily, cfg: cfs.SystemConfig, v: np.ndarray):
     """Central-difference gradients of the action and of the trace at v.
 
-    Coordinate i steps by h_i = FD_STEP * max(1, |v_i|) both ways; the 2p perturbed measures are
-    unpacked once and their actions come from one batched `cfs.action`. The traces are summed
-    point by point in the order of `cfs.constraints`, so both gradients are bitwise those of
-    per-coordinate differences of `cfs.action` and `cfs.constraints`.
+    Coordinate i steps by h_i = FD_STEP * max(1, |v_i|) both ways; the 2p perturbed vectors are
+    unpacked as one stack, whose actions and traces come from one batched `cfs.action` and
+    `cfs.constraints`. Both gradients are bitwise those of per-coordinate differences.
     """
+    p = len(v)
     h = FD_STEP * np.maximum(1.0, np.abs(v))
-    vs = np.tile(v, (2, len(v), 1))
-    diag = np.arange(len(v))
+    vs = np.tile(v, (2, p, 1))
+    diag = np.arange(p)
     vs[0, diag, diag] += h
     vs[1, diag, diag] -= h
-    points, weights = zip(*(_unpack(family, vv) for vv in vs.reshape(-1, len(v))))
-    stack, w = np.array(points, dtype=complex), np.array(weights)
-    tr = np.real(np.trace(stack, axis1=-2, axis2=-1))
-    gap = sum(w[:, k] * tr[:, k] for k in range(w.shape[1])) - 1.0  # differenced as trace_gap is
-    act = cfs.action(stack, w, cfg)
-    return (act[: len(v)] - act[len(v) :]) / (2.0 * h), (gap[: len(v)] - gap[len(v) :]) / (2.0 * h)
+    points, w = _unpack(family, vs.reshape(-1, p))
+    act, gap = cfs.action(points, w, cfg), cfs.constraints(points, w)[1] - 1.0
+    return (act[:p] - act[p:]) / (2.0 * h), (gap[:p] - gap[p:]) / (2.0 * h)
 
 
 def minimize(
@@ -272,29 +279,18 @@ def _probe_off_support(measure, cfg, s_posthoc, seed: int) -> float:
 def make_family(spec: dict, cfg: cfs.SystemConfig) -> tuple:
     """Built-in families for the CLI. Returns (MeasureFamily, default_x0).
 
-    type 'diagonal': each point is diagonal; entry (i, j) of point i is
-    signs[i][j] * theta^2 for the matching parameter. `signs` is a
-    non-empty 2-D table of -1, 0 and 1 that validates against the spin
-    dimension.
-    type 'mirror_pair' (f = 2): two points diag(p, -q) and diag(-q, p)
-    with p = u^2, q = v^2.
+    type 'diagonal': entry (i, j) of point i is signs[i][j] * theta^2 with its own parameter.
+    `signs` is a non-empty 2-D table of -1, 0 and 1.
+    type 'mirror_pair': the diagonal family with signs [[1, -1], [-1, 1]] and its two parameters
+    tied, i.e. points diag(p, -q) and diag(-q, p) with p = u^2, q = v^2.
+    Both validate against f and the spin dimension.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"family must be a JSON object, got {spec!r}")
     kind = spec.get("type")
     if kind == "mirror_pair":
-        if cfg.f != 2:
-            raise ValueError("mirror_pair family needs f = 2")
-
-        def point_fn(theta):
-            p, q = theta[0] ** 2, theta[1] ** 2
-            return [
-                np.diag([p, -q]).astype(complex),
-                np.diag([-q, p]).astype(complex),
-            ]
-
-        fam = MeasureFamily(n_points=2, n_params=2, point_fn=point_fn)
-        x0 = np.array(spec.get("init", [1.2, 0.4, 0.1, -0.1]), dtype=float)
-        return fam, x0
-    if kind == "diagonal":
+        signs, index, default = np.array([[1.0, -1.0], [-1.0, 1.0]]), [[0, 1], [1, 0]], [1.2, 0.4, 0.1, -0.1]
+    elif kind == "diagonal":
         try:
             signs = np.asarray(spec["signs"], dtype=float)
             ok = signs.ndim == 2 and signs.size > 0 and bool(np.isin(signs, (-1, 0, 1)).all())
@@ -302,19 +298,12 @@ def make_family(spec: dict, cfg: cfs.SystemConfig) -> tuple:
             ok = False
         if not ok:
             raise ValueError(f"signs must be a non-empty 2-D table of -1, 0 and 1, got {spec['signs']!r}")
-        n_points, f = signs.shape
-        if f != cfg.f:
-            raise ValueError("sign template width must equal f")
-        for row in signs:
-            if np.sum(row > 0) > cfg.n or np.sum(row < 0) > cfg.n:
-                raise ValueError("sign template violates the signature bound")
-
-        def point_fn(theta):
-            t = theta.reshape(n_points, f)
-            return [np.diag(signs[i] * t[i] ** 2).astype(complex) for i in range(n_points)]
-
-        fam = MeasureFamily(n_points=n_points, n_params=n_points * f, point_fn=point_fn)
-        default = np.concatenate([np.full(n_points * f, 0.8), np.zeros(n_points)])
-        x0 = np.array(spec.get("init", default), dtype=float)
-        return fam, x0
-    raise ValueError(f"unknown family type: {kind!r}")
+        index = np.arange(signs.size).reshape(signs.shape)
+        default = np.concatenate([np.full(signs.size, 0.8), np.zeros(len(signs))])
+    else:
+        raise ValueError(f"unknown family type: {kind!r}")
+    if signs.shape[1] != cfg.f:
+        raise ValueError(f"{kind} family needs f = {signs.shape[1]}, got f = {cfg.f}")
+    if (np.sum(signs > 0, axis=1) > cfg.n).any() or (np.sum(signs < 0, axis=1) > cfg.n).any():
+        raise ValueError("sign template violates the signature bound")
+    return MeasureFamily(index, signs), np.array(spec.get("init", default), dtype=float)

@@ -616,6 +616,8 @@ def test_batched_action_matches_each_measure_alone(dims, batch, count, c, seed):
     assert got.shape == (batch,)
     alone = [action(list(stack[b]), w[b], cfg) for b in range(batch)]
     assert got.tobytes() == np.array(alone).tobytes()
+    integrals_alone = [constraints(list(stack[b]), w[b]) for b in range(batch)]  # (volume, trace) per set
+    assert np.array(constraints(stack, w)).tobytes() == np.array(integrals_alone).T.tobytes()
     with pytest.MonkeyPatch.context() as mp:  # blocks that split the stack mid-set
         mp.setattr(cfs, "PAIR_BLOCK", 4)
         assert action(stack, w, cfg).tobytes() == got.tobytes()

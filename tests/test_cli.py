@@ -225,6 +225,16 @@ def test_cfs_minimize_rejects_bad_sign_templates(tmp_path, capsys):
         assert captured.out == "" and f"signs must be a non-empty 2-D table of -1, 0 and 1, got {bad!r}" in captured.err
 
 
+def test_cfs_minimize_family_that_is_not_an_object_exits_2(tmp_path, capsys):
+    fam_path = tmp_path / "family.json"
+    for bad in ([1, 2], "mirror_pair", None):
+        fam_path.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.2}, "family": bad}))
+        assert run(["cfs", "minimize", "--family", str(fam_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot load family file {fam_path}: family must be a JSON object, got {bad!r}\n"
+
+
 def test_cfs_action_rejects_non_integer_dimensions(tmp_path, capsys):
     path = _measure_file(tmp_path)
     measure = read_json(path)
@@ -447,6 +457,28 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["clifford", "dim", "--bogus-flag"])
     assert exc.value.code == 2
+
+
+def test_negative_seed_exits_2_at_parse_time(tmp_path, capsys):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.2}, "family": {"type": "mirror_pair"}}))
+    pairs = str(_measure_file(tmp_path))
+    for argv in (["octonion", "check"], ["clifford", "identities"], ["cfs", "classify", "--pairs", pairs],
+                 ["cfs", "minimize", "--family", str(family)], ["majorana", "check"]):
+        with pytest.raises(SystemExit) as exc:  # the parser rejects it before the command runs
+            run([*argv, "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+
+
+def test_tol_must_be_finite_and_non_negative(capsys):
+    for command in (["octonion", "check"], ["clifford", "identities"]):
+        for bad in ("nan", "-1", "inf"):
+            with pytest.raises(SystemExit) as exc:
+                run([*command, "--tol", bad])
+            assert exc.value.code == 2
+            assert f"argument --tol: must be a finite number >= 0, got '{bad}'" in capsys.readouterr().err
+        assert build_parser().parse_args([*command, "--tol", "0"]).tol == 0.0
 
 
 def test_reproducibility_byte_identical(tmp_path, capsys):

@@ -87,11 +87,7 @@ def test_forced_identical_points_merge_to_single_point():
     kappa = 0.3
     cfg = cfs.SystemConfig(f=2, n=1, kappa=kappa)
 
-    def point_fn(theta):
-        m = np.diag([theta[0] ** 2, -(theta[1] ** 2)]).astype(complex)
-        return [m, m.copy()]
-
-    fam = MeasureFamily(n_points=2, n_params=2, point_fn=point_fn)
+    fam = MeasureFamily(index=[[0, 1], [0, 1]], signs=[[1, -1], [1, -1]])  # two copies of diag(u^2, -v^2)
     measure, report = minimize(fam, cfg, np.array([1.1, 0.3, 0.0, 0.0]), MinimizeOptions(seed=7))
     assert len(measure.points) == 1
     assert abs(measure.weights[0] - 1.0) < 1e-12
@@ -112,10 +108,7 @@ def test_report_posthoc_s_equals_action_when_spread_vanishes():
 def test_infeasible_start_raises():
     cfg = cfs.SystemConfig(f=2, n=1, kappa=0.1)
 
-    def point_fn(theta):
-        return [np.diag([theta[0] ** 2, theta[1] ** 2 + 0.5]).astype(complex)]
-
-    fam = MeasureFamily(n_points=1, n_params=2, point_fn=point_fn)
+    fam = MeasureFamily(index=[[0, 1]], signs=[[1, 1]])  # two positive eigenvalues, n = 1
     with pytest.raises(InfeasibleStart):
         minimize(fam, cfg, np.array([1.0, 1.0, 0.0]))
     with pytest.raises(InfeasibleStart):
@@ -126,10 +119,7 @@ def test_infeasible_start_raises():
 def test_traceless_family_cannot_meet_constraint():
     cfg = cfs.SystemConfig(f=2, n=1, kappa=0.1)
 
-    def point_fn(theta):
-        return [np.diag([theta[0] ** 2, -(theta[0] ** 2)]).astype(complex)]
-
-    fam = MeasureFamily(n_points=1, n_params=1, point_fn=point_fn)
+    fam = MeasureFamily(index=[[0, 0]], signs=[[1, -1]])  # diag(u^2, -u^2)
     with pytest.raises(MaxIterations):
         minimize(fam, cfg, np.array([1.0, 0.0]))
 
@@ -148,6 +138,8 @@ def test_make_family_sign_template_validated():
         make_family({"type": "diagonal", "signs": [[1.0, 1.0]]}, cfg)
     with pytest.raises(ValueError):
         make_family({"type": "unknown"}, cfg)
+    with pytest.raises(ValueError, match="mirror_pair family needs f = 2, got f = 3"):
+        make_family({"type": "mirror_pair"}, cfs.SystemConfig(f=3, n=1, kappa=0.1))
 
 
 def test_non_finite_start_raises():
@@ -204,6 +196,62 @@ def test_batched_gradients_equal_per_coordinate_differences(name, data):
     got_action, got_trace = _gradients(fam, cfg, v)
     assert got_action.tobytes() == want_action.tobytes()
     assert got_trace.tobytes() == want_trace.tobytes()
+
+
+def _mirror_pair_oracle(theta):
+    """mirror_pair's point_fn before families were index tables."""
+    p, q = theta[0] ** 2, theta[1] ** 2
+    return [
+        np.diag([p, -q]).astype(complex),
+        np.diag([-q, p]).astype(complex),
+    ]
+
+
+def _diagonal_oracle(signs):
+    """The diagonal family's point_fn before families were index tables."""
+    signs = np.asarray(signs, dtype=float)
+    n_points, f = signs.shape
+
+    def point_fn(theta):
+        t = theta.reshape(n_points, f)
+        return [np.diag(signs[i] * t[i] ** 2).astype(complex) for i in range(n_points)]
+
+    return point_fn
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_table_point_fn_equals_the_closures_it_replaced(data):
+    if data.draw(st.booleans(), label="mirror_pair"):
+        spec, oracle, f = {"type": "mirror_pair"}, _mirror_pair_oracle, 2
+    else:
+        f = data.draw(st.integers(1, 4), label="f")
+        row = st.lists(st.sampled_from([-1, 0, 1]), min_size=f, max_size=f)
+        signs = data.draw(st.lists(row, min_size=1, max_size=3), label="signs")
+        spec, oracle = {"type": "diagonal", "signs": signs}, _diagonal_oracle(signs)
+    fam, _ = make_family(spec, cfs.SystemConfig(f=f, n=f, kappa=0.2))
+    vector = st.lists(st.floats(allow_nan=False), min_size=fam.n_params, max_size=fam.n_params)
+    thetas = np.array(data.draw(st.lists(vector, min_size=1, max_size=4), label="thetas"))
+    with np.errstate(over="ignore", invalid="ignore"):  # theta^2 may overflow, and 0 * inf is nan
+        stack = fam.point_fn(thetas)
+        assert stack.shape == (len(thetas), fam.n_points, f, f)
+        for theta, points in zip(thetas, stack):
+            want = np.array(oracle(theta))
+            assert fam.point_fn(theta).tobytes() == want.tobytes()
+            assert points.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(GRADIENT_FAMILIES)), data=st.data())
+def test_unpack_of_a_stack_equals_unpack_of_each_row(name, data):
+    cfg, spec = GRADIENT_FAMILIES[name]
+    fam, x0 = make_family(spec, cfg)
+    vector = st.lists(st.floats(-1e3, 1e3), min_size=len(x0), max_size=len(x0))  # logits far enough apart to underflow
+    vs = np.array(data.draw(st.lists(vector, min_size=1, max_size=8)))
+    points, weights = _unpack(fam, vs)
+    for v, p, w in zip(vs, points, weights):
+        p1, w1 = _unpack(fam, v)
+        assert p.tobytes() == p1.tobytes() and w.tobytes() == w1.tobytes()
 
 
 def test_each_gradient_is_one_batched_action_call(monkeypatch):
