@@ -4,44 +4,22 @@ Exit codes: 0 success, 1 a requested invariant check failed, 2 validation
 error, 3 numerical failure. JSON is the canonical output (sorted keys, so
 identical configs give byte-identical files); CSV is a convenience
 projection of tabular results.
+
+Each handler imports the layers it calls when it runs, so a command loads only
+those; `--version`, `--help` and usage errors load no numpy at all.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import dataclasses
 import io
 import json
+import math
 import os
 import sys
-import zipfile
 
-import numpy as np
-
-from . import __version__, cfs, lattice, majorana, minimize as minimize_mod, potentials, witt
-from .mult_algebra import (
-    SpanClosureError,
-    chain,
-    left_right_equality,
-    left_unit,
-    quadratic_relation_check,
-    span_dimension,
-)
-from .octonion import (
-    ComplexOctonion,
-    Octonion,
-    associator,
-    conj,
-    inv,
-    mul,
-    norm,
-    projector,
-    split,
-    table_rows,
-    unsplit,
-)
+from . import __version__
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -55,6 +33,11 @@ class ValidationError(Exception):
 
 class CheckFailure(Exception):
     pass
+
+
+def _raisable(*names) -> tuple:
+    """The classes among `names` ("module.Class") whose module is loaded; an unloaded module raised none of them."""
+    return tuple(getattr(sys.modules[m], c) for m, _, c in (n.rpartition(".") for n in names) if m in sys.modules)
 
 
 def _meta(args, **params) -> dict:
@@ -75,6 +58,8 @@ def _to_plain(obj):
         return {k: _to_plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_to_plain(v) for v in obj]
+    import numpy as np
+
     if isinstance(obj, np.ndarray):
         return _to_plain(obj.tolist())
     if isinstance(obj, np.generic):
@@ -98,12 +83,14 @@ def _reading(what, path):
     """Scope that reads and parses `path`; a missing or malformed input exits 2 naming the file."""
     try:
         yield
-    except (OSError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+    except (OSError, KeyError, TypeError, ValueError, *_raisable("zipfile.BadZipFile")) as exc:
         raise ValidationError(f"cannot load {what} {path}: {exc}") from exc
 
 
 def _override(cfg, flag, value):
     """cfg with the value of --flag when given; a value SystemConfig rejects exits 2 naming the flag."""
+    import dataclasses
+
     try:
         return cfg if value is None else dataclasses.replace(cfg, **{flag: value})
     except ValueError as exc:
@@ -113,6 +100,8 @@ def _override(cfg, flag, value):
 def _emit(args, payload: dict, rows=None, fields=None) -> None:
     """JSON payload, or a CSV projection of `rows` when --format csv; to --out or stdout."""
     if getattr(args, "format", "json") == "csv":
+        import csv
+
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([fields, *rows])
         text = buf.getvalue()
@@ -135,6 +124,8 @@ def _finish_checks(args, checks: list) -> int:
 # ---------------------------------------------------------------- octonion
 
 def cmd_octonion_table(args) -> int:
+    from .octonion import table_rows
+
     rows = table_rows()
     payload = {"meta": _meta(args), "basis": [f"e{i}" for i in range(8)], "table": rows}
     labeled = [[f"e{i}", *row] for i, row in enumerate(rows)]
@@ -143,10 +134,25 @@ def cmd_octonion_table(args) -> int:
 
 
 def cmd_octonion_check(args) -> int:
+    import numpy as np
+
+    from .octonion import (
+        FANO_LINES,
+        ComplexOctonion,
+        Octonion,
+        associator,
+        conj,
+        inv,
+        mul,
+        norm,
+        projector,
+        split,
+        unsplit,
+    )
+
     rng = np.random.default_rng(args.seed)
     tol = args.tol if args.tol is not None else 1e-12
     checks = []
-    from .octonion import FANO_LINES
 
     cyc = all(
         mul(Octonion.e(a), Octonion.e(b)) == Octonion.e(c)
@@ -196,6 +202,8 @@ def cmd_octonion_check(args) -> int:
 # ---------------------------------------------------------------- clifford
 
 def cmd_clifford_dim(args) -> int:
+    from .mult_algebra import left_unit, span_dimension
+
     real = span_dimension([left_unit(i) for i in range(1, 8)], field="real")
     cplx = span_dimension([left_unit(i).astype(complex) for i in range(1, 8)], field="complex")
     payload = {"meta": _meta(args), "real_dim": real.dimension, "complex_dim": cplx.dimension}
@@ -204,6 +212,11 @@ def cmd_clifford_dim(args) -> int:
 
 
 def cmd_clifford_identities(args) -> int:
+    import numpy as np
+
+    from .mult_algebra import chain, left_right_equality, left_unit, quadratic_relation_check
+    from .octonion import Octonion, norm
+
     rng = np.random.default_rng(args.seed)
     tol = args.tol if args.tol is not None else 1e-12
     checks = []
@@ -238,6 +251,8 @@ def cmd_clifford_identities(args) -> int:
 # ---------------------------------------------------------------- ideals
 
 def cmd_ideals_states(args) -> int:
+    from . import witt
+
     states = witt.ideal_basis("u") + witt.ideal_basis("d")
     ch = witt.charges(states)
     rows = [(s.label, s.ideal, s.grade, str(ch[s.label])) for s in states]
@@ -253,6 +268,10 @@ def cmd_ideals_states(args) -> int:
 
 
 def cmd_ideals_su3(args) -> int:
+    import numpy as np
+
+    from . import witt
+
     gens = witt.su3_generators()
     f = witt.structure_constants(gens)
     rows = [(a + 1, b + 1, c + 1, round(float(f[a, b, c]), 12))
@@ -267,6 +286,8 @@ def cmd_ideals_su3(args) -> int:
 
 
 def cmd_ideals_casimir(args) -> int:
+    from . import witt
+
     payload = {
         "meta": _meta(args),
         "u": witt.classify_representation(states=witt.ideal_basis("u")),
@@ -279,6 +300,8 @@ def cmd_ideals_casimir(args) -> int:
 # ---------------------------------------------------------------- cfs
 
 def cmd_cfs_action(args) -> int:
+    from . import cfs
+
     with _reading("measure file", args.measure), open(args.measure) as fh:
         measure, cfg = cfs.measure_from_json(json.load(fh))
     volume, trace = cfs.constraints(measure)
@@ -293,6 +316,10 @@ def cmd_cfs_action(args) -> int:
 
 
 def cmd_cfs_classify(args) -> int:
+    import numpy as np
+
+    from . import cfs
+
     with _reading("pairs file", args.pairs), open(args.pairs) as fh:
         obj = json.load(fh)
         cfg = cfs.config_from_json(obj["config"])
@@ -339,16 +366,20 @@ def cmd_cfs_classify(args) -> int:
 
 
 def cmd_cfs_minimize(args) -> int:
+    import dataclasses
+
+    from . import cfs, minimize
+
     with _reading("family file", args.family), open(args.family) as fh:
         spec = json.load(fh)
         cfg = _override(cfs.config_from_json(spec["config"]), "kappa", args.kappa)
-        family, x0 = minimize_mod.make_family(spec["family"], cfg)
-    options = minimize_mod.MinimizeOptions(seed=args.seed)
+        family, x0 = minimize.make_family(spec["family"], cfg)
+    options = minimize.MinimizeOptions(seed=args.seed)
     try:
-        measure, report = minimize_mod.minimize(family, cfg, x0, options)
-    except minimize_mod.InfeasibleStart as exc:
+        measure, report = minimize.minimize(family, cfg, x0, options)
+    except minimize.InfeasibleStart as exc:
         raise ValidationError(str(exc)) from exc
-    except (minimize_mod.LineSearchFailure, minimize_mod.MaxIterations) as exc:
+    except (minimize.LineSearchFailure, minimize.MaxIterations) as exc:
         raise CheckFailure(f"optimizer failed: {exc}") from exc
     payload = {
         "meta": _meta(args, family=args.family, kappa=cfg.kappa),
@@ -361,6 +392,8 @@ def cmd_cfs_minimize(args) -> int:
 
 
 def cmd_cfs_el_residual(args) -> int:
+    from . import cfs
+
     with _reading("measure file", args.measure), open(args.measure) as fh:
         measure, cfg = cfs.measure_from_json(json.load(fh))
     cfg = _override(cfg, "s", args.s)
@@ -384,6 +417,8 @@ def _parse_masses(text: str, count: int = 3):
 
 
 def cmd_vacuum_build(args) -> int:
+    from . import lattice
+
     try:
         spec = lattice.LatticeSpec(L=args.L, T=args.T, a=args.a, epsilon=args.eps, dims=args.dims)
         md = lattice.MassData(
@@ -415,16 +450,20 @@ def cmd_vacuum_build(args) -> int:
 
 
 def cmd_vacuum_residual(args) -> int:
+    from . import lattice
+
     with _reading("kernel container", args.infile):
-        header, seas, _ = lattice.load_kernels(args.infile)
+        header = lattice.load_header(args.infile)
         md = lattice.MassData.from_json(header["masses"])
-    res = lattice.dirac_residual(seas, md)
+        res = lattice.dirac_residual(lattice.read_seas(args.infile, header), md)
     payload = {"meta": _meta(args, infile=args.infile), "residuals": res, "max": max(res.values())}
     _emit(args, payload, rows=list(res.items()), fields=("summand", "residual"))
     return EXIT_OK
 
 
 def cmd_vacuum_localize(args) -> int:
+    from . import cfs, lattice
+
     with _reading("kernel container", args.infile):
         header = lattice.load_header(args.infile)
         spec = lattice.LatticeSpec.from_json(header["lattice"])
@@ -449,9 +488,9 @@ def cmd_vacuum_localize(args) -> int:
         w = f.eigenvalues  # ascending, exact zeros outside the rank
         return {
             "eigenvalues": [float(v) for v in w],
-            "n_positive": int(np.sum(w > 0)),
-            "n_negative": int(np.sum(w < 0)),
-            "rank": int(np.count_nonzero(w)),
+            "n_positive": int((w > 0).sum()),
+            "n_negative": int((w < 0).sum()),
+            "rank": int((w != 0).sum()),
         }
     payload = {
         "meta": _meta(args, infile=args.infile, point=list(point)),
@@ -463,6 +502,9 @@ def cmd_vacuum_localize(args) -> int:
 
 
 def cmd_vacuum_act(args) -> int:
+    from . import lattice
+    from .mult_algebra import chain
+
     with _reading("kernel container", args.infile):
         header, seas, coefficients = lattice.load_kernels(args.infile)
         spec = lattice.LatticeSpec.from_json(header["lattice"])
@@ -490,6 +532,8 @@ def cmd_vacuum_act(args) -> int:
 # ---------------------------------------------------------------- majorana
 
 def cmd_majorana_check(args) -> int:
+    from . import majorana
+
     rep = majorana.check_report(seed=args.seed, variant=args.variant)
     payload = {"meta": _meta(args, variant=args.variant), "report": rep}
     _emit(args, payload)
@@ -504,6 +548,8 @@ def cmd_majorana_check(args) -> int:
 # ---------------------------------------------------------------- potentials
 
 def cmd_potentials_scan(args) -> int:
+    from . import potentials
+
     try:
         params = json.loads(args.params)
     except json.JSONDecodeError as exc:
@@ -546,16 +592,18 @@ def _bounded(convert, ok, bound: str):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(group=None) -> argparse.ArgumentParser:
     """The CLI, declared once: (group, verb) -> the handler and exactly the flags it reads.
 
     A flag is (name, add_argument keywords); a tuple of names is a required choice of one of them.
-    The table is built per call, so it holds the module's current cmd_* functions.
+    The table is built per call, so it holds the module's current cmd_* functions. When `group`
+    names a group, only its verbs are built; the other groups stay bare parsers, so usage lines and
+    errors read as with every verb built. Any other `group` builds every verb.
     """
     out = ("--out", {})
     fmt = ("--format", {"choices": ("json", "csv"), "default": "json"})
     seed = ("--seed", {"type": _bounded(int, lambda v: v >= 0, "a non-negative integer"), "default": 0})
-    tol = ("--tol", {"type": _bounded(float, lambda v: 0 <= v < np.inf, "a finite number >= 0")})
+    tol = ("--tol", {"type": _bounded(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")})
     infile = ("--infile", {"required": True})
     commands = {
         ("octonion", "table"): (cmd_octonion_table, out, fmt),
@@ -619,11 +667,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"octo-cfs {__version__}")
     groups = parser.add_subparsers(dest="group", required=True)
-    verbs = {}
-    for (group, verb), (handler, *flags) in commands.items():
-        if group not in verbs:
-            verbs[group] = groups.add_parser(group).add_subparsers(dest="verb", required=True)
-        p = verbs[group].add_parser(verb)
+    verbs = {name: groups.add_parser(name).add_subparsers(dest="verb", required=True)
+             for name in dict.fromkeys(name for name, _ in commands)}
+    for (name, verb), (handler, *flags) in commands.items():
+        if group in verbs and name != group:
+            continue
+        p = verbs[name].add_parser(verb)
         p.set_defaults(handler=handler)
         for names, kwargs in flags:
             if isinstance(names, str):
@@ -636,7 +685,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except ValidationError as exc:
@@ -645,7 +695,8 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (cfs.EigensolverError, SpanClosureError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (*_raisable("octo_cfs.cfs.EigensolverError", "octo_cfs.mult_algebra.SpanClosureError",
+                       "numpy.linalg.LinAlgError"), FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -267,8 +267,11 @@ def vacuum_seas(md: MassData, spec: LatticeSpec, gammas: GammaSet = None) -> lis
 
 
 def dirac_residual(seas, md: MassData) -> dict:
-    """{aux label: lattice Dirac residual of its summand}; each sea is evaluated once, at its own mass."""
-    per_sea = [dirac_residual_single(k, m) for k, m in zip(seas, md.neutrino_masses + md.charged_masses)]
+    """{aux label: lattice Dirac residual of its summand}; each sea is evaluated once, at its own mass.
+
+    `seas` may be an iterator such as `read_seas`; map holds no sea past its residual, so one is live at a time.
+    """
+    per_sea = list(map(dirac_residual_single, seas, md.neutrino_masses + md.charged_masses))
     return {label: 0.0 if i is None else per_sea[i] for label, i in AUX_SUMMANDS.items()}
 
 
@@ -489,10 +492,16 @@ def load_header(path) -> dict:
     return header
 
 
+def read_seas(path, header: dict):
+    """The six seas of the container at `path` with this header, in SEA_LABELS order, one chunk read per step."""
+    spec = LatticeSpec.from_json(header["lattice"])
+    with zipfile.ZipFile(path, "r") as zf:
+        for name in SEA_LABELS:
+            yield SectorKernel(spec, np.load(io.BytesIO(zf.read(f"{name}.npy"))))
+
+
 def load_kernels(path):
     """Inverse of save_kernels: (header, the six seas, the 8 x 2 sector coefficients)."""
     header = load_header(path)
-    spec = LatticeSpec.from_json(header["lattice"])
-    with zipfile.ZipFile(path, "r") as zf:
-        seas = [SectorKernel(spec, np.load(io.BytesIO(zf.read(f"{name}.npy")))) for name in SEA_LABELS]
+    seas = list(read_seas(path, header))
     return header, seas, cfs.complex_matrix_from_json(header["coefficients"])

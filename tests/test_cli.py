@@ -321,6 +321,35 @@ def test_vacuum_container_holds_six_seas_and_residuals_are_exact(tmp_path, capsy
     assert lines == ["summand,residual"] + [f"{name},{residuals[name]!r}" for name in AUX_SUMMANDS]
 
 
+def test_vacuum_residual_holds_one_sea_at_a_time(tmp_path, capsys, monkeypatch):
+    import weakref
+
+    from octo_cfs import lattice
+
+    vac = tmp_path / "vac.okn"
+    assert run(["vacuum", "build", "--L", "4", "--T", "4", "--tau", "0.7", "--out", str(vac)]) == 0
+    capsys.readouterr()
+    assert run(["vacuum", "residual", "--infile", str(vac)]) == 0
+    unpatched = capsys.readouterr().out
+    read, seen = lattice.read_seas, []
+
+    def one_at_a_time(*args):
+        chunks = read(*args)
+        while True:
+            assert all(ref() is None for ref in seen), "a sea outlived its residual"
+            sea = next(chunks, None)  # reads the next chunk
+            if sea is None:
+                return
+            seen.append(weakref.ref(sea))
+            yield sea
+            del sea
+
+    monkeypatch.setattr(lattice, "read_seas", one_at_a_time)
+    assert run(["vacuum", "residual", "--infile", str(vac)]) == 0
+    assert len(seen) == len(lattice.SEA_LABELS)
+    assert capsys.readouterr().out == unpatched
+
+
 def test_vacuum_build_size_guard_allocates_nothing(tmp_path, capsys):
     vac = tmp_path / "huge.okn"
     tracemalloc.start()
@@ -369,8 +398,12 @@ def test_vacuum_commands_reject_non_container(tmp_path):
         assert run(["vacuum", cmd[0], "--infile", str(not_zip), *cmd[1:]]) == 2
 
 
-def _scipy_modules_after(statement):
-    """The scipy modules a fresh interpreter holds after `import octo_cfs.cli` and `statement`."""
+def _modules_after(statement):
+    """The modules a fresh interpreter holds after `import octo_cfs.cli` and `statement` (lines of code).
+
+    {"scipy": [...], "numpy": [...], "octo_cfs": [layer, ...]}: the scipy and numpy module names, and the
+    octo_cfs modules besides the package and `cli` by their short names.
+    """
     import os
     import subprocess
     import sys
@@ -378,20 +411,26 @@ def _scipy_modules_after(statement):
     import octo_cfs
 
     src = os.path.dirname(os.path.dirname(octo_cfs.__file__))
-    code = f"import sys, octo_cfs.cli; {statement}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = "\n".join([
+        "import json, sys, octo_cfs.cli", statement,
+        "top = lambda p: sorted(m for m in sys.modules if m.split('.')[0] == p)",
+        "print(json.dumps({'scipy': top('scipy'), 'numpy': top('numpy'),",
+        "                  'octo_cfs': [m[9:] for m in top('octo_cfs') if m not in ('octo_cfs', 'octo_cfs.cli')]}))",
+    ])
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.strip().splitlines()[-1]
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
 
 
 def test_cli_import_loads_no_scipy():
-    assert _scipy_modules_after("pass") == "[]"
+    assert _modules_after("pass")["scipy"] == []
 
 
 def test_cfs_classify_geometry_loads_no_scipy(tmp_path):
     argv = ["cfs", "classify", "--pairs", str(_geometry_pairs_file(tmp_path)), "--geometry",
             "--out", str(tmp_path / "geo.json")]
-    assert _scipy_modules_after(f"assert octo_cfs.cli.main({argv!r}) == 0") == "[]"
+    assert _modules_after(f"assert octo_cfs.cli.main({argv!r}) == 0")["scipy"] == []
     assert "holonomy_012_loop_residual" in read_json(tmp_path / "geo.json")
 
 
@@ -399,8 +438,76 @@ def test_cfs_minimize_loads_no_scipy(tmp_path):
     fam_path = tmp_path / "family.json"
     fam_path.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.2}, "family": {"type": "mirror_pair"}}))
     argv = ["cfs", "minimize", "--family", str(fam_path), "--out", str(tmp_path / "min.json")]
-    assert _scipy_modules_after(f"assert octo_cfs.cli.main({argv!r}) == 0") == "[]"
+    assert _modules_after(f"assert octo_cfs.cli.main({argv!r}) == 0")["scipy"] == []
     assert read_json(tmp_path / "min.json")["report"]["converged"]
+
+
+def test_cli_import_and_parse_errors_load_no_layer_and_no_numpy():
+    assert _modules_after("pass") == {"scipy": [], "numpy": [], "octo_cfs": []}
+    for argv in (["--version"], ["--help"], ["cfs", "--help"], ["bogus"], ["cfs", "action"],
+                 ["octonion", "check", "--tol", "nan"]):
+        call = f"try:\n    octo_cfs.cli.main({argv!r})\nexcept SystemExit as exc:\n    assert exc.code in (0, 2)"
+        assert _modules_after(call) == {"scipy": [], "numpy": [], "octo_cfs": []}, argv
+
+
+_LAYERS = {
+    "octonion": ["octonion"],
+    "clifford": ["mult_algebra", "octonion"],
+    "ideals": ["mult_algebra", "octonion", "witt"],
+    "cfs": ["cfs"],
+    "cfs minimize": ["cfs", "minimize"],
+    "vacuum": ["cfs", "gammas", "lattice"],
+    "vacuum act": ["cfs", "gammas", "lattice", "mult_algebra", "octonion"],
+    "majorana": ["cfs", "gammas", "lattice", "majorana"],
+    "potentials": ["potentials"],
+}
+
+
+def _layers_argv(command, tmp_path):
+    """A call of `command` (a key of _LAYERS) whose input files are written to tmp_path."""
+    family, vac = tmp_path / "family.json", tmp_path / "vac.okn"
+    family.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.2}, "family": {"type": "mirror_pair"}}))
+    if command.startswith("vacuum"):
+        assert run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(vac)]) == 0
+    return {
+        "octonion": ["octonion", "table"],
+        "clifford": ["clifford", "dim"],
+        "ideals": ["ideals", "casimir"],
+        "cfs": ["cfs", "action", "--measure", str(_measure_file(tmp_path))],
+        "cfs minimize": ["cfs", "minimize", "--family", str(family)],
+        "vacuum": ["vacuum", "residual", "--infile", str(vac)],
+        "vacuum act": ["vacuum", "act", "--infile", str(vac), "--op", "1,2"],
+        "majorana": ["majorana", "check"],
+        "potentials": ["potentials", "scan", "--tree", "--params", '{"mu2": 2.0, "lambda1": 1.0, "lambda2": 3.0}'],
+    }[command]
+
+
+@pytest.mark.parametrize("command", sorted(_LAYERS))
+def test_each_command_loads_only_its_layers(command, tmp_path):
+    argv = _layers_argv(command, tmp_path)
+    assert _modules_after(f"assert octo_cfs.cli.main({argv!r}) == 0")["octo_cfs"] == _LAYERS[command]
+
+
+@pytest.mark.parametrize("group, patched, raised", [
+    ("cfs", "cfs.action", "layer.EigensolverError"),
+    ("clifford", "mult_algebra.span_dimension", "layer.SpanClosureError"),
+    ("potentials", "potentials.tree_stationary_points", "__import__('numpy').linalg.LinAlgError"),
+], ids=("EigensolverError", "SpanClosureError", "LinAlgError"))
+def test_numerical_failure_classes_exit_3_and_load_no_other_layer(group, patched, raised, tmp_path):
+    argv = _layers_argv(group, tmp_path)
+    module, _, name = patched.rpartition(".")
+    statement = "\n".join([
+        "import contextlib, importlib, io",
+        f"layer = importlib.import_module('octo_cfs.{module}')",
+        "def fail(*args, **kwargs):",
+        f"    raise {raised}('forced')",
+        f"setattr(layer, {name!r}, fail)",
+        "err = io.StringIO()",
+        "with contextlib.redirect_stderr(err):",
+        f"    code = octo_cfs.cli.main({argv!r})",
+        "assert (code, err.getvalue()) == (3, 'numerical failure: forced\\n'), (code, err.getvalue())",
+    ])
+    assert _modules_after(statement)["octo_cfs"] == _LAYERS[group]
 
 
 def test_majorana_check(tmp_path):
@@ -638,6 +745,21 @@ def test_each_command_takes_only_the_common_flags_it_reads(command, capsys):
                 build_parser().parse_args([*argv, flag, value])
             assert exc.value.code == 2
             assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([group, "--help"] for group in dict.fromkeys(g for g, _ in READS)),
+                                  ["bogus"], ["octonion", "bogus"], ["cfs", "action"], ["octonion", "table", "--bogus"]],
+                         ids=" ".join)
+def test_main_parses_with_one_group_as_with_every_group(argv, capsys):
+    # a first token that names no group builds every verb
+    assert set(_table(build_parser(argv[0]))) == ({key for key in READS if key[0] == argv[0]} or set(READS))
+    outcomes = []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        outcomes.append((exc.value.code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (0 if "--help" in argv else 2)
 
 
 def test_every_cmd_handler_is_reachable_through_the_parser():
