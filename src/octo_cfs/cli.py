@@ -433,9 +433,8 @@ def cmd_vacuum_build(args) -> int:
         raise ValidationError(f"the build would hold {need:.3g} bytes of kernels, above {have:.3g} bytes of memory")
     with _writing(args.container):
         open(args.container, "ab").close()  # an unwritable --out fails before the build; "a" keeps an old file
-        seas = lattice.vacuum_seas(md, spec)
-        lattice.save_kernels(args.container, spec, md, seas, lattice.VACUUM_COEFFICIENTS)
-    bases = lattice.sector_bases(seas, md.tau_reg)
+        bases = lattice.save_kernels(args.container, spec, md, lattice.vacuum_seas(md, spec),
+                                     lattice.VACUUM_COEFFICIENTS)
     masses = set(md.charged_masses + md.neutrino_masses)
     payload = {
         "meta": _meta(args, out=args.container),
@@ -501,14 +500,21 @@ def cmd_vacuum_localize(args) -> int:
     return EXIT_OK
 
 
+def _streamed(seas, infile):
+    """The seas of a container as they are read, with a malformed chunk mapped to exit 2 like the header."""
+    with _reading("kernel container", infile):
+        yield from seas
+
+
 def cmd_vacuum_act(args) -> int:
-    from . import lattice
+    from . import cfs, lattice
     from .mult_algebra import chain
 
     with _reading("kernel container", args.infile):
-        header, seas, coefficients = lattice.load_kernels(args.infile)
+        header = lattice.load_header(args.infile)
         spec = lattice.LatticeSpec.from_json(header["lattice"])
         md = lattice.MassData.from_json(header["masses"])
+        coefficients = cfs.complex_matrix_from_json(header["coefficients"])
     try:
         word = [int(v) for v in args.op.split(",")]
         if not all(0 <= v <= 7 for v in word):
@@ -517,10 +523,13 @@ def cmd_vacuum_act(args) -> int:
     except ValueError as exc:
         raise ValidationError(f"--op must be a comma-separated word of indices 0..7: {exc}") from exc
     coefficients = op @ coefficients
+    seas = _streamed(lattice.read_seas(args.infile, header), args.infile)
     if args.container:
         with _writing(args.container):
-            lattice.save_kernels(args.container, spec, md, seas, coefficients)
-    norms = lattice.sector_norms(coefficients, lattice.sector_bases(seas, md.tau_reg))
+            bases = lattice.save_kernels(args.container, spec, md, seas, coefficients)
+    else:
+        bases = lattice.sector_bases(seas, md.tau_reg)
+    norms = lattice.sector_norms(coefficients, bases)
     payload = {
         "meta": _meta(args, infile=args.infile, op=word, out=args.container),
         "sector_norms": {f"e{i}": v for i, v in enumerate(norms)},

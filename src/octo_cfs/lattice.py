@@ -9,9 +9,11 @@ momentum mode is damped by the soft ultraviolet cutoff exp(-eps * omega).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import json
+import os
 import zipfile
 from dataclasses import dataclass
 
@@ -108,12 +110,16 @@ def mode_sum(time_phase: np.ndarray, mats: np.ndarray, spec: LatticeSpec) -> np.
     """
     d = spec.spatial_dims
     grid = (len(time_phase),) + (spec.L,) * d + (4, 4)
-    terms = (time_phase[:, :, None, None] * mats).reshape(grid)
+    # taking the modes in ifftshift order lays the terms out shifted, so the
+    # grid is formed once and transformed and scaled in place
+    order = np.fft.ifftshift(np.arange(spec.n_spatial).reshape((spec.L,) * d)).ravel()
+    rel = (time_phase[:, order, None, None] * mats[order]).reshape(grid)
     axes = tuple(range(1, 1 + d))
-    rel = np.fft.ifftn(np.fft.ifftshift(terms, axes=axes), axes=axes)
+    np.fft.ifftn(rel, axes=axes, out=rel)
     # (dk / 2 pi)^d per mode: the kernel approximates the continuum integral
     # and stays put when the grid is refined at fixed physical box size
-    return rel * (spec.L**d / (spec.L * spec.a) ** d)
+    rel *= spec.L**d / (spec.L * spec.a) ** d
+    return rel
 
 
 class SectorKernel:
@@ -147,13 +153,15 @@ class SectorKernel:
         return float(np.abs(self.rel - other.rel).max())
 
     def hermiticity_residual(self) -> float:
-        """Max-norm residual of gamma0 K(-d)^dag gamma0 = K(d)."""
-        g0, L = self.gammas.gamma[0], self.spec.L
-        mirrored = self.rel[::-1]  # K(-d): time offsets reversed, each spatial offset x taken at -x mod L
-        for ax in range(1, 1 + self.spec.spatial_dims):
-            mirrored = np.take(mirrored, -np.arange(L) % L, axis=ax)
-        mirrored = g0 @ np.conj(mirrored).swapaxes(-1, -2) @ g0
-        return float(np.abs(mirrored - self.rel).max())
+        """Max-norm residual of gamma0 K(-d)^dag gamma0 = K(d), one time offset at a time."""
+        g0, rel = self.gammas.gamma[0], self.rel
+        flip = np.ix_(*[-np.arange(self.spec.L) % self.spec.L] * self.spec.spatial_dims)
+        worst = []
+        for t in range(len(rel)):
+            mirrored = rel[-1 - t][flip]  # K(-d): time offset reversed, each spatial offset x taken at -x mod L
+            mirrored = g0 @ np.conj(mirrored).swapaxes(-1, -2) @ g0
+            worst.append(np.abs(mirrored - rel[t]).max())
+        return float(np.max(worst))
 
 
 def sea_kernel(mass: float, spec: LatticeSpec, gammas: GammaSet = None) -> SectorKernel:
@@ -184,12 +192,12 @@ def mode_dirac_residuals(mass: float, spec: LatticeSpec, gammas: GammaSet = None
     return np.abs((kslash - mass * np.eye(4)) @ mats).max(axis=(1, 2))
 
 
-def dirac_apply(kernel: SectorKernel, mass: float, pseudo: float = 0.0) -> np.ndarray:
-    """(i d-slash + i gamma5 n - m) K with central differences, on interior time offsets.
+def _dirac_rows(kernel: SectorKernel, rel: np.ndarray, mass: float, pseudo: float) -> np.ndarray:
+    """(i d-slash + i gamma5 n - m) K on the interior time offsets of `rel`, a run of consecutive offsets of K.
 
     One matmul of the row [i gamma_mu / 2a ..., i n gamma5 - m] with a buffer stacking dt K, the d dx_j K and K.
     """
-    g, d, rel = kernel.gammas, kernel.spec.spatial_dims, kernel.rel
+    g, d = kernel.gammas, kernel.spec.spatial_dims
     inner = rel[1:-1]
     buf = np.empty(inner.shape[:-2] + (d + 2, 4, 4), dtype=rel.dtype)
     np.subtract(rel[2:], rel[:-2], out=buf[..., 0, :, :])
@@ -204,9 +212,16 @@ def dirac_apply(kernel: SectorKernel, mass: float, pseudo: float = 0.0) -> np.nd
     return row @ buf.reshape(inner.shape[:-2] + (4 * (d + 2), 4))
 
 
+def dirac_apply(kernel: SectorKernel, mass: float, pseudo: float = 0.0) -> np.ndarray:
+    """(i d-slash + i gamma5 n - m) K with central differences, on interior time offsets."""
+    return _dirac_rows(kernel, kernel.rel, mass, pseudo)
+
+
 def dirac_residual_single(kernel: SectorKernel, mass: float) -> float:
-    """Max-norm lattice Dirac residual of one kernel."""
-    return float(np.abs(dirac_apply(kernel, mass)).max())
+    """Max-norm lattice Dirac residual of one kernel, one interior time offset (and its two neighbours) at a time."""
+    rel = kernel.rel
+    worst = [np.abs(_dirac_rows(kernel, rel[t - 1:t + 2], mass, 0.0)).max() for t in range(1, len(rel) - 1)]
+    return float(np.max(worst))
 
 
 @dataclass(frozen=True)
@@ -261,9 +276,10 @@ AUX_SUMMANDS = {"nu_1": 0, "nu_2": 1, "nu_3": 2, "nu_he": None,
                 **{f"c{a}_{b}": 2 + b for a in range(1, 8) for b in (1, 2, 3)}}
 
 
-def vacuum_seas(md: MassData, spec: LatticeSpec, gammas: GammaSet = None) -> list:
-    """The six tau = 1 Dirac seas, one per mass, in SEA_LABELS order."""
-    return [sea_kernel(m, spec, gammas=gammas) for m in md.neutrino_masses + md.charged_masses]
+def vacuum_seas(md: MassData, spec: LatticeSpec, gammas: GammaSet = None):
+    """The six tau = 1 Dirac seas, one per mass, in SEA_LABELS order; each is computed when it is asked for."""
+    for m in md.neutrino_masses + md.charged_masses:
+        yield sea_kernel(m, spec, gammas=gammas)
 
 
 def dirac_residual(seas, md: MassData) -> dict:
@@ -278,12 +294,23 @@ def dirac_residual(seas, md: MassData) -> dict:
 def sector_bases(seas, tau_reg: float) -> tuple:
     """(E_nu, E_c) = (a (sum of the neutrino seas) b, sum of the charged seas).
 
-    The chiral sandwich (a, b) of tau_reg is the same for every mode, so it commutes with the mode sum.
+    A fold over any iterable of the six seas in SEA_LABELS order that drops each sea before it asks for the
+    next, so a stream has one sea live. Each sum copies its first sea and adds the next two in place, the
+    rounding of (s0 + s1) + s2. The chiral sandwich (a, b) of tau_reg is the same for every mode, so it
+    commutes with the mode sum.
     """
-    spec, gammas = seas[0].spec, seas[0].gammas
-    a, b = chiral_sandwich(tau_reg, gammas)
-    nu = a @ (seas[0].rel + seas[1].rel + seas[2].rel) @ b
-    charged = seas[3].rel + seas[4].rel + seas[5].rel
+    sums, n = [], 0
+    for sea in seas:  # not enumerate or zip: both hold the previous item while they fetch the next
+        if n % 3:
+            sums[-1] += sea.rel
+        else:
+            sums.append(sea.rel.copy())
+        spec, gammas, n = sea.spec, sea.gammas, n + 1
+        del sea
+        if n == 3:
+            a, b = chiral_sandwich(tau_reg, gammas)
+            sums[0] = a @ sums[0] @ b
+    nu, charged = sums
     return SectorKernel(spec, nu, gammas=gammas), SectorKernel(spec, charged, gammas=gammas)
 
 
@@ -452,13 +479,37 @@ CONTAINER_FORMAT = 2
 
 
 def build_peak_bytes(spec: LatticeSpec) -> int:
-    """Bytes `vacuum build` holds at its peak: 12 kernels (6 seas, 2 sector bases, 4 transients)."""
-    return 12 * (2 * spec.T - 1) * spec.n_spatial * 16 * 16
+    """Bytes `vacuum build` and `vacuum act` hold at their peak: 5 kernels.
+
+    Tracemalloc puts both at about 4 (two sector bases or sums, plus a sea or a sector and its transients);
+    the fifth covers the allocations that do not scale with the kernel.
+    """
+    return 5 * (2 * spec.T - 1) * spec.n_spatial * 16 * 16
 
 
-def save_kernels(path, spec: LatticeSpec, md: MassData, seas, coefficients: np.ndarray) -> None:
-    """Container: a JSON header with the 8 x 2 sector coefficients plus one chunk per sea (SEA_LABELS order).
+def _stored(zf: zipfile.ZipFile, seas):
+    """`seas` passed on, each after its chunk is written to zf; like `sector_bases`, it holds one sea at a time."""
+    names = iter(SEA_LABELS)
+    for sea in seas:
+        rel = np.ascontiguousarray(sea.rel)
+        head = io.BytesIO()
+        np.lib.format.write_array_header_1_0(head, np.lib.format.header_data_from_array_1_0(rel))
+        info = zipfile.ZipInfo(f"{next(names)}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+        info.file_size = head.tell() + rel.nbytes  # known before the write, so zip64 is decided as by writestr
+        with zf.open(info, "w") as fh:
+            fh.write(head.getbuffer())
+            fh.write(rel)  # the .npy bytes as np.save writes them, with no copy of the sea
+        del rel
+        yield sea
+        del sea
 
+
+def save_kernels(path, spec: LatticeSpec, md: MassData, seas, coefficients: np.ndarray) -> tuple:
+    """Write the container at `path` from the six seas (SEA_LABELS order); return `sector_bases` of them.
+
+    A JSON header with the 8 x 2 sector coefficients plus one chunk per sea, written as the sea arrives, so a
+    stream has one sea live. The archive is renamed onto `path` only when complete: a failed write leaves an
+    existing container as it was, and `seas` may stream from `path` itself.
     Chunks are stored: deflate shrinks a sea chunk about 5x but writes it about 10x slower.
     """
     header = {
@@ -472,15 +523,19 @@ def save_kernels(path, spec: LatticeSpec, md: MassData, seas, coefficients: np.n
         "coefficients": cfs.complex_matrix_to_json(coefficients),
         "local_correlation_convention": LOCAL_CORRELATION_CONVENTION,
     }
-    with zipfile.ZipFile(path, "w") as zf:
-        # fixed timestamps keep the container byte-identical across runs
-        info = zipfile.ZipInfo("header.json", date_time=(1980, 1, 1, 0, 0, 0))
-        zf.writestr(info, json.dumps(header, indent=2, sort_keys=True))
-        for name, sea in zip(SEA_LABELS, seas):
-            buf = io.BytesIO()
-            np.save(buf, sea.rel)
-            info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, buf.getvalue())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with zipfile.ZipFile(tmp, "w") as zf:
+            # fixed timestamps keep the container byte-identical across runs
+            info = zipfile.ZipInfo("header.json", date_time=(1980, 1, 1, 0, 0, 0))
+            zf.writestr(info, json.dumps(header, indent=2, sort_keys=True))
+            bases = sector_bases(_stored(zf, seas), md.tau_reg)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    return bases
 
 
 def load_header(path) -> dict:
@@ -493,15 +548,9 @@ def load_header(path) -> dict:
 
 
 def read_seas(path, header: dict):
-    """The six seas of the container at `path` with this header, in SEA_LABELS order, one chunk read per step."""
+    """The six seas of the container at `path` with this header, in SEA_LABELS order, each read as it is asked for."""
     spec = LatticeSpec.from_json(header["lattice"])
     with zipfile.ZipFile(path, "r") as zf:
         for name in SEA_LABELS:
-            yield SectorKernel(spec, np.load(io.BytesIO(zf.read(f"{name}.npy"))))
-
-
-def load_kernels(path):
-    """Inverse of save_kernels: (header, the six seas, the 8 x 2 sector coefficients)."""
-    header = load_header(path)
-    seas = list(read_seas(path, header))
-    return header, seas, cfs.complex_matrix_from_json(header["coefficients"])
+            with zf.open(f"{name}.npy") as fh:  # streamed into the array, with no copy of the chunk's bytes
+                yield SectorKernel(spec, np.load(fh))

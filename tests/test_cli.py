@@ -1,6 +1,8 @@
+import hashlib
 import json
 import time
 import tracemalloc
+import weakref
 import zipfile
 
 import numpy as np
@@ -311,7 +313,7 @@ def test_vacuum_container_holds_six_seas_and_residuals_are_exact(tmp_path, capsy
     residuals = read_json(out)["residuals"]
     spec = LatticeSpec.from_json(built["lattice"])
     md = MassData.from_json(built["masses"])
-    seas, masses = vacuum_seas(md, spec), md.neutrino_masses + md.charged_masses
+    seas, masses = list(vacuum_seas(md, spec)), md.neutrino_masses + md.charged_masses
     assert list(residuals) == sorted(AUX_SUMMANDS)
     for name, i in AUX_SUMMANDS.items():
         assert residuals[name] == (0.0 if i is None else dirac_residual_single(seas[i], masses[i]))
@@ -321,9 +323,22 @@ def test_vacuum_container_holds_six_seas_and_residuals_are_exact(tmp_path, capsy
     assert lines == ["summand,residual"] + [f"{name},{residuals[name]!r}" for name in AUX_SUMMANDS]
 
 
-def test_vacuum_residual_holds_one_sea_at_a_time(tmp_path, capsys, monkeypatch):
-    import weakref
+def one_sea_at_a_time(make, seen):
+    """A stand-in for the sea stream `make` that fails when a sea it gave out is alive as the next one is made."""
+    def stream(*args, **kwargs):
+        seas = make(*args, **kwargs)
+        while True:
+            assert all(ref() is None for ref in seen), "a sea outlived its turn"
+            sea = next(seas, None)  # makes or reads the next sea
+            if sea is None:
+                return
+            seen.append(weakref.ref(sea))
+            yield sea
+            del sea
+    return stream
 
+
+def test_vacuum_residual_holds_one_sea_at_a_time(tmp_path, capsys, monkeypatch):
     from octo_cfs import lattice
 
     vac = tmp_path / "vac.okn"
@@ -331,23 +346,97 @@ def test_vacuum_residual_holds_one_sea_at_a_time(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert run(["vacuum", "residual", "--infile", str(vac)]) == 0
     unpatched = capsys.readouterr().out
-    read, seen = lattice.read_seas, []
-
-    def one_at_a_time(*args):
-        chunks = read(*args)
-        while True:
-            assert all(ref() is None for ref in seen), "a sea outlived its residual"
-            sea = next(chunks, None)  # reads the next chunk
-            if sea is None:
-                return
-            seen.append(weakref.ref(sea))
-            yield sea
-            del sea
-
-    monkeypatch.setattr(lattice, "read_seas", one_at_a_time)
+    seen = []
+    monkeypatch.setattr(lattice, "read_seas", one_sea_at_a_time(lattice.read_seas, seen))
     assert run(["vacuum", "residual", "--infile", str(vac)]) == 0
     assert len(seen) == len(lattice.SEA_LABELS)
     assert capsys.readouterr().out == unpatched
+
+
+def test_vacuum_build_and_act_hold_one_sea_at_a_time(tmp_path, capsys, monkeypatch):
+    from octo_cfs import lattice
+
+    vac, acted = tmp_path / "vac.okn", tmp_path / "acted.okn"
+    build = ["vacuum", "build", "--L", "4", "--T", "4", "--tau", "0.7", "--out", str(vac)]
+    act = ["vacuum", "act", "--infile", str(vac), "--op", "1,2"]
+    cases = (("vacuum_seas", build, vac), ("read_seas", act, None), ("read_seas", act + ["--out", str(acted)], acted))
+    unpatched = []
+    for _, argv, written in cases:
+        assert run(argv) == 0
+        unpatched.append((capsys.readouterr().out, written and written.read_bytes()))
+    for (stream, argv, written), expected in zip(cases, unpatched):
+        seen = []
+        monkeypatch.setattr(lattice, stream, one_sea_at_a_time(getattr(lattice, stream), seen))
+        assert run(argv) == 0
+        monkeypatch.undo()
+        assert len(seen) == len(lattice.SEA_LABELS)
+        assert (capsys.readouterr().out, written and written.read_bytes()) == expected
+
+
+def test_vacuum_containers_are_byte_identical_to_the_pinned_ones(tmp_path, capsys):
+    # sha256 of the containers that the whole-list build and act wrote before the seas were streamed;
+    # the header records the package version, so a new version changes both digests
+    vac, acted = tmp_path / "vac.okn", tmp_path / "acted.okn"
+    assert run(["vacuum", "build", "--L", "8", "--T", "6", "--tau", "0.7", "--out", str(vac)]) == 0
+    assert run(["vacuum", "act", "--infile", str(vac), "--op", "1,2", "--out", str(acted)]) == 0
+    assert hashlib.sha256(vac.read_bytes()).hexdigest() == (
+        "916931ed00bb334c65243b1e00d89b60355c8e4af7fef6867996ef5a31201037")
+    assert hashlib.sha256(acted.read_bytes()).hexdigest() == (
+        "bbbda343d3d03e222930cf5e60d77d49aef2d26f9b1e72cd592b194da6eb64b5")
+
+
+def test_failed_build_or_act_leaves_the_container_and_no_temporary_file(tmp_path, capsys, monkeypatch):
+    from octo_cfs import lattice
+
+    vac = tmp_path / "vac.okn"
+    assert run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(vac)]) == 0
+    built = vac.read_bytes()
+    sea_kernel, calls = lattice.sea_kernel, []
+
+    def fails_on_the_fourth_call(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 4:
+            raise MemoryError("no room for the fourth sea")
+        return sea_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "sea_kernel", fails_on_the_fourth_call)
+    with pytest.raises(MemoryError, match="fourth sea"):
+        run(["vacuum", "build", "--L", "6", "--T", "4", "--out", str(vac)])
+    monkeypatch.undo()
+    assert len(calls) == 4
+    assert vac.read_bytes() == built
+    assert [p.name for p in tmp_path.iterdir()] == ["vac.okn"]
+    read = lattice.read_seas
+
+    def fails_after_three_seas(*args):
+        seas = read(*args)
+        yield from (next(seas) for _ in range(3))
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(lattice, "read_seas", fails_after_three_seas)
+    capsys.readouterr()
+    assert run(["vacuum", "act", "--infile", str(vac), "--op", "1,2", "--out", str(vac)]) == 2
+    assert capsys.readouterr().err == f"error: cannot load kernel container {vac}: [Errno 5] Input/output error\n"
+    assert vac.read_bytes() == built
+    assert [p.name for p in tmp_path.iterdir()] == ["vac.okn"]
+
+
+@pytest.mark.parametrize("dims, L, T", [("1+1", 64, 32), ("1+3", 6, 4)])
+def test_build_peak_estimate_bounds_the_peak_of_build_and_act(tmp_path, capsys, dims, L, T):
+    from octo_cfs import lattice
+
+    vac = tmp_path / "vac.okn"
+    estimate = lattice.build_peak_bytes(lattice.LatticeSpec(L=L, T=T, a=0.5, epsilon=1.0, dims=dims))
+    for argv in (["vacuum", "build", "--dims", dims, "--L", str(L), "--T", str(T), "--tau", "0.7", "--out", str(vac)],
+                 ["vacuum", "act", "--infile", str(vac), "--op", "1,2", "--out", str(tmp_path / "acted.okn")]):
+        assert run(argv) == 0  # a first run imports what the command needs, which is not the command's memory
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate <= 1.5 * peak, (argv[1], peak, estimate)
 
 
 def test_vacuum_build_size_guard_allocates_nothing(tmp_path, capsys):
@@ -627,7 +716,7 @@ def test_reproducibility_byte_identical(tmp_path, capsys):
 
 
 def test_vacuum_act_in_place_matches_act_to_another_path(tmp_path, capsys):
-    # act reads every sea before it writes, so --out may name its own --infile
+    # act writes a sibling file and renames it onto --out when complete, so --out may name the --infile it streams
     vac = tmp_path / "vac.okn"
     assert run(["vacuum", "build", "--L", "8", "--T", "6", "--tau", "0.7", "--out", str(vac)]) == 0
     same = tmp_path / "same.okn"

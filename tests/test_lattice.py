@@ -23,13 +23,13 @@ from octo_cfs.lattice import (
     dirac_residual_single,
     left_algebra_action,
     load_header,
-    load_kernels,
     local_correlation,
     materialize,
     mode_dirac_residuals,
     mode_onshell_residuals,
     mode_sum,
     occupied_modes,
+    read_seas,
     save_kernels,
     sea_kernel,
     sector_bases,
@@ -132,6 +132,34 @@ def test_sea_kernel_matches_direct_mode_sum(spec, mass, majorana):
     assert np.abs(rel - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
+def ifftshift_mode_sum(time_phase, mats, spec):
+    """The grid of terms shifted by ifftshift, transformed and scaled into new arrays: the oracle for mode_sum."""
+    d = spec.spatial_dims
+    grid = (len(time_phase),) + (spec.L,) * d + (4, 4)
+    terms = (time_phase[:, :, None, None] * mats).reshape(grid)
+    axes = tuple(range(1, 1 + d))
+    rel = np.fft.ifftn(np.fft.ifftshift(terms, axes=axes), axes=axes)
+    return rel * (spec.L**d / (spec.L * spec.a) ** d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.sampled_from(["1+1", "1+3"]),
+    L=st.sampled_from([2, 4, 6, 8]),
+    T=st.integers(3, 6),
+    a=st.floats(0.25, 1.0),
+    mass=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    majorana=st.booleans(),
+)
+def test_sea_kernel_matches_ifftshift_oracle_bitwise(dims, L, T, a, mass, majorana):
+    spec = LatticeSpec(L=L, T=T, a=a, epsilon=a, dims=dims)
+    gs = majorana_rep() if majorana else dirac_rep()
+    omegas, _, mats = _mode_matrices(mass, spec, gs)
+    dts = np.arange(-(spec.T - 1), spec.T) * spec.a
+    oracle = ifftshift_mode_sum(np.exp(1j * np.outer(dts, omegas)), mats, spec)
+    assert sea_kernel(mass, spec, gammas=gs).rel.tobytes() == oracle.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     ks=st.lists(st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4), min_size=1, max_size=6),
@@ -173,6 +201,16 @@ def einsum_mirror(kernel):
         flipped = np.flip(flipped, axis=ax)
         flipped = np.roll(flipped, 1, axis=ax)
     return np.einsum("ab,...cb,cd->...ad", g0, np.conj(flipped), g0)
+
+
+def whole_kernel_hermiticity_residual(kernel):
+    """hermiticity_residual's reflection applied to the whole kernel at once: the oracle for its per-offset loop."""
+    g0, L = kernel.gammas.gamma[0], kernel.spec.L
+    mirrored = kernel.rel[::-1]
+    for ax in range(1, 1 + kernel.spec.spatial_dims):
+        mirrored = np.take(mirrored, -np.arange(L) % L, axis=ax)
+    mirrored = g0 @ np.conj(mirrored).swapaxes(-1, -2) @ g0
+    return float(np.abs(mirrored - kernel.rel).max())
 
 
 def einsum_occupied_spinors(masses, spec, tau_reg, gammas):
@@ -217,6 +255,8 @@ def test_dirac_apply_matches_einsum_oracle(kernels, mass, pseudo):
     # every entry sums 4(d+2) products, each below max|K| (1/a + m + |n|)
     scale = np.abs(k.rel).max() * (1.0 / k.spec.a + mass + abs(pseudo))
     assert np.abs(out - oracle).max() <= 1e-14 * scale
+    # the residual, taken one time offset at a time, is the max over the whole application, bit for bit
+    assert dirac_residual_single(k, mass) == float(np.abs(dirac_apply(k, mass)).max())
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,6 +267,7 @@ def test_hermiticity_residual_matches_einsum_oracle(kernels):
     oracle = float(np.abs(mirrored - k.rel).max())
     assert oracle > 0.1  # a random kernel is far from gamma0-Hermitian, so a residual of 0 fails here
     assert abs(k.hermiticity_residual() - oracle) <= 1e-15 * np.abs(k.rel).max()
+    assert k.hermiticity_residual() == whole_kernel_hermiticity_residual(k)
     # its gamma0-Hermitian part has a vanishing residual
     part = SectorKernel(k.spec, 0.5 * (k.rel + mirrored), gammas=k.gammas)
     assert part.hermiticity_residual() <= 1e-15 * np.abs(k.rel).max()
@@ -237,10 +278,16 @@ def test_hermiticity_residual_matches_einsum_oracle(kernels):
 def test_sector_bases_match_einsum_sandwich(kernels, tau_reg):
     a, b = chiral_sandwich(tau_reg, kernels[0].gammas)
     nu_sum = kernels[0].rel + kernels[1].rel + kernels[2].rel
+    before = [k.rel.copy() for k in kernels]
     nu, charged = sector_bases(kernels, tau_reg)
     # the sandwich factors have unit absolute row sums, so each entry rounds at the scale of max|sum|
     assert np.abs(nu.rel - np.einsum("ab,...bc,cd->...ad", a, nu_sum, b)).max() <= 4e-15 * np.abs(nu_sum).max()
     assert np.array_equal(charged.rel, kernels[3].rel + kernels[4].rel + kernels[5].rel)
+    # the fold over a list or a one-pass iterator is the list form (s0 + s1) + s2 bit for bit, inputs untouched
+    for folded in ((nu, charged), sector_bases(iter(kernels), tau_reg)):
+        assert folded[0].rel.tobytes() == (a @ nu_sum @ b).tobytes()
+        assert folded[1].rel.tobytes() == (kernels[3].rel + kernels[4].rel + kernels[5].rel).tobytes()
+    assert all(np.array_equal(k.rel, old) for k, old in zip(kernels, before))
 
 
 @settings(max_examples=30, deadline=None)
@@ -349,7 +396,7 @@ def test_dirac_residual_aux_summands():
 
 
 def test_dirac_residual_evaluates_each_sea_once(monkeypatch):
-    seas = vacuum_seas(MD, SPEC)
+    seas = list(vacuum_seas(MD, SPEC))
     masses = MD.neutrino_masses + MD.charged_masses
     calls = []
     single = lattice.dirac_residual_single
@@ -534,14 +581,23 @@ def test_minimal_time_window():
         k.at((0, 0), (4, 0))  # time displacement outside the window
 
 
+def load_kernels(path):
+    """A whole container at once: (header, the six seas, the 8 x 2 sector coefficients)."""
+    header = load_header(path)
+    return header, list(read_seas(path, header)), cfs.complex_matrix_from_json(header["coefficients"])
+
+
 def test_container_round_trip_and_determinism(tmp_path):
-    seas = vacuum_seas(MD, SPEC)
+    seas = list(vacuum_seas(MD, SPEC))
     coefficients = left_unit(3) @ VACUUM_COEFFICIENTS * (0.5 - 0.25j)
     p1 = tmp_path / "vac1.okn"
     p2 = tmp_path / "vac2.okn"
-    save_kernels(p1, SPEC, MD, seas, coefficients)
-    save_kernels(p2, SPEC, MD, seas, coefficients)
+    bases = save_kernels(p1, SPEC, MD, seas, coefficients)
+    save_kernels(p2, SPEC, MD, iter(seas), coefficients)
     assert p1.read_bytes() == p2.read_bytes()
+    assert sorted(tmp_path.iterdir()) == [p1, p2]  # no temporary file is left beside them
+    for k, oracle in zip(bases, sector_bases(seas, MD.tau_reg)):
+        assert np.array_equal(k.rel, oracle.rel)
     header, loaded, loaded_coefficients = load_kernels(p1)
     assert load_header(p1) == header
     assert header["format"] == 2
@@ -579,7 +635,7 @@ def test_materialized_sectors_match_tau_regularized_seas(spec, tau_reg, neutrino
         omegas, _, mats = _mode_matrices(m, spec, gs)
         e0 = e0 + mode_sum(np.exp(1j * np.outer(dts, omegas)), np.einsum("ab,kbc,cd->kad", a, mats, b), spec)
     charged_sum = sum(sea_kernel(m, spec, gammas=gs).rel for m in charged)
-    seas = vacuum_seas(md, spec, gs)
+    seas = list(vacuum_seas(md, spec, gs))
     for k, m in zip(seas, md.neutrino_masses + md.charged_masses, strict=True):
         assert np.array_equal(k.rel, sea_kernel(m, spec, gammas=gs).rel)
     sectors = materialize(VACUUM_COEFFICIENTS, sector_bases(seas, tau_reg))
