@@ -9,7 +9,6 @@ measure.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,10 +64,6 @@ class OperatorPoint:
     matrix: np.ndarray
     eigenvalues: np.ndarray  # real spectrum from validation
 
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
 
 def _asmat(x) -> np.ndarray:
     if isinstance(x, OperatorPoint):
@@ -76,7 +71,7 @@ def _asmat(x) -> np.ndarray:
     return np.asarray(x, dtype=complex)
 
 
-def validate_point(m, cfg: SystemConfig, tol: float = RANK_TOL) -> OperatorPoint:
+def validate_point(m, cfg: SystemConfig) -> OperatorPoint:
     """Check Hermiticity and the signature bound (<= n positive, <= n negative eigenvalues)."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -90,13 +85,13 @@ def validate_point(m, cfg: SystemConfig, tol: float = RANK_TOL) -> OperatorPoint
         raise NotHermitian("point is not Hermitian")
     a = 0.5 * (a + a.conj().T)
     w = np.linalg.eigvalsh(a) if a.size else np.zeros(0)
-    check_signature(w, cfg.n, tol)
+    check_signature(w, cfg.n)
     return OperatorPoint(matrix=a, eigenvalues=w)
 
 
-def check_signature(w, n: int, tol: float = RANK_TOL) -> float:
-    """Zero cut tol * max(1, max|w|) of a real spectrum; raises if more than n lie beyond it on either side."""
-    cut = tol * max(1.0, np.abs(w).max(initial=0.0))
+def check_signature(w, n: int) -> float:
+    """Zero cut RANK_TOL * max(1, max|w|) of a real spectrum; raises if more than n lie beyond it on either side."""
+    cut = RANK_TOL * max(1.0, np.abs(w).max(initial=0.0))
     n_pos = int(np.sum(w > cut))
     n_neg = int(np.sum(w < -cut))
     if n_pos > n or n_neg > n:
@@ -186,7 +181,7 @@ def lagrangians(xs, ys, cfg: SystemConfig) -> np.ndarray:
     return np.sum((m - m.mean(axis=-1, keepdims=True)) ** 2, axis=-1) + cfg.kappa * np.sum(m, axis=-1) ** 2
 
 
-def causal_classes(lam: np.ndarray, rtol: float = CAUSAL_TOL) -> np.ndarray:
+def causal_classes(lam: np.ndarray) -> np.ndarray:
     """Causal class of each spectrum along the last axis of `lam`.
 
     Spacelike: all 2n moduli equal (the all-zero spectrum counts as equal).
@@ -194,8 +189,8 @@ def causal_classes(lam: np.ndarray, rtol: float = CAUSAL_TOL) -> np.ndarray:
     """
     m = np.abs(lam)
     top = m.max(axis=-1, initial=0.0)
-    spacelike = top - m.min(axis=-1) <= rtol * top  # includes the all-zero spectrum
-    timelike = np.abs(lam.imag).max(axis=-1, initial=0.0) <= rtol * top
+    spacelike = top - m.min(axis=-1) <= CAUSAL_TOL * top  # includes the all-zero spectrum
+    timelike = np.abs(lam.imag).max(axis=-1, initial=0.0) <= CAUSAL_TOL * top
     return np.where(spacelike, SPACELIKE, np.where(timelike, TIMELIKE, LIGHTLIKE))
 
 
@@ -204,14 +199,9 @@ def product_spectrum(x, y, cfg: SystemConfig) -> np.ndarray:
     return pair_spectra([x], [y], cfg)[0, 0]
 
 
-def lagrangian(x, y, cfg: SystemConfig) -> float:
-    """kappa-Lagrangian of one pair (see `lagrangians`)."""
-    return float(lagrangians([x], [y], cfg)[0, 0])
-
-
-def causal_class(x, y, cfg: SystemConfig, rtol: float = CAUSAL_TOL) -> str:
+def causal_class(x, y, cfg: SystemConfig) -> str:
     """Spacelike, timelike, or lightlike separation of the pair (x, y) (see `causal_classes`)."""
-    return str(causal_classes(product_spectrum(x, y, cfg), rtol))
+    return str(causal_classes(product_spectrum(x, y, cfg)))
 
 
 def lagrangian_first_term(x, y, cfg: SystemConfig) -> float:
@@ -245,13 +235,13 @@ class DiscreteMeasure:
                 raise ValueError("duplicate points in the measure support")
 
 
-def merge_duplicates(points, weights, tol: float = 1e-9):
-    """Sum the weights of points that coincide up to operator-norm distance tol."""
+def merge_duplicates(points, weights):
+    """Sum the weights of points that coincide up to operator-norm distance 1e-9."""
     out_pts: list = []
     out_w: list = []
     for p, w in zip(points, weights):
         for i, q in enumerate(out_pts):
-            if np.linalg.norm(_asmat(p) - _asmat(q), 2) <= tol:
+            if np.linalg.norm(_asmat(p) - _asmat(q), 2) <= 1e-9:
                 out_w[i] += w
                 break
         else:
@@ -260,7 +250,7 @@ def merge_duplicates(points, weights, tol: float = 1e-9):
     return out_pts, np.asarray(out_w)
 
 
-def action(measure_or_points, weights=None, cfg: SystemConfig = None):
+def action(measure_or_points, weights=None, *, cfg: SystemConfig):
     """Causal action: the full double sum sum_ij w_i w_j L(x_i, x_j), diagonal included.
 
     A stack (B, N, f, f) of B point sets with weights (B, N) gives the array of their B actions from
@@ -316,10 +306,6 @@ class SpinSpace:
         self.signature = (int(np.sum(self.eigenvalues < 0)), int(np.sum(self.eigenvalues > 0)))
         self.gram = -np.diag(self.eigenvalues).astype(complex)
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
 
 def spin_space(x) -> SpinSpace:
     """Spin space S_x = image(x) with the spin product  <u|v>_x = -<u, x v>.
@@ -332,15 +318,6 @@ def spin_space(x) -> SpinSpace:
     return SpinSpace(point=a, basis=v[0, :, :k], eigenvalues=w[0, :k])
 
 
-def spin_product(x, u, v) -> complex:
-    """ <u|v>_x = -<u, x v>;  u, v are projected to the image of x if necessary."""
-    a = _asmat(x)
-    pu, pv = physical_wavefunction(u, [a]) + physical_wavefunction(v, [a])
-    if any(np.linalg.norm(p - t) > 1e-8 * max(1.0, np.linalg.norm(t)) for p, t in ((pu, u), (pv, v))):
-        warnings.warn("vector outside the spin space was projected", stacklevel=2)
-    return complex(-(pu.conj() @ (a @ pv)))
-
-
 def kernel(sx: SpinSpace, sy: SpinSpace) -> np.ndarray:
     """Kernel of the fermionic projector P(x,y) = pi_x y|_{S_y} as a matrix S_y -> S_x."""
     return sx.basis.conj().T @ (sy.point @ sy.basis)
@@ -349,15 +326,6 @@ def kernel(sx: SpinSpace, sy: SpinSpace) -> np.ndarray:
 def closed_chain(sx: SpinSpace, sy: SpinSpace) -> np.ndarray:
     """A_xy = P(x,y) P(y,x): an endomorphism of S_x."""
     return kernel(sx, sy) @ kernel(sy, sx)
-
-
-def physical_wavefunction(u, points) -> list:
-    """psi^u(x) = pi_x u for each point x (ambient f-vectors)."""
-    out = []
-    for x in points:
-        sx = spin_space(x)
-        out.append(sx.basis @ (sx.basis.conj().T @ np.asarray(u, dtype=complex)))
-    return out
 
 
 def kernel_residuals(points, pairs, phi, cfg: SystemConfig, _solved=None):
@@ -383,7 +351,7 @@ def completeness_check(x, y, phi) -> float:
     return float(kernel_residuals([x, y], [(0, 1)], [phi], SystemConfig(f, f, 1.0))[1][0])
 
 
-def spin_connections(points, pairs, cfg: SystemConfig, tol: float = 1e-8, _solved=None):
+def spin_connections(points, pairs, cfg: SystemConfig, _solved=None):
     """Spin connection D_{x,y}: S_y -> S_x of each pair (i, j), and its unitarity residual.
 
     D = P(x,y) A^{-1/2}, A = P(y,x) P(x,y) on S_y, is the unitary factor of the polar decomposition of
@@ -391,7 +359,7 @@ def spin_connections(points, pairs, cfg: SystemConfig, tol: float = 1e-8, _solve
     G Lambda_y with G = U_x* U_y; A^{-1/2} = V diag(mu^{-1/2}) V^{-1} (principal branch, as `sqrtm`)
     comes from one batched `eig` per spin dimension. A pair gets D (I for x == y) or the
     NotSpinConnectable that stops it: unequal dimensions, a singular A or V, or a residual
-    ||D* gram_x D - gram_y|| (NaN for a non-finite D) above tol * max(1, ||gram_y||). `_solved` is
+    ||D* gram_x D - gram_y|| (NaN for a non-finite D) above 1e-8 * max(1, ||gram_y||). `_solved` is
     `_frames(points, cfg)` if the caller has it.
     """
     w, u, _, mats = _solved or _frames(points, cfg)
@@ -409,7 +377,7 @@ def spin_connections(points, pairs, cfg: SystemConfig, tol: float = 1e-8, _solve
         v_inv = np.linalg.inv(np.where(ok[:, None, None], v, np.eye(k)))
         d = p_xy @ (v / np.sqrt(np.where(ok[:, None], mu, 1.0))[:, None, :]) @ v_inv
         r = np.linalg.norm(ly[:, None, :] * np.eye(k) - d.conj().swapaxes(1, 2) @ (lx[:, :, None] * d), axis=(1, 2))
-        bound = tol * np.maximum(1.0, np.linalg.norm(ly, axis=1))
+        bound = 1e-8 * np.maximum(1.0, np.linalg.norm(ly, axis=1))
         for s, p in enumerate(sel):
             if same[p]:
                 out[p], resid[p] = np.eye(k, dtype=complex), 0.0
@@ -420,20 +388,6 @@ def spin_connections(points, pairs, cfg: SystemConfig, tol: float = 1e-8, _solve
             else:
                 out[p], resid[p] = d[s], r[s]
     return out, resid
-
-
-def spin_connection(sx: SpinSpace, sy: SpinSpace) -> np.ndarray:
-    """Spin connection D_{x,y} of one pair (see `spin_connections`); raises NotSpinConnectable."""
-    f = len(sx.point)
-    (d,), _ = spin_connections([sx.point, sy.point], [(0, 1)], SystemConfig(f, f, 1.0))
-    if isinstance(d, NotSpinConnectable):
-        raise d
-    return d
-
-
-def holonomy(sx: SpinSpace, sy: SpinSpace, sz: SpinSpace) -> np.ndarray:
-    """Loop curvature R(x,y,z) = D_{x,y} D_{y,z} D_{z,x}: S_x -> S_x."""
-    return spin_connection(sx, sy) @ spin_connection(sy, sz) @ spin_connection(sz, sx)
 
 
 def measure_to_json(measure: DiscreteMeasure, cfg: SystemConfig) -> dict:

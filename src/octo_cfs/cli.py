@@ -409,10 +409,10 @@ def cmd_cfs_el_residual(args) -> int:
 
 # ---------------------------------------------------------------- vacuum
 
-def _parse_masses(text: str, count: int = 3):
+def _parse_masses(text: str):
     vals = [float(v) for v in text.split(",")]
-    if len(vals) != count:
-        raise ValidationError(f"expected {count} comma-separated masses, got {text!r}")
+    if len(vals) != 3:
+        raise ValidationError(f"expected 3 comma-separated masses, got {text!r}")
     return tuple(vals)
 
 
@@ -431,8 +431,9 @@ def cmd_vacuum_build(args) -> int:
     need, have = lattice.build_peak_bytes(spec), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValidationError(f"the build would hold {need:.3g} bytes of kernels, above {have:.3g} bytes of memory")
-    with _writing(args.container):
-        open(args.container, "ab").close()  # an unwritable --out fails before the build; "a" keeps an old file
+    with _writing(args.container):  # a new --out fails before the build, when save_kernels opens its temporary file
+        if os.path.exists(args.container):  # an unwritable file or a directory fails here; "a" keeps an old file
+            open(args.container, "ab").close()
         bases = lattice.save_kernels(args.container, spec, md, lattice.vacuum_seas(md, spec),
                                      lattice.VACUUM_COEFFICIENTS)
     masses = set(md.charged_masses + md.neutrino_masses)

@@ -138,20 +138,6 @@ class SectorKernel:
         if rel.shape != expect:
             raise ValueError(f"rel must have shape {expect}")
 
-    def at(self, x, y) -> np.ndarray:
-        """K(x, y) for lattice points x = (t, x1, ...), y likewise."""
-        dt = int(x[0]) - int(y[0])
-        if abs(dt) > self.spec.T - 1:
-            raise ValueError("time displacement outside the lattice window")
-        idx = (dt + self.spec.T - 1,) + tuple(
-            (int(x[1 + j]) - int(y[1 + j])) % self.spec.L
-            for j in range(self.spec.spatial_dims)
-        )
-        return self.rel[idx]
-
-    def operator_norm_distance(self, other: "SectorKernel") -> float:
-        return float(np.abs(self.rel - other.rel).max())
-
     def hermiticity_residual(self) -> float:
         """Max-norm residual of gamma0 K(-d)^dag gamma0 = K(d), one time offset at a time."""
         g0, rel = self.gammas.gamma[0], self.rel
@@ -179,17 +165,11 @@ def sea_kernel(mass: float, spec: LatticeSpec, gammas: GammaSet = None) -> Secto
     return SectorKernel(spec, rel, gammas=gammas)
 
 
-def mode_onshell_residuals(mass: float, spec: LatticeSpec, gammas: GammaSet = None) -> np.ndarray:
+def mode_onshell_residuals(mass: float, spec: LatticeSpec) -> np.ndarray:
     """Per-mode max-norm of (kslash - m)(kslash + m), zero on the mass shell."""
-    _, _, kslash = mode_table(mass, spec, gammas or dirac_rep())
+    _, _, kslash = mode_table(mass, spec, dirac_rep())
     m = mass * np.eye(4)
     return np.abs((kslash - m) @ (kslash + m)).max(axis=(1, 2))
-
-
-def mode_dirac_residuals(mass: float, spec: LatticeSpec, gammas: GammaSet = None) -> np.ndarray:
-    """Momentum-space (kslash - m) applied per mode: the time-continuum variant."""
-    _, kslash, mats = _mode_matrices(mass, spec, gammas or dirac_rep())
-    return np.abs((kslash - mass * np.eye(4)) @ mats).max(axis=(1, 2))
 
 
 def _dirac_rows(kernel: SectorKernel, rel: np.ndarray, mass: float, pseudo: float) -> np.ndarray:
@@ -212,15 +192,10 @@ def _dirac_rows(kernel: SectorKernel, rel: np.ndarray, mass: float, pseudo: floa
     return row @ buf.reshape(inner.shape[:-2] + (4 * (d + 2), 4))
 
 
-def dirac_apply(kernel: SectorKernel, mass: float, pseudo: float = 0.0) -> np.ndarray:
-    """(i d-slash + i gamma5 n - m) K with central differences, on interior time offsets."""
-    return _dirac_rows(kernel, kernel.rel, mass, pseudo)
-
-
-def dirac_residual_single(kernel: SectorKernel, mass: float) -> float:
-    """Max-norm lattice Dirac residual of one kernel, one interior time offset (and its two neighbours) at a time."""
+def dirac_residual_single(kernel: SectorKernel, mass: float, pseudo: float = 0.0) -> float:
+    """Max-norm of (i d-slash + i gamma5 pseudo - m) K by central differences, one interior time offset at a time."""
     rel = kernel.rel
-    worst = [np.abs(_dirac_rows(kernel, rel[t - 1:t + 2], mass, 0.0)).max() for t in range(1, len(rel) - 1)]
+    worst = [np.abs(_dirac_rows(kernel, rel[t - 1:t + 2], mass, pseudo)).max() for t in range(1, len(rel) - 1)]
     return float(np.max(worst))
 
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .gammas import GammaSet, clifford_residual, dirac_rep, majorana_rep
-from .lattice import LatticeSpec, SectorKernel, dirac_apply, mode_sum
+from .lattice import LatticeSpec, SectorKernel, dirac_residual_single, mode_sum
 
 VARIANTS = ("paper", "derived")
+N_RANDOM = 1000  # random momenta in the derived-variant factorization check
 
 
 def reality_check(m: float, n: float, gammas: GammaSet = None) -> dict:
@@ -68,8 +69,7 @@ def factorization_residual(k, m: float, n: float, variant: str, gammas: GammaSet
     return float(np.abs(momentum_residual(k, m, n, variant, gammas) - target).max())
 
 
-def p_m_kernel(spec: LatticeSpec, m: float, n: float, variant: str,
-               gammas: GammaSet = None):
+def p_m_kernel(spec: LatticeSpec, m: float, n: float, variant: str):
     """Two-point distribution over the full shell k^2 = n^2 + m^2 (both k0 signs).
 
     Returns (SectorKernel, report). The report carries the lattice residual
@@ -81,7 +81,7 @@ def p_m_kernel(spec: LatticeSpec, m: float, n: float, variant: str,
         raise ValueError("p_m needs m^2 + n^2 > 0")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    gs = gammas or majorana_rep()
+    gs = majorana_rep()
     kvecs = spec.momenta()
     omegas = np.sqrt(np.sum(kvecs * kvecs, axis=1) + m * m + n * n)
     weights = np.exp(-spec.epsilon * omegas) / (2.0 * omegas)
@@ -97,7 +97,7 @@ def p_m_kernel(spec: LatticeSpec, m: float, n: float, variant: str,
         rel = rel + mode_sum(np.exp(-1j * np.outer(dts, k4s[:, 0])), fs, spec)  # e^{-i k0 dt}
     kernel = SectorKernel(spec, rel, gammas=gs)
 
-    position_resid = float(np.abs(dirac_apply(kernel, m, pseudo=n)).max())
+    position_resid = dirac_residual_single(kernel, m, pseudo=n)
     scale = float(np.abs(rel).max())
     max_imag = float(np.abs(rel.imag).max()) / scale if scale > 0 else 0.0
     report = {
@@ -110,7 +110,7 @@ def p_m_kernel(spec: LatticeSpec, m: float, n: float, variant: str,
     return kernel, report
 
 
-def check_report(seed: int = 0, n_random: int = 1000, variant: str = "both") -> dict:
+def check_report(seed: int = 0, variant: str = "both") -> dict:
     """Full module report: Clifford relations, reality, factorization, and p_m residuals."""
     rng = np.random.default_rng(seed)
     gs = majorana_rep()
@@ -122,7 +122,7 @@ def check_report(seed: int = 0, n_random: int = 1000, variant: str = "both") -> 
     }
     worst_derived = 0.0
     paper_onshell = []
-    for _ in range(n_random):
+    for _ in range(N_RANDOM):
         k = rng.standard_normal(4)
         m, n = rng.random() + 0.1, rng.random()
         worst_derived = max(worst_derived, factorization_residual(k, m, n, "derived", gs))

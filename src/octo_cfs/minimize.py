@@ -22,6 +22,7 @@ MAXITER = 400  # SQP iteration cap
 ACC = 1e-14  # SQP stopping accuracy (SLSQP's acc)
 FD_STEP = 1e-6  # relative central-difference step
 PROBE_SAMPLES = 200  # random points in the off-support ell probe
+PROBE_REL = 0.05  # relative size of the probe's perturbations of a support point
 
 
 class InfeasibleStart(RuntimeError):
@@ -105,7 +106,7 @@ def _gradients(family: MeasureFamily, cfg: cfs.SystemConfig, v: np.ndarray):
     vs[0, diag, diag] += h
     vs[1, diag, diag] -= h
     points, w = _unpack(family, vs.reshape(-1, p))
-    act, gap = cfs.action(points, w, cfg), cfs.constraints(points, w)[1] - 1.0
+    act, gap = cfs.action(points, w, cfg=cfg), cfs.constraints(points, w)[1] - 1.0
     return (act[:p] - act[p:]) / (2.0 * h), (gap[:p] - gap[p:]) / (2.0 * h)
 
 
@@ -147,7 +148,7 @@ def minimize(
 
     def action_and_gap(vv):
         points, w = _unpack(family, vv)
-        return cfs.action(points, w, cfg), cfs.constraints(points, w)[1] - 1.0
+        return cfs.action(points, w, cfg=cfg), cfs.constraints(points, w)[1] - 1.0
 
     res = _sqp(action_and_gap, lambda vv: _gradients(family, cfg, vv), v)
     if not np.all(np.isfinite(np.append(res.x, res.fun))):
@@ -246,15 +247,15 @@ def _sqp(fun, grad, x):
     return result(False, "Iteration limit reached")
 
 
-def _perturbed_point(rng, point: cfs.OperatorPoint, cfg, rel=0.05):
+def _perturbed_point(rng, point: cfs.OperatorPoint, cfg):
     """Signature-preserving random perturbation of a support point."""
     w, vecs = np.linalg.eigh(point.matrix)
     cut = 1e-9 * max(1.0, np.abs(w).max(initial=0.0))
     keep = np.abs(w) > cut
     w2 = w.copy()
-    w2[keep] *= 1.0 + rel * rng.standard_normal(int(keep.sum()))
+    w2[keep] *= 1.0 + PROBE_REL * rng.standard_normal(int(keep.sum()))
     g = rng.standard_normal((cfg.f, cfg.f)) + 1j * rng.standard_normal((cfg.f, cfg.f))
-    e, v = np.linalg.eigh(rel * 0.5 * (g + g.conj().T) / np.sqrt(cfg.f))
+    e, v = np.linalg.eigh(PROBE_REL * 0.5 * (g + g.conj().T) / np.sqrt(cfg.f))
     u = (v * np.exp(1j * e)) @ v.conj().T  # exp(ih) of the Hermitian h
     m = (u @ (vecs * w2)) @ vecs.conj().T @ u.conj().T
     return cfs.validate_point(0.5 * (m + m.conj().T), cfg)

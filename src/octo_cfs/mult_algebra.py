@@ -118,19 +118,6 @@ def span_dimension(generators, field="real", max_passes=8) -> AlgebraSpan:
     return AlgebraSpan(orthonormal=q, field=field)
 
 
-def in_span(m: np.ndarray, span: AlgebraSpan) -> float:
-    """Relative residual of m after projection onto the span (0 means member)."""
-    v = np.ravel(m)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        return 0.0
-    q = span.orthonormal
-    coef = q.conj() @ v
-    if span.field == "real":
-        coef = coef.real  # a real span has real coefficients: all of Im m is residual
-    return float(np.linalg.norm(v - coef @ q) / nrm)
-
-
 def octonion_inner(x: Octonion, y: Octonion) -> float:
     """<x, y> = (x conj(y) + y conj(x)) / 2, read off the e0 component."""
     s = x * y.conj() + y * x.conj()

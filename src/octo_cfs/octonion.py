@@ -40,13 +40,6 @@ def _structure_tensor():
 STRUCTURE = _structure_tensor()
 
 
-def epsilon(i, j, k):
-    """Completely antisymmetric structure sign epsilon_ijk on indices 1..7."""
-    if not all(1 <= t <= 7 for t in (i, j, k)):
-        raise ValueError("epsilon indices must lie in 1..7")
-    return float(STRUCTURE[i, j, k])
-
-
 class _OctonionBase:
     """x = x0 e0 + ... + x7 e7 with coefficients in the field `_field` (float or complex).
 

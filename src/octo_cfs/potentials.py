@@ -162,15 +162,6 @@ def one_loop_potential(sL, sR, p: LoopParams):
     return float(out[0]) if np.asarray(sL).ndim == 0 and np.asarray(sR).ndim == 0 else out.reshape(np.broadcast(sL, sR).shape)
 
 
-def one_loop_gradient_sR(sL: float, sR: float, p: LoopParams) -> float:
-    """Analytic dV/dsR (the sL derivative follows by exchange symmetry)."""
-    c = p.loop_coeff
-    cw = 0.0
-    if sR > 0:
-        cw = c * (2.0 * sR * (np.log(sR / p.M**2) - 25.0 / 6.0) + sR)
-    return 2.0 * p.lambda1 * sR + p.lambda2 * sL + cw
-
-
 def _loop_radius(p: LoopParams, lam: float, formula: str) -> float:
     """M^2 exp(25/6 - 1/2 - lam / loop_coeff); raises FloatingPointError outside the positive floats."""
     with np.errstate(all="ignore"):

@@ -133,17 +133,17 @@ def _coordinates(basis, images):
     return coef.T.reshape(*lead, len(basis)), resid.reshape(lead)
 
 
-def _eigenvalue_on_state(op: np.ndarray, state: np.ndarray, tol=1e-10) -> complex:
+def _eigenvalue_on_state(op: np.ndarray, state: np.ndarray) -> complex:
     coef, resid = _coordinates([state], op @ state)
     lam = coef[0]
-    if resid > tol * np.linalg.norm(state) * max(1.0, abs(lam)):
+    if resid > 1e-10 * np.linalg.norm(state) * max(1.0, abs(lam)):
         raise ConsistencyError("state is not an eigenvector of the operator")
     return lam
 
 
-def charges(states, gens: SU3Generators | None = None) -> dict:
+def charges(states) -> dict:
     """Electric charge of each state: Q-eigenvalue on S^u, (-Q*)-eigenvalue on S^d."""
-    gens = gens or su3_generators()
+    gens = su3_generators()
     out = {}
     for s in states:
         op = gens.Q if s.ideal == "u" else -np.conj(gens.Q)
@@ -154,16 +154,16 @@ def charges(states, gens: SU3Generators | None = None) -> dict:
     return out
 
 
-def structure_constants(gens: SU3Generators | None = None, tol=1e-10) -> np.ndarray:
+def structure_constants(gens: SU3Generators | None = None) -> np.ndarray:
     """f[a,b,c] with [Lambda_a, Lambda_b] = 2i sum_c f[a,b,c] Lambda_c."""
     gens = gens or su3_generators()
     lam = np.array(gens.Lambda)
     comm = lam[:, None] @ lam[None] - lam[None] @ lam[:, None]  # comm[a, b] = [Lambda_a, Lambda_b]
     coef, resid = _coordinates(lam, comm)
-    if np.max(resid) > tol:
+    if np.max(resid) > 1e-10:
         raise ConsistencyError("commutator does not lie in the generator span")
     f = coef / 2j
-    if np.max(np.abs(f.imag)) > tol:
+    if np.max(np.abs(f.imag)) > 1e-10:
         raise ConsistencyError("structure constants are not real")
     return f.real
 
@@ -174,11 +174,11 @@ def casimir(gens: SU3Generators | None = None) -> np.ndarray:
     return sum((lam / 2.0) @ (lam / 2.0) for lam in gens.Lambda)
 
 
-def _restrict(op: np.ndarray, states, tol=1e-9) -> np.ndarray:
+def _restrict(op: np.ndarray, states) -> np.ndarray:
     """Matrix of left multiplication by op on the span of the given states."""
     images = np.array([op @ s.matrix for s in states])
     coef, resid = _coordinates([s.matrix for s in states], images)
-    if np.any(resid > tol * np.maximum(1.0, np.linalg.norm(images, axis=(1, 2)))):
+    if np.any(resid > 1e-9 * np.maximum(1.0, np.linalg.norm(images, axis=(1, 2)))):
         raise ConsistencyError("operator does not preserve the state span")
     return coef.T
 
@@ -194,22 +194,21 @@ def gell_mann_weight_sets():
     return sorted(zip(lam3, lam8)), sorted(zip(-lam3, -lam8))
 
 
-def _match_weight_set(weights, reference, tol=1e-9) -> bool:
+def _match_weight_set(weights, reference) -> bool:
     ws = sorted(weights)
     return all(
-        abs(w[0] - r[0]) < tol and abs(w[1] - r[1]) < tol for w, r in zip(ws, reference)
+        abs(w[0] - r[0]) < 1e-9 and abs(w[1] - r[1]) < 1e-9 for w, r in zip(ws, reference)
     )
 
 
-def classify_representation(gens: SU3Generators | None = None, states=None) -> dict:
+def classify_representation(states) -> dict:
     """Decompose the ideal states into SU(3) irreducibles per grade subspace.
 
     The quadratic Casimir restricted to each grade subspace identifies
     singlets (0) versus (anti)fundamentals (4/3); the (Lambda3, Lambda8)
     weight multisets distinguish 3 from 3bar.
     """
-    gens = gens or su3_generators()
-    states = states if states is not None else ideal_basis("u")
+    gens = su3_generators()
     cas = casimir(gens)
     fund, anti = gell_mann_weight_sets()
     report = {"ideal": states[0].ideal, "grades": []}

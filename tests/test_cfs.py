@@ -24,21 +24,16 @@ from octo_cfs.cfs import (
     config_from_json,
     constraints,
     ell,
-    holonomy,
     kernel,
-    lagrangian,
     lagrangian_first_term,
     lagrangians,
     measure_from_json,
     measure_to_json,
     merge_duplicates,
     pair_spectra,
-    physical_wavefunction,
     product_spectrum,
     random_point,
-    spin_connection,
     spin_connections,
-    spin_product,
     spin_space,
     validate_point,
 )
@@ -68,11 +63,11 @@ CFG21 = SystemConfig(f=2, n=1, kappa=0.1)
 
 
 def test_validate_point():
-    assert diag_point(CFG21, 1.0, -1.0).trace == 0.0
+    assert np.trace(diag_point(CFG21, 1.0, -1.0).matrix) == 0.0
     with pytest.raises(SignatureViolation):
         diag_point(CFG21, 1.0, 1.0)
     zero = validate_point(np.zeros((2, 2)), CFG21)
-    assert zero.trace == 0.0
+    assert np.trace(zero.matrix) == 0.0
     with pytest.raises(NotHermitian):
         validate_point(np.array([[0.0, 1.0], [0.0, 0.0]]), CFG21)
 
@@ -121,10 +116,10 @@ def test_lagrangian_worked_examples():
     kappa = 0.3
     cfg = SystemConfig(f=2, n=1, kappa=kappa)
     x = diag_point(cfg, 1.0, -1.0)
-    assert abs(lagrangian(x, x, cfg) - 4 * kappa) < 1e-14
+    assert abs(lagrangians([x], [x], cfg)[0, 0] - 4 * kappa) < 1e-14
     x2 = diag_point(cfg, 2.0, -1.0)
-    assert abs(lagrangian(x2, x, cfg) - (0.5 + 9 * kappa)) < 1e-14
-    assert abs(lagrangian(x2, x, cfg) - lagrangian(x, x2, cfg)) < 1e-14
+    assert abs(lagrangians([x2], [x], cfg)[0, 0] - (0.5 + 9 * kappa)) < 1e-14
+    assert abs(lagrangians([x2], [x], cfg)[0, 0] - lagrangians([x], [x2], cfg)[0, 0]) < 1e-14
 
 
 def test_lagrangian_spacelike_spectrum():
@@ -134,7 +129,7 @@ def test_lagrangian_spacelike_spectrum():
     y = validate_point(np.diag([0.5, -0.5, 0.5, -0.5]).astype(complex), cfg)
     assert causal_class(x, y, cfg) == SPACELIKE
     assert lagrangian_first_term(x, y, cfg) < 1e-12
-    assert abs(lagrangian(x, y, cfg) - cfg.kappa * 4.0) < 1e-14  # kappa (4 * 0.5)^2
+    assert abs(lagrangians([x], [y], cfg)[0, 0] - cfg.kappa * 4.0) < 1e-14  # kappa (4 * 0.5)^2
 
 
 def test_product_spectrum_nonzero_count_matches_rank():
@@ -170,7 +165,7 @@ def test_zero_product_is_spacelike():
     yb[2, 2] = 1.0
     y = validate_point(yb, cfg)
     assert causal_class(x, y, cfg) == SPACELIKE
-    assert lagrangian(x, y, cfg) == 0.0
+    assert lagrangians([x], [y], cfg)[0, 0] == 0.0
 
 
 def test_action_and_constraints():
@@ -180,8 +175,8 @@ def test_action_and_constraints():
     assert volume == 1.0 and abs(trace - 1.0) < 1e-14
 
     # two equal points with weight 1/2 each: action reduces to L(x, x)
-    a = action([x, x], [0.5, 0.5], cfg)
-    assert abs(a - lagrangian(x, x, cfg)) < 1e-14
+    a = action([x, x], [0.5, 0.5], cfg=cfg)
+    assert abs(a - lagrangians([x], [x], cfg)[0, 0]) < 1e-14
 
     y = diag_point(cfg, 1.0, -1.0)
     _, tr = constraints([y], [1.0])
@@ -214,39 +209,23 @@ def test_ell_single_point():
     x_m = np.diag([1.0, 0.0]).astype(complex)
     cfg0 = SystemConfig(f=2, n=1, kappa=kappa)
     x = validate_point(x_m, cfg0)
-    s_val = lagrangian(x, x, cfg0)
+    s_val = lagrangians([x], [x], cfg0)[0, 0]
     cfg = SystemConfig(f=2, n=1, kappa=kappa, s=s_val)
     measure = DiscreteMeasure(points=[x], weights=[1.0])
     assert abs(ell(x, measure, cfg)) < 1e-14
 
     # disjoint support: only zero spectra contribute, ell = -s = 0 for s=0
     y = validate_point(np.diag([0.0, -1.0]).astype(complex), cfg0)
-    assert ell(y, DiscreteMeasure(points=[x], weights=[1.0]), cfg0) == lagrangian(y, x, cfg0)
+    assert ell(y, DiscreteMeasure(points=[x], weights=[1.0]), cfg0) == lagrangians([y], [x], cfg0)[0, 0]
 
 
 def test_spin_space_signatures():
     x = np.diag([1.0, -1.0]).astype(complex)
     sx = spin_space(x)
-    assert sx.dim == 2 and sx.signature == (1, 1)
+    assert len(sx.eigenvalues) == 2 and sx.signature == (1, 1)
     y = np.diag([1.0, 0.0]).astype(complex)
     sy = spin_space(y)
-    assert sy.dim == 1 and sy.signature == (0, 1)
-
-
-def test_spin_product_real_on_diagonal():
-    cfg = SystemConfig(f=4, n=2, kappa=0.1)
-    for _ in range(20):
-        x = random_point(rng, cfg)
-        sx = spin_space(x)
-        u = sx.basis @ (rng.standard_normal(sx.dim) + 1j * rng.standard_normal(sx.dim))
-        val = spin_product(x, u, u)
-        assert abs(val.imag) < 1e-10 * max(1.0, abs(val))
-
-
-def test_spin_product_warns_outside_image():
-    x = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.warns(UserWarning):
-        spin_product(x, np.array([0.0, 1.0 + 0j]), np.array([1.0, 0.0 + 0j]))
+    assert len(sy.eigenvalues) == 1 and sy.signature == (0, 1)
 
 
 def test_kernel_trace_identity():
@@ -256,6 +235,8 @@ def test_kernel_trace_identity():
         sx = spin_space(x)
         p_xx = kernel(sx, sx)
         assert abs(np.trace(p_xx) - np.trace(x.matrix)) < 1e-10
+        # the spin product -<u, x v> in the basis of S_x is its gram matrix, real and diagonal
+        assert np.abs(-sx.basis.conj().T @ x.matrix @ sx.basis - sx.gram).max(initial=0.0) < 1e-10
 
 
 def test_closed_chain_spectrum_matches_product():
@@ -293,15 +274,15 @@ def test_physical_wavefunction_and_completeness():
     x = validate_point(np.diag([1.0, 0.0, 0, 0, 0, 0]).astype(complex), cfg)
     u = np.zeros(6, dtype=complex)
     u[3] = 1.0
-    psi = physical_wavefunction(u, [x])[0]
-    assert np.allclose(psi, 0.0)
+    sx = spin_space(x)
+    assert np.allclose(sx.basis @ (sx.basis.conj().T @ u), 0.0)  # psi^u(x) = pi_x u
 
 
 def test_single_point_projector_acts_as_x():
     cfg = SystemConfig(f=4, n=2, kappa=0.1)
     x = random_point(rng, cfg)
     sx = spin_space(x)
-    phi = sx.basis @ (rng.standard_normal(sx.dim) + 1j * rng.standard_normal(sx.dim))
+    phi = sx.basis @ (rng.standard_normal(len(sx.eigenvalues)) + 1j * rng.standard_normal(len(sx.eigenvalues)))
     p_xx = kernel(sx, sx)
     lhs = sx.basis @ (p_xx @ (sx.basis.conj().T @ phi))
     assert np.allclose(lhs, x.matrix @ phi, atol=1e-10)
@@ -329,8 +310,8 @@ def _timelike_pair(cfg):
 def test_spin_connection_identity_at_coincidence():
     cfg = SystemConfig(f=4, n=2, kappa=0.1)
     x = random_point(rng, cfg)
-    sx = spin_space(x)
-    assert np.array_equal(spin_connection(sx, sx), np.eye(sx.dim))
+    (d,), resid = spin_connections([x], [(0, 0)], cfg)
+    assert np.array_equal(d, np.eye(len(spin_space(x).eigenvalues))) and resid[0] == 0.0
 
 
 def test_spin_connection_unitary():
@@ -338,13 +319,10 @@ def test_spin_connection_unitary():
     done = 0
     for _ in range(50):
         x, y = _timelike_pair(cfg)
+        (d,), _ = spin_connections([x, y], [(0, 1)], cfg)
+        if isinstance(d, NotSpinConnectable):
+            continue
         sx, sy = spin_space(x), spin_space(y)
-        if sx.dim != sy.dim:
-            continue
-        try:
-            d = spin_connection(sx, sy)
-        except NotSpinConnectable:
-            continue
         resid = np.linalg.norm(d.conj().T @ sx.gram @ d - sy.gram)
         assert resid < 1e-8 * max(1.0, np.linalg.norm(sy.gram))
         done += 1
@@ -359,25 +337,21 @@ def test_holonomy_reversed_loop_inverts():
         w, v = np.linalg.eigh(0.5 * (x.matrix + y.matrix))
         keep = np.argsort(-np.abs(w))[: 2 * cfg.n]
         z = validate_point((v[:, keep] * w[keep]) @ v[:, keep].conj().T, cfg)
-        sx, sy, sz = spin_space(x), spin_space(y), spin_space(z)
-        if not (sx.dim == sy.dim == sz.dim):
+        d, _ = spin_connections([x, y, z], [(0, 1), (1, 2), (2, 0), (0, 2), (2, 1), (1, 0)], cfg)
+        if any(isinstance(c, NotSpinConnectable) for c in d):
             continue
-        try:
-            r1 = holonomy(sx, sy, sz)
-            r2 = holonomy(sx, sz, sy)
-        except NotSpinConnectable:
-            continue
-        assert np.allclose(r1 @ r2, np.eye(sx.dim), atol=1e-7)
+        # R(x, y, z) = D_xy D_yz D_zx and R(x, z, y) are inverse loops: their product is I
+        assert np.allclose(d[0] @ d[1] @ d[2] @ d[3] @ d[4] @ d[5], np.eye(len(d[0])), atol=1e-7)
         done += 1
     assert done >= 10
 
 
 def sqrtm_spin_connection(sx, sy, tol=1e-8):
     """Reference for `spin_connections`: the per-pair `scipy.linalg.sqrtm` path it replaced."""
-    if sx.dim != sy.dim:
+    if len(sx.eigenvalues) != len(sy.eigenvalues):
         raise NotSpinConnectable("spin spaces have different dimensions")
     if np.array_equal(sx.point, sy.point):
-        return np.eye(sx.dim, dtype=complex)
+        return np.eye(len(sx.eigenvalues), dtype=complex)
     p_xy = kernel(sx, sy)
     a_yx = kernel(sy, sx) @ p_xy  # closed chain on S_y
     try:
@@ -414,21 +388,21 @@ def test_spin_connections_match_sqrtm_oracle(n, extra, count, scale, seed):
         # U_x D U_y* does not depend on the order or the phases of either basis; both paths lose
         # about eps * cond(A) of D to rounding, so a near-singular chain A widens the 1e-12
         amb, amb_ref = sx.basis @ d @ sy.basis.conj().T, sx.basis @ ref @ sy.basis.conj().T
-        rtol = 1e-12 + 1e-15 * np.linalg.cond(kernel(sy, sx) @ kernel(sx, sy)) if sx.dim else 0.0
+        rtol = 1e-12 + 1e-15 * np.linalg.cond(kernel(sy, sx) @ kernel(sx, sy)) if len(sx.eigenvalues) else 0.0
         assert np.linalg.norm(amb - amb_ref) <= rtol * np.linalg.norm(amb_ref)
         unitarity = np.linalg.norm(d.conj().T @ sx.gram @ d - sy.gram)
         assert unitarity <= 1e-8 * max(1.0, np.linalg.norm(sy.gram))
         assert abs(unitarity - res) <= 1e-12 * max(1.0, np.linalg.norm(sy.gram))
         if i == j:
-            assert np.array_equal(d, np.eye(sx.dim)) and res == 0.0
+            assert np.array_equal(d, np.eye(len(sx.eigenvalues))) and res == 0.0
 
 
 def test_spin_connection_dimension_mismatch():
     cfg = SystemConfig(f=4, n=2, kappa=0.1)
     x = validate_point(np.diag([1.0, -1.0, 0.5, 0]).astype(complex), cfg)
     y = validate_point(np.diag([1.0, 0, 0, 0]).astype(complex), cfg)
-    with pytest.raises(NotSpinConnectable):
-        spin_connection(spin_space(x), spin_space(y))
+    (d,), resid = spin_connections([x, y], [(0, 1)], cfg)
+    assert isinstance(d, NotSpinConnectable) and np.isnan(resid[0])
 
 
 def test_measure_json_round_trip():
@@ -612,18 +586,18 @@ def test_batched_action_matches_each_measure_alone(dims, batch, count, c, seed):
     r = np.random.default_rng(seed)
     stack = np.array([[_any_rank_point(r, cfg) for _ in range(count)] for _ in range(batch)])
     w = r.dirichlet(np.ones(count), size=batch)
-    got = action(stack, w, cfg)
+    got = action(stack, w, cfg=cfg)
     assert got.shape == (batch,)
-    alone = [action(list(stack[b]), w[b], cfg) for b in range(batch)]
+    alone = [action(list(stack[b]), w[b], cfg=cfg) for b in range(batch)]
     assert got.tobytes() == np.array(alone).tobytes()
     integrals_alone = [constraints(list(stack[b]), w[b]) for b in range(batch)]  # (volume, trace) per set
     assert np.array(constraints(stack, w)).tobytes() == np.array(integrals_alone).T.tobytes()
     with pytest.MonkeyPatch.context() as mp:  # blocks that split the stack mid-set
         mp.setattr(cfs, "PAIR_BLOCK", 4)
-        assert action(stack, w, cfg).tobytes() == got.tobytes()
+        assert action(stack, w, cfg=cfg).tobytes() == got.tobytes()
     tol = 1e-12 * np.maximum(1.0, np.abs(got))
     scale = np.linspace(1.0, c, batch)
-    assert np.all(np.abs(action(scale[:, None, None, None] * stack, w, cfg) - scale**4 * got) <= scale**4 * tol)
+    assert np.all(np.abs(action(scale[:, None, None, None] * stack, w, cfg=cfg) - scale**4 * got) <= scale**4 * tol)
     lag = lagrangians(stack, stack, cfg)
     for b in range(batch):  # L(x, y) = L(y, x), with both orders solved by the rectangular path
         full = lagrangians(stack[b], list(stack[b]), cfg)
@@ -656,6 +630,14 @@ def test_ell_batch_matches_single_points():
     assert np.abs(batch - single).max() <= 1e-14
     a = action(measure, cfg=cfg)
     assert abs(float(measure.weights @ batch) - (a - cfg.s)) <= 1e-14
+
+
+def test_action_without_cfg_fails_at_the_call():
+    x = diag_point(CFG21, 1.0, -1.0)
+    with pytest.raises(TypeError, match="cfg"):
+        action([x], [1.0])
+    with pytest.raises(TypeError, match="cfg"):
+        action(DiscreteMeasure(points=[x], weights=[1.0]))
 
 
 def test_system_config_rejects_non_finite_or_out_of_range_parameters():

@@ -400,12 +400,14 @@ def test_failed_build_or_act_leaves_the_container_and_no_temporary_file(tmp_path
         return sea_kernel(*args, **kwargs)
 
     monkeypatch.setattr(lattice, "sea_kernel", fails_on_the_fourth_call)
-    with pytest.raises(MemoryError, match="fourth sea"):
-        run(["vacuum", "build", "--L", "6", "--T", "4", "--out", str(vac)])
+    for out in (vac, tmp_path / "fresh.okn"):  # an existing container, then a path that had no file
+        calls.clear()
+        with pytest.raises(MemoryError, match="fourth sea"):
+            run(["vacuum", "build", "--L", "6", "--T", "4", "--out", str(out)])
+        assert len(calls) == 4
+        assert vac.read_bytes() == built
+        assert [p.name for p in tmp_path.iterdir()] == ["vac.okn"]
     monkeypatch.undo()
-    assert len(calls) == 4
-    assert vac.read_bytes() == built
-    assert [p.name for p in tmp_path.iterdir()] == ["vac.okn"]
     read = lattice.read_seas
 
     def fails_after_three_seas(*args):
@@ -902,17 +904,21 @@ def test_vacuum_build_checks_out_before_building(tmp_path, capsys, monkeypatch):
     vac = tmp_path / "vac.okn"
     assert run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(vac)]) == 0
     built = vac.read_bytes()
+    calls = []
 
     def never(*args, **kwargs):
-        raise AssertionError("vacuum_seas ran before --out was opened")
+        calls.append(args)
+        raise AssertionError("sea_kernel ran before --out was opened")
 
-    monkeypatch.setattr(lattice, "vacuum_seas", never)
-    out = tmp_path / "missing" / "v.okn"
-    capsys.readouterr()
-    assert run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot write --out {out}: ")
+    monkeypatch.setattr(lattice, "sea_kernel", never)
+    for out, reason in ((tmp_path / "missing" / "v.okn", "No such file or directory"), (tmp_path, "Is a directory")):
+        capsys.readouterr()
+        assert run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write --out {out}: {reason}\n"
+        assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vac.okn"]
     # a build that fails after the check leaves an existing container as it was
-    with pytest.raises(AssertionError, match="vacuum_seas ran"):
+    with pytest.raises(AssertionError, match="sea_kernel ran"):
         run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(vac)])
     assert vac.read_bytes() == built
 

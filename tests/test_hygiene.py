@@ -4,6 +4,14 @@ from pathlib import Path
 import octo_cfs
 
 SRC = Path(octo_cfs.__file__).parent
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+
+#: Public src functions that no command or acceptance test reaches, kept on purpose: qualified name -> reason.
+EXEMPT = {
+    "lattice.vacuum_local_correlation": "perfbench/vlc_probe.py calls it; it leaves with that probe",
+    "octonion._OctonionBase.zero": "algebra method: the additive identity of Octonion and ComplexOctonion",
+    "octonion.ComplexOctonion.dagger": "algebra method: the adjoint involution of C (x) O",
+}
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -32,3 +40,123 @@ def test_no_module_imports_a_name_it_never_uses():
         if (unused := unused_imports(ast.parse(path.read_text(), filename=str(path))))
     }
     assert found == {}
+
+
+def _scan(module: str, tree: ast.Module):
+    """(defs, top): the body of each module-level function and method by qualified name, such as
+    "lattice.sea_kernel" or "lattice.SectorKernel.hermiticity_residual", and the nodes that run on import."""
+    defs, top = {}, []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[f"{prefix}.{node.name}"] = node.body
+                top.extend(node.decorator_list + node.args.defaults + [d for d in node.args.kw_defaults if d])
+            elif isinstance(node, ast.ClassDef) and prefix == module:
+                top.extend(node.bases + node.decorator_list)
+                visit(node.body, f"{prefix}.{node.name}")
+            else:
+                top.append(node)
+
+    visit(tree.body, module)
+    return defs, top
+
+
+def _bindings(module: str, tree: ast.Module, modules) -> dict:
+    """What each name read in the module stands for: a package module ("cfs") or a qualified name ("cfs.action")."""
+    names = {node.name: f"{module}.{node.name}" for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            source = node.module or ""
+        elif node.level == 0 and (node.module or "").split(".")[0] == "octo_cfs":
+            source = node.module[len("octo_cfs"):].lstrip(".")
+        else:
+            continue
+        for alias in node.names:
+            if source:
+                names[alias.asname or alias.name] = f"{source}.{alias.name}"
+            else:
+                names[alias.asname or alias.name] = alias.name if alias.name in modules else f"__init__.{alias.name}"
+    return names
+
+
+def _reads(nodes, names: dict, modules):
+    """(qualified names, attribute names) the nodes read; `mod.f` of a package module resolves to "mod.f"."""
+    qualified, attributes = set(), set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id in names:
+                qualified.add(names[sub.id])
+            elif isinstance(sub, ast.ImportFrom):  # an imported name counts as used
+                qualified.update(names[a.asname or a.name] for a in sub.names if (a.asname or a.name) in names)
+            elif isinstance(sub, ast.Attribute):
+                if isinstance(sub.value, ast.Name) and names.get(sub.value.id) in modules:
+                    qualified.add(f"{names[sub.value.id]}.{sub.attr}")
+                else:  # a method of an object whose type the AST does not tell
+                    attributes.add(sub.attr)
+    return qualified, attributes
+
+
+def unreached(sources: dict, acceptance: str, kept=()) -> list:
+    """Public functions and methods of the package modules `sources` (name -> source) that nothing reaches.
+
+    The roots are the code each module runs on import (which holds the CLI's `main` and, through its
+    handler table, every handler), the dunder methods, the whole acceptance module and the names in
+    `kept`. A module function is reached by its name as the reading module binds or imports it; a method,
+    whose receiver's type is unknown, by any read of an attribute of its name. A reached function's body
+    reaches further.
+    """
+    modules = set(sources)
+    defs, walked, todo = {}, set(), []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        names = _bindings(module, tree, modules)
+        module_defs, top = _scan(module, tree)
+        defs.update({name: (body, names) for name, body in module_defs.items()})
+        todo.append((top, names))
+    tree = ast.parse(acceptance)
+    todo.append((tree.body, _bindings("test_acceptance", tree, modules)))
+    reached, attributes = set(kept), set()
+    while todo:
+        for nodes, names in todo:
+            qualified, attrs = _reads(nodes, names, modules)
+            reached |= qualified
+            attributes |= attrs
+        todo = []
+        for name, (body, names) in defs.items():
+            method = name.rsplit(".", 1)[1] if name.count(".") == 2 else None
+            dunder = method is not None and method.startswith("__") and method.endswith("__")
+            if name not in walked and (name in reached or dunder or method in attributes):
+                walked.add(name)
+                todo.append((body, names))
+    return sorted(name for name in defs if name not in walked and not name.rsplit(".", 1)[1].startswith("_"))
+
+
+def test_unreached_functions_are_found():
+    sources = {
+        "octonion": "STRUCTURE = 1\n\ndef epsilon(i):\n    return STRUCTURE\n\ndef basis(i):\n    return i\n",
+        "lattice": (
+            "from .octonion import basis\n\n"
+            "class Spec:\n"
+            "    def at(self):\n        return 0\n"
+            "    def norm(self):\n        return helper()\n"
+            "def helper():\n    return basis(1)\n\n"
+            "def width(spec):\n    return spec.epsilon + spec.norm()\n"
+        ),
+        "cli": "import sys\nfrom . import lattice\n\ndef main():\n    return lattice.width(None)\n\n"
+               "if __name__ == '__main__':\n    sys.exit(main())\n",
+    }
+    # spec.epsilon is an attribute read, not a read of octonion.epsilon
+    assert unreached(sources, "") == ["lattice.Spec.at", "octonion.epsilon"]
+    assert unreached(sources, "from octo_cfs.octonion import epsilon\n") == ["lattice.Spec.at"]
+    assert unreached(sources, "", kept=["lattice.Spec.at"]) == ["octonion.epsilon"]
+
+
+def test_every_public_function_is_reached_by_a_command_or_the_acceptance_suite():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    acceptance = ACCEPTANCE.read_text()
+    assert unreached(sources, acceptance, kept=EXEMPT) == []
+    assert set(EXEMPT) <= set(unreached(sources, acceptance))  # each entry needs its exemption

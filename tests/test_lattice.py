@@ -18,14 +18,12 @@ from octo_cfs.lattice import (
     _mode_matrices,
     build_vacuum_direct,
     chiral_sandwich,
-    dirac_apply,
     dirac_residual,
     dirac_residual_single,
     left_algebra_action,
     load_header,
     local_correlation,
     materialize,
-    mode_dirac_residuals,
     mode_onshell_residuals,
     mode_sum,
     occupied_modes,
@@ -46,6 +44,13 @@ rng = np.random.default_rng(53)
 
 SPEC = LatticeSpec(L=8, T=6, a=0.5, epsilon=1.0)
 MD = MassData(charged_masses=(0.5, 0.7, 0.9), neutrino_masses=(0.1, 0.2, 0.3), tau_reg=0.7)
+
+
+def at(kernel, x, y) -> np.ndarray:
+    """K(x, y) for lattice points x = (t, x1, ...), y likewise: the entry of `rel` at their displacement."""
+    dt = int(x[0]) - int(y[0])
+    space = tuple((int(x[1 + j]) - int(y[1 + j])) % kernel.spec.L for j in range(kernel.spec.spatial_dims))
+    return kernel.rel[(dt + kernel.spec.T - 1,) + space]
 
 
 def test_lattice_spec_validation():
@@ -79,11 +84,6 @@ def test_lattice_and_mass_data_reject_non_finite_or_mistyped_values():
 def test_mode_onshell_factorization_exact():
     for m in (0.0, 0.5, 1.3):
         assert mode_onshell_residuals(m, SPEC).max() < 1e-12
-
-
-def test_mode_dirac_residuals_time_continuum():
-    for m in (0.0, 0.7):
-        assert mode_dirac_residuals(m, SPEC).max() < 1e-10
 
 
 def direct_sea_kernel(mass, spec, gammas=None):
@@ -178,7 +178,7 @@ def test_batched_slash_matches_per_vector(ks, n, majorana):
 
 
 def einsum_dirac_apply(kernel, mass, pseudo=0.0):
-    """(i d-slash + i gamma5 n - m) K by rolls and one einsum per term: the oracle for dirac_apply's stacked matmul."""
+    """(i d-slash + i gamma5 n - m) K by rolls and one einsum per term: the oracle for _dirac_rows's stacked matmul."""
     spec, g = kernel.spec, kernel.gammas
     rel = kernel.rel
     dt = (rel[2:] - rel[:-2]) / (2.0 * spec.a)
@@ -250,13 +250,13 @@ def random_kernels(draw, count=1):
 )
 def test_dirac_apply_matches_einsum_oracle(kernels, mass, pseudo):
     (k,) = kernels
-    out, oracle = dirac_apply(k, mass, pseudo=pseudo), einsum_dirac_apply(k, mass, pseudo=pseudo)
+    out, oracle = lattice._dirac_rows(k, k.rel, mass, pseudo), einsum_dirac_apply(k, mass, pseudo=pseudo)
     assert out.shape == oracle.shape == k.rel[1:-1].shape
     # every entry sums 4(d+2) products, each below max|K| (1/a + m + |n|)
     scale = np.abs(k.rel).max() * (1.0 / k.spec.a + mass + abs(pseudo))
     assert np.abs(out - oracle).max() <= 1e-14 * scale
     # the residual, taken one time offset at a time, is the max over the whole application, bit for bit
-    assert dirac_residual_single(k, mass) == float(np.abs(dirac_apply(k, mass)).max())
+    assert dirac_residual_single(k, mass, pseudo) == float(np.abs(out).max())
 
 
 @settings(max_examples=60, deadline=None)
@@ -311,8 +311,8 @@ def test_kernel_hermiticity_identity():
     for _ in range(20):
         x = (int(rng.integers(SPEC.T)), int(rng.integers(SPEC.L)))
         y = (int(rng.integers(SPEC.T)), int(rng.integers(SPEC.L)))
-        lhs = g0 @ k.at(y, x).conj().T @ g0
-        assert np.abs(lhs - k.at(x, y)).max() < 1e-10
+        lhs = g0 @ at(k, y, x).conj().T @ g0
+        assert np.abs(lhs - at(k, x, y)).max() < 1e-10
 
 
 def test_neutrino_sector_hermiticity_with_chiral_breaking():
@@ -324,14 +324,14 @@ def test_massless_trace_oracle():
     # analytically summed mode expression for tr(gamma0 K(0)) at m = 0
     k = sea_kernel(0.0, SPEC)
     x = (2, 3)
-    val = np.trace(k.gammas.gamma[0] @ k.at(x, x))
+    val = np.trace(k.gammas.gamma[0] @ at(k, x, x))
     ks = SPEC.momenta()[:, 0]
     oracle = -2.0 * sum(
         np.exp(-SPEC.epsilon * abs(kv)) for kv in ks if kv != 0.0
     ) / (SPEC.L * SPEC.a)
     assert abs(val - oracle) < 1e-12 * max(1.0, abs(oracle))
     # and the plain spinor trace vanishes (tr kslash = 0)
-    assert abs(np.trace(k.at(x, x))) < 1e-12
+    assert abs(np.trace(at(k, x, x))) < 1e-12
 
 
 def test_massless_1p1_sea_solves_lattice_dirac_exactly():
@@ -368,7 +368,7 @@ def test_build_vacuum_direct_sector_structure():
     # even at equal masses when tau_reg < 1
     md_eq = MassData(charged_masses=(0.5, 0.7, 0.9), neutrino_masses=(0.5, 0.7, 0.9), tau_reg=0.7)
     d_eq = build_vacuum_direct(md_eq, SPEC)
-    assert d_eq[0].operator_norm_distance(d_eq[1]) > 1e-6
+    assert np.abs(d_eq[0].rel - d_eq[1].rel).max() > 1e-6
     # symmetric degenerate case: tau_reg = 1 and equal masses
     md_sym = MassData(charged_masses=(0.5, 0.7, 0.9), neutrino_masses=(0.5, 0.7, 0.9), tau_reg=1.0)
     d_sym = build_vacuum_direct(md_sym, SPEC)
@@ -563,7 +563,7 @@ def test_three_spatial_dimensions():
     x = (1, 2, 3, 0)
     y = (2, 0, 1, 3)
     g0 = k.gammas.gamma[0]
-    assert np.abs(g0 @ k.at(y, x).conj().T @ g0 - k.at(x, y)).max() < 1e-10
+    assert np.abs(g0 @ at(k, y, x).conj().T @ g0 - at(k, x, y)).max() < 1e-10
     f1 = local_correlation([0.6], spec3, (0, 0, 0, 0))
     f2 = local_correlation([0.6], spec3, (2, 1, 3, 2))
     assert np.allclose(np.sort(f1.eigenvalues), np.sort(f2.eigenvalues), atol=1e-10)
@@ -577,8 +577,6 @@ def test_minimal_time_window():
     k = sea_kernel(0.8, spec)
     assert k.rel.shape[0] == 5
     assert np.isfinite(dirac_residual_single(k, 0.8))
-    with pytest.raises(ValueError):
-        k.at((0, 0), (4, 0))  # time displacement outside the window
 
 
 def load_kernels(path):

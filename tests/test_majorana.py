@@ -129,7 +129,7 @@ def test_p_m_requires_positive_shell():
 
 
 def test_check_report_structure():
-    rep = check_report(seed=1, n_random=50)
+    rep = check_report(seed=1)
     assert rep["clifford_residual_majorana"] == 0.0
     assert rep["derived_factorization_max_residual"] < 1e-12
     assert rep["paper_variant_onshell_residuals"]["max"] > 0.0

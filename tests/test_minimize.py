@@ -191,7 +191,7 @@ def test_batched_gradients_equal_per_coordinate_differences(name, data):
     def unpack(vv):
         return fam.point_fn(vv[: fam.n_params]), softmax(vv[fam.n_params :])
 
-    want_action = _central_gradient(lambda vv: cfs.action(*unpack(vv), cfg), v)
+    want_action = _central_gradient(lambda vv: cfs.action(*unpack(vv), cfg=cfg), v)
     want_trace = _central_gradient(lambda vv: cfs.constraints(*unpack(vv))[1] - 1.0, v)
     got_action, got_trace = _gradients(fam, cfg, v)
     assert got_action.tobytes() == want_action.tobytes()
@@ -259,7 +259,7 @@ def test_each_gradient_is_one_batched_action_call(monkeypatch):
     fam, x0 = make_family(spec, cfg)
     calls = []
     action = cfs.action
-    monkeypatch.setattr(cfs, "action", lambda *a: calls.append(np.ndim(a[1])) or action(*a))
+    monkeypatch.setattr(cfs, "action", lambda *a, **kw: calls.append(np.ndim(a[1])) or action(*a, **kw))
     _, report = minimize(fam, cfg, x0, MinimizeOptions(seed=1))
     # one plain call per objective evaluation, one batched call per gradient of the SQP
     assert calls.count(1) == report.nfev and 0 < calls.count(2) <= report.nit + 1
@@ -297,7 +297,7 @@ def test_sqp_reaches_the_action_of_slsqp(name, kappa, seed):
 
     def fun(v):
         points, w = _unpack(fam, v)
-        return cfs.action(points, w, cfg), cfs.constraints(points, w)[1] - 1.0
+        return cfs.action(points, w, cfg=cfg), cfs.constraints(points, w)[1] - 1.0
 
     def grad(v):
         return _gradients(fam, cfg, v)

@@ -7,7 +7,6 @@ from octo_cfs.mult_algebra import (
     SPAN_TOL,
     SpanClosureError,
     chain,
-    in_span,
     left_matrix,
     left_right_equality,
     left_unit,
@@ -22,6 +21,19 @@ from octo_cfs.octonion import ComplexOctonion, Octonion, mul
 rng = np.random.default_rng(11)
 
 I8 = np.eye(8)
+
+
+def in_span(m: np.ndarray, span) -> float:
+    """Relative residual of m after projection onto the span (0 means member)."""
+    v = np.ravel(m)
+    nrm = np.linalg.norm(v)
+    if nrm == 0.0:
+        return 0.0
+    q = span.orthonormal
+    coef = q.conj() @ v
+    if span.field == "real":
+        coef = coef.real  # a real span has real coefficients: all of Im m is residual
+    return float(np.linalg.norm(v - coef @ q) / nrm)
 
 
 def rand_octonion():

@@ -11,7 +11,6 @@ from octo_cfs.octonion import (
     associator,
     basis_product,
     conj,
-    epsilon,
     inv,
     mul,
     norm,
@@ -65,14 +64,13 @@ def test_anticommutation():
 
 
 def test_epsilon_antisymmetric_and_zero_on_repeats():
-    assert epsilon(1, 2, 3) == 1.0
-    assert epsilon(2, 1, 3) == -1.0
-    assert epsilon(3, 1, 2) == 1.0
-    assert epsilon(1, 1, 3) == 0.0
-    assert epsilon(2, 5, 7) == 1.0
-    assert epsilon(7, 5, 2) == -1.0
-    with pytest.raises(ValueError):
-        epsilon(0, 1, 2)
+    # epsilon_ijk on the imaginary units is STRUCTURE[i, j, k], the coefficient of e_k in e_i e_j
+    assert STRUCTURE[1, 2, 3] == 1.0
+    assert STRUCTURE[2, 1, 3] == -1.0
+    assert STRUCTURE[3, 1, 2] == 1.0
+    assert STRUCTURE[1, 1, 3] == 0.0
+    assert STRUCTURE[2, 5, 7] == 1.0
+    assert STRUCTURE[7, 5, 2] == -1.0
 
 
 def test_conjugate():
@@ -240,7 +238,7 @@ def test_structure_and_epsilon_match_two_step_oracle():
     assert np.array_equal(STRUCTURE, oracle)  # all 512 entries
     assert not np.signbit(STRUCTURE[STRUCTURE == 0]).any()
     for i, j, k in itertools.product(range(1, 8), repeat=3):  # all 343 triples
-        assert epsilon(i, j, k) == eps[i, j, k]
+        assert STRUCTURE[i, j, k] == eps[i, j, k]
 
 
 def test_mixed_field_add_and_sub_rejected():

@@ -5,7 +5,6 @@ from octo_cfs.potentials import (
     LoopParams,
     TreeParams,
     grid_search_tree,
-    one_loop_gradient_sR,
     one_loop_potential,
     one_loop_symmetric_stationary,
     one_loop_vacuum,
@@ -16,6 +15,14 @@ from octo_cfs.potentials import (
 )
 
 rng = np.random.default_rng(61)
+
+
+def one_loop_gradient_sR(sL: float, sR: float, p: LoopParams) -> float:
+    """Analytic dV/dsR of the one-loop potential (the sL derivative follows by exchange symmetry)."""
+    cw = 0.0
+    if sR > 0:
+        cw = p.loop_coeff * (2.0 * sR * (np.log(sR / p.M**2) - 25.0 / 6.0) + sR)
+    return 2.0 * p.lambda1 * sR + p.lambda2 * sL + cw
 
 
 def test_tree_potential_values():

@@ -199,12 +199,11 @@ def test_charges_d_ideal_are_negatives():
 
 
 def test_charge_consistency_error():
-    gens = su3_generators()
     states = ideal_basis("u")
     bad = states[1]
     bad.matrix = states[1].matrix + states[4].matrix  # mixes charge sectors
     with pytest.raises(ConsistencyError):
-        charges([bad], gens)
+        charges([bad])
 
 
 def test_classify_representation_u():
@@ -290,7 +289,7 @@ def test_charges_match_rayleigh_quotient():
         lam = rayleigh_eigenvalue(op, s.matrix)
         assert abs(_eigenvalue_on_state(op, s.matrix) - lam) <= 1e-12
         expect[s.label] = Fraction(round(3.0 * lam.real), 3)
-    assert charges(states, gens) == expect
+    assert charges(states) == expect
 
 
 def test_restrict_rejects_operator_leaving_the_span():
