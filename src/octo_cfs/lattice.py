@@ -365,16 +365,13 @@ def occupied_modes(masses, spec: LatticeSpec, tau_reg: float = 1.0, gammas: Gamm
     eigendirections of the Hermitian matrix (kslash + m) gamma0.
     """
     gammas = gammas or dirac_rep()
-    left, right = gammas.chiral_left(), gammas.chiral_right()
+    a_tau = gammas.chiral_left() + tau_reg * gammas.chiral_right()
     n_sites = spec.T * spec.n_spatial
     omega, kvec, spinor = [np.zeros(0)], [np.zeros((0, spec.spatial_dims))], [np.zeros((0, 4), complex)]
     for mass in masses:
         kvecs, omegas, kslash = mode_table(mass, spec, gammas)
         vals, vecs = np.linalg.eigh((kslash + mass * np.eye(4)) @ gammas.gamma[0])
-        # each chiral projector row has two entries +-1/2 (or +-i/2), so P v is one rounding per entry;
-        # (P_L + tau P_R) v as one product would leave an O(eps) left part that the norm
-        # of a near right-handed u ~ tau magnifies by 1/tau
-        u = (left @ vecs + tau_reg * (right @ vecs)).swapaxes(1, 2)  # (mode, eigen-index, spinor)
+        u = (a_tau @ vecs).swapaxes(1, 2)  # (mode, eigen-index, spinor)
         nrm = np.linalg.norm(u, axis=2)
         keep = (np.abs(vals) > 1e-9 * np.abs(vals).max(axis=1, keepdims=True)) & (nrm >= 1e-14)
         k, r = np.nonzero(keep)

@@ -214,14 +214,14 @@ def whole_kernel_hermiticity_residual(kernel):
 
 
 def einsum_occupied_spinors(masses, spec, tau_reg, gammas):
-    """The spinor column of occupied_modes with the chiral projectors applied by einsum."""
-    left, right = gammas.chiral_left(), gammas.chiral_right()
+    """The spinor column of occupied_modes with the chiral factor applied by einsum."""
+    a_tau = gammas.chiral_left() + tau_reg * gammas.chiral_right()
     n_sites = spec.T * spec.n_spatial
     spinor = [np.zeros((0, 4), complex)]
     for mass in masses:
         _, _, kslash = lattice.mode_table(mass, spec, gammas)
         vals, vecs = np.linalg.eigh((kslash + mass * np.eye(4)) @ gammas.gamma[0])
-        u = np.einsum("ab,kbr->kra", left, vecs) + tau_reg * np.einsum("ab,kbr->kra", right, vecs)
+        u = np.einsum("ab,kbr->kra", a_tau, vecs)
         nrm = np.linalg.norm(u, axis=2)
         keep = (np.abs(vals) > 1e-9 * np.abs(vals).max(axis=1, keepdims=True)) & (nrm >= 1e-14)
         k, r = np.nonzero(keep)
