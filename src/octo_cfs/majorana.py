@@ -19,22 +19,21 @@ VARIANTS = ("paper", "derived")
 N_RANDOM = 1000  # random momenta in the derived-variant factorization check
 
 
-def reality_check(m: float, n: float, gammas: GammaSet = None) -> dict:
+def reality_check(m: float, n: float, gammas: GammaSet) -> dict:
     """Entrywise imaginary parts of i gamma^mu and i gamma5.
 
     All vanish in the Majorana representation, so the operator of the
     generalized Dirac equation (with real m, n) maps real 4-vectors to
     real 4-vectors.
     """
-    gs = gammas or majorana_rep()
     per_matrix = {}
     for mu in range(4):
-        per_matrix[f"i_gamma{mu}"] = float(np.abs((1j * gs.gamma[mu]).imag).max())
-    per_matrix["i_gamma5"] = float(np.abs((1j * gs.gamma5).imag).max())
+        per_matrix[f"i_gamma{mu}"] = float(np.abs((1j * gammas.gamma[mu]).imag).max())
+    per_matrix["i_gamma5"] = float(np.abs((1j * gammas.gamma5).imag).max())
     worst = max(per_matrix.values())
     op_real = worst == 0.0 and float(m) == float(m) and float(n) == float(n)
     return {
-        "representation": gs.name,
+        "representation": gammas.name,
         "max_imag": per_matrix,
         "max_imag_overall": worst,
         "operator_real": bool(op_real and worst == 0.0),
@@ -50,18 +49,17 @@ def _factor(k, m: float, n: float, variant: str, gs: GammaSet) -> np.ndarray:
     raise ValueError(f"variant must be one of {VARIANTS}")
 
 
-def momentum_residual(k, m: float, n: float, variant: str, gammas: GammaSet = None) -> np.ndarray:
+def momentum_residual(k, m: float, n: float, variant: str, gammas: GammaSet) -> np.ndarray:
     """Op(k) F(k) with Op(k) = kslash + i gamma5 n - m.
 
     For the derived variant the product is (k^2 - n^2 - m^2) * identity
     exactly; for the paper variant it generally is not, even on shell.
     """
-    gs = gammas or majorana_rep()
-    op = gs.slash(k) + 1j * n * gs.gamma5 - m * np.eye(4)
-    return op @ _factor(k, m, n, variant, gs)
+    op = gammas.slash(k) + 1j * n * gammas.gamma5 - m * np.eye(4)
+    return op @ _factor(k, m, n, variant, gammas)
 
 
-def factorization_residual(k, m: float, n: float, variant: str, gammas: GammaSet = None) -> float:
+def factorization_residual(k, m: float, n: float, variant: str, gammas: GammaSet) -> float:
     """Max-norm distance of Op(k) F(k) from (k^2 - n^2 - m^2) * identity."""
     k = np.asarray(k, dtype=float)
     k2 = k[0] ** 2 - np.sum(k[1:] ** 2)

@@ -54,9 +54,8 @@ def witt_basis() -> WittBasis:
     return WittBasis(alpha=alpha, alpha_dagger=alpha_dag)
 
 
-def nilpotents(wb: WittBasis | None = None):
+def nilpotents(wb: WittBasis):
     """omega = a1 a2 a3 and omega^dag = a3^dag a2^dag a1^dag."""
-    wb = wb or witt_basis()
     a1, a2, a3 = wb.alpha
     d1, d2, d3 = wb.alpha_dagger
     omega = a1 @ a2 @ a3
@@ -64,7 +63,7 @@ def nilpotents(wb: WittBasis | None = None):
     return omega, omega_dag
 
 
-def idempotents(wb: WittBasis | None = None):
+def idempotents(wb: WittBasis):
     """The primitive idempotents (omega omega^dag, omega^dag omega)."""
     omega, omega_dag = nilpotents(wb)
     return omega @ omega_dag, omega_dag @ omega
@@ -154,9 +153,8 @@ def charges(states) -> dict:
     return out
 
 
-def structure_constants(gens: SU3Generators | None = None) -> np.ndarray:
+def structure_constants(gens: SU3Generators) -> np.ndarray:
     """f[a,b,c] with [Lambda_a, Lambda_b] = 2i sum_c f[a,b,c] Lambda_c."""
-    gens = gens or su3_generators()
     lam = np.array(gens.Lambda)
     comm = lam[:, None] @ lam[None] - lam[None] @ lam[:, None]  # comm[a, b] = [Lambda_a, Lambda_b]
     coef, resid = _coordinates(lam, comm)
@@ -168,9 +166,8 @@ def structure_constants(gens: SU3Generators | None = None) -> np.ndarray:
     return f.real
 
 
-def casimir(gens: SU3Generators | None = None) -> np.ndarray:
+def casimir(gens: SU3Generators) -> np.ndarray:
     """Quadratic Casimir sum_a (Lambda_a / 2)^2."""
-    gens = gens or su3_generators()
     return sum((lam / 2.0) @ (lam / 2.0) for lam in gens.Lambda)
 
 

@@ -27,7 +27,7 @@ def test_gamma_matrix_squares():
 
 
 def test_reality_majorana_exact():
-    rep = reality_check(1.0, 0.7)
+    rep = reality_check(1.0, 0.7, majorana_rep())
     assert rep["max_imag_overall"] == 0.0
     assert rep["operator_real"]
     assert rep["max_imag"]["i_gamma0"] == 0.0

@@ -53,10 +53,11 @@ def test_alpha_dagger_is_matrix_adjoint():
 
 
 def test_nilpotents_and_idempotents():
-    omega, omega_dag = nilpotents()
+    wb = witt_basis()
+    omega, omega_dag = nilpotents(wb)
     assert np.allclose(omega @ omega, 0.0, atol=1e-14)
     assert np.allclose(omega_dag @ omega_dag, 0.0, atol=1e-14)
-    P_u, P_d = idempotents()
+    P_u, P_d = idempotents(wb)
     assert np.allclose(P_u @ P_u, P_u, atol=1e-13)
     assert np.allclose(P_d @ P_d, P_d, atol=1e-13)
     assert np.allclose(P_u @ P_d, 0.0, atol=1e-13)
@@ -78,9 +79,9 @@ def test_ideal_states_labels_and_grades():
         "e+",
     ]
     assert [s.grade for s in states] == [0, 1, 1, 1, 2, 2, 2, 3]
-    P_u, _ = idempotents()
-    assert np.allclose(states[0].matrix, P_u, atol=1e-14)
     wb = witt_basis()
+    P_u, _ = idempotents(wb)
+    assert np.allclose(states[0].matrix, P_u, atol=1e-14)
     d1, d2, d3 = wb.alpha_dagger
     assert np.allclose(states[-1].matrix, d3 @ d2 @ d1 @ P_u, atol=1e-13)
 
