@@ -101,7 +101,7 @@ def check_signature(w, n: int) -> float:
     return cut
 
 
-def random_point(rng, cfg: SystemConfig, scale: float = 1.0) -> OperatorPoint:
+def random_point(rng, cfg: SystemConfig) -> OperatorPoint:
     """Random rank <= min(2n, f) point with at most n positive and n negative eigenvalues."""
     f, n = cfg.f, cfg.n
     n_pos = int(rng.integers(0, min(n, f) + 1))
@@ -111,9 +111,7 @@ def random_point(rng, cfg: SystemConfig, scale: float = 1.0) -> OperatorPoint:
     if k:
         g = rng.standard_normal((f, k)) + 1j * rng.standard_normal((f, k))
         q, _ = np.linalg.qr(g)
-        vals = np.concatenate(
-            [scale * (0.2 + rng.random(n_pos)), -scale * (0.2 + rng.random(n_neg))]
-        )
+        vals = np.concatenate([0.2 + rng.random(n_pos), -(0.2 + rng.random(n_neg))])
         m = (q * vals) @ q.conj().T
     return validate_point(m, cfg)
 

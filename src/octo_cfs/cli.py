@@ -449,13 +449,26 @@ def cmd_vacuum_build(args) -> int:
     return EXIT_OK
 
 
+def _container(infile) -> tuple:
+    """(spec, mass data, sector coefficients C, stream of the six seas) of a kernel container; bad input exits 2."""
+    from . import cfs, lattice
+
+    with _reading("kernel container", infile):
+        header = lattice.load_header(infile)
+        spec = lattice.LatticeSpec.from_json(header["lattice"])
+        md = lattice.MassData.from_json(header["masses"])
+        coefficients = cfs.complex_matrix_from_json(header["coefficients"])
+    def seas():  # a malformed chunk exits 2 like the header, when the stream reaches it
+        with _reading("kernel container", infile):
+            yield from lattice.read_seas(infile, spec)
+    return spec, md, coefficients, seas()
+
+
 def cmd_vacuum_residual(args) -> int:
     from . import lattice
 
-    with _reading("kernel container", args.infile):
-        header = lattice.load_header(args.infile)
-        md = lattice.MassData.from_json(header["masses"])
-        res = lattice.dirac_residual(lattice.read_seas(args.infile, header), md)
+    _, md, _, seas = _container(args.infile)
+    res = lattice.dirac_residual(seas, md)
     payload = {"meta": _meta(args, infile=args.infile), "residuals": res, "max": max(res.values())}
     _emit(args, payload, rows=list(res.items()), fields=("summand", "residual"))
     return EXIT_OK
@@ -464,10 +477,7 @@ def cmd_vacuum_residual(args) -> int:
 def cmd_vacuum_localize(args) -> int:
     from . import cfs, lattice
 
-    with _reading("kernel container", args.infile):
-        header = lattice.load_header(args.infile)
-        spec = lattice.LatticeSpec.from_json(header["lattice"])
-        md = lattice.MassData.from_json(header["masses"])
+    spec, md, coefficients, seas = _container(args.infile)
     try:
         point = tuple(int(v) for v in args.point.split(","))
     except ValueError:
@@ -479,43 +489,27 @@ def cmd_vacuum_localize(args) -> int:
         raise ValidationError(
             f"--point {args.point} is off the lattice: need 0 <= t < {spec.T} and 0 <= x_j < {spec.L}"
         )
-    try:
-        f_nu = lattice.local_correlation(list(md.neutrino_masses), spec, point, tau_reg=md.tau_reg)
-        f_ch = lattice.local_correlation(list(md.charged_masses), spec, point)
+    try:  # the two bases E_nu and E_c, then the sectors e0..e7
+        spectra = lattice.local_spectra([(1, 0), (0, 1), *coefficients], seas, md.tau_reg)
     except cfs.SignatureViolation as exc:
         raise CheckFailure(f"local correlation violates the signature bound: {exc}") from exc
-    def describe(f):
-        w = f.eigenvalues  # ascending, exact zeros outside the rank
-        return {
-            "eigenvalues": [float(v) for v in w],
-            "n_positive": int((w > 0).sum()),
-            "n_negative": int((w < 0).sum()),
-            "rank": int((w != 0).sum()),
-        }
+    def describe(w):  # ascending, exact zeros outside the rank
+        return {"eigenvalues": w, "n_positive": (w > 0).sum(), "n_negative": (w < 0).sum(), "rank": (w != 0).sum()}
     payload = {
         "meta": _meta(args, infile=args.infile, point=list(point)),
-        "neutrino_sector": describe(f_nu),
-        "charged_sector": describe(f_ch),
+        "neutrino_sector": describe(spectra[0]),
+        "charged_sector": describe(spectra[1]),
+        "sectors": {f"e{i}": describe(w) for i, w in enumerate(spectra[2:])},
     }
     _emit(args, payload)
     return EXIT_OK
 
 
-def _streamed(seas, infile):
-    """The seas of a container as they are read, with a malformed chunk mapped to exit 2 like the header."""
-    with _reading("kernel container", infile):
-        yield from seas
-
-
 def cmd_vacuum_act(args) -> int:
-    from . import cfs, lattice
+    from . import lattice
     from .mult_algebra import chain
 
-    with _reading("kernel container", args.infile):
-        header = lattice.load_header(args.infile)
-        spec = lattice.LatticeSpec.from_json(header["lattice"])
-        md = lattice.MassData.from_json(header["masses"])
-        coefficients = cfs.complex_matrix_from_json(header["coefficients"])
+    spec, md, coefficients, seas = _container(args.infile)
     try:
         word = [int(v) for v in args.op.split(",")]
         if not all(0 <= v <= 7 for v in word):
@@ -524,7 +518,6 @@ def cmd_vacuum_act(args) -> int:
     except ValueError as exc:
         raise ValidationError(f"--op must be a comma-separated word of indices 0..7: {exc}") from exc
     coefficients = op @ coefficients
-    seas = _streamed(lattice.read_seas(args.infile, header), args.infile)
     if args.container:
         with _writing(args.container):
             bases = lattice.save_kernels(args.container, spec, md, seas, coefficients)

@@ -22,10 +22,10 @@ import numpy as np
 from . import __version__, cfs, require_finite
 from .gammas import GammaSet, dirac_rep
 
-#: Recorded Gram convention for the local correlation operators.
+#: Recorded convention for the local correlation operators (see `local_spectra`).
 LOCAL_CORRELATION_CONVENTION = (
-    "unit-normalized modes on the finite lattice, per-mode weight exp(-eps*omega) "
-    "split as sqrt factors, contraction -psi^dag gamma0 psi"
+    "F(x) of sector e_i has the nonzero spectrum (a^d/T) eig(C[i,0] E_nu(0) + C[i,1] E_c(0)) of the stored kernel at "
+    "zero displacement, E_nu = a (sum of the neutrino seas) b: tau_reg acts on the summed kernel, not on each mode"
 )
 
 
@@ -150,7 +150,7 @@ class SectorKernel:
         return float(np.max(worst))
 
 
-def sea_kernel(mass: float, spec: LatticeSpec, gammas: GammaSet = None) -> SectorKernel:
+def sea_kernel(mass: float, spec: LatticeSpec) -> SectorKernel:
     """Negative-energy mode sum (kslash + m)/(2 omega) e^{-ik(x-y)} with k0 = -omega.
 
     Every mode carries the regularization factor exp(-eps * omega); the
@@ -158,11 +158,10 @@ def sea_kernel(mass: float, spec: LatticeSpec, gammas: GammaSet = None) -> Secto
     """
     if mass < 0:
         raise ValueError("mass must be non-negative")
-    gammas = gammas or dirac_rep()
-    omegas, _, mats = _mode_matrices(mass, spec, gammas)
+    omegas, _, mats = _mode_matrices(mass, spec, dirac_rep())
     dts = np.arange(-(spec.T - 1), spec.T) * spec.a
     rel = mode_sum(np.exp(1j * np.outer(dts, omegas)), mats, spec)  # e^{+i omega dt}
-    return SectorKernel(spec, rel, gammas=gammas)
+    return SectorKernel(spec, rel)
 
 
 def mode_onshell_residuals(mass: float, spec: LatticeSpec) -> np.ndarray:
@@ -213,8 +212,8 @@ class MassData:
         object.__setattr__(self, "neutrino_masses", tuple(float(m) for m in self.neutrino_masses))
         if len(self.charged_masses) != 3 or len(self.neutrino_masses) != 3:
             raise ValueError("exactly three masses per sector")
-        if not all(0.0 <= m < np.inf for m in self.charged_masses + self.neutrino_masses):
-            raise ValueError("masses must be finite and non-negative")
+        if not all(m == 0.0 or 1e-150 <= m < np.inf for m in self.charged_masses + self.neutrino_masses):
+            raise ValueError("masses must be finite and non-negative, 0 or >= 1e-150 (a smaller square underflows)")
         require_finite(self, "tau_reg", "m_ref")
         if sum(1 for m in self.neutrino_masses if m == 0.0) > 2:
             raise ValueError("at most two of the neutrino masses may vanish")
@@ -251,10 +250,10 @@ AUX_SUMMANDS = {"nu_1": 0, "nu_2": 1, "nu_3": 2, "nu_he": None,
                 **{f"c{a}_{b}": 2 + b for a in range(1, 8) for b in (1, 2, 3)}}
 
 
-def vacuum_seas(md: MassData, spec: LatticeSpec, gammas: GammaSet = None):
+def vacuum_seas(md: MassData, spec: LatticeSpec):
     """The six tau = 1 Dirac seas, one per mass, in SEA_LABELS order; each is computed when it is asked for."""
     for m in md.neutrino_masses + md.charged_masses:
-        yield sea_kernel(m, spec, gammas=gammas)
+        yield sea_kernel(m, spec)
 
 
 def dirac_residual(seas, md: MassData) -> dict:
@@ -266,27 +265,48 @@ def dirac_residual(seas, md: MassData) -> dict:
     return {label: 0.0 if i is None else per_sea[i] for label, i in AUX_SUMMANDS.items()}
 
 
-def sector_bases(seas, tau_reg: float) -> tuple:
-    """(E_nu, E_c) = (a (sum of the neutrino seas) b, sum of the charged seas).
+def _sector_sums(seas, tau_reg: float, part) -> tuple:
+    """(spec, gammas, [a (sum of part(nu rel)) b, sum of part(charged rel)]) of the six seas in SEA_LABELS order.
 
-    A fold over any iterable of the six seas in SEA_LABELS order that drops each sea before it asks for the
-    next, so a stream has one sea live. Each sum copies its first sea and adds the next two in place, the
-    rounding of (s0 + s1) + s2. The chiral sandwich (a, b) of tau_reg is the same for every mode, so it
-    commutes with the mode sum.
+    A fold that drops each sea before it asks for the next, so a stream has one sea live; each sum has the
+    rounding of (s0 + s1) + s2. The chiral sandwich (a, b) of tau_reg commutes with the mode sum.
     """
     sums, n = [], 0
     for sea in seas:  # not enumerate or zip: both hold the previous item while they fetch the next
+        block = part(sea.rel)
         if n % 3:
-            sums[-1] += sea.rel
+            sums[-1] += block
         else:
-            sums.append(sea.rel.copy())
+            sums.append(block.copy())
         spec, gammas, n = sea.spec, sea.gammas, n + 1
-        del sea
+        del sea, block
         if n == 3:
             a, b = chiral_sandwich(tau_reg, gammas)
             sums[0] = a @ sums[0] @ b
-    nu, charged = sums
+    return spec, gammas, sums
+
+
+def sector_bases(seas, tau_reg: float) -> tuple:
+    """(E_nu, E_c) = (a (sum of the neutrino seas) b, sum of the charged seas), folded by `_sector_sums`."""
+    spec, gammas, (nu, charged) = _sector_sums(seas, tau_reg, lambda rel: rel)
     return SectorKernel(spec, nu, gammas=gammas), SectorKernel(spec, charged, gammas=gammas)
+
+
+def local_spectra(rows, seas, tau_reg: float) -> list:
+    """Spectrum of F(x) for each row (c0, c1): (a^d/T) eig(c0 E_nu(0) + c1 E_c(0)), cut by `_cut` with n = 2.
+
+    E(0) is the zero-displacement block of the `sector_bases`, folded from the seas' blocks; each distinct row is
+    solved once. At tau_reg = 1 the modes psi of `local_correlation` have psi psi^dag gamma0 = -(a^d/T) K(0).
+    """
+    spec, _, (nu, charged) = _sector_sums(seas, tau_reg, lambda rel: rel[(len(rel) // 2,) + (0,) * (rel.ndim - 3)])
+    scale, spectra = spec.a**spec.spatial_dims / spec.T, {}
+    for row in map(tuple, rows):
+        if row not in spectra:
+            w = scale * np.linalg.eigvals(row[0] * nu + row[1] * charged)
+            if np.abs(w.imag).max() > cfs.RANK_TOL * max(1.0, np.abs(w).max()):
+                raise cfs.SignatureViolation(f"the sector {row[0]} E_nu + {row[1]} E_c has a non-real spectrum")
+            spectra[row] = _cut(w.real, n=2)
+    return [spectra[tuple(row)] for row in rows]
 
 
 def materialize(coefficients: np.ndarray, bases) -> list:
@@ -302,9 +322,9 @@ def sector_norms(coefficients: np.ndarray, bases) -> list:
     return [norms[row] for row in rows]
 
 
-def build_vacuum_direct(md: MassData, spec: LatticeSpec, gammas: GammaSet = None) -> list:
+def build_vacuum_direct(md: MassData, spec: LatticeSpec) -> list:
     """The eight sector kernels of the built vacuum: VACUUM_COEFFICIENTS materialized over the sector bases."""
-    return materialize(VACUUM_COEFFICIENTS, sector_bases(vacuum_seas(md, spec, gammas), md.tau_reg))
+    return materialize(VACUUM_COEFFICIENTS, sector_bases(vacuum_seas(md, spec), md.tau_reg))
 
 
 @dataclass
@@ -312,12 +332,7 @@ class OctonionKernel:
     """Octonion-valued kernel: e0 carries the neutrino sector, e1..e7 the charged ones."""
 
     neutrino: SectorKernel
-    charged: tuple
-
-    def __post_init__(self):
-        self.charged = tuple(self.charged)
-        if len(self.charged) != 7:
-            raise ValueError("an octonion kernel needs exactly 7 charged sectors")
+    charged: tuple  # the 7 charged sectors; `to_octonionic` checks the count
 
     def coefficient(self, i: int) -> SectorKernel:
         return self.neutrino if i == 0 else self.charged[i - 1]
@@ -358,20 +373,21 @@ class SeaModes:
     weight: np.ndarray  # (M,), exp(-eps * omega)
 
 
-def occupied_modes(masses, spec: LatticeSpec, tau_reg: float = 1.0, gammas: GammaSet = None) -> SeaModes:
+def occupied_modes(masses, spec: LatticeSpec, tau_reg: float) -> SeaModes:
     """Negative-energy mode family of the seas with the given masses.
 
-    Two spinor modes per grid momentum per mass, extracted as the non-null
-    eigendirections of the Hermitian matrix (kslash + m) gamma0.
+    Two spinor modes per grid momentum per mass: the non-null eigendirections v of the Hermitian matrix
+    (kslash + m) gamma0, each taken as P_L v + tau_reg (P_R v) and normalized again.
     """
-    gammas = gammas or dirac_rep()
-    a_tau = gammas.chiral_left() + tau_reg * gammas.chiral_right()
+    gammas = dirac_rep()
     n_sites = spec.T * spec.n_spatial
     omega, kvec, spinor = [np.zeros(0)], [np.zeros((0, spec.spatial_dims))], [np.zeros((0, 4), complex)]
     for mass in masses:
         kvecs, omegas, kslash = mode_table(mass, spec, gammas)
         vals, vecs = np.linalg.eigh((kslash + mass * np.eye(4)) @ gammas.gamma[0])
-        u = (a_tau @ vecs).swapaxes(1, 2)  # (mode, eigen-index, spinor)
+        # one projector at a time: entries 0 and +-1/2 round P v alike in any summation order, unlike the
+        # (1 +- tau)/2 of P_L + tau P_R, whose rounding a nearly right-handed mode's norm ~tau magnifies
+        u = (gammas.chiral_left() @ vecs + tau_reg * (gammas.chiral_right() @ vecs)).swapaxes(1, 2)
         nrm = np.linalg.norm(u, axis=2)
         keep = (np.abs(vals) > 1e-9 * np.abs(vals).max(axis=1, keepdims=True)) & (nrm >= 1e-14)
         k, r = np.nonzero(keep)
@@ -407,8 +423,7 @@ def _cut(w: np.ndarray, n: int) -> np.ndarray:
     return np.sort(np.where(np.abs(w) > cut, w, 0.0))
 
 
-def local_correlation(masses, spec: LatticeSpec, x, tau_reg: float = 1.0,
-                      gammas: GammaSet = None) -> LocalCorrelation:
+def local_correlation(masses, spec: LatticeSpec, x, tau_reg: float = 1.0) -> LocalCorrelation:
     """Local correlation operator F(x): Gram matrix of the occupied modes at x.
 
     F_ij = - <psi_i(x) | gamma0 psi_j(x)> with sqrt(exp(-eps omega)) weights
@@ -417,36 +432,31 @@ def local_correlation(masses, spec: LatticeSpec, x, tau_reg: float = 1.0,
     eigenvalues. With the thin QR psi^dag = Q r, F = Q (-r gamma0 r^dag) Q^dag,
     so F's nonzero spectrum is that of the 4 x 4 Hermitian matrix
     -r gamma0 r^dag (r^dag r = psi psi^dag); the M x M matrix is only built
-    when `matrix` is read.
+    when `matrix` is read. It is the test oracle of `local_spectra` at tau_reg = 1.
     """
-    gammas = gammas or dirac_rep()
-    x = tuple(int(v) for v in x)
-    if len(x) != 1 + spec.spatial_dims:
-        raise ValueError("point must have one time and spatial_dims space coordinates")
-    modes = occupied_modes(masses, spec, tau_reg=tau_reg, gammas=gammas)
+    modes = occupied_modes(masses, spec, tau_reg)
     phase = modes.omega * x[0] + modes.kvec @ np.asarray(x[1:], dtype=float)
     psi = (np.sqrt(modes.weight)[:, None] * modes.spinor * np.exp(1j * phase * spec.a)[:, None]).T
-    g0 = gammas.gamma[0]
+    g0 = dirac_rep().gamma[0]
     r = np.linalg.qr(psi.conj().T, mode="r")  # min(M, 4) x 4
     w = np.zeros(psi.shape[1])
     w[: len(r)] = np.linalg.eigvalsh(-r @ g0 @ r.conj().T)
     return LocalCorrelation(psi, g0, _cut(w, n=2))
 
 
-def vacuum_local_correlation(md: MassData, spec: LatticeSpec, x, gammas: GammaSet = None) -> LocalCorrelation:
+def vacuum_local_correlation(md: MassData, spec: LatticeSpec, x) -> LocalCorrelation:
     """F(x) over the eight sectors, block-diagonal in them (n = 2 per Dirac sector, 16 in all).
 
     The spectrum is the neutrino spectrum plus 7 copies of the charged one;
     the 8M x 8M matrix is only built when `matrix` is read.
     """
-    gammas = gammas or dirac_rep()
-    nu = local_correlation(md.neutrino_masses, spec, x, tau_reg=md.tau_reg, gammas=gammas)
-    ch = local_correlation(md.charged_masses, spec, x, gammas=gammas)
+    nu = local_correlation(md.neutrino_masses, spec, x, tau_reg=md.tau_reg)
+    ch = local_correlation(md.charged_masses, spec, x)
     m_nu, m_ch = nu.psi.shape[1], ch.psi.shape[1]
     psi = np.block([[nu.psi, np.zeros((4, 7 * m_ch))],
                     [np.zeros((28, m_nu)), np.kron(np.eye(7), ch.psi)]])
     w = np.concatenate([nu.eigenvalues] + [ch.eigenvalues] * 7)
-    return LocalCorrelation(psi, np.kron(np.eye(8), gammas.gamma[0]), _cut(w, n=16))
+    return LocalCorrelation(psi, np.kron(np.eye(8), dirac_rep().gamma[0]), _cut(w, n=16))
 
 
 #: Kernel-container layout: one chunk per sea, the sector coefficients in the header.
@@ -522,9 +532,8 @@ def load_header(path) -> dict:
     return header
 
 
-def read_seas(path, header: dict):
-    """The six seas of the container at `path` with this header, in SEA_LABELS order, each read as it is asked for."""
-    spec = LatticeSpec.from_json(header["lattice"])
+def read_seas(path, spec: LatticeSpec):
+    """The six seas of the container at `path`, on its lattice `spec`, in SEA_LABELS order, each read as asked for."""
     with zipfile.ZipFile(path, "r") as zf:
         for name in SEA_LABELS:
             with zf.open(f"{name}.npy") as fh:  # streamed into the array, with no copy of the chunk's bytes

@@ -365,6 +365,11 @@ def sqrtm_spin_connection(sx, sy, tol=1e-8):
     return d
 
 
+def scaled_point(r, cfg, scale):
+    """A `random_point` with its eigenvalues scaled by `scale`."""
+    return validate_point(scale * random_point(r, cfg).matrix, cfg)
+
+
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 3), extra=st.integers(0, 6), count=st.integers(2, 6),
        scale=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
@@ -372,7 +377,7 @@ def test_spin_connections_match_sqrtm_oracle(n, extra, count, scale, seed):
     """Random points of random rank (so also mismatched dimensions and zero points), f <= 12."""
     cfg = SystemConfig(f=min(2 * n + extra, 12), n=n, kappa=0.1)
     r = np.random.default_rng(seed)
-    pts = [random_point(r, cfg, scale) for _ in range(count)]
+    pts = [scaled_point(r, cfg, scale) for _ in range(count)]
     pairs = [(i, j) for i in range(count) for j in range(count)]
     conns, resid = spin_connections(pts, pairs, cfg)
     spaces = [spin_space(p) for p in pts]
@@ -482,8 +487,8 @@ def point_sets(draw):
     if kind == "random":
         scale = draw(st.floats(0.1, 10.0))
         zeros = draw(st.integers(0, 1))
-        xs = [random_point(r, cfg, scale) for _ in range(nx)] + [validate_point(np.zeros((f, f)), cfg)] * zeros
-        ys = [random_point(r, cfg, scale) for _ in range(ny)]
+        xs = [scaled_point(r, cfg, scale) for _ in range(nx)] + [validate_point(np.zeros((f, f)), cfg)] * zeros
+        ys = [scaled_point(r, cfg, scale) for _ in range(ny)]
     elif kind == "orthogonal":
         ka = min(2 * n, f // 2)
         kb = min(2 * n, f - ka)

@@ -10,7 +10,9 @@ import pytest
 
 from octo_cfs import cfs
 from octo_cfs.cli import _to_plain, build_parser, main
-from octo_cfs.lattice import AUX_SUMMANDS, LatticeSpec, MassData, dirac_residual_single, vacuum_seas
+from octo_cfs.lattice import (AUX_SUMMANDS, VACUUM_COEFFICIENTS, LatticeSpec, MassData, dirac_residual_single,
+                              vacuum_seas)
+from octo_cfs.mult_algebra import chain
 
 
 def run(args, capsys=None):
@@ -338,19 +340,89 @@ def one_sea_at_a_time(make, seen):
     return stream
 
 
-def test_vacuum_residual_holds_one_sea_at_a_time(tmp_path, capsys, monkeypatch):
+def holds_one_sea_at_a_time(tmp_path, capsys, monkeypatch, command):
+    """`vacuum <command>` on a built container reads one sea at a time and prints what it prints unpatched."""
     from octo_cfs import lattice
 
     vac = tmp_path / "vac.okn"
     assert run(["vacuum", "build", "--L", "4", "--T", "4", "--tau", "0.7", "--out", str(vac)]) == 0
     capsys.readouterr()
-    assert run(["vacuum", "residual", "--infile", str(vac)]) == 0
+    argv = ["vacuum", *command[:1], "--infile", str(vac), *command[1:]]
+    assert run(argv) == 0
     unpatched = capsys.readouterr().out
     seen = []
     monkeypatch.setattr(lattice, "read_seas", one_sea_at_a_time(lattice.read_seas, seen))
-    assert run(["vacuum", "residual", "--infile", str(vac)]) == 0
+    assert run(argv) == 0
     assert len(seen) == len(lattice.SEA_LABELS)
     assert capsys.readouterr().out == unpatched
+
+
+def test_vacuum_residual_holds_one_sea_at_a_time(tmp_path, capsys, monkeypatch):
+    holds_one_sea_at_a_time(tmp_path, capsys, monkeypatch, ["residual"])
+
+
+def test_vacuum_localize_holds_one_sea_at_a_time(tmp_path, capsys, monkeypatch):
+    holds_one_sea_at_a_time(tmp_path, capsys, monkeypatch, ["localize", "--point", "2,3"])
+
+
+def test_vacuum_localize_peaks_at_about_one_sea(tmp_path, capsys):
+    vac = tmp_path / "vac.okn"
+    assert run(["vacuum", "build", "--L", "128", "--T", "64", "--tau", "0.7", "--out", str(vac)]) == 0
+    sea = (2 * 64 - 1) * 128 * 16 * 16
+    argv = ["vacuum", "localize", "--infile", str(vac), "--point", "2,3"]
+    assert run(argv) == 0  # a first run imports what the command needs
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sea being read, plus the reader's buffers; a second live sea would double it
+    assert sea <= peak < 1.5 * sea, (peak, sea)
+
+
+def test_vacuum_localize_reports_the_sectors_of_the_stored_coefficients(tmp_path, capsys):
+    vac, acted = tmp_path / "vac.okn", tmp_path / "acted.okn"
+    assert run(["vacuum", "build", "--L", "8", "--T", "6", "--tau", "0.7", "--out", str(vac)]) == 0
+    assert run(["vacuum", "act", "--infile", str(vac), "--op", "1,2", "--out", str(acted)]) == 0
+    capsys.readouterr()
+    reports = []
+    for path, point in ((vac, "2,3"), (vac, "5,0"), (acted, "2,3")):
+        assert run(["vacuum", "localize", "--infile", str(path), "--point", point]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    built, moved, acted_rep = reports
+    # the lattice is translation invariant: another point prints the same spectra, byte for byte
+    assert json.dumps(moved["sectors"]) == json.dumps(built["sectors"])
+    nu, ch = built["neutrino_sector"], built["charged_sector"]
+    assert nu["eigenvalues"] != ch["eigenvalues"]
+    for s in (nu, ch):
+        assert (s["n_positive"], s["n_negative"], s["rank"]) == (2, 2, 4)
+    assert built["sectors"] == {"e0": nu, **{f"e{i}": ch for i in range(1, 8)}}
+    # the acted container keeps the seas, so the two bases are the built ones; each sector follows its row of C
+    assert (acted_rep["neutrino_sector"], acted_rep["charged_sector"]) == (nu, ch)
+    rows = (chain([1, 2]) @ VACUUM_COEFFICIENTS).real
+    changed = [f"e{i}" for i in range(8) if not np.array_equal(rows[i], VACUUM_COEFFICIENTS[i].real)]
+    assert changed == [e for e in built["sectors"] if acted_rep["sectors"][e] != built["sectors"][e]]
+    assert acted_rep["sectors"]["e3"] == nu
+    for i, (c0, c1) in enumerate(rows):
+        base = nu if c0 else ch
+        w = np.array(acted_rep["sectors"][f"e{i}"]["eigenvalues"])
+        assert np.abs(w - np.sort((c0 + c1) * np.array(base["eigenvalues"]))).max() <= 1e-15 * np.abs(w).max()
+
+
+def test_vacuum_localize_exits_2_on_a_truncated_sea_chunk(tmp_path, capsys):
+    vac = tmp_path / "vac.okn"
+    assert run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(vac)]) == 0
+    with zipfile.ZipFile(vac) as zf:
+        chunks = {name: zf.read(name) for name in zf.namelist()}
+    chunks["c_2.npy"] = chunks["c_2.npy"][: len(chunks["c_2.npy"]) // 2]
+    broken = tmp_path / "broken.okn"
+    with zipfile.ZipFile(broken, "w") as zf:
+        for name, data in chunks.items():
+            zf.writestr(name, data)
+    capsys.readouterr()
+    assert run(["vacuum", "localize", "--infile", str(broken), "--point", "2,3"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot load kernel container {broken}: ")
 
 
 def test_vacuum_build_and_act_hold_one_sea_at_a_time(tmp_path, capsys, monkeypatch):
@@ -374,15 +446,16 @@ def test_vacuum_build_and_act_hold_one_sea_at_a_time(tmp_path, capsys, monkeypat
 
 
 def test_vacuum_containers_are_byte_identical_to_the_pinned_ones(tmp_path, capsys):
-    # sha256 of the containers that the whole-list build and act wrote before the seas were streamed;
-    # the header records the package version, so a new version changes both digests
+    # sha256 of the containers; their sea chunks are those the whole-list build and act wrote before the seas were
+    # streamed. The header records the package version and the local correlation convention, so a change to either
+    # changes both digests
     vac, acted = tmp_path / "vac.okn", tmp_path / "acted.okn"
     assert run(["vacuum", "build", "--L", "8", "--T", "6", "--tau", "0.7", "--out", str(vac)]) == 0
     assert run(["vacuum", "act", "--infile", str(vac), "--op", "1,2", "--out", str(acted)]) == 0
     assert hashlib.sha256(vac.read_bytes()).hexdigest() == (
-        "916931ed00bb334c65243b1e00d89b60355c8e4af7fef6867996ef5a31201037")
+        "d5398740a58db516e55679bbd5c2e68ee979e8645597662152672831ae0c5cca")
     assert hashlib.sha256(acted.read_bytes()).hexdigest() == (
-        "bbbda343d3d03e222930cf5e60d77d49aef2d26f9b1e72cd592b194da6eb64b5")
+        "2de1a9c15153a76853d2c0699e4bd2e30216b43fb591133d98d3831a10104fbf")
 
 
 def test_failed_build_or_act_leaves_the_container_and_no_temporary_file(tmp_path, capsys, monkeypatch):
@@ -944,7 +1017,8 @@ def test_non_finite_or_mistyped_parameters_exit_2(tmp_path, capsys):
     out = tmp_path / "v.okn"
     for flags, reason in ((["--a", "nan"], "a must be a finite real number"),
                           (["--eps", "inf"], "epsilon must be a finite real number"),
-                          (["--masses", "nan,0.5,0.6"], "masses must be finite and non-negative")):
+                          (["--masses", "nan,0.5,0.6"], "masses must be finite and non-negative"),
+                          (["--masses", "1e-160,0.5,0.6"], "0 or >= 1e-150")):
         assert run(["vacuum", "build", "--L", "4", "--T", "4", *flags, "--out", str(out)]) == 2
         assert reason in capsys.readouterr().err
     assert not out.exists()

@@ -23,6 +23,7 @@ from octo_cfs.lattice import (
     left_algebra_action,
     load_header,
     local_correlation,
+    local_spectra,
     materialize,
     mode_onshell_residuals,
     mode_sum,
@@ -44,6 +45,8 @@ rng = np.random.default_rng(53)
 
 SPEC = LatticeSpec(L=8, T=6, a=0.5, epsilon=1.0)
 MD = MassData(charged_masses=(0.5, 0.7, 0.9), neutrino_masses=(0.1, 0.2, 0.3), tau_reg=0.7)
+#: The masses MassData accepts: 0, or from 1e-150, where the square is a normal float.
+VACUUM_MASSES = st.one_of(st.just(0.0), st.floats(1e-150, 2.0))
 
 
 def at(kernel, x, y) -> np.ndarray:
@@ -71,8 +74,9 @@ def test_lattice_and_mass_data_reject_non_finite_or_mistyped_values():
         with pytest.raises(ValueError, match="must be a finite real number"):
             LatticeSpec(**{"L": 8, "T": 6, "a": 0.5, "epsilon": 1.0, **kwargs})
     ok = {"charged_masses": (0.5, 0.7, 0.9), "neutrino_masses": (0.1, 0.2, 0.3)}
+    # a nonzero mass below 1e-150 has a subnormal or zero square, which loses the k = 0 mode's omega
     for kwargs in ({"charged_masses": (nan, 0.7, 0.9)}, {"neutrino_masses": (0.1, inf, 0.3)},
-                   {"charged_masses": (-0.5, 0.7, 0.9)}):
+                   {"charged_masses": (-0.5, 0.7, 0.9)}, {"neutrino_masses": (0.1, 1e-160, 0.3)}):
         with pytest.raises(ValueError, match="masses must be finite and non-negative"):
             MassData(**{**ok, **kwargs})
     with pytest.raises(ValueError, match="m_ref must be a finite real number"):
@@ -86,9 +90,9 @@ def test_mode_onshell_factorization_exact():
         assert mode_onshell_residuals(m, SPEC).max() < 1e-12
 
 
-def direct_sea_kernel(mass, spec, gammas=None):
+def direct_sea_kernel(mass, spec):
     """Per-mode matrices and the direct 1+1 / 1+3 einsum mode sum: the oracle for the FFT path."""
-    gammas = gammas or dirac_rep()
+    gammas = dirac_rep()
     kvecs = spec.momenta()
     omegas = np.sqrt(np.sum(kvecs * kvecs, axis=1) + mass * mass)
     mats = np.zeros((len(kvecs), 4, 4), dtype=complex)
@@ -123,12 +127,10 @@ def lattice_specs(draw):
 @given(
     spec=lattice_specs(),
     mass=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
-    majorana=st.booleans(),
 )
-def test_sea_kernel_matches_direct_mode_sum(spec, mass, majorana):
-    gs = majorana_rep() if majorana else dirac_rep()
-    oracle = direct_sea_kernel(mass, spec, gammas=gs)
-    rel = sea_kernel(mass, spec, gammas=gs).rel
+def test_sea_kernel_matches_direct_mode_sum(spec, mass):
+    oracle = direct_sea_kernel(mass, spec)
+    rel = sea_kernel(mass, spec).rel
     assert np.abs(rel - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
@@ -149,15 +151,13 @@ def ifftshift_mode_sum(time_phase, mats, spec):
     T=st.integers(3, 6),
     a=st.floats(0.25, 1.0),
     mass=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
-    majorana=st.booleans(),
 )
-def test_sea_kernel_matches_ifftshift_oracle_bitwise(dims, L, T, a, mass, majorana):
+def test_sea_kernel_matches_ifftshift_oracle_bitwise(dims, L, T, a, mass):
     spec = LatticeSpec(L=L, T=T, a=a, epsilon=a, dims=dims)
-    gs = majorana_rep() if majorana else dirac_rep()
-    omegas, _, mats = _mode_matrices(mass, spec, gs)
+    omegas, _, mats = _mode_matrices(mass, spec, dirac_rep())
     dts = np.arange(-(spec.T - 1), spec.T) * spec.a
     oracle = ifftshift_mode_sum(np.exp(1j * np.outer(dts, omegas)), mats, spec)
-    assert sea_kernel(mass, spec, gammas=gs).rel.tobytes() == oracle.tobytes()
+    assert sea_kernel(mass, spec).rel.tobytes() == oracle.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -213,15 +213,16 @@ def whole_kernel_hermiticity_residual(kernel):
     return float(np.abs(mirrored - kernel.rel).max())
 
 
-def einsum_occupied_spinors(masses, spec, tau_reg, gammas):
-    """The spinor column of occupied_modes with the chiral factor applied by einsum."""
-    a_tau = gammas.chiral_left() + tau_reg * gammas.chiral_right()
+def einsum_occupied_spinors(masses, spec, tau_reg):
+    """The spinor column of occupied_modes with the chiral projectors applied by einsum, one at a time."""
+    gammas = dirac_rep()
     n_sites = spec.T * spec.n_spatial
     spinor = [np.zeros((0, 4), complex)]
     for mass in masses:
         _, _, kslash = lattice.mode_table(mass, spec, gammas)
         vals, vecs = np.linalg.eigh((kslash + mass * np.eye(4)) @ gammas.gamma[0])
-        u = np.einsum("ab,kbr->kra", a_tau, vecs)
+        u = np.einsum("ab,kbr->kra", gammas.chiral_left(), vecs)
+        u += tau_reg * np.einsum("ab,kbr->kra", gammas.chiral_right(), vecs)
         nrm = np.linalg.norm(u, axis=2)
         keep = (np.abs(vals) > 1e-9 * np.abs(vals).max(axis=1, keepdims=True)) & (nrm >= 1e-14)
         k, r = np.nonzero(keep)
@@ -292,12 +293,11 @@ def test_sector_bases_match_einsum_sandwich(kernels, tau_reg):
 
 @settings(max_examples=30, deadline=None)
 @given(spec=lattice_specs(), tau_reg=st.floats(0.0, 1.0, exclude_min=True),
-       masses=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=1, max_size=3),
-       majorana=st.booleans())
-def test_occupied_modes_match_einsum_oracle(spec, tau_reg, masses, majorana):
-    gs = majorana_rep() if majorana else dirac_rep()
-    spinor = occupied_modes(masses, spec, tau_reg=tau_reg, gammas=gs).spinor
-    oracle = einsum_occupied_spinors(masses, spec, tau_reg, gs)
+       masses=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=1, max_size=3))
+@example(spec=LatticeSpec(L=2, T=3, a=1.0, epsilon=1.0, dims="1+3"), tau_reg=1e-9, masses=[0.0])
+def test_occupied_modes_match_einsum_oracle(spec, tau_reg, masses):
+    spinor = occupied_modes(masses, spec, tau_reg).spinor
+    oracle = einsum_occupied_spinors(masses, spec, tau_reg)
     assert spinor.shape == oracle.shape
     # unit spinors scaled by 1/sqrt(sites), each entry a sum of four products
     assert np.abs(spinor - oracle).max() <= 4e-15 / np.sqrt(spec.T * spec.n_spatial)
@@ -482,13 +482,11 @@ def test_local_correlation_translation_invariance():
     masses=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=1, max_size=3),
     tau_reg=st.floats(-8.0, 0.0).map(lambda e: 10.0**e),  # log-uniform in (0, 1]
     x=st.lists(st.integers(-10, 10), min_size=4, max_size=4),
-    majorana=st.booleans(),
 )
-def test_local_correlation_matches_dense_spectrum(dims_l, T, masses, tau_reg, x, majorana):
+def test_local_correlation_matches_dense_spectrum(dims_l, T, masses, tau_reg, x):
     dims, L = dims_l
     spec = LatticeSpec(L=L, T=T, a=0.5, epsilon=1.0, dims=dims)
-    gs = majorana_rep() if majorana else dirac_rep()
-    f = local_correlation(masses, spec, x[: 1 + spec.spatial_dims], tau_reg=tau_reg, gammas=gs)
+    f = local_correlation(masses, spec, x[: 1 + spec.spatial_dims], tau_reg=tau_reg)
     m = f.psi.shape[1]
     oracle = cfs.validate_point(f.matrix, cfs.SystemConfig(f=m, n=2, kappa=1.0)).eigenvalues
     top = np.abs(oracle).max()
@@ -508,6 +506,46 @@ def test_local_correlation_matches_dense_spectrum(dims_l, T, masses, tau_reg, x,
     assert np.abs(f.eigenvalues - np.where(np.abs(oracle) > cut, oracle, 0.0)).max() <= 1e-12 * scale
 
 
+def signature(w, cut):
+    return int(np.sum(w > cut)), int(np.sum(w < -cut)), int(np.sum(np.abs(w) > cut))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=lattice_specs(),
+    neutrino=st.lists(VACUUM_MASSES, min_size=3, max_size=3).filter(any),
+    charged=st.lists(VACUUM_MASSES, min_size=3, max_size=3),
+    x=st.lists(st.integers(-10, 10), min_size=4, max_size=4),
+)
+def test_local_spectra_match_local_correlation_at_tau_one(spec, neutrino, charged, x):
+    md = MassData(charged_masses=charged, neutrino_masses=neutrino)
+    spectra = local_spectra([(1, 0), (0, 1)], vacuum_seas(md, spec), md.tau_reg)
+    for w, masses in zip(spectra, (neutrino, charged)):
+        oracle = local_correlation(masses, spec, x[: 1 + spec.spatial_dims]).eigenvalues
+        assert len(w) == 4 and np.all(np.diff(w) >= 0.0)
+        cut = cfs.RANK_TOL * max(1.0, np.abs(oracle).max())
+        assert signature(w, cut) == signature(oracle, cut)
+        assert np.abs(w[w != 0] - oracle[oracle != 0]).max(initial=0.0) <= 1e-12 * np.abs(oracle).max()
+
+
+def test_local_spectra_are_the_materialized_sectors_at_zero_displacement():
+    # the convention below tau_reg = 1: the stored E_nu = a (sum of the seas) b defines the neutrino sector
+    bases = sector_bases(vacuum_seas(MD, SPEC), MD.tau_reg)
+    rows = np.vstack([chain([1, 2]).astype(complex) @ VACUUM_COEFFICIENTS, [[0.3, 0.5], [0.0, 0.0]]])
+    spectra = local_spectra(rows, vacuum_seas(MD, SPEC), MD.tau_reg)
+    for row, w in zip(rows, spectra):
+        block = materialize([row], bases)[0].rel[SPEC.T - 1, 0]
+        oracle = np.sort(np.linalg.eigvals(block).real) * SPEC.a / SPEC.T
+        cut = cfs.RANK_TOL * max(1.0, np.abs(oracle).max())
+        assert np.abs(w - np.where(np.abs(oracle) > cut, oracle, 0.0)).max() <= 1e-14 * np.abs(oracle).max()
+    assert not spectra[-1].any()
+    # the right-handed parts shrink by tau_reg: the spectrum is not the mode path's, which normalizes each mode again
+    mode = local_correlation(MD.neutrino_masses, SPEC, (0, 0), MD.tau_reg).eigenvalues
+    assert np.abs(spectra[0] - mode[mode != 0]).max() > 0.3 * np.abs(spectra[0]).max()  # 0.34 on this lattice
+    with pytest.raises(cfs.SignatureViolation, match="non-real spectrum"):
+        local_spectra([(1j, 0)], vacuum_seas(MD, SPEC), MD.tau_reg)
+
+
 def test_local_correlation_empty_sea_is_zero():
     f = local_correlation([], SPEC, (1, 1))
     assert f.matrix.shape == (0, 0)
@@ -515,8 +553,8 @@ def test_local_correlation_empty_sea_is_zero():
 
 def test_mode_weights_monotone_in_epsilon():
     spec_tight = LatticeSpec(L=8, T=6, a=0.5, epsilon=0.5)
-    w_tight = occupied_modes([0.7], spec_tight).weight
-    w_loose = occupied_modes([0.7], SPEC).weight
+    w_tight = occupied_modes([0.7], spec_tight, 1.0).weight
+    w_loose = occupied_modes([0.7], SPEC, 1.0).weight
     assert np.all(w_tight > w_loose)
 
 
@@ -582,7 +620,8 @@ def test_minimal_time_window():
 def load_kernels(path):
     """A whole container at once: (header, the six seas, the 8 x 2 sector coefficients)."""
     header = load_header(path)
-    return header, list(read_seas(path, header)), cfs.complex_matrix_from_json(header["coefficients"])
+    seas = list(read_seas(path, LatticeSpec.from_json(header["lattice"])))
+    return header, seas, cfs.complex_matrix_from_json(header["coefficients"])
 
 
 def test_container_round_trip_and_determinism(tmp_path):
@@ -616,15 +655,14 @@ def test_container_round_trip_and_determinism(tmp_path):
 @given(
     spec=lattice_specs(),
     tau_reg=st.floats(0.0, 1.0, exclude_min=True),
-    neutrino=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=3, max_size=3).filter(any),
-    charged=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=3, max_size=3),
-    majorana=st.booleans(),
+    neutrino=st.lists(VACUUM_MASSES, min_size=3, max_size=3).filter(any),
+    charged=st.lists(VACUUM_MASSES, min_size=3, max_size=3),
 )
 @example(spec=LatticeSpec(L=6, T=3, a=0.375, epsilon=3.0, dims="1+3"), tau_reg=0.5,
-         neutrino=[0.0, 0.0, 0.0625], charged=[0.0, 0.0, 0.0], majorana=True)
-def test_materialized_sectors_match_tau_regularized_seas(spec, tau_reg, neutrino, charged, majorana):
+         neutrino=[0.0, 0.0, 0.0625], charged=[0.0, 0.0, 0.0])
+def test_materialized_sectors_match_tau_regularized_seas(spec, tau_reg, neutrino, charged):
     md = MassData(charged_masses=charged, neutrino_masses=neutrino, tau_reg=tau_reg)
-    gs = majorana_rep() if majorana else dirac_rep()
+    gs = dirac_rep()
     # oracle: each neutrino sea carries the chiral sandwich inside its own mode sum
     a, b = chiral_sandwich(tau_reg, gs)
     dts = np.arange(-(spec.T - 1), spec.T) * spec.a
@@ -632,12 +670,12 @@ def test_materialized_sectors_match_tau_regularized_seas(spec, tau_reg, neutrino
     for m in neutrino:
         omegas, _, mats = _mode_matrices(m, spec, gs)
         e0 = e0 + mode_sum(np.exp(1j * np.outer(dts, omegas)), np.einsum("ab,kbc,cd->kad", a, mats, b), spec)
-    charged_sum = sum(sea_kernel(m, spec, gammas=gs).rel for m in charged)
-    seas = list(vacuum_seas(md, spec, gs))
+    charged_sum = sum(sea_kernel(m, spec).rel for m in charged)
+    seas = list(vacuum_seas(md, spec))
     for k, m in zip(seas, md.neutrino_masses + md.charged_masses, strict=True):
-        assert np.array_equal(k.rel, sea_kernel(m, spec, gammas=gs).rel)
+        assert np.array_equal(k.rel, sea_kernel(m, spec).rel)
     sectors = materialize(VACUUM_COEFFICIENTS, sector_bases(seas, tau_reg))
-    direct = build_vacuum_direct(md, spec, gs)
+    direct = build_vacuum_direct(md, spec)
     # both paths round in the FFT at the scale of the unsandwiched sum; the
     # sandwich (operator norm 1) then shrinks the right-handed part by tau_reg
     scale = np.abs(seas[0].rel + seas[1].rel + seas[2].rel).max()
