@@ -9,6 +9,7 @@ measure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,9 +90,14 @@ def validate_point(m, cfg: SystemConfig) -> OperatorPoint:
     return OperatorPoint(matrix=a, eigenvalues=w)
 
 
+def zero_cut(w):
+    """The zero cut RANK_TOL * max(1, max|w|) of each real spectrum along the last axis of `w`."""
+    return RANK_TOL * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
+
+
 def check_signature(w, n: int) -> float:
-    """Zero cut RANK_TOL * max(1, max|w|) of a real spectrum; raises if more than n lie beyond it on either side."""
-    cut = RANK_TOL * max(1.0, np.abs(w).max(initial=0.0))
+    """The zero cut of a real spectrum; raises if more than n eigenvalues lie beyond it on either side."""
+    cut = zero_cut(w)
     n_pos = int(np.sum(w > cut))
     n_neg = int(np.sum(w < -cut))
     if n_pos > n or n_neg > n:
@@ -116,15 +122,15 @@ def random_point(rng, cfg: SystemConfig) -> OperatorPoint:
     return validate_point(m, cfg)
 
 
-#: Pairs per batched closed-chain eigensolve in `pair_spectra`.
+#: Pairs per batched closed-chain eigensolve in `chain_spectra`.
 PAIR_BLOCK = 256
 
 
-def _frames(points, cfg: SystemConfig):
+def spin_frames(points, cfg: SystemConfig):
     """Per point: the top min(2n, f) eigenpairs by modulus with sub-cut eigenvalues zeroed, ||x||_2, the matrix.
 
     `points` is a list of points or an array (..., f, f), such as a stack (B, N, f, f) of B point sets;
-    the results keep its leading axes. One stacked `eigh`; the zero cut is the spin-space cut. Raises
+    the results keep its leading axes. One stacked `eigh`; the zero cut is that of `zero_cut`. Raises
     EigensolverError for a point with more than 2n eigenvalues beyond it.
     """
     if isinstance(points, np.ndarray):
@@ -133,44 +139,55 @@ def _frames(points, cfg: SystemConfig):
         a = np.array([_asmat(p) for p in points], dtype=complex).reshape(len(points), cfg.f, cfg.f)
     w, v = np.linalg.eigh(a)
     top = np.abs(w).max(axis=-1, initial=0.0)
-    w = np.where(np.abs(w) > RANK_TOL * np.maximum(1.0, top)[..., None], w, 0.0)
+    w = np.where(np.abs(w) > zero_cut(w)[..., None], w, 0.0)
     if np.any(np.count_nonzero(w, axis=-1) > 2 * cfg.n):
         raise EigensolverError("point has more than 2n eigenvalues beyond the zero cut")
     order = np.argsort(-np.abs(w), axis=-1, kind="stable")[..., : 2 * cfg.n]
     return np.take_along_axis(w, order, axis=-1), np.take_along_axis(v, order[..., None, :], axis=-1), top, a
 
 
-def pair_spectra(xs, ys, cfg: SystemConfig, _solved=None) -> np.ndarray:
-    """The 2n eigenvalues of xy for every pair of xs x ys: (len(xs), len(ys), 2n).
+def chain_spectra(frames, i, j, cfg: SystemConfig) -> np.ndarray:
+    """The 2n eigenvalues of xy of each pair (x, y) = (points[i[k]], points[j[k]]): (len(i), 2n).
 
-    They are those of the closed chain Lambda_x G Lambda_y G*, G = U_x* U_y, on the
-    spin spaces: one batched 2n x 2n `eigvals` per PAIR_BLOCK pairs; when ys is xs, of
-    the pairs i <= j only (yx has the spectrum of xy). Eigenvalues below RANK_TOL *
-    ||x|| ||y|| are exact zeros (a vanishing product yields the all-zero spectrum, not
-    dust); each spectrum is sorted by descending modulus, then phase. When ys is xs, xs
-    may also be a stack (B, N, f, f) of B point sets: the result is (B, N, N, 2n), each
-    set's spectra bitwise those it has alone. `_solved` is `_frames(xs, cfg)` if the
-    caller has it.
+    `frames` is `spin_frames(points, cfg)` of points (N, f, f). The eigenvalues are those of the closed
+    chain Lambda_x G Lambda_y G*, G = U_x* U_y, on the spin spaces: one batched 2n x 2n `eigvals` per
+    PAIR_BLOCK pairs, each unordered pair solved once, as (min(i, j), max(i, j)) (yx has the spectrum of
+    xy). Eigenvalues below RANK_TOL * ||x|| ||y|| are exact zeros (a vanishing product yields the
+    all-zero spectrum, not dust); each spectrum is sorted by descending modulus, then phase.
+    """
+    w, u, top = frames[:3]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    keys, back = np.unique(lo * len(w) + hi, return_inverse=True)
+    lo, hi = np.divmod(keys, len(w))
+    out = np.zeros((len(keys), 2 * cfg.n), dtype=complex)
+    for s in range(0, len(keys), PAIR_BLOCK):
+        a, b = lo[s : s + PAIR_BLOCK], hi[s : s + PAIR_BLOCK]
+        g = u[a].conj().swapaxes(1, 2) @ u[b]
+        lam = np.linalg.eigvals((w[a, :, None] * g * w[b, None, :]) @ g.conj().swapaxes(1, 2))
+        scale = np.maximum(top[a] * top[b], 1e-300)[:, None]
+        out[s : s + PAIR_BLOCK, : lam.shape[1]] = np.where(np.abs(lam) > RANK_TOL * scale, lam, 0.0)
+    return np.take_along_axis(out, np.lexsort((np.angle(out), -np.abs(out))), axis=-1)[back]
+
+
+def pair_spectra(xs, ys, cfg: SystemConfig) -> np.ndarray:
+    """The 2n eigenvalues of xy for every pair of xs x ys (see `chain_spectra`): (len(xs), len(ys), 2n).
+
+    When ys is xs, only the pairs i <= j are solved and mirrored, and xs may also be a stack
+    (B, N, f, f) of B point sets: the result is (B, N, N, 2n), each set's spectra bitwise those it
+    has alone. Otherwise each pair (i, j) is the pair (i, len(xs) + j) of the list xs + ys.
     """
     sym = ys is xs
-    wx, ux, nx = (_solved or _frames(xs, cfg))[:3]  # the stacked matrices are not needed here
-    wy, uy, ny = (wx, ux, nx) if sym else _frames(ys, cfg)[:3]
-    batched = wx.ndim == 3
-    if not batched:  # one point set is the batch of one
-        wx, ux, nx, wy, uy, ny = (a[None] for a in (wx, ux, nx, wy, uy, ny))
-    i, j = np.triu_indices(wx.shape[1]) if sym else np.indices((wx.shape[1], wy.shape[1])).reshape(2, -1)
-    b, i, j = (a.ravel() for a in np.broadcast_arrays(np.arange(len(wx))[:, None], i, j))
-    out = np.zeros((len(wx), wx.shape[1], wy.shape[1], 2 * cfg.n), dtype=complex)
-    for s in range(0, len(b), PAIR_BLOCK):
-        bk, ik, jk = b[s : s + PAIR_BLOCK], i[s : s + PAIR_BLOCK], j[s : s + PAIR_BLOCK]
-        g = ux[bk, ik].conj().swapaxes(1, 2) @ uy[bk, jk]
-        lam = np.linalg.eigvals((wx[bk, ik, :, None] * g * wy[bk, jk, None, :]) @ g.conj().swapaxes(1, 2))
-        scale = np.maximum(nx[bk, ik] * ny[bk, jk], 1e-300)[:, None]
-        out[bk, ik, jk, : lam.shape[1]] = np.where(np.abs(lam) > RANK_TOL * scale, lam, 0.0)
+    frames = spin_frames(xs if sym else [*xs, *ys], cfg)[:3]
+    lead = frames[0].shape[:-2]  # (B,) for a stack
+    nx, ny = (frames[0].shape[-2],) * 2 if sym else (len(xs), len(ys))
+    i, j = np.triu_indices(nx) if sym else np.indices((nx, ny)).reshape(2, -1)
+    b, i, j = (a.ravel() for a in np.broadcast_arrays(np.arange(math.prod(lead))[:, None], i, j))
+    frames = [a.reshape(-1, *a.shape[len(lead) + 1 :]) for a in frames]  # the B sets one after another
+    out = np.empty((math.prod(lead), nx, ny, 2 * cfg.n), dtype=complex)
+    out[b, i, j] = chain_spectra(frames, b * nx + i, b * nx + j + (0 if sym else nx), cfg)
     if sym:
         out[b, j, i] = out[b, i, j]
-    out = np.take_along_axis(out, np.lexsort((np.angle(out), -np.abs(out))), axis=-1)
-    return out if batched else out[0]
+    return out.reshape(*lead, nx, ny, 2 * cfg.n)
 
 
 def lagrangians(xs, ys, cfg: SystemConfig) -> np.ndarray:
@@ -308,10 +325,10 @@ class SpinSpace:
 def spin_space(x) -> SpinSpace:
     """Spin space S_x = image(x) with the spin product  <u|v>_x = -<u, x v>.
 
-    The basis is that of `_frames` (n = f bounds no rank): the eigenvectors beyond the zero cut.
+    The basis is that of `spin_frames` (n = f bounds no rank): the eigenvectors beyond the zero cut.
     """
     a = _asmat(x)
-    w, v, _, _ = _frames([a], SystemConfig(len(a), len(a), 1.0))
+    w, v, _, _ = spin_frames([a], SystemConfig(len(a), len(a), 1.0))
     k = np.count_nonzero(w[0])
     return SpinSpace(point=a, basis=v[0, :, :k], eigenvalues=w[0, :k])
 
@@ -326,42 +343,38 @@ def closed_chain(sx: SpinSpace, sy: SpinSpace) -> np.ndarray:
     return kernel(sx, sy) @ kernel(sy, sx)
 
 
-def kernel_residuals(points, pairs, phi, cfg: SystemConfig, _solved=None):
-    """|tr(A_xy) - tr(xy)| and the completeness residual of each pair k = (i, j) of `pairs`.
+def kernel_residuals(frames, i, j, phi):
+    """|tr(A_xy) - tr(xy)| and the completeness residual of each pair (x, y) of `chain_spectra`.
 
     tr(A_xy) = sum_ab |G_ab|^2 lambda_x,a lambda_y,b in the spin-space bases (G = U_x* U_y), tr(xy)
-    is summed entrywise. Completeness: P(x,y) phi = -sum_i psi^{b_i}(x) <psi^{b_i}(y)|phi>_y for the
-    probe phi[k] projected to S_y; with b_i the canonical basis of C^f the sum is pi_x pi_y (y phi).
-    `_solved` is `_frames(points, cfg)` if the caller has it.
+    is summed entrywise per pair. Completeness: P(x,y) phi = -sum_i psi^{b_i}(x) <psi^{b_i}(y)|phi>_y for
+    the probe phi[k] projected to S_y; with b_i the canonical basis of C^f the sum is pi_x pi_y (y phi).
     """
-    w, u, _, mats = _solved or _frames(points, cfg)
-    i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    w, u, _, mats = frames
     tr_chain = np.einsum("ka,kab,kb->k", w[i], np.abs(u[i].conj().swapaxes(1, 2) @ u[j]) ** 2, w[j])
     pi = (u * (w != 0)[:, None, :]) @ u.conj().swapaxes(1, 2)  # projectors onto the spin spaces
-    y_phi = mats[j] @ (pi[j] @ np.reshape(phi, (len(i), cfg.f, 1)))
-    return (np.abs(tr_chain - np.einsum("iab,jba->ij", mats, mats)[i, j]),
+    y_phi = mats[j] @ (pi[j] @ np.reshape(phi, (len(i), mats.shape[-1], 1)))
+    return (np.abs(tr_chain - np.einsum("kab,kba->k", mats[i], mats[j])),
             np.linalg.norm((pi[i] @ y_phi - pi[i] @ (pi[j] @ y_phi))[..., 0], axis=1))
 
 
 def completeness_check(x, y, phi) -> float:
     """Completeness residual of one pair of points (see `kernel_residuals`)."""
     f = len(_asmat(x))
-    return float(kernel_residuals([x, y], [(0, 1)], [phi], SystemConfig(f, f, 1.0))[1][0])
+    return float(kernel_residuals(spin_frames([x, y], SystemConfig(f, f, 1.0)), [0], [1], [phi])[1][0])
 
 
-def spin_connections(points, pairs, cfg: SystemConfig, _solved=None):
-    """Spin connection D_{x,y}: S_y -> S_x of each pair (i, j), and its unitarity residual.
+def spin_connections(frames, i, j):
+    """Spin connection D_{x,y}: S_y -> S_x of each pair (x, y) of `chain_spectra`, and its unitarity residual.
 
     D = P(x,y) A^{-1/2}, A = P(y,x) P(x,y) on S_y, is the unitary factor of the polar decomposition of
     P(x,y) w.r.t. the spin products (gram matrices -Lambda). In the bases of `spin_space`, P(x,y) =
     G Lambda_y with G = U_x* U_y; A^{-1/2} = V diag(mu^{-1/2}) V^{-1} (principal branch, as `sqrtm`)
     comes from one batched `eig` per spin dimension. A pair gets D (I for x == y) or the
     NotSpinConnectable that stops it: unequal dimensions, a singular A or V, or a residual
-    ||D* gram_x D - gram_y|| (NaN for a non-finite D) above 1e-8 * max(1, ||gram_y||). `_solved` is
-    `_frames(points, cfg)` if the caller has it.
+    ||D* gram_x D - gram_y|| (NaN for a non-finite D) above 1e-8 * max(1, ||gram_y||).
     """
-    w, u, _, mats = _solved or _frames(points, cfg)
-    i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    w, u, _, mats = frames
     dim, same = np.count_nonzero(w, axis=1), np.all(mats[i] == mats[j], axis=(1, 2))
     out = [NotSpinConnectable("spin spaces have different dimensions") for _ in i]
     resid = np.full(len(i), np.nan)
@@ -404,11 +417,15 @@ def config_from_json(c: dict) -> SystemConfig:
     return SystemConfig(f=c["f"], n=c["n"], kappa=float(c["kappa"]), s=float(c.get("s", 0.0)))
 
 
-def measure_from_json(obj: dict):
+def points_from_json(obj: dict):
+    """(validated points, SystemConfig) of a measure or pairs file."""
     cfg = config_from_json(obj["config"])
-    points = [validate_point(complex_matrix_from_json(p), cfg) for p in obj["points"]]
-    measure = DiscreteMeasure(points=points, weights=np.asarray(obj["weights"], dtype=float))
-    return measure, cfg
+    return [validate_point(complex_matrix_from_json(p), cfg) for p in obj["points"]], cfg
+
+
+def measure_from_json(obj: dict):
+    points, cfg = points_from_json(obj)
+    return DiscreteMeasure(points=points, weights=np.asarray(obj["weights"], dtype=float)), cfg
 
 
 def complex_matrix_to_json(m: np.ndarray):

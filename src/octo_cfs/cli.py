@@ -322,11 +322,8 @@ def cmd_cfs_classify(args) -> int:
 
     with _reading("pairs file", args.pairs), open(args.pairs) as fh:
         obj = json.load(fh)
-        cfg = cfs.config_from_json(obj["config"])
-        points = [cfs.validate_point(cfs.complex_matrix_from_json(p), cfg) for p in obj["points"]]
-        pairs = obj["pairs"] if "pairs" in obj else [
-            [i, j] for i in range(len(points)) for j in range(i + 1, len(points))
-        ]
+        points, cfg = cfs.points_from_json(obj)
+        pairs = obj["pairs"] if "pairs" in obj else np.transpose(np.triu_indices(len(points), 1)).tolist()
         if not isinstance(pairs, list):
             raise ValueError(f"pairs {pairs!r} is not a list of index pairs")
         for pair in pairs:
@@ -334,19 +331,21 @@ def cmd_cfs_classify(args) -> int:
                     and all(type(i) is int and 0 <= i < len(points) for i in pair)):
                 raise ValueError(f"pair {pair!r} is not two point indices in [0, {len(points)})")
     rng = np.random.default_rng(args.seed)
-    solved = cfs._frames(points, cfg)  # one eigendecomposition of the points for all three engines
-    spectra = cfs.pair_spectra(points, points, cfg, _solved=solved)
-    classes = cfs.causal_classes(spectra)
-    phi = rng.standard_normal((len(pairs), 2, cfg.f))
-    chain_tr_dev, complete = cfs.kernel_residuals(points, pairs, phi[:, 0] + 1j * phi[:, 1], cfg, _solved=solved)
+    frames = cfs.spin_frames(points, cfg)  # one eigendecomposition of the points for all three engines
     loop = [(0, 1), (1, 2), (2, 0), (0, 2), (2, 1), (1, 0)] if len(points) >= 3 else []
-    conns, unitarity = cfs.spin_connections(points, pairs + loop, cfg, _solved=solved) if args.geometry else ([], [])
+    i, j = np.array(pairs + loop, dtype=int).reshape(-1, 2).T
+    p = len(pairs)
+    spectra = cfs.chain_spectra(frames, i[:p], j[:p], cfg)
+    classes = cfs.causal_classes(spectra)
+    phi = rng.standard_normal((p, 2, cfg.f))
+    chain_tr_dev, complete = cfs.kernel_residuals(frames, i[:p], j[:p], phi[:, 0] + 1j * phi[:, 1])
+    conns, unitarity = cfs.spin_connections(frames, i, j) if args.geometry else ([], [])
     results = []
-    for k, (i, j) in enumerate(pairs):
+    for k, pair in enumerate(pairs):
         entry = {
-            "pair": [i, j],
-            "class": classes[i, j],
-            "spectrum": [[z.real, z.imag] for z in spectra[i, j]],
+            "pair": pair,
+            "class": classes[k],
+            "spectrum": [[z.real, z.imag] for z in spectra[k]],
             "closed_chain_trace_residual": float(chain_tr_dev[k]),
             "completeness_residual": float(complete[k]),
         }
@@ -361,7 +360,7 @@ def cmd_cfs_classify(args) -> int:
         payload["holonomy_012_loop_residual"] = f"not spin-connectable: {bad[0]}" if bad else float(
             np.abs(d[0] @ d[1] @ d[2] @ d[3] @ d[4] @ d[5] - np.eye(len(d[0]))).max()
         )
-    _emit(args, payload, rows=[(i, j, classes[i, j]) for i, j in pairs], fields=("i", "j", "class"))
+    _emit(args, payload, rows=[(*pair, c) for pair, c in zip(pairs, classes)], fields=("i", "j", "class"))
     return EXIT_OK
 
 
@@ -601,7 +600,7 @@ def build_parser(group=None) -> argparse.ArgumentParser:
     A flag is (name, add_argument keywords); a tuple of names is a required choice of one of them.
     The table is built per call, so it holds the module's current cmd_* functions. When `group`
     names a group, only its verbs are built; the other groups stay bare parsers, so usage lines and
-    errors read as with every verb built. Any other `group` builds every verb.
+    errors read as with every verb built. Any other `group` builds no verb, and no `group` every verb.
     """
     out = ("--out", {})
     fmt = ("--format", {"choices": ("json", "csv"), "default": "json"})
@@ -673,7 +672,7 @@ def build_parser(group=None) -> argparse.ArgumentParser:
     verbs = {name: groups.add_parser(name).add_subparsers(dest="verb", required=True)
              for name in dict.fromkeys(name for name, _ in commands)}
     for (name, verb), (handler, *flags) in commands.items():
-        if group in verbs and name != group:
+        if group is not None and name != group:
             continue
         p = verbs[name].add_parser(verb)
         p.set_defaults(handler=handler)

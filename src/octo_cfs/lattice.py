@@ -303,7 +303,7 @@ def local_spectra(rows, seas, tau_reg: float) -> list:
     for row in map(tuple, rows):
         if row not in spectra:
             w = scale * np.linalg.eigvals(row[0] * nu + row[1] * charged)
-            if np.abs(w.imag).max() > cfs.RANK_TOL * max(1.0, np.abs(w).max()):
+            if np.abs(w.imag).max() > cfs.zero_cut(w):
                 raise cfs.SignatureViolation(f"the sector {row[0]} E_nu + {row[1]} E_c has a non-real spectrum")
             spectra[row] = _cut(w.real, n=2)
     return [spectra[tuple(row)] for row in rows]

@@ -75,6 +75,7 @@ class MinimizeReport:
     ell_support: list
     ell_spread: float
     off_support_max_neg_ell: float
+    dropped_support: int
     nit: int
     nfev: int
     converged: bool
@@ -124,8 +125,9 @@ def minimize(
     LineSearchFailure if the solve diverges and MaxIterations if
     |T - 1| > 1e-6 at its end.
 
-    Returns (DiscreteMeasure, MinimizeReport). The report carries the
-    Euler-Lagrange residuals on the support (with the post-hoc Lagrange
+    Returns (DiscreteMeasure, MinimizeReport). Points whose weight lies
+    inside `cfs.zero_cut` are dropped, and the report counts them. It carries
+    the Euler-Lagrange residuals on the support (with the post-hoc Lagrange
     parameter that makes their weighted mean vanish) and the largest
     violation of ell >= 0 over a random probe set; the latter is reported,
     not asserted, since family-restricted optima need not satisfy the
@@ -158,7 +160,7 @@ def minimize(
     if abs(trace - 1.0) > 1e-6:
         raise MaxIterations(f"trace constraint not met ({res.message}): trace={trace}")
 
-    kept = w > 0.0  # a weight the softmax underflowed to exactly 0 carries no measure
+    kept = w > cfs.zero_cut(w)  # a weight inside the zero cut has collapsed: its point carries no measure
     validated = [cfs.validate_point(p, cfg) for p, k in zip(points, kept) if k]
     merged_pts, merged_w = cfs.merge_duplicates(validated, w[kept])
     merged_w = merged_w / merged_w.sum()
@@ -180,6 +182,7 @@ def minimize(
         ell_support=ell_support,
         ell_spread=ell_spread,
         off_support_max_neg_ell=off_max,
+        dropped_support=int(np.sum(~kept)),
         nit=res.nit,
         nfev=res.nfev,
         converged=res.success,
@@ -250,8 +253,7 @@ def _sqp(fun, grad, x):
 def _perturbed_point(rng, point: cfs.OperatorPoint, cfg):
     """Signature-preserving random perturbation of a support point."""
     w, vecs = np.linalg.eigh(point.matrix)
-    cut = 1e-9 * max(1.0, np.abs(w).max(initial=0.0))
-    keep = np.abs(w) > cut
+    keep = np.abs(w) > cfs.zero_cut(w)
     w2 = w.copy()
     w2[keep] *= 1.0 + PROBE_REL * rng.standard_normal(int(keep.sum()))
     g = rng.standard_normal((cfg.f, cfg.f)) + 1j * rng.standard_normal((cfg.f, cfg.f))

@@ -19,6 +19,8 @@ from octo_cfs.cfs import (
     SystemConfig,
     action,
     causal_class,
+    causal_classes,
+    chain_spectra,
     closed_chain,
     completeness_check,
     config_from_json,
@@ -34,6 +36,7 @@ from octo_cfs.cfs import (
     product_spectrum,
     random_point,
     spin_connections,
+    spin_frames,
     spin_space,
     validate_point,
 )
@@ -307,10 +310,16 @@ def _timelike_pair(cfg):
     return x, y
 
 
+def connections(points, pairs, cfg):
+    """`spin_connections` of the pairs (i, j) of `points`."""
+    i, j = np.array(pairs).reshape(-1, 2).T
+    return spin_connections(spin_frames(points, cfg), i, j)
+
+
 def test_spin_connection_identity_at_coincidence():
     cfg = SystemConfig(f=4, n=2, kappa=0.1)
     x = random_point(rng, cfg)
-    (d,), resid = spin_connections([x], [(0, 0)], cfg)
+    (d,), resid = connections([x], [(0, 0)], cfg)
     assert np.array_equal(d, np.eye(len(spin_space(x).eigenvalues))) and resid[0] == 0.0
 
 
@@ -319,7 +328,7 @@ def test_spin_connection_unitary():
     done = 0
     for _ in range(50):
         x, y = _timelike_pair(cfg)
-        (d,), _ = spin_connections([x, y], [(0, 1)], cfg)
+        (d,), _ = connections([x, y], [(0, 1)], cfg)
         if isinstance(d, NotSpinConnectable):
             continue
         sx, sy = spin_space(x), spin_space(y)
@@ -337,7 +346,7 @@ def test_holonomy_reversed_loop_inverts():
         w, v = np.linalg.eigh(0.5 * (x.matrix + y.matrix))
         keep = np.argsort(-np.abs(w))[: 2 * cfg.n]
         z = validate_point((v[:, keep] * w[keep]) @ v[:, keep].conj().T, cfg)
-        d, _ = spin_connections([x, y, z], [(0, 1), (1, 2), (2, 0), (0, 2), (2, 1), (1, 0)], cfg)
+        d, _ = connections([x, y, z], [(0, 1), (1, 2), (2, 0), (0, 2), (2, 1), (1, 0)], cfg)
         if any(isinstance(c, NotSpinConnectable) for c in d):
             continue
         # R(x, y, z) = D_xy D_yz D_zx and R(x, z, y) are inverse loops: their product is I
@@ -379,7 +388,7 @@ def test_spin_connections_match_sqrtm_oracle(n, extra, count, scale, seed):
     r = np.random.default_rng(seed)
     pts = [scaled_point(r, cfg, scale) for _ in range(count)]
     pairs = [(i, j) for i in range(count) for j in range(count)]
-    conns, resid = spin_connections(pts, pairs, cfg)
+    conns, resid = connections(pts, pairs, cfg)
     spaces = [spin_space(p) for p in pts]
     for (i, j), d, res in zip(pairs, conns, resid):
         sx, sy = spaces[i], spaces[j]
@@ -406,7 +415,7 @@ def test_spin_connection_dimension_mismatch():
     cfg = SystemConfig(f=4, n=2, kappa=0.1)
     x = validate_point(np.diag([1.0, -1.0, 0.5, 0]).astype(complex), cfg)
     y = validate_point(np.diag([1.0, 0, 0, 0]).astype(complex), cfg)
-    (d,), resid = spin_connections([x, y], [(0, 1)], cfg)
+    (d,), resid = connections([x, y], [(0, 1)], cfg)
     assert isinstance(d, NotSpinConnectable) and np.isnan(resid[0])
 
 
@@ -570,6 +579,26 @@ def test_pair_engine_matches_dense_lagrangian_across_blocks(monkeypatch):
     assert np.abs(sym - ref_sym).max() <= 1e-13 * max(1.0, ref_sym.max())
     upper = np.triu_indices(len(xs))
     assert pair_spectra(xs, xs, cfg)[upper].tobytes() == pair_spectra(xs, list(xs), cfg)[upper].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=point_sets(), data=st.data())
+def test_chain_spectra_of_a_pair_list_are_the_triangle_entries(case, data):
+    """Random pair lists with repeated and reversed pairs, over random, zero and rank-deficient points."""
+    cfg, xs, ys, _ = case
+    pts = xs + ys
+    index = st.integers(0, len(pts) - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), max_size=12))
+    pairs += [(j, i) for i, j in pairs[: len(pairs) // 2]]
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+    want = pair_spectra(pts, pts, cfg)[i, j]
+    for block in (cfs.PAIR_BLOCK, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cfs, "PAIR_BLOCK", block)
+            got = chain_spectra(spin_frames(pts, cfg), i, j, cfg)
+        assert got.shape == (len(pairs), 2 * cfg.n)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(causal_classes(got), causal_classes(want))
 
 
 def _any_rank_point(r, cfg):
