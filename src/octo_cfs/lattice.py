@@ -83,8 +83,16 @@ def chiral_sandwich(tau: float, gammas: GammaSet):
     return a, b
 
 
+def _require_mass(mass: float) -> None:
+    """A mass is 0 or a finite value >= 1e-150: a smaller one has a subnormal or zero square, with which
+    sqrt(m^2) differs from m, so the k = 0 mode's omega is lost and the kernel and mode paths disagree."""
+    if not (mass == 0.0 or 1e-150 <= mass < np.inf):
+        raise ValueError("masses must be finite and non-negative, 0 or >= 1e-150 (a smaller square underflows)")
+
+
 def mode_table(mass: float, spec: LatticeSpec, gammas: GammaSet):
     """Grid momenta (K, d), on-shell frequencies (K,) and k-slash stack (K, 4, 4) with k0 = -omega."""
+    _require_mass(mass)
     kvecs = spec.momenta()
     omegas = np.sqrt(np.sum(kvecs * kvecs, axis=1) + mass * mass)
     return kvecs, omegas, gammas.slash(np.column_stack([-omegas, kvecs]))
@@ -156,8 +164,6 @@ def sea_kernel(mass: float, spec: LatticeSpec) -> SectorKernel:
     Every mode carries the regularization factor exp(-eps * omega); the
     chiral neutrino regularization is applied to the summed seas (sector_bases).
     """
-    if mass < 0:
-        raise ValueError("mass must be non-negative")
     omegas, _, mats = _mode_matrices(mass, spec, dirac_rep())
     dts = np.arange(-(spec.T - 1), spec.T) * spec.a
     rel = mode_sum(np.exp(1j * np.outer(dts, omegas)), mats, spec)  # e^{+i omega dt}
@@ -212,8 +218,8 @@ class MassData:
         object.__setattr__(self, "neutrino_masses", tuple(float(m) for m in self.neutrino_masses))
         if len(self.charged_masses) != 3 or len(self.neutrino_masses) != 3:
             raise ValueError("exactly three masses per sector")
-        if not all(m == 0.0 or 1e-150 <= m < np.inf for m in self.charged_masses + self.neutrino_masses):
-            raise ValueError("masses must be finite and non-negative, 0 or >= 1e-150 (a smaller square underflows)")
+        for m in self.charged_masses + self.neutrino_masses:
+            _require_mass(m)
         require_finite(self, "tau_reg", "m_ref")
         if sum(1 for m in self.neutrino_masses if m == 0.0) > 2:
             raise ValueError("at most two of the neutrino masses may vanish")

@@ -2,7 +2,8 @@
 
 Octonions are written as column vectors of coefficients over e0..e7, so a
 left (right) multiplication is an 8x8 matrix. Composing these matrices
-generates the associative multiplication algebras O_L and O_R.
+generates the associative multiplication algebras O_L and O_R. The
+per-octonion functions also take stacks, coefficients of shape (..., 8).
 """
 
 from __future__ import annotations
@@ -25,21 +26,21 @@ def _coeffs(a):
     if isinstance(a, (Octonion, ComplexOctonion)):
         return a.coeffs
     c = np.asarray(a)
-    if c.shape != (8,):
-        raise ValueError("expected an octonion or an 8-vector of coefficients")
+    if c.shape[-1:] != (8,):
+        raise ValueError("expected an octonion or coefficients of shape (..., 8)")
     return c
 
 
 def left_matrix(a) -> np.ndarray:
-    """Matrix of L_a: x -> a x acting on coefficient column vectors."""
+    """Matrix of L_a: x -> a x acting on coefficient column vectors; (..., 8) -> (..., 8, 8)."""
     c = _coeffs(a)
-    return np.einsum("i,ijk->kj", c, STRUCTURE.astype(c.dtype))
+    return np.einsum("...i,ijk->...kj", c, STRUCTURE.astype(c.dtype))
 
 
 def right_matrix(a) -> np.ndarray:
-    """Matrix of R_a: x -> x a acting on coefficient column vectors."""
+    """Matrix of R_a: x -> x a acting on coefficient column vectors; (..., 8) -> (..., 8, 8)."""
     c = _coeffs(a)
-    return np.einsum("i,jik->kj", c, STRUCTURE.astype(c.dtype))
+    return np.einsum("...i,jik->...kj", c, STRUCTURE.astype(c.dtype))
 
 
 def left_unit(i) -> np.ndarray:
@@ -118,21 +119,20 @@ def span_dimension(generators, field="real", max_passes=8) -> AlgebraSpan:
     return AlgebraSpan(orthonormal=q, field=field)
 
 
-def octonion_inner(x: Octonion, y: Octonion) -> float:
-    """<x, y> = (x conj(y) + y conj(x)) / 2, read off the e0 component."""
+def octonion_inner(x: Octonion, y: Octonion):
+    """<x, y> = (x conj(y) + y conj(x)) / 2, read off the e0 component; one value per row."""
     s = x * y.conj() + y * x.conj()
-    return 0.5 * float(s.coeffs[0])
+    return 0.5 * s.coeffs[..., 0]
 
 
-def quadratic_relation_check(x: Octonion, y: Octonion) -> float:
-    """Residual norm of L_x L_{conj(y)} 1 + L_y L_{conj(x)} 1 - 2 <x,y> 1."""
-    one = np.zeros(8)
-    one[0] = 1.0
-    lhs = left_matrix(x) @ (left_matrix(y.conj()) @ one) + left_matrix(y) @ (
-        left_matrix(x.conj()) @ one
+def quadratic_relation_check(x: Octonion, y: Octonion):
+    """Residual norm of L_x L_{conj(y)} 1 + L_y L_{conj(x)} 1 - 2 <x,y> 1; one value per row."""
+    one = np.eye(8)[0]
+    lhs = np.matvec(left_matrix(x), np.matvec(left_matrix(y.conj()), one)) + np.matvec(
+        left_matrix(y), np.matvec(left_matrix(x.conj()), one)
     )
-    rhs = 2.0 * octonion_inner(x, y) * one
-    return float(np.linalg.norm(lhs - rhs))
+    d = lhs - 2.0 * octonion_inner(x, y)[..., None] * one
+    return np.sqrt(np.vecdot(d, d))
 
 
 def left_right_equality() -> dict:

@@ -43,8 +43,10 @@ STRUCTURE = _structure_tensor()
 class _OctonionBase:
     """x = x0 e0 + ... + x7 e7 with coefficients in the field `_field` (float or complex).
 
-    Sums, differences and products need both operands over the same field;
-    scalars of that field multiply from either side.
+    The coefficients may carry leading batch axes, shape (..., 8): then the
+    object is a stack of octonions and every operation acts row by row,
+    broadcasting as numpy does. Sums, differences and products need both
+    operands over the same field; scalars of that field multiply from either side.
     """
 
     __slots__ = ("coeffs",)
@@ -53,8 +55,8 @@ class _OctonionBase:
 
     def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=self._field)
-        if c.shape != (8,) or not np.all(np.isfinite(c)):
-            raise ValueError(f"{type(self).__name__} needs exactly 8 finite coefficients")
+        if c.shape[-1:] != (8,) or not np.all(np.isfinite(c)):
+            raise ValueError(f"{type(self).__name__} needs 8 finite coefficients on its last axis")
         self.coeffs = c
 
     @classmethod
@@ -78,7 +80,7 @@ class _OctonionBase:
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
-            return type(self)(np.einsum("ijk,i,j->k", STRUCTURE, self.coeffs, other.coeffs))
+            return type(self)(np.einsum("ijk,...i,...j->...k", STRUCTURE, self.coeffs, other.coeffs))
         return self.__rmul__(other)
 
     def __rmul__(self, other):
@@ -95,7 +97,7 @@ class _OctonionBase:
     def conj_octonion(self):
         """Octonion conjugate: flips the sign of e1..e7."""
         c = self.coeffs.copy()
-        c[1:] = -c[1:]
+        c[..., 1:] = -c[..., 1:]
         return type(self)(c)
 
 
@@ -106,13 +108,14 @@ class Octonion(_OctonionBase):
     conj = _OctonionBase.conj_octonion
 
     def norm(self):
-        return float(np.sqrt(np.dot(self.coeffs, self.coeffs)))
+        # np.vecdot rounds each row as np.dot does; einsum sums in another order
+        return np.sqrt(np.vecdot(self.coeffs, self.coeffs))
 
     def inv(self):
-        n2 = float(np.dot(self.coeffs, self.coeffs))
-        if n2 == 0.0:
+        n2 = np.vecdot(self.coeffs, self.coeffs)
+        if np.any(n2 == 0.0):
             raise ZeroDivisionError("the zero octonion has no inverse")
-        return Octonion(self.conj().coeffs / n2)
+        return Octonion(self.conj().coeffs / n2[..., None])
 
 
 class ComplexOctonion(_OctonionBase):
@@ -173,7 +176,7 @@ def projector(sign) -> ComplexOctonion:
 
 
 def split(a):
-    """Four complex components (z0, z1, z2, z3) of the e4-splitting.
+    """Four complex components (z0, z1, z2, z3) of the e4-splitting, on the last axis.
 
     z0 = x0 + i x4, z1 = x1 - i x5, z2 = x2 - i x6, z3 = x3 - i x7.
     Defined on real-coefficient octonions (the splitting is an R-linear
@@ -182,32 +185,21 @@ def split(a):
     if isinstance(a, Octonion):
         c = a.coeffs
     elif isinstance(a, ComplexOctonion):
-        if np.max(np.abs(a.coeffs.imag)) > 1e-12 * max(1.0, np.max(np.abs(a.coeffs))):
+        c = a.coeffs
+        if np.any(np.abs(c.imag).max(axis=-1) > 1e-12 * np.maximum(1.0, np.abs(c).max(axis=-1))):
             raise ValueError("split is defined on real-coefficient octonions")
-        c = a.coeffs.real
+        c = c.real
     else:
         raise TypeError("split expects an Octonion or ComplexOctonion")
-    return np.array(
-        [
-            c[0] + 1j * c[4],
-            c[1] - 1j * c[5],
-            c[2] - 1j * c[6],
-            c[3] - 1j * c[7],
-        ]
-    )
+    return c[..., :4] + 1j * np.array([1.0, -1.0, -1.0, -1.0]) * c[..., 4:]
 
 
 def unsplit(z) -> ComplexOctonion:
-    """Inverse of `split`: reassemble the octonion from its four complex slots."""
+    """Inverse of `split`: reassemble the octonion from its four complex slots on the last axis."""
     z = np.asarray(z, dtype=complex)
-    if z.shape != (4,):
-        raise ValueError("unsplit expects four complex numbers")
-    c = np.zeros(8, dtype=complex)
-    c[0], c[4] = z[0].real, z[0].imag
-    c[1], c[5] = z[1].real, -z[1].imag
-    c[2], c[6] = z[2].real, -z[2].imag
-    c[3], c[7] = z[3].real, -z[3].imag
-    return ComplexOctonion(c)
+    if z.shape[-1:] != (4,):
+        raise ValueError("unsplit expects four complex numbers on the last axis")
+    return ComplexOctonion(np.concatenate([z.real, np.array([1.0, -1.0, -1.0, -1.0]) * z.imag], axis=-1))
 
 
 def basis_product(i, j):

@@ -43,6 +43,71 @@ def test_octonion_check_passes(tmp_path):
     assert rep["meta"]["seed"] == 4
 
 
+def _octonion_check_oracle(seed: int, tol: float = 1e-12) -> list:
+    """The sampled checks of `octonion check`, one (x, y) pair at a time as they were first written."""
+    from octo_cfs.octonion import Octonion, associator, conj, inv, mul, norm, split, unsplit
+
+    rng = np.random.default_rng(seed)
+    e = Octonion.e
+    worst = 0.0
+    for _ in range(1000):
+        x = Octonion(rng.standard_normal(8))
+        y = Octonion(rng.standard_normal(8))
+        worst = max(worst, abs(norm(mul(x, y)) - norm(x) * norm(y)) / max(1.0, norm(x) * norm(y)))
+    worst_a = 0.0
+    for _ in range(200):
+        x = Octonion(rng.standard_normal(8))
+        y = Octonion(rng.standard_normal(8))
+        worst_a = max(worst_a, float(np.abs(associator(x, x, y).coeffs).max()))
+    worst_inv = worst_split = worst_conj = 0.0
+    for _ in range(100):
+        x = Octonion(rng.standard_normal(8))
+        y = Octonion(rng.standard_normal(8))
+        worst_inv = max(worst_inv, float(np.abs((mul(inv(x), x) - e(0)).coeffs).max()))
+        worst_split = max(worst_split, float(np.abs(unsplit(split(x)).coeffs - x.coeffs).max()))
+        worst_conj = max(worst_conj, float(np.abs((mul(conj(x), conj(y)) - conj(mul(y, x))).coeffs).max()))
+    return [
+        {"name": "norm_multiplicative_1000", "passed": worst < tol, "value": float(worst)},
+        {"name": "alternativity_200", "passed": worst_a < tol * 100, "value": worst_a},
+        {"name": "inverse_100", "passed": worst_inv < tol * 100, "value": worst_inv},
+        {"name": "split_round_trip_100", "passed": worst_split == 0.0, "value": worst_split},
+        {"name": "conj_antiautomorphism_100", "passed": worst_conj < tol * 100, "value": worst_conj},
+    ]
+
+
+def _clifford_identities_oracle(seed: int, tol: float = 1e-12) -> list:
+    """The Cl(0,6) and sampled checks of `clifford identities`, one pair at a time as they were first written."""
+    from octo_cfs.mult_algebra import left_unit, quadratic_relation_check
+    from octo_cfs.octonion import Octonion, norm
+
+    cl = 0.0
+    for i in range(1, 7):
+        for j in range(1, 7):
+            dev = left_unit(i) @ left_unit(j) + left_unit(j) @ left_unit(i) + 2.0 * (i == j) * np.eye(8)
+            cl = max(cl, float(np.abs(dev).max()))
+    rng = np.random.default_rng(seed)
+    quad = 0.0
+    for _ in range(200):
+        x = Octonion(rng.standard_normal(8))
+        y = Octonion(rng.standard_normal(8))
+        quad = max(quad, float(quadratic_relation_check(x, y)) / max(1.0, norm(x) * norm(y)))
+    return [
+        {"name": "clifford_cl06_relations", "passed": cl == 0.0, "value": cl},
+        {"name": "quadratic_relation_200", "passed": quad < tol, "value": float(quad)},
+    ]
+
+
+def test_sampled_checks_equal_the_per_sample_oracles(tmp_path):
+    out = tmp_path / "checks.json"
+    for seed in range(21):
+        for command, oracle in ((["octonion", "check"], _octonion_check_oracle),
+                                (["clifford", "identities"], _clifford_identities_oracle)):
+            assert run([*command, "--seed", str(seed), "--out", str(out)]) == 0
+            expect = oracle(seed)
+            names = {c["name"] for c in expect}
+            assert [c for c in read_json(out)["checks"] if c["name"] in names] == expect
+
+
 def test_clifford_dim(tmp_path):
     out = tmp_path / "dim.json"
     assert run(["clifford", "dim", "--out", str(out)]) == 0

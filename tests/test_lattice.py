@@ -45,7 +45,7 @@ rng = np.random.default_rng(53)
 
 SPEC = LatticeSpec(L=8, T=6, a=0.5, epsilon=1.0)
 MD = MassData(charged_masses=(0.5, 0.7, 0.9), neutrino_masses=(0.1, 0.2, 0.3), tau_reg=0.7)
-#: The masses MassData accepts: 0, or from 1e-150, where the square is a normal float.
+#: The masses the mode tables, and so MassData, accept: 0, or from 1e-150, where the square is a normal float.
 VACUUM_MASSES = st.one_of(st.just(0.0), st.floats(1e-150, 2.0))
 
 
@@ -83,6 +83,22 @@ def test_lattice_and_mass_data_reject_non_finite_or_mistyped_values():
         MassData(**ok, m_ref=nan)
     with pytest.raises(ValueError):
         MassData(**ok, tau_reg=nan)
+
+
+def test_every_mass_entry_point_takes_the_mass_data_bound():
+    # at 1.19e-159 the kernel and mode paths disagreed by 0.17 on the k = 0 mode's spectrum
+    spec = LatticeSpec(L=2, T=3, a=0.25, epsilon=2.0)
+    entry_points = (lambda m: MassData(charged_masses=(m, 0.5, 0.7), neutrino_masses=(0.1, 0.2, 0.3)),
+                    lambda m: sea_kernel(m, spec),
+                    lambda m: mode_onshell_residuals(m, spec),
+                    lambda m: occupied_modes([m], spec, 0.7),
+                    lambda m: local_correlation([m, 0.5, 0.7], spec, (1, 0)))
+    for call in entry_points:
+        for mass in (1.19e-159, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="masses must be finite and non-negative, 0 or >= 1e-150"):
+                call(mass)
+        for mass in (0.0, 1e-150):
+            call(mass)
 
 
 def test_mode_onshell_factorization_exact():
@@ -126,7 +142,7 @@ def lattice_specs(draw):
 @settings(max_examples=40, deadline=None)
 @given(
     spec=lattice_specs(),
-    mass=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    mass=VACUUM_MASSES,
 )
 def test_sea_kernel_matches_direct_mode_sum(spec, mass):
     oracle = direct_sea_kernel(mass, spec)
@@ -150,7 +166,7 @@ def ifftshift_mode_sum(time_phase, mats, spec):
     L=st.sampled_from([2, 4, 6, 8]),
     T=st.integers(3, 6),
     a=st.floats(0.25, 1.0),
-    mass=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    mass=VACUUM_MASSES,
 )
 def test_sea_kernel_matches_ifftshift_oracle_bitwise(dims, L, T, a, mass):
     spec = LatticeSpec(L=L, T=T, a=a, epsilon=a, dims=dims)
@@ -293,7 +309,7 @@ def test_sector_bases_match_einsum_sandwich(kernels, tau_reg):
 
 @settings(max_examples=30, deadline=None)
 @given(spec=lattice_specs(), tau_reg=st.floats(0.0, 1.0, exclude_min=True),
-       masses=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=1, max_size=3))
+       masses=st.lists(VACUUM_MASSES, min_size=1, max_size=3))
 @example(spec=LatticeSpec(L=2, T=3, a=1.0, epsilon=1.0, dims="1+3"), tau_reg=1e-9, masses=[0.0])
 def test_occupied_modes_match_einsum_oracle(spec, tau_reg, masses):
     spinor = occupied_modes(masses, spec, tau_reg).spinor
@@ -479,7 +495,7 @@ def test_local_correlation_translation_invariance():
 @given(
     dims_l=st.one_of(st.tuples(st.just("1+1"), st.sampled_from([2, 4, 6, 8, 10])), st.just(("1+3", 4))),
     T=st.integers(3, 5),
-    masses=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=1, max_size=3),
+    masses=st.lists(VACUUM_MASSES, min_size=1, max_size=3),
     tau_reg=st.floats(-8.0, 0.0).map(lambda e: 10.0**e),  # log-uniform in (0, 1]
     x=st.lists(st.integers(-10, 10), min_size=4, max_size=4),
 )
@@ -660,12 +676,15 @@ def test_container_round_trip_and_determinism(tmp_path):
 )
 @example(spec=LatticeSpec(L=6, T=3, a=0.375, epsilon=3.0, dims="1+3"), tau_reg=0.5,
          neutrino=[0.0, 0.0, 0.0625], charged=[0.0, 0.0, 0.0])
+@example(spec=LatticeSpec(L=6, T=3, a=0.296875, epsilon=2.65625, dims="1+3"), tau_reg=0.96875,
+         neutrino=[0.0, 0.8125, 0.0], charged=[0.0, 0.0, 0.0])
 def test_materialized_sectors_match_tau_regularized_seas(spec, tau_reg, neutrino, charged):
     md = MassData(charged_masses=charged, neutrino_masses=neutrino, tau_reg=tau_reg)
     gs = dirac_rep()
-    # oracle: each neutrino sea carries the chiral sandwich inside its own mode sum
-    a, b = chiral_sandwich(tau_reg, gs)
-    dts = np.arange(-(spec.T - 1), spec.T) * spec.a
+    # oracle: each neutrino sea carries the chiral sandwich inside its own mode sum; from the program's
+    # float64 mode matrices on it runs in long double, so its own rounding stays far below the bound
+    a, b = (np.asarray(f, dtype=np.clongdouble) for f in chiral_sandwich(tau_reg, gs))
+    dts = (np.arange(-(spec.T - 1), spec.T) * spec.a).astype(np.longdouble)  # the program's time grid, widened
     e0 = 0.0
     for m in neutrino:
         omegas, _, mats = _mode_matrices(m, spec, gs)

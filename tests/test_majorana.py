@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from octo_cfs.gammas import clifford_residual, dirac_rep, majorana_rep
 from octo_cfs.lattice import LatticeSpec
 from octo_cfs.majorana import (
+    N_RANDOM,
     check_report,
     factorization_residual,
     momentum_residual,
@@ -135,3 +139,46 @@ def test_check_report_structure():
     assert rep["derived_factorization_max_residual"] < 1e-12
     assert rep["paper_variant_onshell_residuals"]["max"] > 0.0
     assert set(rep["p_m"].keys()) == {"paper", "derived"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shape=st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple),
+       variant=st.sampled_from(["paper", "derived"]))
+def test_batched_residuals_equal_the_one_sample_calls_bitwise(data, shape, variant):
+    k = data.draw(arrays(np.float64, (*shape, 4), elements=st.floats(-1e3, 1e3)))
+    m, n = (data.draw(arrays(np.float64, shape, elements=st.floats(0.0, 1e3))) for _ in range(2))
+    gs = majorana_rep()
+    batched = momentum_residual(k, m, n, variant, gs), factorization_residual(k, m, n, variant, gs)
+    for idx in np.ndindex(shape):
+        single = momentum_residual(k[idx], m[idx], n[idx], variant, gs), factorization_residual(
+            k[idx], m[idx], n[idx], variant, gs)
+        for got, want in zip(batched, single, strict=True):
+            got, want = np.asarray(got[idx]), np.asarray(want)
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _check_report_oracle(seed: int) -> dict:
+    """The random part of `check_report`, one sample at a time as it was first written."""
+    rng = np.random.default_rng(seed)
+    gs = majorana_rep()
+    worst_derived = 0.0
+    paper_onshell = []
+    for _ in range(N_RANDOM):
+        k = rng.standard_normal(4)
+        m, n = rng.random() + 0.1, rng.random()
+        worst_derived = max(worst_derived, float(factorization_residual(k, m, n, "derived", gs)))
+    for _ in range(16):
+        m, n = rng.random() + 0.1, rng.random() + 0.1
+        kvec = rng.standard_normal(3)
+        k0 = np.sqrt(np.sum(kvec**2) + m * m + n * n)
+        k = np.concatenate([[k0], kvec])
+        paper_onshell.append(float(np.abs(momentum_residual(k, m, n, "paper", gs)).max()))
+    return {"derived_factorization_max_residual": worst_derived,
+            "paper_variant_onshell_residuals": {"max": max(paper_onshell), "min": min(paper_onshell)}}
+
+
+def test_check_report_equals_the_per_sample_oracle():
+    for seed in range(21):
+        rep = check_report(seed=seed, variant="derived")
+        oracle = _check_report_oracle(seed)
+        assert {key: rep[key] for key in oracle} == oracle

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from octo_cfs.mult_algebra import (
     SPAN_TOL,
@@ -283,3 +284,29 @@ def test_in_span_counts_imaginary_part_against_real_span():
     assert abs(in_span(I8 + 1j * I8, real_span) - 1 / np.sqrt(2)) < 1e-15
     assert in_span(I8 + 0j, real_span) < 1e-15
     assert in_span(1j * I8, span_dimension([I8], field="complex")) < 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shape=st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple))
+def test_batched_maps_equal_the_one_sample_calls_bitwise(data, shape):
+    x, y, zr, zi = (data.draw(arrays(np.float64, (*shape, 8), elements=st.floats(-1e3, 1e3))) for _ in range(4))
+    z = zr + 1j * zi
+
+    def results(a, b, c):
+        return [left_matrix(a), right_matrix(a), left_matrix(c), right_matrix(ComplexOctonion(c)),
+                left_matrix(a.coeffs), octonion_inner(a, b), quadratic_relation_check(a, b)]
+
+    batched = results(Octonion(x), Octonion(y), z)
+    for idx in np.ndindex(shape):
+        single = results(Octonion(x[idx]), Octonion(y[idx]), z[idx])
+        for got, want in zip(batched, single, strict=True):
+            got, want = np.asarray(got[idx]), np.asarray(want)
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.lists(st.integers(0, 9), max_size=3).map(tuple).filter(lambda s: s[-1:] != (8,)))
+def test_multiplication_matrices_reject_a_last_axis_other_than_8(shape):
+    for make in (left_matrix, right_matrix):
+        with pytest.raises(ValueError):
+            make(np.ones(shape))

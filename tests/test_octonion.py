@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from octo_cfs.octonion import (
     FANO_LINES,
@@ -274,3 +277,73 @@ def test_operations_keep_class_and_dtype():
     assert np.array_equal((x - y).coeffs, x.coeffs - y.coeffs)
     assert repr(e(1)) == "Octonion([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])"
     assert repr(ComplexOctonion.e(0)).startswith("ComplexOctonion([(1+0j), 0j")
+
+
+#: Leading batch shapes: one or two axes, each 1 to 4 long.
+BATCH_SHAPES = st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def coefficient_stacks(shape, width=8, elements=st.floats(-1e3, 1e3)):
+    return arrays(np.float64, (*shape, width), elements=elements)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shape=BATCH_SHAPES)
+def test_batched_operations_equal_the_one_sample_calls_bitwise(data, shape):
+    x, y, zr, zi, wr, wi = (data.draw(coefficient_stacks(shape)) for _ in range(6))
+    X, Y, Z, W = Octonion(x), Octonion(y), ComplexOctonion(zr + 1j * zi), ComplexOctonion(wr + 1j * wi)
+
+    def results(a, b, z, w):
+        return [mul(a, b), a * b, a + b, a - b, -a, 2.5 * a, conj(a), a.conj(), associator(a, b, a),
+                norm(a), a.norm(), split(a), unsplit(split(a)), split(ComplexOctonion(a.coeffs)),
+                mul(z, w), z - w, (0.5 - 2j) * z, conj(z), z.conj_complex(), z.dagger(), associator(z, w, z)]
+
+    batched = results(X, Y, Z, W)
+    for idx in np.ndindex(shape):
+        single = results(Octonion(x[idx]), Octonion(y[idx]), ComplexOctonion(Z.coeffs[idx]),
+                         ComplexOctonion(W.coeffs[idx]))
+        for got, want in zip(batched, single, strict=True):
+            got, want = (getattr(v, "coeffs", v) for v in (got, want))
+            assert same_bits(got[idx], want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), shape=BATCH_SHAPES)
+def test_batched_inverse_equals_the_one_sample_inverses_bitwise(data, shape):
+    x = data.draw(coefficient_stacks(shape, elements=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)))
+    batched = inv(Octonion(x)).coeffs
+    for idx in np.ndindex(shape):
+        assert same_bits(batched[idx], inv(Octonion(x[idx])).coeffs)
+    x[(0,) * len(shape)] = 0.0
+    with pytest.raises(ZeroDivisionError):
+        inv(Octonion(x))
+
+
+def test_split_of_a_stack_rejects_any_complex_row():
+    z = np.ones((3, 8), dtype=complex)
+    z[1, 5] += 1j
+    with pytest.raises(ValueError):
+        split(ComplexOctonion(z))
+    assert np.array_equal(split(ComplexOctonion(z[::2])), split(Octonion(z[::2].real)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.lists(st.integers(0, 9), max_size=3).map(tuple))
+def test_a_last_axis_other_than_8_or_4_is_rejected(shape):
+    c = np.ones(shape)
+    for make in (Octonion, ComplexOctonion):
+        if shape[-1:] == (8,):
+            assert make(c).coeffs.shape == shape
+        else:
+            with pytest.raises(ValueError):
+                make(c)
+    if shape[-1:] == (4,):
+        assert unsplit(c).coeffs.shape == shape[:-1] + (8,)
+    else:
+        with pytest.raises(ValueError):
+            unsplit(c)
