@@ -10,7 +10,7 @@ measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -314,12 +314,6 @@ class SpinSpace:
     point: np.ndarray
     basis: np.ndarray  # f x d, orthonormal columns spanning image(x)
     eigenvalues: np.ndarray  # the d non-zero eigenvalues of x (basis order)
-    signature: tuple = field(init=False)  # (p, q) of the spin product -<u|x v>
-    gram: np.ndarray = field(init=False)  # matrix of the spin product in `basis`
-
-    def __post_init__(self):
-        self.signature = (int(np.sum(self.eigenvalues < 0)), int(np.sum(self.eigenvalues > 0)))
-        self.gram = -np.diag(self.eigenvalues).astype(complex)
 
 
 def spin_space(x) -> SpinSpace:
@@ -409,23 +403,34 @@ def measure_to_json(measure: DiscreteMeasure, cfg: SystemConfig) -> dict:
     }
 
 
+def json_numbers(key: str, obj):
+    """obj, if it is a JSON number or nested lists of them; a bool, string or null raises ValueError naming key."""
+    for item in obj if type(obj) is list else [obj]:
+        if type(item) is list:
+            json_numbers(key, item)
+        elif type(item) not in (int, float):
+            raise ValueError(f"{key} must be a JSON number, got {item!r}")
+    return obj
+
+
 def config_from_json(c: dict) -> SystemConfig:
-    """SystemConfig from a file's "config" object: JSON integers f and n, kappa and an optional s."""
+    """SystemConfig from a file's "config" object: JSON integers f and n, JSON numbers kappa and an optional s."""
     for key in ("f", "n"):
         if type(c[key]) is not int:
             raise ValueError(f"config {key} must be a JSON integer, got {c[key]!r}")
-    return SystemConfig(f=c["f"], n=c["n"], kappa=float(c["kappa"]), s=float(c.get("s", 0.0)))
+    kappa, s = json_numbers("config kappa", c["kappa"]), json_numbers("config s", c.get("s", 0.0))
+    return SystemConfig(f=c["f"], n=c["n"], kappa=float(kappa), s=float(s))
 
 
 def points_from_json(obj: dict):
     """(validated points, SystemConfig) of a measure or pairs file."""
     cfg = config_from_json(obj["config"])
-    return [validate_point(complex_matrix_from_json(p), cfg) for p in obj["points"]], cfg
+    return [validate_point(complex_matrix_from_json(json_numbers("point entry", p)), cfg) for p in obj["points"]], cfg
 
 
 def measure_from_json(obj: dict):
     points, cfg = points_from_json(obj)
-    return DiscreteMeasure(points=points, weights=np.asarray(obj["weights"], dtype=float)), cfg
+    return DiscreteMeasure(points=points, weights=np.asarray(json_numbers("weight", obj["weights"]), dtype=float)), cfg
 
 
 def complex_matrix_to_json(m: np.ndarray):

@@ -367,8 +367,7 @@ def cmd_cfs_minimize(args) -> int:
     payload = {
         "meta": _meta(args, family=args.family, kappa=cfg.kappa),
         "measure": cfs.measure_to_json(measure, cfg),
-        # every report field but the solver's message text
-        "report": {k: v for k, v in dataclasses.asdict(report).items() if k != "status"},
+        "report": dataclasses.asdict(report),
     }
     _emit(args, payload)
     return EXIT_OK

@@ -22,11 +22,10 @@ def _blocks(a, b, c, d):
 
 @dataclass(frozen=True)
 class GammaSet:
-    """Four gamma matrices, the pseudo-scalar, and the Minkowski metric."""
+    """Four gamma matrices and the pseudo-scalar; the metric is METRIC."""
 
     gamma: tuple
     gamma5: np.ndarray
-    metric: np.ndarray
     name: str
 
     def slash(self, k) -> np.ndarray:
@@ -35,7 +34,7 @@ class GammaSet:
         n = k.shape[-1]
         # one contraction against the flattened gamma stack; cheaper than
         # tensordot for the single vectors the momentum-space checks pass
-        flat = (k * np.diag(self.metric)[:n]) @ np.reshape(self.gamma[:n], (n, 16))
+        flat = (k * np.diag(METRIC)[:n]) @ np.reshape(self.gamma[:n], (n, 16))
         return flat.reshape(k.shape[:-1] + (4, 4))
 
     def chiral_right(self) -> np.ndarray:
@@ -52,7 +51,7 @@ def majorana_rep() -> GammaSet:
     g2 = _blocks(1j * I2, Z2, Z2, -1j * I2)
     g3 = _blocks(Z2, -1j * SIGMA1, -1j * SIGMA1, Z2)
     g5 = _blocks(Z2, 1j * I2, -1j * I2, Z2)
-    return GammaSet(gamma=(g0, g1, g2, g3), gamma5=g5, metric=METRIC, name="majorana")
+    return GammaSet(gamma=(g0, g1, g2, g3), gamma5=g5, name="majorana")
 
 
 def dirac_rep() -> GammaSet:
@@ -60,7 +59,7 @@ def dirac_rep() -> GammaSet:
     g0 = _blocks(I2, Z2, Z2, -I2)
     gs = [_blocks(Z2, s, -s, Z2) for s in (SIGMA1, SIGMA2, SIGMA3)]
     g5 = _blocks(Z2, I2, I2, Z2)
-    return GammaSet(gamma=(g0, *gs), gamma5=g5, metric=METRIC, name="dirac")
+    return GammaSet(gamma=(g0, *gs), gamma5=g5, name="dirac")
 
 
 def clifford_residual(gs: GammaSet) -> float:
@@ -70,7 +69,7 @@ def clifford_residual(gs: GammaSet) -> float:
         for nu in range(4):
             anti = gs.gamma[mu] @ gs.gamma[nu] + gs.gamma[nu] @ gs.gamma[mu]
             worst = max(
-                worst, float(np.abs(anti - 2.0 * gs.metric[mu, nu] * np.eye(4)).max())
+                worst, float(np.abs(anti - 2.0 * METRIC[mu, nu] * np.eye(4)).max())
             )
     g5sq = gs.gamma5 @ gs.gamma5
     worst = max(worst, float(np.abs(g5sq - np.eye(4)).max()))

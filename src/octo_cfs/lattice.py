@@ -206,12 +206,11 @@ def dirac_residual_single(kernel: SectorKernel, mass: float, pseudo: float = 0.0
 
 @dataclass(frozen=True)
 class MassData:
-    """Three charged masses, three neutrino masses, tau_reg, and a reference mass."""
+    """Three charged masses, three neutrino masses, and tau_reg."""
 
     charged_masses: tuple
     neutrino_masses: tuple
     tau_reg: float = 1.0
-    m_ref: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "charged_masses", tuple(float(m) for m in self.charged_masses))
@@ -220,7 +219,7 @@ class MassData:
             raise ValueError("exactly three masses per sector")
         for m in self.charged_masses + self.neutrino_masses:
             _require_mass(m)
-        require_finite(self, "tau_reg", "m_ref")
+        require_finite(self, "tau_reg")
         if sum(1 for m in self.neutrino_masses if m == 0.0) > 2:
             raise ValueError("at most two of the neutrino masses may vanish")
         if not 0.0 < self.tau_reg <= 1.0:
@@ -231,7 +230,6 @@ class MassData:
             "charged_masses": list(self.charged_masses),
             "neutrino_masses": list(self.neutrino_masses),
             "tau_reg": self.tau_reg,
-            "m_ref": self.m_ref,
         }
 
     @classmethod
@@ -239,8 +237,7 @@ class MassData:
         return cls(
             charged_masses=obj["charged_masses"],
             neutrino_masses=obj["neutrino_masses"],
-            tau_reg=float(obj.get("tau_reg", 1.0)),
-            m_ref=float(obj.get("m_ref", 1.0)),
+            tau_reg=float(obj["tau_reg"]),
         )
 
 
@@ -508,8 +505,6 @@ def save_kernels(path, spec: LatticeSpec, md: MassData, seas, coefficients: np.n
         "version": __version__,
         "lattice": spec.to_json(),
         "masses": md.to_json(),
-        "epsilon": spec.epsilon,
-        "tau_reg": md.tau_reg,
         "seas": list(SEA_LABELS),
         "coefficients": cfs.complex_matrix_to_json(coefficients),
         "local_correlation_convention": LOCAL_CORRELATION_CONVENTION,

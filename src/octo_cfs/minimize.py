@@ -79,7 +79,6 @@ class MinimizeReport:
     nit: int
     nfev: int
     converged: bool
-    status: str = ""
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -186,7 +185,6 @@ def minimize(
         nit=res.nit,
         nfev=res.nfev,
         converged=res.success,
-        status=res.message,
     )
     return measure, report
 
@@ -309,4 +307,5 @@ def make_family(spec: dict, cfg: cfs.SystemConfig) -> tuple:
         raise ValueError(f"{kind} family needs f = {signs.shape[1]}, got f = {cfg.f}")
     if (np.sum(signs > 0, axis=1) > cfg.n).any() or (np.sum(signs < 0, axis=1) > cfg.n).any():
         raise ValueError("sign template violates the signature bound")
-    return MeasureFamily(index, signs), np.array(spec.get("init", default), dtype=float)
+    init = cfs.json_numbers("family init", spec["init"]) if "init" in spec else default
+    return MeasureFamily(index, signs), np.array(init, dtype=float)

@@ -19,7 +19,7 @@ SPAN_TOL = 1e-9
 
 
 class SpanClosureError(RuntimeError):
-    """The generated span kept growing past the configured product-length bound."""
+    """Rounding grew the generated span past the n^2 dimensions of its n x n matrices."""
 
 
 def _coeffs(a):
@@ -69,17 +69,11 @@ def chain(word) -> np.ndarray:
 class AlgebraSpan:
     """Multiplicatively generated matrix span, held as orthonormal rows of vectorized matrices."""
 
-    orthonormal: np.ndarray  # dimension x 64, rows orthonormal under the conjugate inner product
-    field: str
+    orthonormal: np.ndarray  # dimension x n^2, rows orthonormal under the conjugate inner product
 
     @property
     def dimension(self) -> int:
         return len(self.orthonormal)
-
-    @property
-    def basis(self) -> np.ndarray:
-        """The orthonormal rows as 8x8 matrices."""
-        return self.orthonormal.reshape(-1, 8, 8)
 
 
 def _extend(q, rows, tol):
@@ -91,32 +85,32 @@ def _extend(q, rows, tol):
     return np.vstack([q, new]), new
 
 
-def span_dimension(generators, field="real", max_passes=8) -> AlgebraSpan:
-    """Associative algebra generated by the given 8x8 matrices under product and span.
+def span_dimension(generators, field="real") -> AlgebraSpan:
+    """Associative algebra generated by the given n x n matrices under product and span.
 
     Breadth-first closure: each pass multiplies the previous pass's new
     directions by every generator and keeps what lies outside the span so
     far. Closure needs only the span, so the new orthonormal directions serve
-    as the next frontier. Stops at a fixed point; raises SpanClosureError if
-    the span is still growing after `max_passes` passes (product length bound).
+    as the next frontier. Each pass that does not end the closure adds a
+    direction, so it stops at its fixed point within n^2 passes; raises
+    SpanClosureError if rounding grows the span past n^2 directions.
     """
     if field not in ("real", "complex"):
         raise ValueError("field must be 'real' or 'complex'")
     if len(generators) == 0:
         raise ValueError("span_dimension needs at least one generator")
     gens = np.array(generators, dtype=float if field == "real" else complex)
-    if gens.shape[1:] != (8, 8):
-        raise ValueError("span_dimension takes 8x8 matrices")
+    if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
+        raise ValueError("span_dimension takes square n x n matrices")
+    n = gens.shape[1]
     tol = SPAN_TOL * np.linalg.norm(gens, axis=(1, 2)).max()
-    q, frontier = _extend(np.zeros((0, 64), gens.dtype), gens.reshape(-1, 64), tol)
-    for _ in range(max_passes):
-        if not len(frontier):
-            break
-        products = frontier.reshape(-1, 1, 8, 8) @ gens
-        q, frontier = _extend(q, products.reshape(-1, 64), tol)
-    if len(frontier):
-        raise SpanClosureError(f"span still growing after {max_passes} passes (dimension {len(q)})")
-    return AlgebraSpan(orthonormal=q, field=field)
+    q, frontier = _extend(np.zeros((0, n * n), gens.dtype), gens.reshape(-1, n * n), tol)
+    while len(frontier) and len(q) <= n * n:
+        products = frontier.reshape(-1, 1, n, n) @ gens
+        q, frontier = _extend(q, products.reshape(-1, n * n), tol)
+    if len(q) > n * n:
+        raise SpanClosureError(f"span of {n}x{n} matrices grew to {len(q)} directions")
+    return AlgebraSpan(orthonormal=q)
 
 
 def octonion_inner(x: Octonion, y: Octonion):

@@ -345,6 +345,35 @@ def test_cfs_action_rejects_non_integer_dimensions(tmp_path, capsys):
         assert f"config {key} must be a JSON integer, got {bad!r}" in capsys.readouterr().err
 
 
+def test_files_reject_numbers_that_are_bools_or_strings(tmp_path, capsys):
+    path = _measure_file(tmp_path)
+    measure = read_json(path)
+    point = measure["points"][0]
+    bool_entry = [[[True, 0.0], *point[0][1:]], *point[1:]]
+    cases = [({**measure, "config": {**measure["config"], "kappa": "0.2"}}, "config kappa", "0.2"),
+             ({**measure, "config": {**measure["config"], "kappa": True}}, "config kappa", True),
+             ({**measure, "config": {**measure["config"], "s": "0"}}, "config s", "0"),
+             ({**measure, "weights": ["0.5", 0.5]}, "weight", "0.5"),
+             ({**measure, "weights": [0.5, None]}, "weight", None),
+             ({**measure, "points": [bool_entry, point]}, "point entry", True)]
+    for obj, key, bad in cases:
+        path.write_text(json.dumps(obj))
+        commands = [["cfs", "action", "--measure", str(path)], ["cfs", "classify", "--pairs", str(path)]]
+        for argv in commands[:1] if key == "weight" else commands:  # a pairs file's weights are not read
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: cannot load {argv[2][2:]} file {path}: {key} must be a JSON number, got {bad!r}\n")
+    fam_path = tmp_path / "family.json"
+    for bad in ("1.2", False):
+        family = {"type": "mirror_pair", "init": [bad, 0.4, 0.1, -0.1]}
+        fam_path.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.2}, "family": family}))
+        assert run(["cfs", "minimize", "--family", str(fam_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load family file {fam_path}: family init must be a JSON number, got {bad!r}\n")
+
+
 def test_cfs_minimize_init_with_underflowed_or_non_finite_logits(tmp_path, capsys):
     fam_path = tmp_path / "family.json"
     fam = {"config": {"f": 2, "n": 1, "kappa": 0.2}, "family": {"type": "mirror_pair"}}
@@ -550,9 +579,9 @@ def test_vacuum_containers_are_byte_identical_to_the_pinned_ones(tmp_path, capsy
     assert run(["vacuum", "build", "--L", "8", "--T", "6", "--tau", "0.7", "--out", str(vac)]) == 0
     assert run(["vacuum", "act", "--infile", str(vac), "--op", "1,2", "--out", str(acted)]) == 0
     assert hashlib.sha256(vac.read_bytes()).hexdigest() == (
-        "d5398740a58db516e55679bbd5c2e68ee979e8645597662152672831ae0c5cca")
+        "d29ca8da06bc2e8c4f0c53f7b67b3883943530b6869b6c77f6c41509ec566f15")
     assert hashlib.sha256(acted.read_bytes()).hexdigest() == (
-        "2de1a9c15153a76853d2c0699e4bd2e30216b43fb591133d98d3831a10104fbf")
+        "4539671fdf168d9132336b8c9e62cb36357df4b06b11121b29945e3d3387117e")
 
 
 def test_failed_build_or_act_leaves_the_container_and_no_temporary_file(tmp_path, capsys, monkeypatch):
@@ -1128,20 +1157,58 @@ def test_non_finite_or_mistyped_parameters_exit_2(tmp_path, capsys):
         assert reason in capsys.readouterr().err
 
 
+def _with_header(vac, path, edit):
+    """Write at `path` the container `vac` with its header replaced by edit(header)."""
+    with zipfile.ZipFile(vac) as zf:
+        chunks = {name: zf.read(name) for name in zf.namelist()}
+    chunks["header.json"] = json.dumps(edit(json.loads(chunks["header.json"]))).encode()
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in chunks.items():
+            zf.writestr(name, data)
+    return path
+
+
 @pytest.mark.parametrize("cmd", [["localize", "--point", "2,3"], ["residual"], ["act", "--op", "1"]],
                          ids=lambda cmd: cmd[0])
 def test_container_header_without_masses_exits_2(tmp_path, capsys, cmd):
     vac = tmp_path / "vac.okn"
     assert run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(vac)]) == 0
-    with zipfile.ZipFile(vac) as zf:
-        chunks = {name: zf.read(name) for name in zf.namelist()}
-    header = json.loads(chunks["header.json"])
-    del header["masses"]
-    chunks["header.json"] = json.dumps(header).encode()
-    broken = tmp_path / "broken.okn"
-    with zipfile.ZipFile(broken, "w") as zf:
-        for name, data in chunks.items():
-            zf.writestr(name, data)
+    broken = _with_header(vac, tmp_path / "broken.okn", lambda header: {k: header[k] for k in header if k != "masses"})
     capsys.readouterr()
     assert run(["vacuum", cmd[0], "--infile", str(broken), *cmd[1:]]) == 2
     assert capsys.readouterr().err == f"error: cannot load kernel container {broken}: 'masses'\n"
+
+
+def test_container_header_without_tau_reg_exits_2(tmp_path, capsys):
+    # a missing tau_reg is not read as 1, which would print the tau = 1 spectrum of a tau = 0.7 container
+    vac = tmp_path / "vac.okn"
+    assert run(["vacuum", "build", "--L", "4", "--T", "4", "--tau", "0.7", "--out", str(vac)]) == 0
+
+    def drop_tau(header):
+        header["masses"].pop("tau_reg")
+        return header
+
+    broken = _with_header(vac, tmp_path / "broken.okn", drop_tau)
+    capsys.readouterr()
+    assert run(["vacuum", "localize", "--infile", str(broken), "--point", "2,3"]) == 2
+    assert capsys.readouterr().err == f"error: cannot load kernel container {broken}: 'tau_reg'\n"
+
+
+def test_container_with_the_older_repeated_header_values_still_loads(tmp_path, capsys):
+    # containers written before each header value was stored once also carry masses.m_ref and the top-level
+    # epsilon and tau_reg; their readers ignore them
+    vac = tmp_path / "vac.okn"
+    assert run(["vacuum", "build", "--L", "4", "--T", "4", "--tau", "0.7", "--out", str(vac)]) == 0
+
+    def older(header):
+        header["masses"]["m_ref"] = 1.0
+        return {**header, "epsilon": header["lattice"]["epsilon"], "tau_reg": header["masses"]["tau_reg"]}
+
+    old = _with_header(vac, tmp_path / "old.okn", older)
+    capsys.readouterr()
+    for cmd in (["localize", "--point", "2,3"], ["residual"], ["act", "--op", "1"]):
+        outputs = []
+        for path in (vac, old):
+            assert run(["vacuum", cmd[0], "--infile", str(path), *cmd[1:]]) == 0
+            outputs.append({k: v for k, v in json.loads(capsys.readouterr().out).items() if k != "meta"})
+        assert outputs[0] == outputs[1]

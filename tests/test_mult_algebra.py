@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from octo_cfs import mult_algebra
 from octo_cfs.mult_algebra import (
     SPAN_TOL,
     SpanClosureError,
@@ -32,7 +33,7 @@ def in_span(m: np.ndarray, span) -> float:
         return 0.0
     q = span.orthonormal
     coef = q.conj() @ v
-    if span.field == "real":
+    if np.isrealobj(q):
         coef = coef.real  # a real span has real coefficients: all of Im m is residual
     return float(np.linalg.norm(v - coef @ q) / nrm)
 
@@ -124,36 +125,72 @@ def test_span_dimension_identity():
     assert span.dimension == 1
 
 
+def basis(span) -> np.ndarray:
+    """The span's orthonormal rows as n x n matrices."""
+    n = int(np.sqrt(span.orthonormal.shape[1]))
+    return span.orthonormal.reshape(-1, n, n)
+
+
 def test_span_basis_rank_equals_dimension():
     span = span_dimension([left_unit(i) for i in range(1, 8)], field="real")
-    rows = np.array([b.ravel() for b in span.basis])
+    rows = np.array([b.ravel() for b in basis(span)])
     assert np.linalg.matrix_rank(rows, tol=1e-9) == span.dimension
 
 
 def test_span_closure_products_stay_inside():
     span = span_dimension([left_unit(i) for i in range(1, 8)], field="real")
+    mats = basis(span)
     for _ in range(20):
-        a = span.basis[rng.integers(len(span.basis))]
-        b = span.basis[rng.integers(len(span.basis))]
+        a = mats[rng.integers(len(mats))]
+        b = mats[rng.integers(len(mats))]
         assert in_span(a @ b, span) < 1e-9
 
 
-def test_span_dimension_rejects_non_8x8_generators():
-    with pytest.raises(ValueError, match="8x8"):
-        span_dimension([np.eye(4)] * 4, field="real")
+def test_span_dimension_rejects_non_square_generators():
+    with pytest.raises(ValueError, match="square"):
+        span_dimension([np.ones((4, 3))] * 2, field="real")
+    with pytest.raises(ValueError, match="square"):
+        span_dimension([np.ones(4)], field="real")
 
 
-def test_span_closure_error():
-    with pytest.raises(SpanClosureError):
-        span_dimension([left_unit(i) for i in range(1, 8)], field="real", max_passes=1)
+def test_span_closure_error(monkeypatch):
+    # a negative tolerance keeps every direction, rounding noise too: the span outgrows its n^2 bound
+    monkeypatch.setattr(mult_algebra, "SPAN_TOL", -1.0)
+    with pytest.raises(SpanClosureError, match="8x8 matrices grew to"):
+        span_dimension([left_unit(i) for i in range(1, 8)], field="real")
 
 
-def oracle_span(generators, field, max_passes):
+def quaternion_left_units():
+    """L_1, L_2, L_3 of the quaternions span(e0, e1, e2, e3) on R^4 (Fano line 123)."""
+    return [left_unit(i)[:4, :4] for i in range(1, 4)]
+
+
+def test_span_dimension_of_a_single_generic_16x16_generator():
+    # the powers Q, Q^2, .., Q^16 of a generic orthogonal Q span the 16 polynomials in Q: 15 passes
+    # grow it. Orthogonal, so that the oracle's unnormalized powers keep their scale.
+    gens = [np.linalg.qr(np.random.default_rng(3).standard_normal((16, 16)))[0]]
+    assert span_dimension(gens, field="real").dimension == 16
+    assert oracle_span(gens, "real")[2] == 15
+
+
+def test_span_dimension_of_the_quaternion_left_units():
+    assert span_dimension(quaternion_left_units(), field="real").dimension == 4
+
+
+def test_span_dimension_of_h_tensor_o():
+    # L_q (x) 1 and 1 (x) L_j on R^4 (x) R^8 generate H (x) M_8(R) = H(8), of real dimension 4 * 64
+    gens = [np.kron(q, I8) for q in quaternion_left_units()]
+    gens += [np.kron(np.eye(4), left_unit(j)) for j in range(1, 8)]
+    assert span_dimension(gens, field="real").dimension == 256
+
+
+def oracle_span(generators, field):
     """Per-candidate Gram-Schmidt closure: (orthonormal rows, accepted products, passes that grew the span).
 
     The closure span_dimension had before it was batched; a test oracle only.
     """
     gens = [np.asarray(g, dtype=float if field == "real" else complex) for g in generators]
+    n = len(gens[0])
     tol = SPAN_TOL * max(np.linalg.norm(g) for g in gens)
     ortho, words = [], []
 
@@ -170,12 +207,10 @@ def oracle_span(generators, field, max_passes):
 
     frontier = [g for g in gens if try_add(g)]
     passes = 0
-    while frontier and passes < max_passes:
+    while frontier:
         frontier = [b @ g for b in frontier for g in gens if try_add(b @ g)]
         passes += bool(frontier)
-    if frontier:
-        raise SpanClosureError(f"oracle still growing after {max_passes} passes")
-    return np.array(ortho).reshape(-1, 64), np.array(words), passes
+    return np.array(ortho).reshape(-1, n * n), np.array(words), passes
 
 
 @st.composite
@@ -200,8 +235,8 @@ def generator_sets(draw):
 @given(case=generator_sets(), seed=st.integers(0, 2**32 - 1))
 def test_span_dimension_matches_per_candidate_oracle(case, seed):
     field, gens = case
-    rows, words, passes = oracle_span(gens, field, max_passes=10)
-    span = span_dimension(gens, field=field, max_passes=passes + 1)
+    rows, words, _ = oracle_span(gens, field)
+    span = span_dimension(gens, field=field)
     assert span.dimension == len(rows)
     # The span's projector is as sensitive as the accepted products are ill-conditioned.
     # Over 300 single dense real matrices A, the powers A..A^8 reached a condition number
@@ -213,14 +248,9 @@ def test_span_dimension_matches_per_candidate_oracle(case, seed):
         return q.T @ q.conj()
 
     assert np.abs(projector(span.orthonormal) - projector(rows)).max() <= tol
-    with pytest.raises(SpanClosureError):
-        oracle_span(gens, field, max_passes=passes)
-    for m in range(passes + 1):
-        with pytest.raises(SpanClosureError):
-            span_dimension(gens, field=field, max_passes=m)
     rng = np.random.default_rng(seed)
     probes = rng.standard_normal((2, 8, 8)) + (1j * rng.standard_normal((2, 8, 8)) if field == "complex" else 0)
-    probes = [*probes, np.tensordot(rng.standard_normal(span.dimension), span.basis, 1)]
+    probes = [*probes, np.tensordot(rng.standard_normal(span.dimension), basis(span), 1)]
     for m in probes:
         v = m.ravel()
         oracle_residual = np.linalg.norm(v - projector(rows) @ v) / np.linalg.norm(v)

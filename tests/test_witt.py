@@ -95,7 +95,7 @@ def test_ideal_states_independent():
 
 def test_ideal_closure_under_algebra():
     span = span_dimension([left_unit(i).astype(complex) for i in range(1, 8)], field="complex")
-    basis_mats = span.basis
+    basis_mats = span.orthonormal.reshape(-1, 8, 8)
     for which in ("u", "d"):
         states = ideal_basis(which)
         prods = []
