@@ -393,7 +393,7 @@ def test_methods_resolve_through_the_receivers_class():
         "kernel": (
             "class Space:\n"
             "    def basis(self):\n        return self.norm()\n"
-            "    def norm(self):\n        return 1\n"
+            "    def norm(self, order=2):\n        return order\n"
             "    def trace(self):\n        return 0\n"
             "    def rank(self):\n        return 0\n\n"
             "class Chain(Space):\n"
@@ -402,6 +402,7 @@ def test_methods_resolve_through_the_receivers_class():
             "    space: Space\n"
             "    def basis(self):\n        return 3\n"
             "    def rank(self):\n        return 4\n"
+            "    def norm(self, order=2):\n        return order\n"
             "    def width(self):\n        return 5\n\n"
             "def space() -> 'Space':\n    return Space()\n\n"
             "def spectrum(s: Space, frame: Frame):\n    return s.trace() + frame.space.basis()\n"
@@ -411,7 +412,7 @@ def test_methods_resolve_through_the_receivers_class():
             "def main():\n"
             "    f = Frame()\n"
             "    sp = kernel.space()\n"
-            "    return f.rank() + sp.basis() + kernel.spectrum(sp, f)\n\n"
+            "    return f.rank() + f.norm(order=1) + sp.basis() + kernel.spectrum(sp, f)\n\n"
             "def probe(thing):\n    return thing.width()\n\n"
             "if __name__ == '__main__':\n    main() + probe(None)\n"
         ),
@@ -420,6 +421,8 @@ def test_methods_resolve_through_the_receivers_class():
     assert unreached(sources, "") == ["kernel.Frame.basis", "kernel.Space.rank"]
     # `thing` has no annotation: its `.width()` matches Frame.width by name
     assert matched_by_name(sources, "") == ["kernel.Frame.width"]
+    # f.norm(order=1) sets Frame.norm's order only; Space.basis calls self.norm() with none
+    assert unset_defaults(sources, "") == ["kernel.Space.norm(order)"]
     # a subclass's override runs for a receiver of the base class, and a base method for a subclass receiver
     assert "kernel.Chain.trace" not in unreached(sources, "")
     chained = sources["cli"].replace("f.rank()", "kernel.Chain().rank()")
@@ -427,8 +430,9 @@ def test_methods_resolve_through_the_receivers_class():
     # a name with two bindings of different classes falls back to matching by name
     rebound = sources["cli"].replace("    f = Frame()\n", "    f = Frame()\n    f = kernel.space() if f else f\n")
     assert unreached({**sources, "cli": rebound}, "") == ["kernel.Frame.basis"]
-    assert matched_by_name({**sources, "cli": rebound}, "") == ["kernel.Frame.rank", "kernel.Frame.width",
-                                                               "kernel.Space.rank"]
+    assert matched_by_name({**sources, "cli": rebound}, "") == ["kernel.Frame.norm", "kernel.Frame.rank",
+                                                               "kernel.Frame.width", "kernel.Space.rank"]
+    assert unset_defaults({**sources, "cli": rebound}, "") == []
 
 
 def test_every_public_function_is_reached_by_a_command_or_the_acceptance_suite():
