@@ -40,16 +40,6 @@ def _raisable(*names) -> tuple:
     return tuple(getattr(sys.modules[m], c) for m, _, c in (n.rpartition(".") for n in names) if m in sys.modules)
 
 
-def _meta(args, **params) -> dict:
-    return {
-        "command": f"{args.group} {args.verb}",
-        "version": __version__,
-        "seed": getattr(args, "seed", None),
-        "tolerance": getattr(args, "tol", None),
-        "params": params,
-    }
-
-
 def _to_plain(obj):
     """obj with containers, numpy arrays and scalars and complex numbers turned into JSON values."""
     if type(obj) in (float, int, str, bool) or obj is None:
@@ -97,28 +87,35 @@ def _override(cfg, flag, value):
         raise ValidationError(f"--{flag}: {exc}") from exc
 
 
-def _emit(args, payload: dict, rows=None, fields=None) -> None:
-    """JSON payload, or a CSV projection of `rows` when --format csv; to --out or stdout."""
+def _emit(args, payload: dict, rows=None, fields=None, **params) -> int:
+    """Write the report and return EXIT_OK: the payload with its `meta` (`params` the keyword arguments) as JSON,
+    or a CSV projection of `rows` when --format csv; to --out or stdout. A number that is not finite anywhere in
+    the report raises FloatingPointError (exit 3) before anything is written."""
+    meta = {"command": f"{args.group} {args.verb}", "version": __version__, "seed": getattr(args, "seed", None),
+            "tolerance": getattr(args, "tol", None), "params": params}
+    try:
+        text = json.dumps(_to_plain({**payload, "meta": meta}), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise FloatingPointError("the report holds NaN or an infinite number") from exc
     if getattr(args, "format", "json") == "csv":
         import csv
 
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([fields, *rows])
         text = buf.getvalue()
-    else:
-        text = json.dumps(_to_plain(payload), indent=2, sort_keys=True) + "\n"
     if getattr(args, "out", None):
         with _writing(args.out), open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return EXIT_OK
 
 
 def _finish_checks(args, checks: list) -> int:
-    payload = {"meta": _meta(args), "checks": checks, "all_passed": all(c["passed"] for c in checks)}
+    passed = all(c["passed"] for c in checks)
     rows = [(c["name"], c["passed"], c["value"]) for c in checks]
-    _emit(args, payload, rows=rows, fields=("check", "passed", "value"))
-    return EXIT_OK if payload["all_passed"] else EXIT_CHECK_FAILED
+    status = _emit(args, {"checks": checks, "all_passed": passed}, rows=rows, fields=("check", "passed", "value"))
+    return status if passed else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------- octonion
@@ -127,10 +124,9 @@ def cmd_octonion_table(args) -> int:
     from .octonion import table_rows
 
     rows = table_rows()
-    payload = {"meta": _meta(args), "basis": [f"e{i}" for i in range(8)], "table": rows}
+    payload = {"basis": [f"e{i}" for i in range(8)], "table": rows}
     labeled = [[f"e{i}", *row] for i, row in enumerate(rows)]
-    _emit(args, payload, rows=labeled, fields=["", *(f"e{j}" for j in range(8))])
-    return EXIT_OK
+    return _emit(args, payload, rows=labeled, fields=["", *(f"e{j}" for j in range(8))])
 
 
 def cmd_octonion_check(args) -> int:
@@ -196,9 +192,7 @@ def cmd_clifford_dim(args) -> int:
 
     real = span_dimension([left_unit(i) for i in range(1, 8)], field="real")
     cplx = span_dimension([left_unit(i).astype(complex) for i in range(1, 8)], field="complex")
-    payload = {"meta": _meta(args), "real_dim": real.dimension, "complex_dim": cplx.dimension}
-    _emit(args, payload)
-    return EXIT_OK
+    return _emit(args, {"real_dim": real.dimension, "complex_dim": cplx.dimension})
 
 
 def cmd_clifford_identities(args) -> int:
@@ -241,14 +235,12 @@ def cmd_ideals_states(args) -> int:
     ch = witt.charges(states)
     rows = [(s.label, s.ideal, s.grade, str(ch[s.label])) for s in states]
     payload = {
-        "meta": _meta(args),
         "states": [
             {"label": s.label, "ideal": s.ideal, "grade": s.grade, "charge": str(ch[s.label])}
             for s in states
         ],
     }
-    _emit(args, payload, rows=rows, fields=("label", "ideal", "grade", "charge"))
-    return EXIT_OK
+    return _emit(args, payload, rows=rows, fields=("label", "ideal", "grade", "charge"))
 
 
 def cmd_ideals_su3(args) -> int:
@@ -261,24 +253,20 @@ def cmd_ideals_su3(args) -> int:
     rows = [(a + 1, b + 1, c + 1, round(float(f[a, b, c]), 12))
             for a, b, c in np.argwhere(np.abs(f) > 1e-12).tolist()]
     payload = {
-        "meta": _meta(args),
         "convention": "[Lambda_a, Lambda_b] = 2i f_abc Lambda_c",
         "nonzero": [{"a": r[0], "b": r[1], "c": r[2], "f": r[3]} for r in rows],
     }
-    _emit(args, payload, rows=rows, fields=("a", "b", "c", "f_abc"))
-    return EXIT_OK
+    return _emit(args, payload, rows=rows, fields=("a", "b", "c", "f_abc"))
 
 
 def cmd_ideals_casimir(args) -> int:
     from . import witt
 
     payload = {
-        "meta": _meta(args),
         "u": witt.classify_representation(states=witt.ideal_basis("u")),
         "d": witt.classify_representation(states=witt.ideal_basis("d")),
     }
-    _emit(args, payload)
-    return EXIT_OK
+    return _emit(args, payload)
 
 
 # ---------------------------------------------------------------- cfs
@@ -290,13 +278,11 @@ def cmd_cfs_action(args) -> int:
         measure, cfg = cfs.measure_from_json(json.load(fh))
     volume, trace = cfs.constraints(measure)
     payload = {
-        "meta": _meta(args, measure=args.measure),
         "action": cfs.action(measure, cfg=cfg),
         "volume": volume,
         "trace": trace,
     }
-    _emit(args, payload)
-    return EXIT_OK
+    return _emit(args, payload, measure=args.measure)
 
 
 def cmd_cfs_classify(args) -> int:
@@ -337,15 +323,15 @@ def cmd_cfs_classify(args) -> int:
             bad = isinstance(conns[k], cfs.NotSpinConnectable)
             entry["spin_connection_unitarity"] = f"not spin-connectable: {conns[k]}" if bad else float(unitarity[k])
         results.append(entry)
-    payload = {"meta": _meta(args, pairs=args.pairs), "results": results}
+    payload = {"results": results}
     if args.geometry and loop:
         d = conns[len(pairs):]  # D_01 D_12 D_20, then D_02 D_21 D_10: R(0,1,2) R(0,2,1) = I
         bad = [c for c in d if isinstance(c, cfs.NotSpinConnectable)]
         payload["holonomy_012_loop_residual"] = f"not spin-connectable: {bad[0]}" if bad else float(
             np.abs(d[0] @ d[1] @ d[2] @ d[3] @ d[4] @ d[5] - np.eye(len(d[0]))).max()
         )
-    _emit(args, payload, rows=[(*pair, c) for pair, c in zip(pairs, classes)], fields=("i", "j", "class"))
-    return EXIT_OK
+    rows = [(*pair, c) for pair, c in zip(pairs, classes)]
+    return _emit(args, payload, rows=rows, fields=("i", "j", "class"), pairs=args.pairs)
 
 
 def cmd_cfs_minimize(args) -> int:
@@ -365,12 +351,10 @@ def cmd_cfs_minimize(args) -> int:
     except (minimize.LineSearchFailure, minimize.MaxIterations) as exc:
         raise CheckFailure(f"optimizer failed: {exc}") from exc
     payload = {
-        "meta": _meta(args, family=args.family, kappa=cfg.kappa),
         "measure": cfs.measure_to_json(measure, cfg),
         "report": dataclasses.asdict(report),
     }
-    _emit(args, payload)
-    return EXIT_OK
+    return _emit(args, payload, family=args.family, kappa=cfg.kappa)
 
 
 def cmd_cfs_el_residual(args) -> int:
@@ -381,12 +365,10 @@ def cmd_cfs_el_residual(args) -> int:
     cfg = _override(cfg, "s", args.s)
     ells = cfs.ell(measure.points, measure, cfg).tolist()
     payload = {
-        "meta": _meta(args, measure=args.measure, s=cfg.s),
         "ell": ells,
         "spread": max(ells) - min(ells) if ells else 0.0,
     }
-    _emit(args, payload, rows=list(enumerate(ells)), fields=("point", "ell"))
-    return EXIT_OK
+    return _emit(args, payload, rows=list(enumerate(ells)), fields=("point", "ell"), measure=args.measure, s=cfg.s)
 
 
 # ---------------------------------------------------------------- vacuum
@@ -399,6 +381,8 @@ def _parse_masses(text: str):
 
 
 def cmd_vacuum_build(args) -> int:
+    import numpy as np
+
     from . import lattice
 
     try:
@@ -420,15 +404,14 @@ def cmd_vacuum_build(args) -> int:
                                      lattice.VACUUM_COEFFICIENTS)
     masses = set(md.charged_masses + md.neutrino_masses)
     payload = {
-        "meta": _meta(args, out=args.container),
         "lattice": spec.to_json(),
         "masses": md.to_json(),
         "sectors": sorted([f"aux_{name}" for name in lattice.AUX_SUMMANDS] + [f"e{i}" for i in range(8)]),
-        "onshell_residual_max": max(float(lattice.mode_onshell_residuals(m, spec).max()) for m in masses),
-        "hermiticity_residual_max": max(k.hermiticity_residual() for k in bases),
+        # np.max, not max: max drops a NaN that is not first
+        "onshell_residual_max": float(np.max([lattice.mode_onshell_residuals(m, spec).max() for m in masses])),
+        "hermiticity_residual_max": float(np.max([k.hermiticity_residual() for k in bases])),
     }
-    _emit(args, payload)
-    return EXIT_OK
+    return _emit(args, payload, out=args.container)
 
 
 def _container(infile) -> tuple:
@@ -451,9 +434,8 @@ def cmd_vacuum_residual(args) -> int:
 
     _, md, _, seas = _container(args.infile)
     res = lattice.dirac_residual(seas, md)
-    payload = {"meta": _meta(args, infile=args.infile), "residuals": res, "max": max(res.values())}
-    _emit(args, payload, rows=list(res.items()), fields=("summand", "residual"))
-    return EXIT_OK
+    payload = {"residuals": res, "max": max(res.values())}
+    return _emit(args, payload, rows=list(res.items()), fields=("summand", "residual"), infile=args.infile)
 
 
 def cmd_vacuum_localize(args) -> int:
@@ -478,13 +460,11 @@ def cmd_vacuum_localize(args) -> int:
     def describe(w):  # ascending, exact zeros outside the rank
         return {"eigenvalues": w, "n_positive": (w > 0).sum(), "n_negative": (w < 0).sum(), "rank": (w != 0).sum()}
     payload = {
-        "meta": _meta(args, infile=args.infile, point=list(point)),
         "neutrino_sector": describe(spectra[0]),
         "charged_sector": describe(spectra[1]),
         "sectors": {f"e{i}": describe(w) for i, w in enumerate(spectra[2:])},
     }
-    _emit(args, payload)
-    return EXIT_OK
+    return _emit(args, payload, infile=args.infile, point=list(point))
 
 
 def cmd_vacuum_act(args) -> int:
@@ -507,11 +487,9 @@ def cmd_vacuum_act(args) -> int:
         bases = lattice.sector_bases(seas, md.tau_reg)
     norms = lattice.sector_norms(coefficients, bases)
     payload = {
-        "meta": _meta(args, infile=args.infile, op=word, out=args.container),
         "sector_norms": {f"e{i}": v for i, v in enumerate(norms)},
     }
-    _emit(args, payload)
-    return EXIT_OK
+    return _emit(args, payload, infile=args.infile, op=word, out=args.container)
 
 
 # ---------------------------------------------------------------- majorana
@@ -520,14 +498,13 @@ def cmd_majorana_check(args) -> int:
     from . import majorana
 
     rep = majorana.check_report(seed=args.seed, variant=args.variant)
-    payload = {"meta": _meta(args, variant=args.variant), "report": rep}
-    _emit(args, payload)
+    status = _emit(args, {"report": rep}, variant=args.variant)
     ok = (
         rep["clifford_residual_majorana"] == 0.0
         and rep["reality_majorana"]["max_imag_overall"] == 0.0
         and rep["derived_factorization_max_residual"] < 1e-12
     )
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return status if ok else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------- potentials
@@ -550,17 +527,12 @@ def cmd_potentials_scan(args) -> int:
             "parity_violating" if p.mu2 > 0 and p.lambda2 > 2 * p.lambda1
             else "symmetric" if p.mu2 > 0 else "unbroken"
         )
-        payload = {
-            "meta": _meta(args, mode="tree", params=params),
-            "stationary_points": [dict(zip(fields, row)) for row in rows],
-            "regime": regime,
-        }
+        payload = {"stationary_points": [dict(zip(fields, row)) for row in rows], "regime": regime}
     else:
         rep = potentials.one_loop_vacuum(p)
         fields, rows = ("quantity", "value"), sorted(rep.items())
-        payload = {"meta": _meta(args, mode="loop", params=params), "vacuum": rep}
-    _emit(args, payload, rows=rows, fields=fields)
-    return EXIT_OK
+        payload = {"vacuum": rep}
+    return _emit(args, payload, rows=rows, fields=fields, mode="tree" if args.tree else "loop", params=params)
 
 
 # ---------------------------------------------------------------- parser

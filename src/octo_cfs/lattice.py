@@ -84,10 +84,12 @@ def chiral_sandwich(tau: float, gammas: GammaSet):
 
 
 def _require_mass(mass: float) -> None:
-    """A mass is 0 or a finite value >= 1e-150: a smaller one has a subnormal or zero square, with which
-    sqrt(m^2) differs from m, so the k = 0 mode's omega is lost and the kernel and mode paths disagree."""
-    if not (mass == 0.0 or 1e-150 <= mass < np.inf):
-        raise ValueError("masses must be finite and non-negative, 0 or >= 1e-150 (a smaller square underflows)")
+    """A mass is 0 or a value in [1e-150, 1e150]: a smaller one has a subnormal or zero square, with which
+    sqrt(m^2) differs from m, so the k = 0 mode's omega is lost and the kernel and mode paths disagree;
+    a larger one has an infinite square."""
+    if not (mass == 0.0 or 1e-150 <= mass <= 1e150):
+        raise ValueError("masses must be finite and non-negative, 0 or >= 1e-150 (a smaller square underflows) "
+                         "and <= 1e150 (a larger square overflows)")
 
 
 def mode_table(mass: float, spec: LatticeSpec, gammas: GammaSet):
@@ -476,13 +478,18 @@ def build_peak_bytes(spec: LatticeSpec) -> int:
 
 
 def _stored(zf: zipfile.ZipFile, seas):
-    """`seas` passed on, each after its chunk is written to zf; like `sector_bases`, it holds one sea at a time."""
+    """`seas` passed on, each after its chunk is written to zf; like `sector_bases`, it holds one sea at a time.
+
+    A sea that is not finite raises FloatingPointError, so `save_kernels` leaves no container.
+    """
     names = iter(SEA_LABELS)
     for sea in seas:
-        rel = np.ascontiguousarray(sea.rel)
+        rel, name = np.ascontiguousarray(sea.rel), next(names)
+        if not np.isfinite(rel).all():
+            raise FloatingPointError(f"sea {name} is not finite")
         head = io.BytesIO()
         np.lib.format.write_array_header_1_0(head, np.lib.format.header_data_from_array_1_0(rel))
-        info = zipfile.ZipInfo(f"{next(names)}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+        info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
         info.file_size = head.tell() + rel.nbytes  # known before the write, so zip64 is decided as by writestr
         with zf.open(info, "w") as fh:
             fh.write(head.getbuffer())

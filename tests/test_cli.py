@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import time
 import tracemalloc
@@ -1212,3 +1213,80 @@ def test_container_with_the_older_repeated_header_values_still_loads(tmp_path, c
             assert run(["vacuum", cmd[0], "--infile", str(path), *cmd[1:]]) == 0
             outputs.append({k: v for k, v in json.loads(capsys.readouterr().out).items() if k != "meta"})
         assert outputs[0] == outputs[1]
+
+
+NON_FINITE = "numerical failure: the report holds NaN or an infinite number\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_report_that_is_not_finite_exits_3_and_writes_nothing(tmp_path, capsys):
+    # the squared spectral spread of these points overflows: the action is inf and the ell spread NaN;
+    # mu2 = 1e308 with lambda1 = 1e-308 puts the tree potential's stationary radius at inf
+    measure = tmp_path / "huge.json"
+    measure.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.2}, "weights": [0.5, 0.5],
+                                   "points": [[[[1e90, 0], [0, 0]], [[0, 0], [-1e90, 0]]],
+                                              [[[2e90, 0], [0, 0]], [[0, 0], [-1e90, 0]]]]}))
+    tree = ["potentials", "scan", "--tree", "--params", '{"mu2": 1e308, "lambda1": 1e-308, "lambda2": 0}']
+    out = tmp_path / "report"
+    for argv in (["cfs", "action", "--measure", str(measure)], ["cfs", "el-residual", "--measure", str(measure)],
+                 tree):
+        for flags in ([], ["--out", str(out)], ["--format", "csv", "--out", str(out)]):
+            if "--format" in flags and argv[1] == "action":
+                continue  # cfs action emits no rows
+            assert run(argv + flags) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.endswith(NON_FINITE)
+            assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_vacuum_build_inputs_that_overflow_exit_and_leave_no_container(tmp_path, capsys):
+    out = tmp_path / "v.okn"
+    # the square of a mass above 1e150 overflows; a = 1e-160 puts the grid momenta beyond the floats
+    for flags, code, err in ((["--masses", "1e200,0.7,0.9"], 2, "and <= 1e150 (a larger square overflows)\n"),
+                             (["--a", "1e-160", "--eps", "1"], 3, "numerical failure: sea nu_1 is not finite\n")):
+        assert run(["vacuum", "build", "--L", "4", "--T", "4", *flags, "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(err)
+        assert list(tmp_path.iterdir()) == []
+    assert run(["vacuum", "build", "--L", "4", "--T", "4", "--masses", "1e150,0.7,0.9", "--out", str(out)]) == 0
+
+
+def test_vacuum_commands_on_a_sea_that_is_not_finite_exit_3(tmp_path, capsys):
+    vac, bad = tmp_path / "vac.okn", tmp_path / "bad.okn"
+    assert run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(vac)]) == 0
+    with zipfile.ZipFile(vac) as zf, zipfile.ZipFile(bad, "w") as bz:
+        for name in zf.namelist():
+            data = zf.read(name)
+            if name == "c_2.npy":
+                sea = np.load(io.BytesIO(data))
+                sea[0, 0, 0, 0] = np.nan
+                buf = io.BytesIO()
+                np.save(buf, sea)
+                data = buf.getvalue()
+            bz.writestr(name, data)
+    capsys.readouterr()
+    for cmd, err in ((["residual"], NON_FINITE), (["act", "--op", "1"], NON_FINITE),
+                     (["act", "--op", "1", "--out", str(tmp_path / "acted.okn")], "sea c_2 is not finite\n")):
+        assert run(["vacuum", cmd[0], "--infile", str(bad), *cmd[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.okn", "vac.okn"]
+
+
+@pytest.mark.parametrize("target", ["mode_onshell_residuals", "SectorKernel.hermiticity_residual"])
+def test_vacuum_build_maxima_keep_a_nan(tmp_path, capsys, monkeypatch, target):
+    # Python's max drops a NaN that is not its first argument; the report must hold it, and so exit 3
+    from octo_cfs import lattice
+
+    owner, name = (lattice.SectorKernel, "hermiticity_residual") if "." in target else (lattice, target)
+    real, calls = getattr(owner, name), []
+
+    def nan_on_the_second_call(*args):
+        calls.append(args)
+        value = real(*args)
+        return value * np.nan if len(calls) == 2 else value
+
+    monkeypatch.setattr(owner, name, nan_on_the_second_call)
+    assert run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(tmp_path / "v.okn")]) == 3
+    assert capsys.readouterr().err == NON_FINITE

@@ -475,3 +475,38 @@ def test_every_default_of_a_reached_function_is_set_by_a_reached_call():
     found = unset_defaults(sources, ACCEPTANCE.read_text(), kept=EXEMPT)
     assert [name for name in found if name not in UNSET_EXEMPT] == []
     assert set(UNSET_EXEMPT) <= set(found)  # each entry needs its exemption
+
+
+def reports_outside_emit(tree: ast.Module) -> list:
+    """Where a CLI module builds a report's `meta` or its exit code past `_emit`: a `_meta` helper, and each
+    cmd_* handler that names EXIT_OK or writes a "meta" key (a dict literal's key or a subscript store)."""
+    found = {"defines _meta" for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_meta"}
+    for func in tree.body:
+        if not (isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and node.id == "EXIT_OK":
+                found.add(f"{func.name} names EXIT_OK")
+            keys = node.keys if isinstance(node, ast.Dict) else (
+                [node.slice] if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) else [])
+            if any(isinstance(key, ast.Constant) and key.value == "meta" for key in keys):
+                found.add(f'{func.name} writes "meta"')
+    return sorted(found)
+
+
+def test_reports_built_outside_emit_are_found():
+    tree = ast.parse(
+        "def _meta(args):\n    return {}\n\n"
+        "def _finish(args):\n    return EXIT_OK\n\n"
+        "def cmd_a(args):\n    _emit(args, {'meta': _meta(args), 'x': 1})\n    return EXIT_OK\n\n"
+        "def cmd_b(args):\n    payload = {'x': 1}\n    payload['meta'] = {}\n    return _emit(args, payload)\n\n"
+        "def cmd_c(args):\n    return _emit(args, {'x': args['meta']}, meta=1)\n"
+    )
+    # _finish may name EXIT_OK, and cmd_c reads a "meta" key and passes a `meta` parameter: neither builds one
+    assert reports_outside_emit(tree) == ['cmd_a names EXIT_OK', 'cmd_a writes "meta"', 'cmd_b writes "meta"',
+                                          "defines _meta"]
+
+
+def test_every_cli_report_leaves_through_emit():
+    # _emit builds every report's meta and returns EXIT_OK; a handler returns what _emit returns
+    assert reports_outside_emit(ast.parse((SRC / "cli.py").read_text())) == []

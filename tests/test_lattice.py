@@ -84,7 +84,8 @@ def test_lattice_and_mass_data_reject_non_finite_or_mistyped_values():
 
 
 def test_every_mass_entry_point_takes_the_mass_data_bound():
-    # at 1.19e-159 the kernel and mode paths disagreed by 0.17 on the k = 0 mode's spectrum
+    # at 1.19e-159 the kernel and mode paths disagreed by 0.17 on the k = 0 mode's spectrum; above 1e150 the
+    # square of the mass overflows and the seas are NaN
     spec = LatticeSpec(L=2, T=3, a=0.25, epsilon=2.0)
     entry_points = (lambda m: MassData(charged_masses=(m, 0.5, 0.7), neutrino_masses=(0.1, 0.2, 0.3)),
                     lambda m: sea_kernel(m, spec),
@@ -92,10 +93,10 @@ def test_every_mass_entry_point_takes_the_mass_data_bound():
                     lambda m: occupied_modes([m], spec, 0.7),
                     lambda m: local_correlation([m, 0.5, 0.7], spec, (1, 0)))
     for call in entry_points:
-        for mass in (1.19e-159, -0.5, float("nan")):
+        for mass in (1.19e-159, -0.5, float("nan"), 1.01e150, float("inf")):
             with pytest.raises(ValueError, match="masses must be finite and non-negative, 0 or >= 1e-150"):
                 call(mass)
-        for mass in (0.0, 1e-150):
+        for mass in (0.0, 1e-150, 1e150):
             call(mass)
 
 

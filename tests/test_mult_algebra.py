@@ -166,35 +166,52 @@ def quaternion_left_units():
 
 
 def test_span_dimension_of_a_single_generic_16x16_generator():
-    # the powers Q, Q^2, .., Q^16 of a generic orthogonal Q span the 16 polynomials in Q: 15 passes
-    # grow it. Orthogonal, so that the oracle's unnormalized powers keep their scale.
-    gens = [np.linalg.qr(np.random.default_rng(3).standard_normal((16, 16)))[0]]
-    assert span_dimension(gens, field="real").dimension == 16
-    assert oracle_span(gens, "real")[2] == 15
+    # the powers A, A^2, .., A^16 of a generic A span the 16 polynomials in A: 15 passes grow it. Both an
+    # orthogonal A and a plain standard-normal one, whose powers grow until the oracle normalizes them.
+    a = np.random.default_rng(3).standard_normal((16, 16))
+    for gens in ([np.linalg.qr(a)[0]], [a]):
+        assert span_dimension(gens, field="real").dimension == 16
+        assert oracle_span(gens, "real")[2] == 15
 
 
 def test_span_dimension_of_the_quaternion_left_units():
     assert span_dimension(quaternion_left_units(), field="real").dimension == 4
 
 
+def h_tensor_o():
+    """L_q (x) 1 and 1 (x) L_j on R^4 (x) R^8."""
+    return [np.kron(q, I8) for q in quaternion_left_units()] + [np.kron(np.eye(4), left_unit(j)) for j in range(1, 8)]
+
+
 def test_span_dimension_of_h_tensor_o():
-    # L_q (x) 1 and 1 (x) L_j on R^4 (x) R^8 generate H (x) M_8(R) = H(8), of real dimension 4 * 64
-    gens = [np.kron(q, I8) for q in quaternion_left_units()]
-    gens += [np.kron(np.eye(4), left_unit(j)) for j in range(1, 8)]
-    assert span_dimension(gens, field="real").dimension == 256
+    # H (x) M_8(R) = H(8), of real dimension 4 * 64
+    assert span_dimension(h_tensor_o(), field="real").dimension == 256
+
+
+def test_span_dimension_of_c_tensor_h_tensor_o():
+    # over C: C (x) H (x) O generates C (x) H(8) = M_16(C), of complex dimension 256
+    assert span_dimension([g.astype(complex) for g in h_tensor_o()], field="complex").dimension == 256
+
+
+def test_span_dimension_of_h_from_both_sides_tensor_o():
+    # adding the quaternion right units R_q (x) 1: H (x) H^op (x) M_8(R) = M_4(R) (x) M_8(R) = M_32(R)
+    gens = h_tensor_o() + [np.kron(right_unit(i)[:4, :4], I8) for i in range(1, 4)]
+    assert span_dimension(gens, field="real").dimension == 1024
 
 
 def oracle_span(generators, field):
-    """Per-candidate Gram-Schmidt closure: (orthonormal rows, accepted products, passes that grew the span).
+    """Per-candidate Gram-Schmidt closure: (orthonormal rows, accepted products at unit norm, passes that grew it).
 
-    The closure span_dimension had before it was batched; a test oracle only.
+    The closure span_dimension had before it was batched; a test oracle only. Each accepted product is
+    scaled to unit norm before it is multiplied again, so the powers of a generator cannot overflow.
     """
     gens = [np.asarray(g, dtype=float if field == "real" else complex) for g in generators]
     n = len(gens[0])
     tol = SPAN_TOL * max(np.linalg.norm(g) for g in gens)
     ortho, words = [], []
 
-    def try_add(m):
+    def accepted(m):
+        """m / |m| when m adds a direction, else None."""
         v = m.ravel().copy()
         for _ in range(2):  # the second pass guards against loss of orthogonality
             for q in ortho:
@@ -202,13 +219,13 @@ def oracle_span(generators, field):
         nrm = np.linalg.norm(v)
         if nrm > tol:
             ortho.append(v / nrm)
-            words.append(m)
-        return nrm > tol
+            words.append(m / np.linalg.norm(m))
+            return words[-1]
 
-    frontier = [g for g in gens if try_add(g)]
+    frontier = [w for w in map(accepted, gens) if w is not None]
     passes = 0
     while frontier:
-        frontier = [b @ g for b in frontier for g in gens if try_add(b @ g)]
+        frontier = [w for w in (accepted(b @ g) for b in frontier for g in gens) if w is not None]
         passes += bool(frontier)
     return np.array(ortho).reshape(-1, n * n), np.array(words), passes
 
@@ -241,8 +258,7 @@ def test_span_dimension_matches_per_candidate_oracle(case, seed):
     # The span's projector is as sensitive as the accepted products are ill-conditioned.
     # Over 300 single dense real matrices A, the powers A..A^8 reached a condition number
     # of 5e5, and both closures differed from a 40-digit reference by up to 4e-12.
-    unit_words = words.reshape(len(words), -1) / np.linalg.norm(words, axis=(1, 2))[:, None]
-    tol = max(1e-12, 10 * np.finfo(float).eps * np.linalg.cond(unit_words))
+    tol = max(1e-12, 10 * np.finfo(float).eps * np.linalg.cond(words.reshape(len(words), -1)))
 
     def projector(q):
         return q.T @ q.conj()
