@@ -193,7 +193,8 @@ def pair_spectra(xs, ys, cfg: SystemConfig) -> np.ndarray:
 def lagrangians(xs, ys, cfg: SystemConfig) -> np.ndarray:
     """kappa-Lagrangian sum_ij (|l_i|-|l_j|)^2 / 4n + kappa (sum_j |l_j|)^2 of every pair of xs x ys."""
     m = np.abs(pair_spectra(xs, ys, cfg))  # first term as its equal sum_i (m_i - mean m)^2
-    return np.sum((m - m.mean(axis=-1, keepdims=True)) ** 2, axis=-1) + cfg.kappa * np.sum(m, axis=-1) ** 2
+    with np.errstate(all="ignore"):  # a square that overflows gives inf or NaN, which every command rejects
+        return np.sum((m - m.mean(axis=-1, keepdims=True)) ** 2, axis=-1) + cfg.kappa * np.sum(m, axis=-1) ** 2
 
 
 def causal_classes(lam: np.ndarray) -> np.ndarray:
@@ -372,7 +373,7 @@ def spin_connections(frames, i, j):
     dim, same = np.count_nonzero(w, axis=1), np.all(mats[i] == mats[j], axis=(1, 2))
     out = [NotSpinConnectable("spin spaces have different dimensions") for _ in i]
     resid = np.full(len(i), np.nan)
-    for k in np.unique(dim[i]):
+    for k in set(dim[i].tolist()):  # not np.unique, which imports numpy.ma
         sel = np.flatnonzero((dim[i] == k) & (dim[j] == k))
         lx, ly = w[i[sel], :k], w[j[sel], :k]
         g = u[i[sel], :, :k].conj().swapaxes(1, 2) @ u[j[sel], :, :k]

@@ -40,23 +40,13 @@ def _raisable(*names) -> tuple:
     return tuple(getattr(sys.modules[m], c) for m, _, c in (n.rpartition(".") for n in names) if m in sys.modules)
 
 
-def _to_plain(obj):
-    """obj with containers, numpy arrays and scalars and complex numbers turned into JSON values."""
-    if type(obj) in (float, int, str, bool) or obj is None:
-        return obj
-    if isinstance(obj, dict):
-        return {k: _to_plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_plain(v) for v in obj]
-    import numpy as np
-
-    if isinstance(obj, np.ndarray):
-        return _to_plain(obj.tolist())
-    if isinstance(obj, np.generic):
-        obj = obj.item()
+def _json_value(obj):
+    """The JSON value of what json cannot encode itself: a complex number as [re, im], a numpy array or scalar."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    return obj
+    if hasattr(obj, "tolist"):  # numpy arrays and scalars: nested lists of Python values, or the Python value
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 @contextlib.contextmanager
@@ -94,7 +84,8 @@ def _emit(args, payload: dict, rows=None, fields=None, **params) -> int:
     meta = {"command": f"{args.group} {args.verb}", "version": __version__, "seed": getattr(args, "seed", None),
             "tolerance": getattr(args, "tol", None), "params": params}
     try:
-        text = json.dumps(_to_plain({**payload, "meta": meta}), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps({**payload, "meta": meta}, indent=2, sort_keys=True, allow_nan=False,
+                          default=_json_value) + "\n"
     except ValueError as exc:
         raise FloatingPointError("the report holds NaN or an infinite number") from exc
     if getattr(args, "format", "json") == "csv":
@@ -652,8 +643,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (*_raisable("octo_cfs.cfs.EigensolverError", "octo_cfs.mult_algebra.SpanClosureError",
-                       "numpy.linalg.LinAlgError"), FloatingPointError) as exc:
+    except (*_raisable("octo_cfs.cfs.EigensolverError", "numpy.linalg.LinAlgError"), FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -166,9 +166,10 @@ def sea_kernel(mass: float, spec: LatticeSpec) -> SectorKernel:
     Every mode carries the regularization factor exp(-eps * omega); the
     chiral neutrino regularization is applied to the summed seas (sector_bases).
     """
-    omegas, _, mats = _mode_matrices(mass, spec, dirac_rep())
-    dts = np.arange(-(spec.T - 1), spec.T) * spec.a
-    rel = mode_sum(np.exp(1j * np.outer(dts, omegas)), mats, spec)  # e^{+i omega dt}
+    with np.errstate(all="ignore"):  # grid momenta that overflow give a sea that is not finite, which _stored rejects
+        omegas, _, mats = _mode_matrices(mass, spec, dirac_rep())
+        dts = np.arange(-(spec.T - 1), spec.T) * spec.a
+        rel = mode_sum(np.exp(1j * np.outer(dts, omegas)), mats, spec)  # e^{+i omega dt}
     return SectorKernel(spec, rel)
 
 

@@ -2,8 +2,9 @@
 
 Octonions are written as column vectors of coefficients over e0..e7, so a
 left (right) multiplication is an 8x8 matrix. Composing these matrices
-generates the associative multiplication algebras O_L and O_R. The
-per-octonion functions also take stacks, coefficients of shape (..., 8).
+generates the associative multiplication algebras O_L and O_R, each found as
+a double commutant. The per-octonion functions also take stacks, coefficients
+of shape (..., 8).
 """
 
 from __future__ import annotations
@@ -14,12 +15,8 @@ import numpy as np
 
 from .octonion import STRUCTURE, ComplexOctonion, Octonion
 
-#: Relative singular-value tolerance used for span independence decisions.
+#: Relative tolerance used for span independence and null-space decisions.
 SPAN_TOL = 1e-9
-
-
-class SpanClosureError(RuntimeError):
-    """Rounding grew the generated span past the n^2 dimensions of its n x n matrices."""
 
 
 def _coeffs(a):
@@ -76,41 +73,47 @@ class AlgebraSpan:
         return len(self.orthonormal)
 
 
-def _extend(q, rows, tol):
-    """Grow q by the directions of `rows` outside its span; return (q, new directions)."""
-    for _ in range(2):  # the second projection restores orthogonality lost to rounding
-        rows = rows - (rows @ q.conj().T) @ q
-    _, sv, vh = np.linalg.svd(rows, full_matrices=False)
-    new = vh[sv > tol]
-    return np.vstack([q, new]), new
+def _matrices(generators, field) -> np.ndarray:
+    """The generators as one (count, n, n) array in the field's dtype; ValueError unless there are some, all square."""
+    if field not in ("real", "complex"):
+        raise ValueError("field must be 'real' or 'complex'")
+    gens = np.array(generators, dtype=float if field == "real" else complex)
+    if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:  # no generator at all has shape (0,)
+        raise ValueError("needs one or more square n x n generators")
+    return gens
+
+
+def commutant(generators, field) -> np.ndarray:
+    """Orthonormal basis, as row-major vectorized rows, of {X : g X = X g for every generator g}.
+
+    It is the null space of one eigh of sum_g K_g^H K_g, K_g = g (x) I - I (x) g^T, built in closed form as
+    (sum g^H g) (x) I + I (x) (sum conj(g) g^T) - C - C^H with C = sum g^H (x) g^T. The cut is relative to the
+    bound 4 sum_g |g|_F^2 of its eigenvalues, not to the largest, which is 0 or rounding for scalar generators.
+    """
+    gens = _matrices(generators, field)
+    n = gens.shape[1]
+    eye, conj = np.eye(n), gens.conj()
+    cross = np.einsum("gji,glk->ikjl", conj, gens).reshape(n * n, n * n)
+    gram = np.kron(np.einsum("gji,gjk->ik", conj, gens), eye) + np.kron(eye, np.einsum("gij,gkj->ik", conj, gens))
+    gram -= cross + cross.conj().T
+    values, vectors = np.linalg.eigh(gram)
+    return vectors[:, values <= SPAN_TOL * 4 * np.vdot(gens, gens).real].T
 
 
 def span_dimension(generators, field="real") -> AlgebraSpan:
-    """Associative algebra generated by the given n x n matrices under product and span.
+    """Unital algebra generated by n x n matrices closed under the adjoint: their double commutant.
 
-    Breadth-first closure: each pass multiplies the previous pass's new
-    directions by every generator and keeps what lies outside the span so
-    far. Closure needs only the span, so the new orthonormal directions serve
-    as the next frontier. Each pass that does not end the closure adds a
-    direction, so it stops at its fixed point within n^2 passes; raises
-    SpanClosureError if rounding grows the span past n^2 directions.
+    Such an algebra is semisimple and equals its double commutant (von Neumann; Wedderburn-Artin), which is
+    the closure under products and span whenever that holds the identity, as for the units (L_i^2 = -1).
+    Raises ValueError unless the adjoint of each generator lies in the generators' span.
     """
-    if field not in ("real", "complex"):
-        raise ValueError("field must be 'real' or 'complex'")
-    if len(generators) == 0:
-        raise ValueError("span_dimension needs at least one generator")
-    gens = np.array(generators, dtype=float if field == "real" else complex)
-    if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
-        raise ValueError("span_dimension takes square n x n matrices")
+    gens = _matrices(generators, field)
     n = gens.shape[1]
-    tol = SPAN_TOL * np.linalg.norm(gens, axis=(1, 2)).max()
-    q, frontier = _extend(np.zeros((0, n * n), gens.dtype), gens.reshape(-1, n * n), tol)
-    while len(frontier) and len(q) <= n * n:
-        products = frontier.reshape(-1, 1, n, n) @ gens
-        q, frontier = _extend(q, products.reshape(-1, n * n), tol)
-    if len(q) > n * n:
-        raise SpanClosureError(f"span of {n}x{n} matrices grew to {len(q)} directions")
-    return AlgebraSpan(orthonormal=q)
+    both = np.concatenate([gens, gens.conj().swapaxes(1, 2)]).reshape(2 * len(gens), n * n)
+    tol = SPAN_TOL * np.linalg.norm(both, axis=1).max()
+    if np.linalg.matrix_rank(both, tol=tol) > np.linalg.matrix_rank(both[: len(gens)], tol=tol):
+        raise ValueError("span_dimension needs generators closed under the adjoint")
+    return AlgebraSpan(orthonormal=commutant(commutant(gens, field).reshape(-1, n, n), field))
 
 
 def octonion_inner(x: Octonion, y: Octonion):

@@ -65,7 +65,8 @@ def tree_potential(sL, sR, p: TreeParams):
     sR = np.asarray(sR, dtype=float)
     if np.any(sL < 0) or np.any(sR < 0):
         raise ValueError("radial variables must be non-negative")
-    out = -p.mu2 * (sL + sR) + p.lambda1 * (sL**2 + sR**2) + p.lambda2 * (sL * sR)
+    with np.errstate(all="ignore"):  # the report's finiteness check rejects a value that overflows
+        out = -p.mu2 * (sL + sR) + p.lambda1 * (sL**2 + sR**2) + p.lambda2 * (sL * sR)
     return float(out) if out.ndim == 0 else out
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import time
 import tracemalloc
+import warnings
 import weakref
 import zipfile
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from octo_cfs import cfs
-from octo_cfs.cli import _to_plain, build_parser, main
+from octo_cfs.cli import build_parser, main
 from octo_cfs.lattice import (AUX_SUMMANDS, VACUUM_COEFFICIENTS, LatticeSpec, MassData, dirac_residual_single,
                               vacuum_seas)
 from octo_cfs.mult_algebra import chain
@@ -721,7 +722,8 @@ def test_cli_import_loads_no_scipy():
 def test_cfs_classify_geometry_loads_no_scipy(tmp_path):
     argv = ["cfs", "classify", "--pairs", str(_geometry_pairs_file(tmp_path)), "--geometry",
             "--out", str(tmp_path / "geo.json")]
-    assert _modules_after(f"assert octo_cfs.cli.main({argv!r}) == 0")["scipy"] == []
+    loaded = _modules_after(f"assert octo_cfs.cli.main({argv!r}) == 0")
+    assert loaded["scipy"] == [] and "numpy.ma" not in loaded["numpy"]
     assert "holonomy_012_loop_residual" in read_json(tmp_path / "geo.json")
 
 
@@ -781,9 +783,9 @@ def test_each_command_loads_only_its_layers(command, tmp_path):
 
 @pytest.mark.parametrize("group, patched, raised", [
     ("cfs", "cfs.action", "layer.EigensolverError"),
-    ("clifford", "mult_algebra.span_dimension", "layer.SpanClosureError"),
+    ("clifford", "mult_algebra.span_dimension", "__import__('numpy').linalg.LinAlgError"),
     ("potentials", "potentials.tree_stationary_points", "__import__('numpy').linalg.LinAlgError"),
-], ids=("EigensolverError", "SpanClosureError", "LinAlgError"))
+], ids=("EigensolverError", "LinAlgError-span_dimension", "LinAlgError"))
 def test_numerical_failure_classes_exit_3_and_load_no_other_layer(group, patched, raised, tmp_path):
     argv = _layers_argv(group, tmp_path)
     module, _, name = patched.rpartition(".")
@@ -933,21 +935,33 @@ def test_vacuum_act_in_place_matches_act_to_another_path(tmp_path, capsys):
     assert same.read_bytes() == (tmp_path / "other.okn").read_bytes()
 
 
-def test_to_plain_maps_numpy_scalars_and_complex_to_json_values():
+def test_emit_maps_numpy_scalars_and_complex_to_json_values(capsys):
+    from octo_cfs.cli import _emit
+
     obj = {
         "b": np.bool_(True), "f": np.float64(0.1), "f32": np.float32(0.5), "i": np.int64(7), "u": np.uint8(3),
         "z": np.complex128(1 - 2j), "c": 2 + 3j, "s": np.str_("x"), "a": np.array([[1.5, 2.0]]),
         "t": (np.False_, None, "y", 4, 0.25, True), "nested": [{"k": np.arange(2)}],
+        "za": np.array([1j, 2.0]), "big": np.float64(1e300), "tiny": np.float64(5e-324),
     }
-    plain = _to_plain(obj)
+    args = build_parser("clifford").parse_args(["clifford", "dim"])
+    assert _emit(args, obj) == 0
+    text = capsys.readouterr().out
+    plain = json.loads(text)
+    assert plain.pop("meta")["command"] == "clifford dim"
     assert plain == {
         "b": True, "f": 0.1, "f32": 0.5, "i": 7, "u": 3, "z": [1.0, -2.0], "c": [2.0, 3.0], "s": "x",
         "a": [[1.5, 2.0]], "t": [False, None, "y", 4, 0.25, True], "nested": [{"k": [0, 1]}],
+        "za": [[0.0, 1.0], [2.0, 0.0]], "big": 1e300, "tiny": 5e-324,
     }
-    kinds = {k: type(v) for k, v in plain.items()}
-    assert kinds["b"] is bool and kinds["f"] is float and kinds["i"] is int and kinds["s"] is str
-    assert type(plain["t"][0]) is bool and type(plain["z"][0]) is float
-    json.dumps(plain)
+    # numpy floats print as the Python float of the same value: float repr, not numpy's
+    assert '"f": 0.1,' in text and '"big": 1e+300,' in text and '"tiny": 5e-324' in text
+    for bad in (np.float64("nan"), np.float32("inf"), np.array([1.0, np.nan]), complex(np.inf, 0)):
+        with pytest.raises(FloatingPointError):
+            _emit(args, {"x": bad})
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        _emit(args, {"x": {1}})
+    assert capsys.readouterr().out == ""
 
 
 def test_cfs_flags_reject_non_finite_or_out_of_range_values(tmp_path, capsys):
@@ -1218,7 +1232,6 @@ def test_container_with_the_older_repeated_header_values_still_loads(tmp_path, c
 NON_FINITE = "numerical failure: the report holds NaN or an infinite number\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_report_that_is_not_finite_exits_3_and_writes_nothing(tmp_path, capsys):
     # the squared spectral spread of these points overflows: the action is inf and the ell spread NaN;
     # mu2 = 1e308 with lambda1 = 1e-308 puts the tree potential's stationary radius at inf
@@ -1233,19 +1246,22 @@ def test_a_report_that_is_not_finite_exits_3_and_writes_nothing(tmp_path, capsys
         for flags in ([], ["--out", str(out)], ["--format", "csv", "--out", str(out)]):
             if "--format" in flags and argv[1] == "action":
                 continue  # cfs action emits no rows
-            assert run(argv + flags) == 3
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert run(argv + flags) == 3
             captured = capsys.readouterr()
-            assert captured.out == "" and captured.err.endswith(NON_FINITE)
+            assert captured.out == "" and captured.err == NON_FINITE
             assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_vacuum_build_inputs_that_overflow_exit_and_leave_no_container(tmp_path, capsys):
     out = tmp_path / "v.okn"
     # the square of a mass above 1e150 overflows; a = 1e-160 puts the grid momenta beyond the floats
     for flags, code, err in ((["--masses", "1e200,0.7,0.9"], 2, "and <= 1e150 (a larger square overflows)\n"),
                              (["--a", "1e-160", "--eps", "1"], 3, "numerical failure: sea nu_1 is not finite\n")):
-        assert run(["vacuum", "build", "--L", "4", "--T", "4", *flags, "--out", str(out)]) == code
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["vacuum", "build", "--L", "4", "--T", "4", *flags, "--out", str(out)]) == code
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.endswith(err)
         assert list(tmp_path.iterdir()) == []

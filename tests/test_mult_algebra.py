@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from octo_cfs import mult_algebra
 from octo_cfs.mult_algebra import (
     SPAN_TOL,
-    SpanClosureError,
     chain,
+    commutant,
     left_matrix,
     left_right_equality,
     left_unit,
@@ -153,11 +152,14 @@ def test_span_dimension_rejects_non_square_generators():
         span_dimension([np.ones(4)], field="real")
 
 
-def test_span_closure_error(monkeypatch):
-    # a negative tolerance keeps every direction, rounding noise too: the span outgrows its n^2 bound
-    monkeypatch.setattr(mult_algebra, "SPAN_TOL", -1.0)
-    with pytest.raises(SpanClosureError, match="8x8 matrices grew to"):
-        span_dimension([left_unit(i) for i in range(1, 8)], field="real")
+@settings(max_examples=20, deadline=None)
+@given(field=st.sampled_from(["real", "complex"]), count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_span_dimension_rejects_generators_not_closed_under_the_adjoint(field, count, seed):
+    # dense matrices: the double commutant of {A} would be the unital algebra of {A, A^H}, not that of A
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((count, 8, 8)) + (1j * rng.standard_normal((count, 8, 8)) if field == "complex" else 0)
+    with pytest.raises(ValueError, match="closed under the adjoint"):
+        span_dimension(list(dense), field=field)
 
 
 def quaternion_left_units():
@@ -166,12 +168,10 @@ def quaternion_left_units():
 
 
 def test_span_dimension_of_a_single_generic_16x16_generator():
-    # the powers A, A^2, .., A^16 of a generic A span the 16 polynomials in A: 15 passes grow it. Both an
-    # orthogonal A and a plain standard-normal one, whose powers grow until the oracle normalizes them.
-    a = np.random.default_rng(3).standard_normal((16, 16))
-    for gens in ([np.linalg.qr(a)[0]], [a]):
-        assert span_dimension(gens, field="real").dimension == 16
-        assert oracle_span(gens, "real")[2] == 15
+    # a generic orthogonal Q with its adjoint Q^T = Q^-1: the algebra is the 16 polynomials in Q
+    q = np.linalg.qr(np.random.default_rng(3).standard_normal((16, 16)))[0]
+    assert span_dimension([q, q.T], field="real").dimension == 16
+    assert len(oracle_span([q, q.T], "real")[0]) == 16
 
 
 def test_span_dimension_of_the_quaternion_left_units():
@@ -193,17 +193,39 @@ def test_span_dimension_of_c_tensor_h_tensor_o():
     assert span_dimension([g.astype(complex) for g in h_tensor_o()], field="complex").dimension == 256
 
 
+def h_from_both_sides_tensor_o():
+    """h_tensor_o() and the quaternion right units R_q (x) 1."""
+    return h_tensor_o() + [np.kron(right_unit(i)[:4, :4], I8) for i in range(1, 4)]
+
+
 def test_span_dimension_of_h_from_both_sides_tensor_o():
-    # adding the quaternion right units R_q (x) 1: H (x) H^op (x) M_8(R) = M_4(R) (x) M_8(R) = M_32(R)
-    gens = h_tensor_o() + [np.kron(right_unit(i)[:4, :4], I8) for i in range(1, 4)]
-    assert span_dimension(gens, field="real").dimension == 1024
+    # H (x) H^op (x) M_8(R) = M_4(R) (x) M_8(R) = M_32(R)
+    assert span_dimension(h_from_both_sides_tensor_o(), field="real").dimension == 1024
+
+
+@pytest.mark.parametrize("generators, field, dim", [
+    ([left_unit(i) for i in range(1, 8)], "real", 1),
+    (quaternion_left_units(), "real", 4),
+    (h_tensor_o(), "real", 4),
+    ([g.astype(complex) for g in h_tensor_o()], "complex", 4),
+    (h_from_both_sides_tensor_o(), "real", 1),
+], ids=("O_L", "H_L", "HxO", "CxHxO", "HxHopxO"))
+def test_commutant_dimension_names_the_division_algebra(generators, field, dim):
+    # Wedderburn-Artin: A = M_k(D) has commutant D^op (R: 1, H: 4); over C, C (x) H(8) = M_16(C) acts on C^32
+    # with multiplicity 2, so its commutant is M_2(C), of complex dimension 4
+    basis = commutant(generators, field)
+    assert len(basis) == dim
+    n = len(generators[0])
+    x = basis.reshape(-1, n, n)
+    for g in generators:
+        assert np.abs(g @ x - x @ g).max() < 1e-12
 
 
 def oracle_span(generators, field):
-    """Per-candidate Gram-Schmidt closure: (orthonormal rows, accepted products at unit norm, passes that grew it).
+    """Per-candidate Gram-Schmidt closure under products and span: (orthonormal rows, accepted products at unit norm).
 
-    The closure span_dimension had before it was batched; a test oracle only. Each accepted product is
-    scaled to unit norm before it is multiplied again, so the powers of a generator cannot overflow.
+    A test oracle only. Each accepted product is scaled to unit norm before it is multiplied again, so the
+    powers of a generator cannot overflow.
     """
     gens = [np.asarray(g, dtype=float if field == "real" else complex) for g in generators]
     n = len(gens[0])
@@ -223,16 +245,14 @@ def oracle_span(generators, field):
             return words[-1]
 
     frontier = [w for w in map(accepted, gens) if w is not None]
-    passes = 0
     while frontier:
         frontier = [w for w in (accepted(b @ g) for b in frontier for g in gens) if w is not None]
-        passes += bool(frontier)
-    return np.array(ortho).reshape(-1, n * n), np.array(words), passes
+    return np.array(ortho).reshape(-1, n * n), np.array(words)
 
 
 @st.composite
 def generator_sets(draw):
-    """Generators in one field: scaled units I, L_1..L_7, R_1..R_7, or 1-3 dense random matrices."""
+    """Adjoint-closed generators in one field: scaled units I, L_1..L_7, R_1..R_7, or {A, A^H} of 1-3 dense A."""
     field = draw(st.sampled_from(["real", "complex"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -245,19 +265,19 @@ def generator_sets(draw):
     dense = rng.standard_normal((count, 8, 8))
     if field == "complex":
         dense = dense + 1j * rng.standard_normal((count, 8, 8))
-    return field, list(dense)
+    return field, [*dense, *dense.conj().swapaxes(1, 2)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=generator_sets(), seed=st.integers(0, 2**32 - 1))
 def test_span_dimension_matches_per_candidate_oracle(case, seed):
     field, gens = case
-    rows, words, _ = oracle_span(gens, field)
+    rows, words = oracle_span(gens, field)
     span = span_dimension(gens, field=field)
     assert span.dimension == len(rows)
-    # The span's projector is as sensitive as the accepted products are ill-conditioned.
+    # The oracle's projector is as sensitive as its accepted products are ill-conditioned.
     # Over 300 single dense real matrices A, the powers A..A^8 reached a condition number
-    # of 5e5, and both closures differed from a 40-digit reference by up to 4e-12.
+    # of 5e5, and the closure differed from a 40-digit reference by up to 4e-12.
     tol = max(1e-12, 10 * np.finfo(float).eps * np.linalg.cond(words.reshape(len(words), -1)))
 
     def projector(q):
