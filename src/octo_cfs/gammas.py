@@ -63,17 +63,12 @@ def dirac_rep() -> GammaSet:
 
 
 def clifford_residual(gs: GammaSet) -> float:
-    """Max-norm residual of {gamma^mu, gamma^nu} = 2 eta^{mu nu} I."""
-    worst = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            anti = gs.gamma[mu] @ gs.gamma[nu] + gs.gamma[nu] @ gs.gamma[mu]
-            worst = max(
-                worst, float(np.abs(anti - 2.0 * METRIC[mu, nu] * np.eye(4)).max())
-            )
-    g5sq = gs.gamma5 @ gs.gamma5
-    worst = max(worst, float(np.abs(g5sq - np.eye(4)).max()))
-    for mu in range(4):
-        anti = gs.gamma5 @ gs.gamma[mu] + gs.gamma[mu] @ gs.gamma5
-        worst = max(worst, float(np.abs(anti).max()))
-    return worst
+    """Max-norm residual of {gamma^a, gamma^b} = 2 eta^{ab} I over a, b in 0..3 and 5, with eta^{55} = 1.
+
+    The (5, 5) entry is halved, so it reads |gamma5^2 - I|; the other squares enter as |2 gamma^2 - 2 eta I|.
+    """
+    g = np.stack([*gs.gamma, gs.gamma5])
+    eta = np.diag([*np.diag(METRIC), 1.0])
+    anti = np.abs(g[:, None] @ g + g @ g[:, None] - 2.0 * eta[:, :, None, None] * np.eye(4)).max(axis=(2, 3))
+    anti[4, 4] /= 2
+    return float(anti.max())

@@ -73,24 +73,24 @@ class AlgebraSpan:
         return len(self.orthonormal)
 
 
-def _matrices(generators, field) -> np.ndarray:
-    """The generators as one (count, n, n) array in the field's dtype; ValueError unless there are some, all square."""
-    if field not in ("real", "complex"):
-        raise ValueError("field must be 'real' or 'complex'")
-    gens = np.array(generators, dtype=float if field == "real" else complex)
+def _matrices(generators) -> np.ndarray:
+    """The generators as one (count, n, n) array, float64 when every entry is real (a zero imaginary part too),
+    complex otherwise; ValueError unless there are some, all square."""
+    gens = np.array(generators)
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:  # no generator at all has shape (0,)
         raise ValueError("needs one or more square n x n generators")
-    return gens
+    return gens.real.astype(float) if np.all(gens.imag == 0) else gens.astype(complex)
 
 
-def commutant(generators, field) -> np.ndarray:
+def commutant(generators) -> np.ndarray:
     """Orthonormal basis, as row-major vectorized rows, of {X : g X = X g for every generator g}.
 
     It is the null space of one eigh of sum_g K_g^H K_g, K_g = g (x) I - I (x) g^T, built in closed form as
     (sum g^H g) (x) I + I (x) (sum conj(g) g^T) - C - C^H with C = sum g^H (x) g^T. The cut is relative to the
     bound 4 sum_g |g|_F^2 of its eigenvalues, not to the largest, which is 0 or rounding for scalar generators.
+    Real generators solve a real Gram; their complex commutant is the complex span of the real basis.
     """
-    gens = _matrices(generators, field)
+    gens = _matrices(generators)
     n = gens.shape[1]
     eye, conj = np.eye(n), gens.conj()
     cross = np.einsum("gji,glk->ikjl", conj, gens).reshape(n * n, n * n)
@@ -105,15 +105,22 @@ def span_dimension(generators, field="real") -> AlgebraSpan:
 
     Such an algebra is semisimple and equals its double commutant (von Neumann; Wedderburn-Artin), which is
     the closure under products and span whenever that holds the identity, as for the units (L_i^2 = -1).
-    Raises ValueError unless the adjoint of each generator lies in the generators' span.
+    The field only types the result: real generators are solved over R also for "complex", since the complex
+    algebra is the complexification of the real one, of the same dimension. Raises ValueError for "real" with
+    complex entries, and unless the adjoint of each generator lies in the generators' span.
     """
-    gens = _matrices(generators, field)
+    if field not in ("real", "complex"):
+        raise ValueError("field must be 'real' or 'complex'")
+    gens = _matrices(generators)
+    if field == "real" and np.iscomplexobj(gens):
+        raise ValueError("field 'real' needs generators with real entries")
     n = gens.shape[1]
     both = np.concatenate([gens, gens.conj().swapaxes(1, 2)]).reshape(2 * len(gens), n * n)
     tol = SPAN_TOL * np.linalg.norm(both, axis=1).max()
     if np.linalg.matrix_rank(both, tol=tol) > np.linalg.matrix_rank(both[: len(gens)], tol=tol):
         raise ValueError("span_dimension needs generators closed under the adjoint")
-    return AlgebraSpan(orthonormal=commutant(commutant(gens, field).reshape(-1, n, n), field))
+    rows = commutant(commutant(gens).reshape(-1, n, n))
+    return AlgebraSpan(orthonormal=rows.astype(float if field == "real" else complex))
 
 
 def octonion_inner(x: Octonion, y: Octonion):

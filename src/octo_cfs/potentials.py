@@ -140,27 +140,15 @@ def tree_stationary_points(p: TreeParams) -> list:
 
 
 def one_loop_potential(sL, sR, p: LoopParams):
-    """One-loop potential; the s^2 ln(s) terms extend by their 0 limit."""
+    """One-loop potential (vectorized over broadcastable radii); the s^2 ln(s) terms extend by their 0 limit."""
     sL = np.asarray(sL, dtype=float)
     sR = np.asarray(sR, dtype=float)
     if np.any(sL < 0) or np.any(sR < 0):
         raise ValueError("radial variables must be non-negative")
-    c = p.loop_coeff
-
-    def cw(s):
-        out = np.zeros_like(s, dtype=float)
-        pos = s > 0
-        out[pos] = s[pos] ** 2 * (np.log(s[pos] / p.M**2) - 25.0 / 6.0)
-        return out
-
-    sL2 = np.atleast_1d(sL)
-    sR2 = np.atleast_1d(sR)
-    out = (
-        p.lambda1 * (sL2**2 + sR2**2)
-        + p.lambda2 * (sL2 * sR2)
-        + c * (cw(sL2) + cw(sR2))
-    )
-    return float(out[0]) if np.asarray(sL).ndim == 0 and np.asarray(sR).ndim == 0 else out.reshape(np.broadcast(sL, sR).shape)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) and 0 * -inf, in the branch np.where drops
+        cw = [np.where(s > 0, s**2 * (np.log(s / p.M**2) - 25.0 / 6.0), 0.0) for s in (sL, sR)]
+    out = p.lambda1 * (sL**2 + sR**2) + p.lambda2 * (sL * sR) + p.loop_coeff * (cw[0] + cw[1])
+    return float(out) if out.ndim == 0 else out
 
 
 def _loop_radius(p: LoopParams, lam: float, formula: str) -> float:

@@ -78,10 +78,12 @@ def _octonion_check_oracle(seed: int, tol: float = 1e-12) -> list:
 
 
 def _clifford_identities_oracle(seed: int, tol: float = 1e-12) -> list:
-    """The Cl(0,6) and sampled checks of `clifford identities`, one pair at a time as they were first written."""
+    """The letter, Cl(0,6) and sampled checks of `clifford identities`, one pair at a time as they were first written."""
     from octo_cfs.mult_algebra import left_unit, quadratic_relation_check
     from octo_cfs.octonion import Octonion, norm
 
+    sq = max(float(np.abs(chain([a, a]) + np.eye(8)).max()) for a in range(1, 8))
+    anti = max(float(np.abs(chain([a, b]) + chain([b, a])).max()) for a in range(1, 8) for b in range(1, 8) if a != b)
     cl = 0.0
     for i in range(1, 7):
         for j in range(1, 7):
@@ -94,6 +96,8 @@ def _clifford_identities_oracle(seed: int, tol: float = 1e-12) -> list:
         y = Octonion(rng.standard_normal(8))
         quad = max(quad, float(quadratic_relation_check(x, y)) / max(1.0, norm(x) * norm(y)))
     return [
+        {"name": "squares_minus_identity", "passed": sq == 0.0, "value": sq},
+        {"name": "letter_anticommutation", "passed": anti == 0.0, "value": anti},
         {"name": "clifford_cl06_relations", "passed": cl == 0.0, "value": cl},
         {"name": "quadratic_relation_200", "passed": quad < tol, "value": float(quad)},
     ]

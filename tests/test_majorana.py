@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from octo_cfs.gammas import clifford_residual, dirac_rep, majorana_rep
+from octo_cfs.gammas import METRIC, clifford_residual, dirac_rep, majorana_rep
 from octo_cfs.lattice import LatticeSpec
 from octo_cfs.majorana import (
     N_RANDOM,
@@ -21,6 +23,29 @@ rng = np.random.default_rng(31)
 def test_clifford_relations_exact():
     assert clifford_residual(majorana_rep()) == 0.0
     assert clifford_residual(dirac_rep()) == 0.0
+
+
+def clifford_residual_oracle(gs) -> float:
+    """The relation-by-relation residual: {gamma^mu, gamma^nu} - 2 eta I, gamma5^2 - I, {gamma5, gamma^mu}."""
+    worst = 0.0
+    for mu in range(4):
+        for nu in range(4):
+            anti = gs.gamma[mu] @ gs.gamma[nu] + gs.gamma[nu] @ gs.gamma[mu]
+            worst = max(worst, float(np.abs(anti - 2.0 * METRIC[mu, nu] * np.eye(4)).max()))
+    worst = max(worst, float(np.abs(gs.gamma5 @ gs.gamma5 - np.eye(4)).max()))
+    for mu in range(4):
+        worst = max(worst, float(np.abs(gs.gamma5 @ gs.gamma[mu] + gs.gamma[mu] @ gs.gamma5).max()))
+    return worst
+
+
+def test_clifford_residual_equals_the_per_relation_loop_bitwise():
+    dirac = dirac_rep()
+    scaled = dataclasses.replace(dirac, gamma=tuple(1.1 * g for g in dirac.gamma), gamma5=1.1 * dirac.gamma5)
+    # only gamma5 off: the stack's (5, 5) anticommutator is 2 (gamma5^2 - I), the residual gamma5^2 - I
+    off5 = dataclasses.replace(majorana_rep(), gamma5=1.1 * majorana_rep().gamma5)
+    for gs in (dirac, majorana_rep(), scaled, off5):
+        assert clifford_residual(gs).hex() == clifford_residual_oracle(gs).hex()
+    assert clifford_residual(off5) == abs(1.1 * 1.1 - 1.0)
 
 
 def test_gamma_matrix_squares():

@@ -119,6 +119,26 @@ def test_span_dimension_complex_64():
     assert span.dimension == 64
 
 
+def test_span_dimension_rejects_complex_entries_over_the_reals():
+    # a real cast would drop the imaginary parts and answer for other generators
+    with pytest.raises(ValueError, match="field 'real'"):
+        span_dimension([1j * left_unit(1), -1j * left_unit(1).T], field="real")
+
+
+def test_complex_request_of_real_units_solves_only_real_grams(monkeypatch):
+    # the complex algebra of real generators is the complexification of the real one: no complex eigh needed
+    dtypes, eigh = [], np.linalg.eigh
+
+    def recording(a):
+        dtypes.append(a.dtype)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    span = span_dimension([left_unit(i).astype(complex) for i in range(1, 8)], field="complex")
+    assert dtypes == [np.dtype(np.float64)] * 2
+    assert span.orthonormal.dtype == complex and span.dimension == 64
+
+
 def test_span_dimension_identity():
     span = span_dimension([I8], field="real")
     assert span.dimension == 1
@@ -203,17 +223,17 @@ def test_span_dimension_of_h_from_both_sides_tensor_o():
     assert span_dimension(h_from_both_sides_tensor_o(), field="real").dimension == 1024
 
 
-@pytest.mark.parametrize("generators, field, dim", [
-    ([left_unit(i) for i in range(1, 8)], "real", 1),
-    (quaternion_left_units(), "real", 4),
-    (h_tensor_o(), "real", 4),
-    ([g.astype(complex) for g in h_tensor_o()], "complex", 4),
-    (h_from_both_sides_tensor_o(), "real", 1),
+@pytest.mark.parametrize("generators, dim", [
+    ([left_unit(i) for i in range(1, 8)], 1),
+    (quaternion_left_units(), 4),
+    (h_tensor_o(), 4),
+    ([g.astype(complex) for g in h_tensor_o()], 4),
+    (h_from_both_sides_tensor_o(), 1),
 ], ids=("O_L", "H_L", "HxO", "CxHxO", "HxHopxO"))
-def test_commutant_dimension_names_the_division_algebra(generators, field, dim):
+def test_commutant_dimension_names_the_division_algebra(generators, dim):
     # Wedderburn-Artin: A = M_k(D) has commutant D^op (R: 1, H: 4); over C, C (x) H(8) = M_16(C) acts on C^32
     # with multiplicity 2, so its commutant is M_2(C), of complex dimension 4
-    basis = commutant(generators, field)
+    basis = commutant(generators)
     assert len(basis) == dim
     n = len(generators[0])
     x = basis.reshape(-1, n, n)

@@ -136,6 +136,25 @@ def test_one_loop_zero_limit():
     assert abs(one_loop_potential(0.0, 1e-12, lp)) < 1e-20
 
 
+def one_loop_potential_oracle(sL: float, sR: float, p: LoopParams) -> float:
+    """The one-loop potential at one pair of radii, each s^2 ln(s) term masked by hand."""
+    def cw(s):
+        return s**2 * (np.log(s / p.M**2) - 25.0 / 6.0) if s > 0 else 0.0
+
+    return p.lambda1 * (sL**2 + sR**2) + p.lambda2 * (sL * sR) + p.loop_coeff * (cw(sL) + cw(sR))
+
+
+def test_one_loop_potential_broadcasts_the_radii_as_the_pointwise_oracle():
+    lp = LoopParams(lambda1=0.01, lambda2=0.3, g=1.3, M=0.7)
+    s = np.concatenate([[0.0], rng.random(5) * 4])
+    grid = one_loop_potential(s[:, None], s, lp)
+    assert grid.shape == (6, 6)
+    for i, j in np.ndindex(grid.shape):
+        value = one_loop_potential(s[i], s[j], lp)
+        assert type(value) is float and value == grid[i, j] == one_loop_potential_oracle(s[i], s[j], lp)
+    assert np.array_equal(one_loop_potential(0.0, s, lp), grid[0])
+
+
 def test_one_loop_gradient_matches_finite_differences():
     for _ in range(100):
         lp = LoopParams(
