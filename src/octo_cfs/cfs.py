@@ -126,6 +126,13 @@ def random_point(rng, cfg: SystemConfig) -> OperatorPoint:
 PAIR_BLOCK = 256
 
 
+def _stack(points, f: int) -> np.ndarray:
+    """Points as one complex array (..., N, f, f): an array as it is, a list of N points (none included) stacked."""
+    if isinstance(points, np.ndarray):
+        return points.astype(complex, copy=False)
+    return np.array([_asmat(p) for p in points], dtype=complex).reshape(len(points), f, f)
+
+
 def spin_frames(points, cfg: SystemConfig):
     """Per point: the top min(2n, f) eigenpairs by modulus with sub-cut eigenvalues zeroed, ||x||_2, the matrix.
 
@@ -133,10 +140,7 @@ def spin_frames(points, cfg: SystemConfig):
     the results keep its leading axes. One stacked `eigh`; the zero cut is that of `zero_cut`. Raises
     EigensolverError for a point with more than 2n eigenvalues beyond it.
     """
-    if isinstance(points, np.ndarray):
-        a = np.asarray(points, dtype=complex)
-    else:
-        a = np.array([_asmat(p) for p in points], dtype=complex).reshape(len(points), cfg.f, cfg.f)
+    a = _stack(points, cfg.f)
     w, v = np.linalg.eigh(a)
     top = np.abs(w).max(axis=-1, initial=0.0)
     w = np.where(np.abs(w) > zero_cut(w)[..., None], w, 0.0)
@@ -170,31 +174,33 @@ def chain_spectra(frames, i, j, cfg: SystemConfig) -> np.ndarray:
 
 
 def pair_spectra(xs, ys, cfg: SystemConfig) -> np.ndarray:
-    """The 2n eigenvalues of xy for every pair of xs x ys (see `chain_spectra`): (len(xs), len(ys), 2n).
+    """The 2n eigenvalues of xy for every pair of xs x ys (see `chain_spectra`): (..., len(xs), len(ys), 2n).
 
-    When ys is xs, only the pairs i <= j are solved and mirrored, and xs may also be a stack
-    (B, N, f, f) of B point sets: the result is (B, N, N, 2n), each set's spectra bitwise those it
-    has alone. Otherwise each pair (i, j) is the pair (i, len(xs) + j) of the list xs + ys.
+    xs and ys are lists of points or arrays (..., N, f, f) with equal leading axes, such as stacks (B, N, f, f)
+    of B point sets; each set's spectra are bitwise those it has alone. When xs and ys hold equal matrices,
+    the frames are those of xs alone, so the spectra of (x, y) and (y, x) are one solve and L(x, y) = L(y, x)
+    bitwise. Otherwise each pair (i, j) is the pair (i, len(xs) + j) of xs and ys joined.
     """
-    sym = ys is xs
-    frames = spin_frames(xs if sym else [*xs, *ys], cfg)[:3]
-    lead = frames[0].shape[:-2]  # (B,) for a stack
-    nx, ny = (frames[0].shape[-2],) * 2 if sym else (len(xs), len(ys))
-    i, j = np.triu_indices(nx) if sym else np.indices((nx, ny)).reshape(2, -1)
-    b, i, j = (a.ravel() for a in np.broadcast_arrays(np.arange(math.prod(lead))[:, None], i, j))
-    frames = [a.reshape(-1, *a.shape[len(lead) + 1 :]) for a in frames]  # the B sets one after another
-    out = np.empty((math.prod(lead), nx, ny, 2 * cfg.n), dtype=complex)
-    out[b, i, j] = chain_spectra(frames, b * nx + i, b * nx + j + (0 if sym else nx), cfg)
-    if sym:
-        out[b, j, i] = out[b, i, j]
-    return out.reshape(*lead, nx, ny, 2 * cfg.n)
+    a, b = _stack(xs, cfg.f), _stack(ys, cfg.f)
+    same = a.shape == b.shape and np.array_equal(a, b)
+    frames = spin_frames(a if same else np.concatenate([a, b], axis=-3), cfg)[:3]
+    lead, nx, ny, size = a.shape[:-3], a.shape[-3], b.shape[-3], frames[0].shape[-2]
+    s, i, j = np.indices((math.prod(lead), nx, ny)).reshape(3, -1)
+    frames = [x.reshape(-1, *x.shape[len(lead) + 1 :]) for x in frames]  # the sets one after another
+    lam = chain_spectra(frames, s * size + i, s * size + j + (0 if same else nx), cfg)
+    return lam.reshape(*lead, nx, ny, 2 * cfg.n)
+
+
+def lagrangian(lam, kappa: float) -> np.ndarray:
+    """kappa-Lagrangian sum_ij (|l_i|-|l_j|)^2 / 4n + kappa (sum_j |l_j|)^2 of each spectrum along the last axis."""
+    m = np.abs(lam)  # first term as its equal sum_i (m_i - mean m)^2
+    with np.errstate(all="ignore"):  # a square that overflows gives inf or NaN, which every command rejects
+        return np.sum((m - m.mean(axis=-1, keepdims=True)) ** 2, axis=-1) + kappa * np.sum(m, axis=-1) ** 2
 
 
 def lagrangians(xs, ys, cfg: SystemConfig) -> np.ndarray:
-    """kappa-Lagrangian sum_ij (|l_i|-|l_j|)^2 / 4n + kappa (sum_j |l_j|)^2 of every pair of xs x ys."""
-    m = np.abs(pair_spectra(xs, ys, cfg))  # first term as its equal sum_i (m_i - mean m)^2
-    with np.errstate(all="ignore"):  # a square that overflows gives inf or NaN, which every command rejects
-        return np.sum((m - m.mean(axis=-1, keepdims=True)) ** 2, axis=-1) + cfg.kappa * np.sum(m, axis=-1) ** 2
+    """The kappa-Lagrangian (`lagrangian`) of every pair of xs x ys (see `pair_spectra`)."""
+    return lagrangian(pair_spectra(xs, ys, cfg), cfg.kappa)
 
 
 def causal_classes(lam: np.ndarray) -> np.ndarray:
@@ -222,8 +228,7 @@ def causal_class(x, y, cfg: SystemConfig) -> str:
 
 def lagrangian_first_term(x, y, cfg: SystemConfig) -> float:
     """The (1/4n) sum (|l_i|-|l_j|)^2 part alone (vanishes on spacelike pairs)."""
-    m = np.abs(product_spectrum(x, y, cfg))
-    return float(np.sum((m - m.mean()) ** 2))
+    return float(lagrangian(product_spectrum(x, y, cfg), 0.0))
 
 
 @dataclass
@@ -266,16 +271,20 @@ def merge_duplicates(points, weights):
     return out_pts, np.asarray(out_w)
 
 
+def _support(measure_or_points, weights):
+    """(points, weights) of a DiscreteMeasure, or the points and weights given."""
+    if isinstance(measure_or_points, DiscreteMeasure):
+        return measure_or_points.points, measure_or_points.weights
+    return measure_or_points, np.asarray(weights, dtype=float)
+
+
 def action(measure_or_points, weights=None, *, cfg: SystemConfig):
     """Causal action: the full double sum sum_ij w_i w_j L(x_i, x_j), diagonal included.
 
     A stack (B, N, f, f) of B point sets with weights (B, N) gives the array of their B actions from
     one `lagrangians` call; each equals the action of its set alone, bitwise.
     """
-    if isinstance(measure_or_points, DiscreteMeasure):
-        points, w = measure_or_points.points, measure_or_points.weights
-    else:
-        points, w = measure_or_points, np.asarray(weights, dtype=float)
+    points, w = _support(measure_or_points, weights)
     lag = lagrangians(points, points, cfg)
     if w.ndim == 2:
         return np.array([float(wb @ (lb @ wb)) for wb, lb in zip(w, lag)])
@@ -288,24 +297,16 @@ def constraints(measure_or_points, weights=None):
     A stack (B, N, f, f) of B point sets with weights (B, N) gives two arrays (B,); each entry equals
     the integral of its set alone, bitwise.
     """
-    if isinstance(measure_or_points, DiscreteMeasure):
-        points, w = measure_or_points.points, measure_or_points.weights
-    else:
-        points, w = measure_or_points, np.asarray(weights, dtype=float)
-    mats = points if isinstance(points, np.ndarray) else np.array([_asmat(p) for p in points])
-    tr = np.real(np.trace(mats, axis1=-2, axis2=-1))
+    points, w = _support(measure_or_points, weights)
+    f = _asmat(points[0]).shape[-1]  # a support is not empty
+    tr = np.real(np.trace(_stack(points, f), axis1=-2, axis2=-1))
     volume, trace = np.sum(w, axis=-1), sum(w[..., k] * tr[..., k] for k in range(w.shape[-1]))
     return (volume, trace) if w.ndim == 2 else (float(volume), float(trace))
 
 
-def ell(x, measure: DiscreteMeasure, cfg: SystemConfig):
-    """Euler-Lagrange function ell(x) = sum_j w_j L(x, x_j) - s.
-
-    x is one point (returns a float) or a list of points (one `lagrangians` call, an array).
-    """
-    single = isinstance(x, OperatorPoint) or np.ndim(x) == 2
-    row = lagrangians([x] if single else x, measure.points, cfg) @ measure.weights - cfg.s
-    return float(row[0]) if single else row
+def ell(xs, measure: DiscreteMeasure, cfg: SystemConfig) -> np.ndarray:
+    """Euler-Lagrange function ell(x) = sum_j w_j L(x, x_j) - s of each point of xs (a list or a stack (N, f, f))."""
+    return lagrangians(xs, measure.points, cfg) @ measure.weights - cfg.s
 
 
 @dataclass

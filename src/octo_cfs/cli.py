@@ -303,7 +303,7 @@ def cmd_cfs_classify(args) -> int:
         entry = {
             "pair": pair,
             "class": classes[k],
-            "spectrum": [[z.real, z.imag] for z in spectra[k]],
+            "spectrum": spectra[k],
             "closed_chain_trace_residual": float(chain_tr_dev[k]),
             "completeness_residual": float(complete[k]),
         }

@@ -4,9 +4,10 @@ Weights live on the probability simplex through a softmax reparametrization,
 so the volume constraint is exact by construction; the trace constraint is
 the one equality constraint of an SQP solve (`_sqp`, SLSQP's method for a
 single equality, in numpy). Gradients of the action and of the trace are
-central finite differences (the Lagrangian is only piecewise smooth in the
-eigenvalue moduli); each gradient unpacks the 2p perturbed vectors as one
-stack for one batched `cfs.action` and `cfs.constraints`.
+central finite differences of the objective the solve minimizes (the
+Lagrangian is only piecewise smooth in the eigenvalue moduli): one call of it
+on the stack of the 2p stepped vectors, which it unpacks for one batched
+`cfs.action` and `cfs.constraints`.
 """
 
 from __future__ import annotations
@@ -92,12 +93,11 @@ def _unpack(family: MeasureFamily, v: np.ndarray):
     return family.point_fn(v[..., : family.n_params]), softmax(v[..., family.n_params :])
 
 
-def _gradients(family: MeasureFamily, cfg: cfs.SystemConfig, v: np.ndarray):
-    """Central-difference gradients of the action and of the trace at v.
+def _central(fun, v: np.ndarray):
+    """Central-difference gradients at v of each output of `fun`, an objective that accepts a stack of vectors.
 
-    Coordinate i steps by h_i = FD_STEP * max(1, |v_i|) both ways; the 2p perturbed vectors are
-    unpacked as one stack, whose actions and traces come from one batched `cfs.action` and
-    `cfs.constraints`. Both gradients are bitwise those of per-coordinate differences.
+    Coordinate i steps by h_i = FD_STEP * max(1, |v_i|) both ways; `fun` gets the 2p stepped vectors in
+    one call, as a stack (2p, p). Each gradient is bitwise that of per-coordinate differences.
     """
     p = len(v)
     h = FD_STEP * np.maximum(1.0, np.abs(v))
@@ -105,9 +105,7 @@ def _gradients(family: MeasureFamily, cfg: cfs.SystemConfig, v: np.ndarray):
     diag = np.arange(p)
     vs[0, diag, diag] += h
     vs[1, diag, diag] -= h
-    points, w = _unpack(family, vs.reshape(-1, p))
-    act, gap = cfs.action(points, w, cfg=cfg), cfs.constraints(points, w)[1] - 1.0
-    return (act[:p] - act[p:]) / (2.0 * h), (gap[:p] - gap[p:]) / (2.0 * h)
+    return tuple((out[:p] - out[p:]) / (2.0 * h) for out in fun(vs.reshape(-1, p)))
 
 
 def minimize(
@@ -151,7 +149,7 @@ def minimize(
         points, w = _unpack(family, vv)
         return cfs.action(points, w, cfg=cfg), cfs.constraints(points, w)[1] - 1.0
 
-    res = _sqp(action_and_gap, lambda vv: _gradients(family, cfg, vv), v)
+    res = _sqp(action_and_gap, lambda vv: _central(action_and_gap, vv), v)
     if not np.all(np.isfinite(np.append(res.x, res.fun))):
         raise LineSearchFailure(f"SQP diverged: {res.message}")
     points, w = _unpack(family, res.x)
@@ -281,7 +279,7 @@ def make_family(spec: dict, cfg: cfs.SystemConfig) -> tuple:
     """Built-in families for the CLI. Returns (MeasureFamily, default_x0).
 
     type 'diagonal': entry (i, j) of point i is signs[i][j] * theta^2 with its own parameter.
-    `signs` is a non-empty 2-D table of -1, 0 and 1.
+    `signs` is a non-empty 2-D table of the JSON numbers -1, 0 and 1.
     type 'mirror_pair': the diagonal family with signs [[1, -1], [-1, 1]] and its two parameters
     tied, i.e. points diag(p, -q) and diag(-q, p) with p = u^2, q = v^2.
     Both validate against f and the spin dimension.
@@ -299,6 +297,7 @@ def make_family(spec: dict, cfg: cfs.SystemConfig) -> tuple:
             ok = False
         if not ok:
             raise ValueError(f"signs must be a non-empty 2-D table of -1, 0 and 1, got {spec['signs']!r}")
+        cfs.json_numbers("family signs", spec["signs"])  # numpy reads true and "1" as 1
         index = np.arange(signs.size).reshape(signs.shape)
         default = np.concatenate([np.full(signs.size, 0.8), np.zeros(len(signs))])
     else:

@@ -215,11 +215,11 @@ def test_ell_single_point():
     s_val = lagrangians([x], [x], cfg0)[0, 0]
     cfg = SystemConfig(f=2, n=1, kappa=kappa, s=s_val)
     measure = DiscreteMeasure(points=[x], weights=[1.0])
-    assert abs(ell(x, measure, cfg)) < 1e-14
+    assert abs(ell([x], measure, cfg)[0]) < 1e-14
 
     # disjoint support: only zero spectra contribute, ell = -s = 0 for s=0
     y = validate_point(np.diag([0.0, -1.0]).astype(complex), cfg0)
-    assert ell(y, DiscreteMeasure(points=[x], weights=[1.0]), cfg0) == lagrangians([y], [x], cfg0)[0, 0]
+    assert ell([y], DiscreteMeasure(points=[x], weights=[1.0]), cfg0)[0] == lagrangians([y], [x], cfg0)[0, 0]
 
 
 def gram(s) -> np.ndarray:
@@ -582,13 +582,13 @@ def test_pair_engine_matches_dense_lagrangian_across_blocks(monkeypatch):
     blocked = lagrangians(xs, ys, cfg)
     assert np.abs(whole - ref).max() <= 1e-13 * max(1.0, ref.max())
     assert np.abs(blocked - whole).max() <= 1e-14 * max(1.0, ref.max())
-    # ys is xs: only the triangle i <= j is solved (in blocks of 3 pairs), the rest mirrored
+    # xs against itself: each unordered pair is solved once (in blocks of 3 pairs) for both orders
     sym = lagrangians(xs, xs, cfg)
     assert np.array_equal(sym, sym.T)
     ref_sym = np.array([[dense_lagrangian(x, y, cfg) for y in xs] for x in xs])
     assert np.abs(sym - ref_sym).max() <= 1e-13 * max(1.0, ref_sym.max())
-    upper = np.triu_indices(len(xs))
-    assert pair_spectra(xs, xs, cfg)[upper].tobytes() == pair_spectra(xs, list(xs), cfg)[upper].tobytes()
+    # two distinct sets: each order is its own solve, so L(x, y) = L(y, x) holds to rounding
+    assert np.abs(whole - lagrangians(ys, xs, cfg).T).max() <= 1e-12 * max(1.0, ref.max())
 
 
 @settings(max_examples=60, deadline=None)
@@ -643,14 +643,38 @@ def test_batched_action_matches_each_measure_alone(dims, batch, count, c, seed):
     scale = np.linspace(1.0, c, batch)
     assert np.all(np.abs(action(scale[:, None, None, None] * stack, w, cfg=cfg) - scale**4 * got) <= scale**4 * tol)
     lag = lagrangians(stack, stack, cfg)
-    for b in range(batch):  # L(x, y) = L(y, x), with both orders solved by the rectangular path
-        full = lagrangians(stack[b], list(stack[b]), cfg)
-        assert np.all(np.abs(full - full.T) <= 1e-12 * np.maximum(1.0, np.abs(full)))
-        assert np.all(np.abs(lag[b] - full) <= 1e-12 * np.maximum(1.0, np.abs(full)))
+    ys = [_any_rank_point(r, cfg) for _ in range(count + 1)]  # a second set, distinct from each of the stack
+    for b in range(batch):
+        alone = lagrangians(list(stack[b]), list(stack[b]), cfg)
+        assert lag[b].tobytes() == alone.tobytes() and np.array_equal(alone, alone.T)
+        cross = lagrangians(stack[b], ys, cfg)  # L(x, y) = L(y, x) across two sets, each order its own solve
+        assert np.all(np.abs(cross - lagrangians(ys, stack[b], cfg).T) <= 1e-12 * np.maximum(1.0, np.abs(cross)))
     spectra = pair_spectra(stack, stack, cfg)
     assert spectra.shape == (batch, count, count, 2 * cfg.n)
     if cfg.f < 2 * cfg.n:
         assert np.all(spectra[..., cfg.f:] == 0.0)
+
+
+def test_pairs_are_keyed_by_value_not_by_object():
+    cfg = SystemConfig(f=16, n=2, kappa=0.2)
+    r = np.random.default_rng(3)
+    xs = [random_point(r, cfg) for _ in range(12)]
+    sym = lagrangians(xs, xs, cfg)
+    copies = lagrangians(xs, [validate_point(p.matrix.copy(), cfg) for p in xs], cfg)
+    assert copies.tobytes() == sym.tobytes() and np.array_equal(copies, copies.T)
+    measure = DiscreteMeasure(points=xs, weights=np.full(12, 1 / 12))
+    assert ell(list(measure.points), measure, cfg).tobytes() == ell(measure.points, measure, cfg).tobytes()
+
+
+def test_pair_spectra_of_two_stacks_equal_each_pair_of_sets_alone():
+    cfg = SystemConfig(f=6, n=2, kappa=0.2)
+    r = np.random.default_rng(5)
+    xs = np.array([[random_point(r, cfg).matrix for _ in range(4)] for _ in range(3)])
+    ys = np.array([[random_point(r, cfg).matrix for _ in range(5)] for _ in range(3)])
+    got = pair_spectra(xs, ys, cfg)
+    assert got.shape == (3, 4, 5, 2 * cfg.n)
+    for b in range(3):
+        assert got[b].tobytes() == pair_spectra(list(xs[b]), list(ys[b]), cfg).tobytes()
 
 
 def test_pair_engine_rejects_point_beyond_spin_dimension():
@@ -669,7 +693,7 @@ def test_ell_batch_matches_single_points():
         pts = [random_point(r, cfg) for _ in range(5)]
     measure = DiscreteMeasure(points=pts, weights=np.full(5, 0.2))
     batch = ell(pts, measure, cfg)
-    single = np.array([ell(p, measure, cfg) for p in pts])
+    single = np.array([ell([p], measure, cfg)[0] for p in pts])
     assert batch.shape == (5,)
     assert np.abs(batch - single).max() <= 1e-14
     a = action(measure, cfg=cfg)

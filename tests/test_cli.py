@@ -332,6 +332,21 @@ def test_cfs_minimize_rejects_bad_sign_templates(tmp_path, capsys):
         assert captured.out == "" and f"signs must be a non-empty 2-D table of -1, 0 and 1, got {bad!r}" in captured.err
 
 
+def test_json_booleans_and_numeric_strings_are_not_numbers(tmp_path, capsys):
+    # numbers.Real counts a bool as a number, and numpy reads true and "1" as 1
+    params = '{"mu2": true, "lambda1": 1.0, "lambda2": 3.0}'
+    assert run(["potentials", "scan", "--tree", "--params", params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "mu2 must be a finite real number, got True" in captured.err
+    fam_path = tmp_path / "family.json"
+    for signs, bad in (([[True, -1], [-1, True]], "True"), ([["1", -1], [-1, 1]], "'1'")):
+        fam_path.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.2},
+                                        "family": {"type": "diagonal", "signs": signs}}))
+        assert run(["cfs", "minimize", "--family", str(fam_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"family signs must be a JSON number, got {bad}" in captured.err
+
+
 def test_cfs_minimize_family_that_is_not_an_object_exits_2(tmp_path, capsys):
     fam_path = tmp_path / "family.json"
     for bad in ([1, 2], "mirror_pair", None):

@@ -293,7 +293,8 @@ def _walk(sources: dict, acceptance: str, kept=()):
 
 
 def unreached(sources: dict, acceptance: str, kept=()) -> list:
-    """Public functions and methods of the package modules `sources` (name -> source) that nothing reaches.
+    """Functions and methods, private ones included, of the package modules `sources` (name -> source) that nothing
+    reaches; dunder methods are roots, not candidates.
 
     The roots are the code each module runs on import (which holds the CLI's `main` and, through its
     handler table, every handler), the dunder methods, the whole acceptance module and the names in
@@ -302,7 +303,7 @@ def unreached(sources: dict, acceptance: str, kept=()) -> list:
     tell the receiver's class, on any receiver. A reached function's body reaches further.
     """
     defs, walked, *_ = _walk(sources, acceptance, kept)
-    return sorted(name for name in defs if name not in walked and not name.rsplit(".", 1)[1].startswith("_"))
+    return sorted(name for name in defs if name not in walked and not name.endswith("__"))
 
 
 def matched_by_name(sources: dict, acceptance: str, kept=()) -> list:
@@ -377,15 +378,16 @@ def test_unreached_functions_are_found():
             "    def at(self):\n        return 0\n"
             "    def norm(self):\n        return helper()\n"
             "def helper():\n    return basis(1)\n\n"
+            "def _stale():\n    return 0\n\n"
             "def width(spec):\n    return spec.epsilon + spec.norm()\n"
         ),
         "cli": "import sys\nfrom . import lattice\n\ndef main():\n    return lattice.width(None)\n\n"
                "if __name__ == '__main__':\n    sys.exit(main())\n",
     }
-    # spec.epsilon is an attribute read, not a read of octonion.epsilon
-    assert unreached(sources, "") == ["lattice.Spec.at", "octonion.epsilon"]
-    assert unreached(sources, "from octo_cfs.octonion import epsilon\n") == ["lattice.Spec.at"]
-    assert unreached(sources, "", kept=["lattice.Spec.at"]) == ["octonion.epsilon"]
+    # spec.epsilon is an attribute read, not a read of octonion.epsilon; a private helper counts too
+    assert unreached(sources, "") == ["lattice.Spec.at", "lattice._stale", "octonion.epsilon"]
+    assert unreached(sources, "from octo_cfs.octonion import epsilon\n") == ["lattice.Spec.at", "lattice._stale"]
+    assert unreached(sources, "", kept=["lattice.Spec.at", "lattice._stale"]) == ["octonion.epsilon"]
 
 
 def test_methods_resolve_through_the_receivers_class():

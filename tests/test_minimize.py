@@ -13,7 +13,7 @@ from octo_cfs.minimize import (
     MaxIterations,
     MeasureFamily,
     MinimizeOptions,
-    _gradients,
+    _central,
     _sqp,
     _unpack,
     make_family,
@@ -202,12 +202,13 @@ def test_batched_gradients_equal_per_coordinate_differences(name, data):
     fam, x0 = make_family(spec, cfg)
     v = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=len(x0), max_size=len(x0))))
 
-    def unpack(vv):
-        return fam.point_fn(vv[: fam.n_params]), softmax(vv[fam.n_params :])
+    def objective(vv):  # one vector or a stack of them
+        points, w = fam.point_fn(vv[..., : fam.n_params]), softmax(vv[..., fam.n_params :])
+        return cfs.action(points, w, cfg=cfg), cfs.constraints(points, w)[1] - 1.0
 
-    want_action = _central_gradient(lambda vv: cfs.action(*unpack(vv), cfg=cfg), v)
-    want_trace = _central_gradient(lambda vv: cfs.constraints(*unpack(vv))[1] - 1.0, v)
-    got_action, got_trace = _gradients(fam, cfg, v)
+    want_action = _central_gradient(lambda vv: objective(vv)[0], v)
+    want_trace = _central_gradient(lambda vv: objective(vv)[1], v)
+    got_action, got_trace = _central(objective, v)
     assert got_action.tobytes() == want_action.tobytes()
     assert got_trace.tobytes() == want_trace.tobytes()
 
@@ -314,7 +315,7 @@ def test_sqp_reaches_the_action_of_slsqp(name, kappa, seed):
         return cfs.action(points, w, cfg=cfg), cfs.constraints(points, w)[1] - 1.0
 
     def grad(v):
-        return _gradients(fam, cfg, v)
+        return _central(fun, v)
 
     oracle = scipy.optimize.minimize(
         lambda v: fun(v)[0], v0, method="SLSQP", jac=lambda v: grad(v)[0],
