@@ -214,8 +214,12 @@ def test_batched_gradients_equal_per_coordinate_differences(name, data):
 
 
 def _mirror_pair_oracle(theta):
-    """mirror_pair's point_fn before families were index tables."""
-    p, q = theta[0] ** 2, theta[1] ** 2
+    """mirror_pair's point_fn before families were index tables.
+
+    It squares with np.square: a scalar ``** 2`` goes through libm pow, which can miss the
+    correctly rounded square by one ulp (theta = 4194188258755415.0 does).
+    """
+    p, q = np.square(theta[0]), np.square(theta[1])
     return [
         np.diag([p, -q]).astype(complex),
         np.diag([-q, p]).astype(complex),
