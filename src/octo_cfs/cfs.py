@@ -194,8 +194,7 @@ def pair_spectra(xs, ys, cfg: SystemConfig) -> np.ndarray:
 def lagrangian(lam, kappa: float) -> np.ndarray:
     """kappa-Lagrangian sum_ij (|l_i|-|l_j|)^2 / 4n + kappa (sum_j |l_j|)^2 of each spectrum along the last axis."""
     m = np.abs(lam)  # first term as its equal sum_i (m_i - mean m)^2
-    with np.errstate(all="ignore"):  # a square that overflows gives inf or NaN, which every command rejects
-        return np.sum((m - m.mean(axis=-1, keepdims=True)) ** 2, axis=-1) + kappa * np.sum(m, axis=-1) ** 2
+    return np.sum((m - m.mean(axis=-1, keepdims=True)) ** 2, axis=-1) + kappa * np.sum(m, axis=-1) ** 2
 
 
 def lagrangians(xs, ys, cfg: SystemConfig) -> np.ndarray:

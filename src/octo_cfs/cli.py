@@ -6,7 +6,9 @@ identical configs give byte-identical files); CSV is a convenience
 projection of tabular results.
 
 Each handler imports the layers it calls when it runs, so a command loads only
-those; `--version`, `--help` and usage errors load no numpy at all.
+those; `--version`, `--help` and usage errors load no numpy at all. `main` runs
+the handler under one np.errstate(all="ignore"): a value that overflows is
+rejected where it is reported or stored, and numpy prints no floating-point warning.
 """
 
 from __future__ import annotations
@@ -369,6 +371,8 @@ def _parse_masses(text: str):
 
 
 def cmd_vacuum_build(args) -> int:
+    import dataclasses
+
     import numpy as np
 
     from . import lattice
@@ -392,8 +396,8 @@ def cmd_vacuum_build(args) -> int:
                                      lattice.VACUUM_COEFFICIENTS)
     masses = set(md.charged_masses + md.neutrino_masses)
     payload = {
-        "lattice": spec.to_json(),
-        "masses": md.to_json(),
+        "lattice": dataclasses.asdict(spec),
+        "masses": dataclasses.asdict(md),
         "sectors": sorted([f"aux_{name}" for name in lattice.AUX_SUMMANDS] + [f"e{i}" for i in range(8)]),
         # np.max, not max: max drops a NaN that is not first
         "onshell_residual_max": float(np.max([lattice.mode_onshell_residuals(m, spec).max() for m in masses])),
@@ -404,13 +408,10 @@ def cmd_vacuum_build(args) -> int:
 
 def _container(infile) -> tuple:
     """(spec, mass data, sector coefficients C, stream of the six seas) of a kernel container; bad input exits 2."""
-    from . import cfs, lattice
+    from . import lattice
 
     with _reading("kernel container", infile):
-        header = lattice.load_header(infile)
-        spec = lattice.LatticeSpec.from_json(header["lattice"])
-        md = lattice.MassData.from_json(header["masses"])
-        coefficients = cfs.complex_matrix_from_json(header["coefficients"])
+        spec, md, coefficients = lattice.load_header(infile)
     def seas():  # a malformed chunk exits 2 like the header, when the stream reaches it
         with _reading("kernel container", infile):
             yield from lattice.read_seas(infile, spec)
@@ -632,15 +633,17 @@ def build_parser(group=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
+    import numpy as np  # after parse_args, so --version, --help and usage errors load no numpy
     try:
-        return args.handler(args)
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (*_raisable("octo_cfs.cfs.EigensolverError", "numpy.linalg.LinAlgError"), FloatingPointError) as exc:
+    except (*_raisable("octo_cfs.cfs.EigensolverError"), np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -15,7 +15,7 @@ import io
 import json
 import os
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -41,6 +41,9 @@ class LatticeSpec:
 
     def __post_init__(self):
         require_finite(self, "L", "T", "a", "epsilon")
+        for name in ("L", "T"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.L < 2 or self.L % 2:
             raise ValueError("L must be an even positive integer")
         if self.T < 3:
@@ -66,14 +69,6 @@ class LatticeSpec:
         axes = np.meshgrid(*([ns] * self.spatial_dims), indexing="ij")
         grid = np.stack([ax.ravel() for ax in axes], axis=1)
         return 2.0 * np.pi * grid / (self.L * self.a)
-
-    def to_json(self) -> dict:
-        return {"L": self.L, "T": self.T, "a": self.a, "epsilon": self.epsilon, "dims": self.dims}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LatticeSpec":
-        return cls(L=int(obj["L"]), T=int(obj["T"]), a=float(obj["a"]),
-                   epsilon=float(obj["epsilon"]), dims=str(obj["dims"]))
 
 
 def chiral_sandwich(tau: float, gammas: GammaSet):
@@ -166,10 +161,9 @@ def sea_kernel(mass: float, spec: LatticeSpec) -> SectorKernel:
     Every mode carries the regularization factor exp(-eps * omega); the
     chiral neutrino regularization is applied to the summed seas (sector_bases).
     """
-    with np.errstate(all="ignore"):  # grid momenta that overflow give a sea that is not finite, which _stored rejects
-        omegas, _, mats = _mode_matrices(mass, spec, dirac_rep())
-        dts = np.arange(-(spec.T - 1), spec.T) * spec.a
-        rel = mode_sum(np.exp(1j * np.outer(dts, omegas)), mats, spec)  # e^{+i omega dt}
+    omegas, _, mats = _mode_matrices(mass, spec, dirac_rep())
+    dts = np.arange(-(spec.T - 1), spec.T) * spec.a
+    rel = mode_sum(np.exp(1j * np.outer(dts, omegas)), mats, spec)  # e^{+i omega dt}
     return SectorKernel(spec, rel)
 
 
@@ -216,10 +210,10 @@ class MassData:
     tau_reg: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "charged_masses", tuple(float(m) for m in self.charged_masses))
-        object.__setattr__(self, "neutrino_masses", tuple(float(m) for m in self.neutrino_masses))
-        if len(self.charged_masses) != 3 or len(self.neutrino_masses) != 3:
-            raise ValueError("exactly three masses per sector")
+        for name in ("charged_masses", "neutrino_masses"):  # JSON numbers, so an integer 1 reads as 1.0
+            if not isinstance(masses := getattr(self, name), (list, tuple)) or len(masses) != 3:
+                raise ValueError(f"{name} must be three masses, got {masses!r}")
+            object.__setattr__(self, name, tuple(float(m) for m in cfs.json_numbers(name, list(masses))))
         for m in self.charged_masses + self.neutrino_masses:
             _require_mass(m)
         require_finite(self, "tau_reg")
@@ -227,21 +221,6 @@ class MassData:
             raise ValueError("at most two of the neutrino masses may vanish")
         if not 0.0 < self.tau_reg <= 1.0:
             raise ValueError("tau_reg must lie in (0, 1]")
-
-    def to_json(self) -> dict:
-        return {
-            "charged_masses": list(self.charged_masses),
-            "neutrino_masses": list(self.neutrino_masses),
-            "tau_reg": self.tau_reg,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MassData":
-        return cls(
-            charged_masses=obj["charged_masses"],
-            neutrino_masses=obj["neutrino_masses"],
-            tau_reg=float(obj["tau_reg"]),
-        )
 
 
 #: Labels of the six tau = 1 seas a vacuum is built from, in storage order.
@@ -511,10 +490,10 @@ def save_kernels(path, spec: LatticeSpec, md: MassData, seas, coefficients: np.n
     header = {
         "format": CONTAINER_FORMAT,
         "version": __version__,
-        "lattice": spec.to_json(),
-        "masses": md.to_json(),
+        "lattice": asdict(spec),
+        "masses": asdict(md),
         "seas": list(SEA_LABELS),
-        "coefficients": cfs.complex_matrix_to_json(coefficients),
+        "coefficients": np.stack([coefficients.real, coefficients.imag], axis=-1).tolist(),
         "local_correlation_convention": LOCAL_CORRELATION_CONVENTION,
     }
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
@@ -532,13 +511,21 @@ def save_kernels(path, spec: LatticeSpec, md: MassData, seas, coefficients: np.n
     return bases
 
 
-def load_header(path) -> dict:
-    """The JSON header of a kernel container, without reading its kernel chunks."""
+def load_header(path) -> tuple:
+    """(LatticeSpec, MassData, the 8 x 2 sector coefficients C) of a kernel container, without reading its seas.
+
+    Each dataclass takes its fields from its header object by name and checks them; C holds [re, im] JSON numbers.
+    """
     with zipfile.ZipFile(path, "r") as zf:
         header = json.loads(zf.read("header.json"))
     if not isinstance(header, dict) or header.get("format") != CONTAINER_FORMAT:
         raise ValueError(f"not a format {CONTAINER_FORMAT} kernel container; rebuild it with `vacuum build`")
-    return header
+    spec, md = (cls(**{f.name: header[key][f.name] for f in fields(cls)})
+                for key, cls in (("lattice", LatticeSpec), ("masses", MassData)))
+    pairs = np.array(cfs.json_numbers("coefficients", header["coefficients"]), dtype=object)
+    if pairs.shape != VACUUM_COEFFICIENTS.shape + (2,):
+        raise ValueError(f"coefficients must be an 8 x 2 matrix of [re, im] pairs, got shape {pairs.shape}")
+    return spec, md, pairs.astype(float).view(complex)[..., 0]
 
 
 def read_seas(path, spec: LatticeSpec):

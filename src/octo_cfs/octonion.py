@@ -63,10 +63,6 @@ class _OctonionBase:
     def e(cls, i):
         return cls(np.eye(8)[i])
 
-    @classmethod
-    def zero(cls):
-        return cls(np.zeros(8))
-
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -121,20 +117,13 @@ class Octonion(_OctonionBase):
 class ComplexOctonion(_OctonionBase):
     """Element of C (x) O: eight complex coefficients over e0..e7.
 
-    Three involutions are exposed: `conj_octonion` flips e1..e7,
-    `conj_complex` conjugates the coefficients, and `dagger` is their
-    composition (the adjoint used by the Witt construction).
+    `conj_octonion` flips e1..e7; the adjoint a^dag of the Witt construction is
+    ComplexOctonion(np.conj(conj(a).coeffs)), with L_a^dag = L_{a^dag}.
     """
 
     __slots__ = ()
     _field = complex
     _scalar = numbers.Complex
-
-    def conj_complex(self):
-        return ComplexOctonion(np.conj(self.coeffs))
-
-    def dagger(self):
-        return self.conj_octonion().conj_complex()
 
 
 def mul(a, b):

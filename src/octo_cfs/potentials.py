@@ -65,8 +65,7 @@ def tree_potential(sL, sR, p: TreeParams):
     sR = np.asarray(sR, dtype=float)
     if np.any(sL < 0) or np.any(sR < 0):
         raise ValueError("radial variables must be non-negative")
-    with np.errstate(all="ignore"):  # the report's finiteness check rejects a value that overflows
-        out = -p.mu2 * (sL + sR) + p.lambda1 * (sL**2 + sR**2) + p.lambda2 * (sL * sR)
+    out = -p.mu2 * (sL + sR) + p.lambda1 * (sL**2 + sR**2) + p.lambda2 * (sL * sR)
     return float(out) if out.ndim == 0 else out
 
 
@@ -153,8 +152,7 @@ def one_loop_potential(sL, sR, p: LoopParams):
 
 def _loop_radius(p: LoopParams, lam: float, formula: str) -> float:
     """M^2 exp(25/6 - 1/2 - lam / loop_coeff); raises FloatingPointError outside the positive floats."""
-    with np.errstate(all="ignore"):
-        s = np.square(p.M) * np.exp(25.0 / 6.0 - 0.5 - np.divide(lam, p.loop_coeff))
+    s = np.square(p.M) * np.exp(25.0 / 6.0 - 0.5 - np.divide(lam, p.loop_coeff))
     if not 0.0 < s < np.inf:
         raise FloatingPointError(f"{formula} = {s} is not a positive finite float")
     return s
@@ -186,15 +184,11 @@ def one_loop_vacuum(p: LoopParams) -> dict:
     vr2 = one_loop_vr_squared(p)
     s_sym = one_loop_symmetric_stationary(p)
     h = 1e-6 * vr2
-    with np.errstate(all="ignore"):  # a value that overflows is reported by the finiteness check below
-        grad_fd = (one_loop_potential(0.0, vr2 + h, p) - one_loop_potential(0.0, vr2 - h, p)) / (2.0 * h)
-        hess_fd = (
-            one_loop_potential(0.0, vr2 + h, p)
-            - 2.0 * one_loop_potential(0.0, vr2, p)
-            + one_loop_potential(0.0, vr2 - h, p)
-        ) / h**2
-        v_asym = one_loop_potential(0.0, vr2, p)
-        v_sym = one_loop_potential(s_sym, s_sym, p)
+    v_asym = one_loop_potential(0.0, vr2, p)
+    up, down = one_loop_potential(0.0, vr2 + h, p), one_loop_potential(0.0, vr2 - h, p)
+    grad_fd = (up - down) / (2.0 * h)
+    hess_fd = (up - 2.0 * v_asym + down) / h**2
+    v_sym = one_loop_potential(s_sym, s_sym, p)
     regime = p.lambda2 > 3.0 * p.g**2 / (64.0 * np.pi**2)
     report = {
         "vR_squared": float(vr2),

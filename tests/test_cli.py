@@ -460,8 +460,8 @@ def test_vacuum_container_holds_six_seas_and_residuals_are_exact(tmp_path, capsy
     out = tmp_path / "res.json"
     assert run(["vacuum", "residual", "--infile", str(vac), "--out", str(out)]) == 0
     residuals = read_json(out)["residuals"]
-    spec = LatticeSpec.from_json(built["lattice"])
-    md = MassData.from_json(built["masses"])
+    spec = LatticeSpec(**built["lattice"])
+    md = MassData(**built["masses"])
     seas, masses = list(vacuum_seas(md, spec)), md.neutrino_masses + md.charged_masses
     assert list(residuals) == sorted(AUX_SUMMANDS)
     for name, i in AUX_SUMMANDS.items():
@@ -1246,6 +1246,44 @@ def test_container_with_the_older_repeated_header_values_still_loads(tmp_path, c
             assert run(["vacuum", cmd[0], "--infile", str(path), *cmd[1:]]) == 0
             outputs.append({k: v for k, v in json.loads(capsys.readouterr().out).items() if k != "meta"})
         assert outputs[0] == outputs[1]
+
+
+#: One value of a built header replaced, (object, key, value, the reason the readers give): C of shape 3 x 2 or
+#: 8 x 3 or with a bool in it, and lattice and mass values of the wrong JSON type.
+MALFORMED_HEADERS = {
+    "C_3x2": (None, "coefficients", [[[1.0, 0.0], [0.0, 0.0]]] * 3,
+              "coefficients must be an 8 x 2 matrix of [re, im] pairs, got shape (3, 2, 2)"),
+    "C_8x3": (None, "coefficients", [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]] * 8,
+              "coefficients must be an 8 x 2 matrix of [re, im] pairs, got shape (8, 3, 2)"),
+    "C_bool": (None, "coefficients", [[[True, 0.0], [0.0, 0.0]]] + [[[0.0, 0.0], [1.0, 0.0]]] * 7,
+               "coefficients must be a JSON number, got True"),
+    "a_string": ("lattice", "a", "0.5", "a must be a finite real number, got '0.5'"),
+    "L_string": ("lattice", "L", "4", "L must be a finite real number, got '4'"),
+    "L_float": ("lattice", "L", 4.0, "L must be an integer, got 4.0"),
+    "tau_reg_bool": ("masses", "tau_reg", True, "tau_reg must be a finite real number, got True"),
+    "masses_strings": ("masses", "charged_masses", ["0.5", "0.7", "0.9"],
+                       "charged_masses must be a JSON number, got '0.5'"),
+}
+
+
+@pytest.mark.parametrize("cmd", [["residual"], ["localize", "--point", "1,1"], ["act", "--op", "1,2"]],
+                         ids=lambda cmd: cmd[0])
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_every_reader_rejects_a_malformed_header_naming_the_field(tmp_path, capsys, case, cmd):
+    # each value is checked where its dataclass is built, and C against the vacuum's 8 x 2 shape: before, the
+    # readers coerced "4", 4.0, "0.5", true and string masses, and ran on a C of any shape
+    obj, key, value, reason = MALFORMED_HEADERS[case]
+    vac = tmp_path / "vac.okn"
+    assert run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(vac)]) == 0
+
+    def edit(header):
+        (header if obj is None else header[obj])[key] = value
+        return header
+
+    broken = _with_header(vac, tmp_path / "broken.okn", edit)
+    capsys.readouterr()
+    assert run(["vacuum", cmd[0], "--infile", str(broken), *cmd[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot load kernel container {broken}: {reason}\n")
 
 
 NON_FINITE = "numerical failure: the report holds NaN or an infinite number\n"

@@ -9,8 +9,6 @@ ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 #: Public src functions that no command or acceptance test reaches, kept on purpose: qualified name -> reason.
 EXEMPT = {
     "lattice.vacuum_local_correlation": "perfbench/vlc_probe.py calls it; it leaves with that probe",
-    "octonion._OctonionBase.zero": "algebra method: the additive identity of Octonion and ComplexOctonion",
-    "octonion.ComplexOctonion.dagger": "algebra method: the adjoint involution of C (x) O",
 }
 
 #: Defaulted parameters that no reached call sets, kept on purpose: "module.function(parameter)" -> reason.

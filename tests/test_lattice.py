@@ -1,3 +1,4 @@
+import json
 import zipfile
 
 import numpy as np
@@ -81,6 +82,15 @@ def test_lattice_and_mass_data_reject_non_finite_or_mistyped_values():
             MassData(**{**ok, **kwargs})
     with pytest.raises(ValueError, match="tau_reg must be a finite real number"):
         MassData(**ok, tau_reg=nan)
+    # the types a container header is read with: JSON integers L and T, JSON numbers as masses, read as floats
+    for kwargs, reason in (({"L": 8.0}, "L must be an integer, got 8.0"), ({"T": True}, "T must be a finite")):
+        with pytest.raises(ValueError, match=reason):
+            LatticeSpec(**{"L": 8, "T": 6, "a": 0.5, "epsilon": 1.0, **kwargs})
+    for masses, reason in (([True, 0.7, 0.9], "must be a JSON number, got True"), ("0.5", "must be three masses")):
+        with pytest.raises(ValueError, match=f"charged_masses {reason}"):
+            MassData(**{**ok, "charged_masses": masses})
+    md = MassData(**{**ok, "charged_masses": [1, 0.7, 0.9]})
+    assert md.charged_masses == (1.0, 0.7, 0.9) and type(md.charged_masses[0]) is float
 
 
 def test_every_mass_entry_point_takes_the_mass_data_bound():
@@ -633,10 +643,9 @@ def test_minimal_time_window():
 
 
 def load_kernels(path):
-    """A whole container at once: (header, the six seas, the 8 x 2 sector coefficients)."""
-    header = load_header(path)
-    seas = list(read_seas(path, LatticeSpec.from_json(header["lattice"])))
-    return header, seas, cfs.complex_matrix_from_json(header["coefficients"])
+    """A whole container at once: (lattice, mass data, the six seas, the 8 x 2 sector coefficients)."""
+    spec, md, coefficients = load_header(path)
+    return spec, md, list(read_seas(path, spec)), coefficients
 
 
 def test_container_round_trip_and_determinism(tmp_path):
@@ -650,21 +659,21 @@ def test_container_round_trip_and_determinism(tmp_path):
     assert sorted(tmp_path.iterdir()) == [p1, p2]  # no temporary file is left beside them
     for k, oracle in zip(bases, sector_bases(seas, MD.tau_reg)):
         assert np.array_equal(k.rel, oracle.rel)
-    header, loaded, loaded_coefficients = load_kernels(p1)
-    assert load_header(p1) == header
+    spec, md, loaded, loaded_coefficients = load_kernels(p1)
+    assert (spec, md) == (SPEC, MD)
+    assert np.array_equal(loaded_coefficients, coefficients)
+    for k, sea in zip(loaded, seas):
+        assert np.array_equal(k.rel, sea.rel)
+    with zipfile.ZipFile(p1) as zf:
+        header = json.loads(zf.read("header.json"))
+        assert zf.namelist() == ["header.json"] + [f"{label}.npy" for label in SEA_LABELS]
+        assert all(info.compress_type == zipfile.ZIP_STORED for info in zf.infolist())
     assert header["format"] == 2
     assert header["seas"] == list(SEA_LABELS)
     assert header["lattice"]["L"] == SPEC.L
     assert header["masses"]["tau_reg"] == MD.tau_reg
     assert "epsilon" not in header and "tau_reg" not in header  # each value is written once, in its own object
     assert "local_correlation_convention" in header
-    assert np.array_equal(loaded_coefficients, coefficients)
-    for k, sea in zip(loaded, seas):
-        assert np.array_equal(k.rel, sea.rel)
-    with zipfile.ZipFile(p1) as zf:
-        names = zf.namelist()
-        assert names == ["header.json"] + [f"{label}.npy" for label in SEA_LABELS]
-        assert all(info.compress_type == zipfile.ZIP_STORED for info in zf.infolist())
 
 
 @settings(max_examples=30, deadline=None)

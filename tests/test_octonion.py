@@ -104,7 +104,7 @@ def test_inverse():
         assert np.allclose((inv(x) * x).coeffs, e(0).coeffs, atol=1e-12)
         assert np.allclose((x * inv(x)).coeffs, e(0).coeffs, atol=1e-12)
     with pytest.raises(ZeroDivisionError):
-        inv(Octonion.zero())
+        inv(Octonion(np.zeros(8)))
 
 
 def test_norm_multiplicative():
@@ -128,7 +128,7 @@ def test_alternativity():
 
 def test_associator_examples():
     assert associator(e(4), e(7), e(6)) == -2.0 * e(5)
-    assert associator(e(1), e(2), e(3)) == Octonion.zero()
+    assert associator(e(1), e(2), e(3)) == Octonion(np.zeros(8))
 
 
 def test_conj_antiautomorphism():
@@ -154,8 +154,8 @@ def test_projectors():
     rm = projector(-1)
     assert mul(rp, rp) == rp
     assert mul(rm, rm) == rm
-    assert mul(rp, rm) == ComplexOctonion.zero()
-    assert mul(rm, rp) == ComplexOctonion.zero()
+    assert mul(rp, rm) == ComplexOctonion(np.zeros(8))
+    assert mul(rm, rp) == ComplexOctonion(np.zeros(8))
     assert rp + rm == ComplexOctonion.e(0)
 
 
@@ -170,14 +170,6 @@ def test_complex_scalars_commute():
 def test_mixed_field_mul_rejected():
     with pytest.raises(TypeError):
         mul(e(1), ComplexOctonion.e(2))
-
-
-def test_dagger_composition():
-    x = ComplexOctonion(rng.standard_normal(8) + 1j * rng.standard_normal(8))
-    d = x.dagger()
-    assert np.allclose(d.coeffs[0], np.conj(x.coeffs[0]))
-    assert np.allclose(d.coeffs[1:], -np.conj(x.coeffs[1:]))
-    assert np.allclose(x.conj_octonion().conj_complex().coeffs, x.conj_complex().conj_octonion().coeffs)
 
 
 def test_split_basis_cases():
@@ -263,10 +255,10 @@ def test_operations_keep_class_and_dtype():
     z = ComplexOctonion(rng.standard_normal(8) + 1j * rng.standard_normal(8))
     w = ComplexOctonion(rng.standard_normal(8) + 1j * rng.standard_normal(8))
     real = [x * 2.0, 2.0 * x, x * 3, x + y, x - y, -x, x * y, mul(x, y), conj(x), x.conj(),
-            x.conj_octonion(), inv(x), associator(x, y, x), Octonion.e(3), Octonion.zero()]
+            x.conj_octonion(), inv(x), associator(x, y, x), Octonion.e(3), Octonion(np.zeros(8))]
     cplx = [z * 1j, 1j * z, z * 2.0, 2.0 * z, z + w, z - w, -z, z * w, mul(z, w), conj(z),
-            z.conj_octonion(), z.conj_complex(), z.dagger(), associator(z, w, z),
-            ComplexOctonion.e(3), ComplexOctonion.zero(), projector(+1)]
+            z.conj_octonion(), associator(z, w, z),
+            ComplexOctonion.e(3), ComplexOctonion(np.zeros(8)), projector(+1)]
     for v in real:
         assert type(v) is Octonion and v.coeffs.dtype == np.float64
     for v in cplx:
@@ -301,7 +293,7 @@ def test_batched_operations_equal_the_one_sample_calls_bitwise(data, shape):
     def results(a, b, z, w):
         return [mul(a, b), a * b, a + b, a - b, -a, 2.5 * a, conj(a), a.conj(), associator(a, b, a),
                 norm(a), a.norm(), split(a), unsplit(split(a)), split(ComplexOctonion(a.coeffs)),
-                mul(z, w), z - w, (0.5 - 2j) * z, conj(z), z.conj_complex(), z.dagger(), associator(z, w, z)]
+                mul(z, w), z - w, (0.5 - 2j) * z, conj(z), associator(z, w, z)]
 
     batched = results(X, Y, Z, W)
     for idx in np.ndindex(shape):
