@@ -73,21 +73,27 @@ def _asmat(x) -> np.ndarray:
 
 
 def validate_point(m, cfg: SystemConfig) -> OperatorPoint:
-    """Check Hermiticity and the signature bound (<= n positive, <= n negative eigenvalues)."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    """Check Hermiticity and the signature bound (<= n positive, <= n negative eigenvalues) of one point."""
+    a, w = validate_points(np.asarray(m, dtype=complex)[None], cfg)
+    return OperatorPoint(matrix=a[0], eigenvalues=w[0])
+
+
+def validate_points(a, cfg: SystemConfig):
+    """(Hermitian parts, spectra) of a stack (N, f, f) of points, checked as `validate_point` checks one: one stacked
+    check of each kind in turn, each raising at the first point that fails it, and one stacked `eigvalsh`."""
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise NotHermitian("point must be a square matrix")
-    if a.shape[0] != cfg.f:
+    if a.shape[1] != cfg.f:
         raise NotHermitian(f"point must be {cfg.f} x {cfg.f}")
     if not np.isfinite(a).all():
         raise NotHermitian("point entries must be finite")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if np.abs(a - a.conj().T).max(initial=0.0) > 1e-12 * scale:
+    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
+    if np.any(np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0) > 1e-12 * scale):
         raise NotHermitian("point is not Hermitian")
-    a = 0.5 * (a + a.conj().T)
-    w = np.linalg.eigvalsh(a) if a.size else np.zeros(0)
+    a = 0.5 * (a + a.conj().swapaxes(1, 2))
+    w = np.linalg.eigvalsh(a)
     check_signature(w, cfg.n)
-    return OperatorPoint(matrix=a, eigenvalues=w)
+    return a, w
 
 
 def zero_cut(w):
@@ -95,14 +101,15 @@ def zero_cut(w):
     return RANK_TOL * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
 
 
-def check_signature(w, n: int) -> float:
-    """The zero cut of a real spectrum; raises if more than n eigenvalues lie beyond it on either side."""
+def check_signature(w, n: int):
+    """The zero cut of each real spectrum along the last axis of `w`; raises at the first spectrum with more
+    than n eigenvalues beyond it on either side."""
     cut = zero_cut(w)
-    n_pos = int(np.sum(w > cut))
-    n_neg = int(np.sum(w < -cut))
-    if n_pos > n or n_neg > n:
+    n_pos, n_neg = (np.ravel(np.sum(side, axis=-1)) for side in (w > cut[..., None], w < -cut[..., None]))
+    bad = np.flatnonzero((n_pos > n) | (n_neg > n))
+    if bad.size:
         raise SignatureViolation(
-            f"{n_pos} positive and {n_neg} negative eigenvalues exceed spin dimension {n}"
+            f"{n_pos[bad[0]]} positive and {n_neg[bad[0]]} negative eigenvalues exceed spin dimension {n}"
         )
     return cut
 
@@ -232,22 +239,22 @@ def lagrangian_first_term(x, y, cfg: SystemConfig) -> float:
 
 @dataclass
 class DiscreteMeasure:
-    """Weighted finite collection of operator points (weights sum to one)."""
+    """Weighted finite collection of operator points (weights sum to one); `points` becomes one stack (N, f, f)."""
 
-    points: list
+    points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        if len(self.points) != len(self.weights):
-            raise ValueError("points and weights must have equal length")
+        if self.weights.shape != (len(self.points),):
+            raise ValueError(f"weights must be a list of {len(self.points)} numbers, one per point")
         if not np.all((self.weights > 0.0) & (self.weights < np.inf)):
             raise ValueError("weights must be positive and finite")
         if abs(self.weights.sum() - 1.0) > 1e-10:
             raise ValueError("weights must sum to one (volume constraint)")
         # operator-norm distances to all later points: max|eigvalsh| of the Hermitian differences,
         # solved only where ||d||_2 >= ||d||_F / sqrt(f) admits <= 1e-12 (factor 2 for rounding)
-        mats = np.array([_asmat(p) for p in self.points])
+        mats = self.points = _stack(self.points, len(_asmat(self.points[0])))  # a support is not empty
         for i in range(len(mats) - 1):
             d = mats[i + 1 :] - mats[i]
             near = d[np.linalg.norm(d, axis=(1, 2)) <= 2e-12 * np.sqrt(d.shape[1])]
@@ -399,19 +406,24 @@ def spin_connections(frames, i, j):
 def measure_to_json(measure: DiscreteMeasure, cfg: SystemConfig) -> dict:
     return {
         "config": {"f": cfg.f, "n": cfg.n, "kappa": cfg.kappa, "s": cfg.s},
-        "points": [complex_matrix_to_json(_asmat(p)) for p in measure.points],
+        "points": np.stack([measure.points.real, measure.points.imag], -1).tolist(),
         "weights": measure.weights.tolist(),
     }
 
 
-def json_numbers(key: str, obj):
-    """obj, if it is a JSON number or nested lists of them; a bool, string or null raises ValueError naming key."""
-    for item in obj if type(obj) is list else [obj]:
-        if type(item) is list:
-            json_numbers(key, item)
-        elif type(item) not in (int, float):
+def json_array(key: str, obj) -> np.ndarray:
+    """obj, a JSON number or a rectangular table of them, as floats. A bool, string, null or integer beyond the float
+    range raises ValueError naming key; a list where a number belongs (a ragged table) raises TypeError."""
+    a = np.array(obj, dtype=object)
+    for item in a.flat:
+        if type(item) not in (int, float):
+            if type(item) is list:
+                raise TypeError(f"{key} table is not rectangular")
             raise ValueError(f"{key} must be a JSON number, got {item!r}")
-    return obj
+    try:
+        return a.astype(float)
+    except OverflowError:
+        raise ValueError(f"{key} must be a finite real number, got an integer beyond the float range") from None
 
 
 def config_from_json(c: dict) -> SystemConfig:
@@ -419,24 +431,32 @@ def config_from_json(c: dict) -> SystemConfig:
     for key in ("f", "n"):
         if type(c[key]) is not int:
             raise ValueError(f"config {key} must be a JSON integer, got {c[key]!r}")
-    kappa, s = json_numbers("config kappa", c["kappa"]), json_numbers("config s", c.get("s", 0.0))
+    kappa, s = json_array("config kappa", c["kappa"]), json_array("config s", c.get("s", 0.0))
+    if kappa.ndim or s.ndim:
+        raise ValueError("config kappa and s must be JSON numbers, not lists")
     return SystemConfig(f=c["f"], n=c["n"], kappa=float(kappa), s=float(s))
 
 
 def points_from_json(obj: dict):
-    """(validated points, SystemConfig) of a measure or pairs file."""
-    cfg = config_from_json(obj["config"])
-    return [validate_point(complex_matrix_from_json(json_numbers("point entry", p)), cfg) for p in obj["points"]], cfg
+    """(points (N, f, f), SystemConfig) of a measure or pairs file: its N x f x f table of [re, im] pairs, validated
+    as one stack. A ragged table raises as its first point that is bad alone would."""
+    cfg, pts = config_from_json(obj["config"]), obj["points"]
+    try:
+        a = json_array("point entry", pts) if pts != [] else np.zeros((0, cfg.f, cfg.f, 2))
+    except TypeError:  # ragged: each point alone, in order, until one raises as it would by itself
+        for p in pts if len(pts) > 1 else []:  # a single point alone is this same table
+            points_from_json({"config": obj["config"], "points": [p]})
+        a = np.zeros(0)  # no table of [re, im] pairs
+    if a.ndim != 4 or a.shape[3] != 2:
+        raise ValueError(f"points must be a list of {cfg.f} x {cfg.f} tables of [re, im] pairs")
+    return validate_points(a.view(complex)[..., 0], cfg)[0], cfg
 
 
 def measure_from_json(obj: dict):
+    """(DiscreteMeasure, SystemConfig) of a measure file: `points_from_json` and a list of weights, one per point."""
     points, cfg = points_from_json(obj)
-    return DiscreteMeasure(points=points, weights=np.asarray(json_numbers("weight", obj["weights"]), dtype=float)), cfg
-
-
-def complex_matrix_to_json(m: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def complex_matrix_from_json(obj) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in obj])
+    try:
+        weights = json_array("weight", obj["weights"])
+    except TypeError:
+        raise ValueError(f"weights must be a list of {len(points)} numbers, one per point") from None
+    return DiscreteMeasure(points=points, weights=weights), cfg

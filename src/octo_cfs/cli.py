@@ -363,13 +363,6 @@ def cmd_cfs_el_residual(args) -> int:
 
 # ---------------------------------------------------------------- vacuum
 
-def _parse_masses(text: str):
-    vals = [float(v) for v in text.split(",")]
-    if len(vals) != 3:
-        raise ValidationError(f"expected 3 comma-separated masses, got {text!r}")
-    return tuple(vals)
-
-
 def cmd_vacuum_build(args) -> int:
     import dataclasses
 
@@ -380,8 +373,8 @@ def cmd_vacuum_build(args) -> int:
     try:
         spec = lattice.LatticeSpec(L=args.L, T=args.T, a=args.a, epsilon=args.eps, dims=args.dims)
         md = lattice.MassData(
-            charged_masses=_parse_masses(args.masses),
-            neutrino_masses=_parse_masses(args.neutrino_masses),
+            charged_masses=tuple(map(float, args.masses.split(","))),  # MassData checks that there are three
+            neutrino_masses=tuple(map(float, args.neutrino_masses.split(","))),
             tau_reg=args.tau,
         )
     except ValueError as exc:

@@ -211,9 +211,11 @@ class MassData:
 
     def __post_init__(self):
         for name in ("charged_masses", "neutrino_masses"):  # JSON numbers, so an integer 1 reads as 1.0
-            if not isinstance(masses := getattr(self, name), (list, tuple)) or len(masses) != 3:
+            masses = getattr(self, name)
+            values = cfs.json_array(name, list(masses)) if isinstance(masses, (list, tuple)) else None
+            if values is None or values.shape != (3,):
                 raise ValueError(f"{name} must be three masses, got {masses!r}")
-            object.__setattr__(self, name, tuple(float(m) for m in cfs.json_numbers(name, list(masses))))
+            object.__setattr__(self, name, tuple(values.tolist()))
         for m in self.charged_masses + self.neutrino_masses:
             _require_mass(m)
         require_finite(self, "tau_reg")
@@ -514,7 +516,7 @@ def save_kernels(path, spec: LatticeSpec, md: MassData, seas, coefficients: np.n
 def load_header(path) -> tuple:
     """(LatticeSpec, MassData, the 8 x 2 sector coefficients C) of a kernel container, without reading its seas.
 
-    Each dataclass takes its fields from its header object by name and checks them; C holds [re, im] JSON numbers.
+    Each dataclass takes its fields from its header object by name and checks them; C holds finite [re, im] pairs.
     """
     with zipfile.ZipFile(path, "r") as zf:
         header = json.loads(zf.read("header.json"))
@@ -522,10 +524,12 @@ def load_header(path) -> tuple:
         raise ValueError(f"not a format {CONTAINER_FORMAT} kernel container; rebuild it with `vacuum build`")
     spec, md = (cls(**{f.name: header[key][f.name] for f in fields(cls)})
                 for key, cls in (("lattice", LatticeSpec), ("masses", MassData)))
-    pairs = np.array(cfs.json_numbers("coefficients", header["coefficients"]), dtype=object)
+    pairs = cfs.json_array("coefficients", header["coefficients"])
     if pairs.shape != VACUUM_COEFFICIENTS.shape + (2,):
         raise ValueError(f"coefficients must be an 8 x 2 matrix of [re, im] pairs, got shape {pairs.shape}")
-    return spec, md, pairs.astype(float).view(complex)[..., 0]
+    if not np.isfinite(pairs).all():
+        raise ValueError("coefficients must be finite")
+    return spec, md, pairs.view(complex)[..., 0]
 
 
 def read_seas(path, spec: LatticeSpec):

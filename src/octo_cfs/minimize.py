@@ -139,9 +139,7 @@ def minimize(
     if not np.all(np.isfinite(v)):
         raise InfeasibleStart(f"x0 must be finite, got {v.tolist()}")
     try:
-        points0, _ = _unpack(family, v)
-        for p in points0:
-            cfs.validate_point(p, cfg)
+        cfs.validate_points(_unpack(family, v)[0], cfg)
     except (cfs.NotHermitian, cfs.SignatureViolation) as exc:
         raise InfeasibleStart(f"initial family point invalid: {exc}") from exc
 
@@ -158,8 +156,7 @@ def minimize(
         raise MaxIterations(f"trace constraint not met ({res.message}): trace={trace}")
 
     kept = w > cfs.zero_cut(w)  # a weight inside the zero cut has collapsed: its point carries no measure
-    validated = [cfs.validate_point(p, cfg) for p, k in zip(points, kept) if k]
-    merged_pts, merged_w = cfs.merge_duplicates(validated, w[kept])
+    merged_pts, merged_w = cfs.merge_duplicates(cfs.validate_points(points[kept], cfg)[0], w[kept])
     merged_w = merged_w / merged_w.sum()
     measure = cfs.DiscreteMeasure(points=merged_pts, weights=merged_w)
 
@@ -246,9 +243,9 @@ def _sqp(fun, grad, x):
     return result(False, "Iteration limit reached")
 
 
-def _perturbed_point(rng, point: cfs.OperatorPoint, cfg):
+def _perturbed_point(rng, point: np.ndarray, cfg):
     """Signature-preserving random perturbation of a support point."""
-    w, vecs = np.linalg.eigh(point.matrix)
+    w, vecs = np.linalg.eigh(point)
     keep = np.abs(w) > cfs.zero_cut(w)
     w2 = w.copy()
     w2[keep] *= 1.0 + PROBE_REL * rng.standard_normal(int(keep.sum()))
@@ -290,14 +287,14 @@ def make_family(spec: dict, cfg: cfs.SystemConfig) -> tuple:
     if kind == "mirror_pair":
         signs, index, default = np.array([[1.0, -1.0], [-1.0, 1.0]]), [[0, 1], [1, 0]], [1.2, 0.4, 0.1, -0.1]
     elif kind == "diagonal":
-        try:
-            signs = np.asarray(spec["signs"], dtype=float)
-            ok = signs.ndim == 2 and signs.size > 0 and bool(np.isin(signs, (-1, 0, 1)).all())
-        except (TypeError, ValueError):  # ragged rows or entries that are not numbers
+        try:  # the template as numpy reads it, which takes true and "1" for 1: json_array's type check comes next
+            template = np.asarray(spec["signs"], dtype=float)
+            ok = template.ndim == 2 and template.size > 0 and bool(np.isin(template, (-1, 0, 1)).all())
+        except (TypeError, ValueError, OverflowError):  # ragged rows or entries that are not numbers
             ok = False
         if not ok:
             raise ValueError(f"signs must be a non-empty 2-D table of -1, 0 and 1, got {spec['signs']!r}")
-        cfs.json_numbers("family signs", spec["signs"])  # numpy reads true and "1" as 1
+        signs = cfs.json_array("family signs", spec["signs"])
         index = np.arange(signs.size).reshape(signs.shape)
         default = np.concatenate([np.full(signs.size, 0.8), np.zeros(len(signs))])
     else:
@@ -306,5 +303,5 @@ def make_family(spec: dict, cfg: cfs.SystemConfig) -> tuple:
         raise ValueError(f"{kind} family needs f = {signs.shape[1]}, got f = {cfg.f}")
     if (np.sum(signs > 0, axis=1) > cfg.n).any() or (np.sum(signs < 0, axis=1) > cfg.n).any():
         raise ValueError("sign template violates the signature bound")
-    init = cfs.json_numbers("family init", spec["init"]) if "init" in spec else default
+    init = cfs.json_array("family init", spec["init"]) if "init" in spec else default
     return MeasureFamily(index, signs), np.array(init, dtype=float)

@@ -1,3 +1,5 @@
+import json
+
 import mpmath
 import numpy as np
 import pytest
@@ -22,11 +24,13 @@ from octo_cfs.cfs import (
     causal_class,
     causal_classes,
     chain_spectra,
+    check_signature,
     closed_chain,
     completeness_check,
     config_from_json,
     constraints,
     ell,
+    json_array,
     kernel,
     lagrangian_first_term,
     lagrangians,
@@ -34,13 +38,16 @@ from octo_cfs.cfs import (
     measure_to_json,
     merge_duplicates,
     pair_spectra,
+    points_from_json,
     product_spectrum,
     random_point,
     spin_connections,
     spin_frames,
     spin_space,
     validate_point,
+    validate_points,
 )
+from octo_cfs.cli import main
 
 rng = np.random.default_rng(41)
 
@@ -439,7 +446,7 @@ def test_measure_json_round_trip():
     m2, cfg2 = measure_from_json(obj)
     assert cfg2 == cfg
     assert config_from_json({"f": 2, "n": 1, "kappa": 0.1}) == SystemConfig(f=2, n=1, kappa=0.1, s=0.0)
-    assert np.allclose(m2.points[0].matrix, x.matrix)
+    assert np.allclose(m2.points[0], x.matrix)
     assert np.allclose(m2.weights, m.weights)
 
 
@@ -745,3 +752,137 @@ def test_system_config_rejects_non_finite_or_out_of_range_parameters():
         with pytest.raises(ValueError):
             SystemConfig(f=2, n=1, **bad)
     assert SystemConfig(f=2, n=1, kappa=0.1, s=0.0).s == 0.0
+
+
+# ---------------------------------------------------------------- file reader
+
+
+def _json_numbers(key, obj):
+    """The reader `json_array` replaced: obj, if it is a JSON number or nested lists of them."""
+    for item in obj if type(obj) is list else [obj]:
+        if type(item) is list:
+            _json_numbers(key, item)
+        elif type(item) not in (int, float):
+            raise ValueError(f"{key} must be a JSON number, got {item!r}")
+    return obj
+
+
+def _validate_point_alone(m, cfg):
+    """(Hermitian part, spectrum) of one point, checked by the code `validate_points` stacks, as written for one."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NotHermitian("point must be a square matrix")
+    if a.shape[0] != cfg.f:
+        raise NotHermitian(f"point must be {cfg.f} x {cfg.f}")
+    if not np.isfinite(a).all():
+        raise NotHermitian("point entries must be finite")
+    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
+    if np.abs(a - a.conj().T).max(initial=0.0) > 1e-12 * scale:
+        raise NotHermitian("point is not Hermitian")
+    a = 0.5 * (a + a.conj().T)
+    w = np.linalg.eigvalsh(a)
+    cut = RANK_TOL * max(1.0, np.abs(w).max(initial=0.0))
+    n_pos, n_neg = int(np.sum(w > cut)), int(np.sum(w < -cut))
+    if n_pos > cfg.n or n_neg > cfg.n:
+        raise SignatureViolation(f"{n_pos} positive and {n_neg} negative eigenvalues exceed spin dimension {cfg.n}")
+    return a, w
+
+
+def oracle_points(obj):
+    """The per-point path `points_from_json` replaced: `_json_numbers`, complex() per entry, then each point's
+    validation alone."""
+    cfg = config_from_json(obj["config"])
+    return [_validate_point_alone(np.array([[complex(re, im) for re, im in row]
+                                            for row in _json_numbers("point entry", p)]), cfg) for p in obj["points"]]
+
+
+def _points_json(points):
+    return [np.stack([m.real, m.imag], -1).tolist() for m in points]
+
+
+@st.composite
+def point_files(draw):
+    """A valid pairs file: f < 2n drawn too, zero points (written as JSON integers) and no points at all."""
+    f, n = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    cfg = SystemConfig(f=f, n=n, kappa=0.2)
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["random", "zero", "jitter"]), max_size=6))
+    points = []
+    for kind in kinds:
+        m = np.zeros((f, f), dtype=complex) if kind == "zero" else _any_rank_point(r, cfg)
+        if kind == "jitter":  # Hermitian within the tolerance, so the reader's symmetrization shows
+            m[0, -1] += 1e-14 * (1 + 1j)
+        points.append(m)
+    pts = _points_json(points)
+    for m, p in zip(points, pts):
+        if not m.any():
+            p[:] = [[[0, 0]] * f] * f
+    return {"config": {"f": f, "n": n, "kappa": 0.2}, "points": pts}, cfg
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=point_files())
+def test_points_from_json_equals_the_per_point_path_bitwise(case):
+    obj, cfg = case
+    want = oracle_points(obj)
+    got, got_cfg = points_from_json(obj)
+    stack, spectra = validate_points(json_array("point entry", obj["points"]).reshape(-1, cfg.f, cfg.f, 2)
+                                     .view(complex)[..., 0], cfg)
+    assert got_cfg == cfg and got.shape == stack.shape == (len(want), cfg.f, cfg.f)
+    assert got.tobytes() == stack.tobytes() == b"".join(a.tobytes() for a, _ in want)
+    assert spectra.tobytes() == b"".join(w.tobytes() for _, w in want)
+    for m, (a, w) in zip(stack, want):  # the one-point view is the stack of one
+        point = validate_point(m, cfg)
+        assert point.matrix.tobytes() == a.tobytes() and point.eigenvalues.tobytes() == w.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=point_files(), defect=st.sampled_from(["hermitian", "finite", "signature", "size"]),
+       where=st.integers(0, 5))
+def test_a_file_with_one_bad_point_raises_as_the_per_point_path(case, defect, where):
+    obj, cfg = case
+    pts = obj["points"]
+    if defect == "signature" and cfg.f <= cfg.n:
+        return  # no f x f point has more than n eigenvalues of one sign
+    bad = np.zeros((cfg.f + (defect == "size"),) * 2, dtype=complex)
+    if defect == "signature":
+        bad[np.arange(cfg.n + 1), np.arange(cfg.n + 1)] = 1.0
+    bad[0, 0] += {"hermitian": 4e-12j, "finite": np.nan}.get(defect, 0.0)  # 8e-12 off: within 1e-11, beyond 1e-12
+    pts.insert(where % (len(pts) + 1), _points_json([bad])[0])
+    with pytest.raises(ValueError) as want:
+        oracle_points(obj)
+    with pytest.raises(ValueError) as got:
+        points_from_json(obj)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_check_signature_reports_the_first_spectrum_beyond_the_bound():
+    w = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -1.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(SignatureViolation, match="^2 positive and 1 negative eigenvalues exceed spin dimension 1$"):
+        check_signature(w, 1)
+    assert check_signature(w[0], 1) == RANK_TOL and check_signature(w, 3).tolist() == [RANK_TOL] * 3
+
+
+def _file_of_64_points(tmp_path):
+    cfg = SystemConfig(f=16, n=2, kappa=0.2)
+    r = np.random.default_rng(9)
+    path = tmp_path / "measure.json"
+    points = _points_json([m for m in (random_point(r, cfg).matrix for _ in range(100)) if m.any()][:64])
+    path.write_text(json.dumps({"config": {"f": 16, "n": 2, "kappa": 0.2}, "points": points,
+                                "weights": np.full(64, 1 / 64).tolist()}))
+    return path
+
+
+@pytest.mark.parametrize("argv", [["action", "--measure"], ["el-residual", "--measure"], ["classify", "--pairs"]],
+                         ids=lambda argv: argv[0])
+def test_a_point_file_is_validated_by_one_eigvalsh(tmp_path, monkeypatch, argv):
+    path = _file_of_64_points(tmp_path)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def spy(a):
+        calls.append(np.shape(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    assert main(["cfs", *argv, str(path), "--out", str(tmp_path / "out.json")]) == 0
+    assert calls == [(64, 16, 16)]

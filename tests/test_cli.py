@@ -229,7 +229,8 @@ def test_cfs_classify_geometry(tmp_path):
 def _random_pairs_file(tmp_path, count, pairs, f=16, n=2):
     cfg = cfs.SystemConfig(f=f, n=n, kappa=0.2)
     r = np.random.default_rng(5)
-    points = [cfs.complex_matrix_to_json(cfs.random_point(r, cfg).matrix) for _ in range(count)]
+    points = [cfs.random_point(r, cfg).matrix for _ in range(count)]
+    points = [np.stack([m.real, m.imag], -1).tolist() for m in points]
     path = tmp_path / "pairs.json"
     path.write_text(json.dumps({"config": {"f": f, "n": n, "kappa": 0.2}, "points": points, "pairs": pairs}))
     return path
@@ -324,7 +325,7 @@ def test_cfs_minimize_with_f_below_2n(tmp_path):
 
 def test_cfs_minimize_rejects_bad_sign_templates(tmp_path, capsys):
     fam_path = tmp_path / "family.json"
-    for bad in ([], [1, -1], [[1, 2]], [[1, -1], [1]], [[]], [["a", "b"]]):
+    for bad in ([], [1, -1], [[1, 2]], [[1, -1], [1]], [[]], [["a", "b"]], [[10**400, 1]]):
         fam_path.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.2},
                                         "family": {"type": "diagonal", "signs": bad}}))
         assert run(["cfs", "minimize", "--family", str(fam_path)]) == 2
@@ -371,12 +372,18 @@ def test_files_reject_numbers_that_are_bools_or_strings(tmp_path, capsys):
     measure = read_json(path)
     point = measure["points"][0]
     bool_entry = [[[True, 0.0], *point[0][1:]], *point[1:]]
+    huge = 10**400  # a JSON integer beyond the float range
+    huge_entry = [[[huge, 0.0], *point[0][1:]], *point[1:]]
     cases = [({**measure, "config": {**measure["config"], "kappa": "0.2"}}, "config kappa", "0.2"),
              ({**measure, "config": {**measure["config"], "kappa": True}}, "config kappa", True),
              ({**measure, "config": {**measure["config"], "s": "0"}}, "config s", "0"),
+             ({**measure, "config": {**measure["config"], "kappa": huge}}, "config kappa", huge),
+             ({**measure, "config": {**measure["config"], "s": [0.0]}}, "config kappa and s", [0.0]),
              ({**measure, "weights": ["0.5", 0.5]}, "weight", "0.5"),
              ({**measure, "weights": [0.5, None]}, "weight", None),
-             ({**measure, "points": [bool_entry, point]}, "point entry", True)]
+             ({**measure, "weights": [huge, 0.5]}, "weight", huge),
+             ({**measure, "points": [bool_entry, point]}, "point entry", True),
+             ({**measure, "points": [huge_entry, point]}, "point entry", huge)]
     for obj, key, bad in cases:
         path.write_text(json.dumps(obj))
         commands = [["cfs", "action", "--measure", str(path)], ["cfs", "classify", "--pairs", str(path)]]
@@ -384,15 +391,50 @@ def test_files_reject_numbers_that_are_bools_or_strings(tmp_path, capsys):
             assert run(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == (
-                f"error: cannot load {argv[2][2:]} file {path}: {key} must be a JSON number, got {bad!r}\n")
+            assert captured.err == f"error: cannot load {argv[2][2:]} file {path}: {key} must be " + (
+                "a finite real number, got an integer beyond the float range\n" if bad is huge
+                else "JSON numbers, not lists\n" if bad == [0.0] else f"a JSON number, got {bad!r}\n")
     fam_path = tmp_path / "family.json"
-    for bad in ("1.2", False):
+    for bad in ("1.2", False, huge):
         family = {"type": "mirror_pair", "init": [bad, 0.4, 0.1, -0.1]}
         fam_path.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.2}, "family": family}))
         assert run(["cfs", "minimize", "--family", str(fam_path)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: cannot load family file {fam_path}: family init must be a JSON number, got {bad!r}\n")
+        assert capsys.readouterr().err == f"error: cannot load family file {fam_path}: family init must be " + (
+            "a finite real number, got an integer beyond the float range\n" if bad is huge
+            else f"a JSON number, got {bad!r}\n")
+
+
+MALFORMED_POINT_TABLES = {  # (the file's points and weights, the reason both readers give)
+    "ragged_row": ([[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]] * 2, [0.5, 0.5],
+                   "points must be a list of 2 x 2 tables of [re, im] pairs"),
+    "triple": ([[[[1.0, 0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]] * 2, [0.5, 0.5],
+               "points must be a list of 2 x 2 tables of [re, im] pairs"),
+    "bare_number": ([[[[1.0, 0.0], 0], [[0.0, 0.0], [-1.0, 0.0]]]] * 2, [0.5, 0.5],
+                    "points must be a list of 2 x 2 tables of [re, im] pairs"),
+    "points_a_number": (3, [0.5, 0.5], "points must be a list of 2 x 2 tables of [re, im] pairs"),
+    "point_3x3": ([[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+                   [[[0.0, 0.0]] * 3] * 3], [0.5, 0.5], "point must be 2 x 2"),
+    "weights_ragged": ([[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                        [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]], [[0.5], 0.5],
+                       "weights must be a list of 2 numbers, one per point"),
+    "weights_nested": ([[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                        [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]], [[0.5], [0.5]],
+                       "weights must be a list of 2 numbers, one per point"),
+}
+
+
+@pytest.mark.parametrize("argv", [["action", "--measure"], ["classify", "--pairs"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("case", sorted(MALFORMED_POINT_TABLES))
+def test_malformed_point_and_weight_tables_exit_2_naming_the_shape(tmp_path, capsys, case, argv):
+    # each defect is named with the shape the reader expects, not left to Python's or numpy's own message
+    points, weights, reason = MALFORMED_POINT_TABLES[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.1}, "points": points, "weights": weights}))
+    if case.startswith("weights") and argv[0] == "classify":
+        assert run(["cfs", *argv, str(path)]) == 0  # a pairs file's weights are not read
+        return
+    assert run(["cfs", *argv, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot load {argv[1][2:]} file {path}: {reason}\n")
 
 
 def test_cfs_minimize_init_with_underflowed_or_non_finite_logits(tmp_path, capsys):
@@ -1178,7 +1220,9 @@ def test_non_finite_or_mistyped_parameters_exit_2(tmp_path, capsys):
     for flags, reason in ((["--a", "nan"], "a must be a finite real number"),
                           (["--eps", "inf"], "epsilon must be a finite real number"),
                           (["--masses", "nan,0.5,0.6"], "masses must be finite and non-negative"),
-                          (["--masses", "1e-160,0.5,0.6"], "0 or >= 1e-150")):
+                          (["--masses", "1e-160,0.5,0.6"], "0 or >= 1e-150"),
+                          (["--masses", "0.5,0.7"], "charged_masses must be three masses, got (0.5, 0.7)"),
+                          (["--L", str(10**400)], f"L must be a finite real number, got {10**400}")):
         assert run(["vacuum", "build", "--L", "4", "--T", "4", *flags, "--out", str(out)]) == 2
         assert reason in capsys.readouterr().err
     assert not out.exists()
@@ -1186,7 +1230,8 @@ def test_non_finite_or_mistyped_parameters_exit_2(tmp_path, capsys):
     loop = '{"lambda1": 0.0063, "lambda2": 1.0, "g": 1.0, "M": %s}'
     for mode, params, reason in (("--tree", tree % '"a"', "mu2 must be a finite real number, got 'a'"),
                                  ("--tree", tree % "NaN", "mu2 must be a finite real number, got nan"),
-                                 ("--loop", loop % "NaN", "M must be a finite real number, got nan")):
+                                 ("--loop", loop % "NaN", "M must be a finite real number, got nan"),
+                                 ("--tree", tree % 10**400, f"mu2 must be a finite real number, got {10**400}")):
         assert run(["potentials", "scan", mode, "--params", params]) == 2
         assert reason in capsys.readouterr().err
 
@@ -1249,7 +1294,8 @@ def test_container_with_the_older_repeated_header_values_still_loads(tmp_path, c
 
 
 #: One value of a built header replaced, (object, key, value, the reason the readers give): C of shape 3 x 2 or
-#: 8 x 3 or with a bool in it, and lattice and mass values of the wrong JSON type.
+#: 8 x 3, ragged, not finite or with a bool in it, and lattice and mass values of the wrong JSON type or beyond
+#: the float range.
 MALFORMED_HEADERS = {
     "C_3x2": (None, "coefficients", [[[1.0, 0.0], [0.0, 0.0]]] * 3,
               "coefficients must be an 8 x 2 matrix of [re, im] pairs, got shape (3, 2, 2)"),
@@ -1257,12 +1303,23 @@ MALFORMED_HEADERS = {
               "coefficients must be an 8 x 2 matrix of [re, im] pairs, got shape (8, 3, 2)"),
     "C_bool": (None, "coefficients", [[[True, 0.0], [0.0, 0.0]]] + [[[0.0, 0.0], [1.0, 0.0]]] * 7,
                "coefficients must be a JSON number, got True"),
+    "C_nan": (None, "coefficients", [[[1.0, 0.0], [0.0, 0.0]]] + [[[0.0, 0.0], [float("nan"), 0.0]]] * 7,
+              "coefficients must be finite"),
+    "C_inf": (None, "coefficients", [[[1.0, 0.0], [0.0, 0.0]]] + [[[0.0, float("inf")], [1.0, 0.0]]] * 7,
+              "coefficients must be finite"),
+    "C_ragged": (None, "coefficients", [[[1.0, 0.0], [0.0]]] + [[[0.0, 0.0], [1.0, 0.0]]] * 7,
+                 "coefficients table is not rectangular"),
+    "C_huge": (None, "coefficients", [[[10**400, 0.0], [0.0, 0.0]]] + [[[0.0, 0.0], [1.0, 0.0]]] * 7,
+               "coefficients must be a finite real number, got an integer beyond the float range"),
+    "L_huge": ("lattice", "L", 10**400, f"L must be a finite real number, got {10**400}"),
     "a_string": ("lattice", "a", "0.5", "a must be a finite real number, got '0.5'"),
     "L_string": ("lattice", "L", "4", "L must be a finite real number, got '4'"),
     "L_float": ("lattice", "L", 4.0, "L must be an integer, got 4.0"),
     "tau_reg_bool": ("masses", "tau_reg", True, "tau_reg must be a finite real number, got True"),
     "masses_strings": ("masses", "charged_masses", ["0.5", "0.7", "0.9"],
                        "charged_masses must be a JSON number, got '0.5'"),
+    "masses_nested": ("masses", "neutrino_masses", [[0.1], [0.2], [0.3]],
+                      "neutrino_masses must be three masses, got [[0.1], [0.2], [0.3]]"),
 }
 
 
