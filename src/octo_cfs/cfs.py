@@ -10,6 +10,7 @@ measure.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ import numpy as np
 RANK_TOL = 1e-9
 #: Relative tolerance for the "all moduli equal" test of the causal classification.
 CAUSAL_TOL = 1e-8
+#: A stack (..., N, f, f) of Hermitian points with its `np.linalg.eigh`, solved once: spectra (..., N, f), eigenvectors.
+Eigh = namedtuple("Eigh", "points eigenvalues eigenvectors")
 
 SPACELIKE = "spacelike"
 TIMELIKE = "timelike"
@@ -33,10 +36,6 @@ class SignatureViolation(ValueError):
 
 
 class NotSpinConnectable(RuntimeError):
-    pass
-
-
-class EigensolverError(RuntimeError):
     pass
 
 
@@ -74,13 +73,13 @@ def _asmat(x) -> np.ndarray:
 
 def validate_point(m, cfg: SystemConfig) -> OperatorPoint:
     """Check Hermiticity and the signature bound (<= n positive, <= n negative eigenvalues) of one point."""
-    a, w = validate_points(np.asarray(m, dtype=complex)[None], cfg)
+    a, w, _ = validate_points(np.asarray(m, dtype=complex)[None], cfg)
     return OperatorPoint(matrix=a[0], eigenvalues=w[0])
 
 
-def validate_points(a, cfg: SystemConfig):
-    """(Hermitian parts, spectra) of a stack (N, f, f) of points, checked as `validate_point` checks one: one stacked
-    check of each kind in turn, each raising at the first point that fails it, and one stacked `eigvalsh`."""
+def validate_points(a, cfg: SystemConfig) -> Eigh:
+    """The `Eigh` of the Hermitian parts of a stack (N, f, f) of points, checked as `validate_point` checks one: one
+    stacked check of each kind in turn, each raising at the first point that fails it, the last on the `eigh`."""
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise NotHermitian("point must be a square matrix")
     if a.shape[1] != cfg.f:
@@ -91,9 +90,9 @@ def validate_points(a, cfg: SystemConfig):
     if np.any(np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0) > 1e-12 * scale):
         raise NotHermitian("point is not Hermitian")
     a = 0.5 * (a + a.conj().swapaxes(1, 2))
-    w = np.linalg.eigvalsh(a)
+    w, v = np.linalg.eigh(a)
     check_signature(w, cfg.n)
-    return a, w
+    return Eigh(a, w, v)
 
 
 def zero_cut(w):
@@ -134,25 +133,30 @@ PAIR_BLOCK = 256
 
 
 def _stack(points, f: int) -> np.ndarray:
-    """Points as one complex array (..., N, f, f): an array as it is, a list of N points (none included) stacked."""
+    """Points as one complex array (..., N, f, f): an array or an Eigh's as is, a list of N points (or none) stacked."""
+    if isinstance(points, Eigh):
+        return points.points
     if isinstance(points, np.ndarray):
         return points.astype(complex, copy=False)
     return np.array([_asmat(p) for p in points], dtype=complex).reshape(len(points), f, f)
 
 
+def _eigh(points, f: int) -> Eigh:
+    """`points` as an `Eigh`: an `Eigh` as it is, other points (see `_stack`) decomposed by one stacked `eigh`."""
+    a = _stack(points, f)
+    return points if isinstance(points, Eigh) else Eigh(a, *np.linalg.eigh(a))
+
+
 def spin_frames(points, cfg: SystemConfig):
     """Per point: the top min(2n, f) eigenpairs by modulus with sub-cut eigenvalues zeroed, ||x||_2, the matrix.
 
-    `points` is a list of points or an array (..., f, f), such as a stack (B, N, f, f) of B point sets;
-    the results keep its leading axes. One stacked `eigh`; the zero cut is that of `zero_cut`. Raises
-    EigensolverError for a point with more than 2n eigenvalues beyond it.
+    `points` is an `Eigh` or points for one stacked `eigh`: a list or an array (..., f, f), such as a stack (B, N, f, f)
+    of B point sets; the results keep its leading axes. The zero cut is that of `check_signature`, which raises
+    SignatureViolation for a point with more than n eigenvalues beyond it on either side.
     """
-    a = _stack(points, cfg.f)
-    w, v = np.linalg.eigh(a)
+    a, w, v = _eigh(points, cfg.f)
     top = np.abs(w).max(axis=-1, initial=0.0)
-    w = np.where(np.abs(w) > zero_cut(w)[..., None], w, 0.0)
-    if np.any(np.count_nonzero(w, axis=-1) > 2 * cfg.n):
-        raise EigensolverError("point has more than 2n eigenvalues beyond the zero cut")
+    w = np.where(np.abs(w) > check_signature(w, cfg.n)[..., None], w, 0.0)
     order = np.argsort(-np.abs(w), axis=-1, kind="stable")[..., : 2 * cfg.n]
     return np.take_along_axis(w, order, axis=-1), np.take_along_axis(v, order[..., None, :], axis=-1), top, a
 
@@ -183,14 +187,15 @@ def chain_spectra(frames, i, j, cfg: SystemConfig) -> np.ndarray:
 def pair_spectra(xs, ys, cfg: SystemConfig) -> np.ndarray:
     """The 2n eigenvalues of xy for every pair of xs x ys (see `chain_spectra`): (..., len(xs), len(ys), 2n).
 
-    xs and ys are lists of points or arrays (..., N, f, f) with equal leading axes, such as stacks (B, N, f, f)
-    of B point sets; each set's spectra are bitwise those it has alone. When xs and ys hold equal matrices,
-    the frames are those of xs alone, so the spectra of (x, y) and (y, x) are one solve and L(x, y) = L(y, x)
-    bitwise. Otherwise each pair (i, j) is the pair (i, len(xs) + j) of xs and ys joined.
+    xs and ys are lists of points, arrays (..., N, f, f) with equal leading axes, such as stacks (B, N, f, f)
+    of B point sets, or their `Eigh`s; each set's spectra are bitwise those it has alone. When xs and ys hold equal
+    matrices, the frames are those of one (ys if an `Eigh`), so the spectra of (x, y) and (y, x) are one solve and
+    L(x, y) = L(y, x) bitwise. Otherwise each pair (i, j) is the pair (i, len(xs) + j) of the two sets' frames joined.
     """
     a, b = _stack(xs, cfg.f), _stack(ys, cfg.f)
     same = a.shape == b.shape and np.array_equal(a, b)
-    frames = spin_frames(a if same else np.concatenate([a, b], axis=-3), cfg)[:3]
+    sets = [ys if isinstance(ys, Eigh) else xs] if same else [xs, ys]
+    frames = [np.concatenate(x, axis=a.ndim - 3) for x in zip(*(spin_frames(p, cfg)[:3] for p in sets))]
     lead, nx, ny, size = a.shape[:-3], a.shape[-3], b.shape[-3], frames[0].shape[-2]
     s, i, j = np.indices((math.prod(lead), nx, ny)).reshape(3, -1)
     frames = [x.reshape(-1, *x.shape[len(lead) + 1 :]) for x in frames]  # the sets one after another
@@ -237,14 +242,24 @@ def lagrangian_first_term(x, y, cfg: SystemConfig) -> float:
     return float(lagrangian(product_spectrum(x, y, cfg), 0.0))
 
 
+def _within(d, tol: float) -> np.ndarray:
+    """Indices of the Hermitian differences of points d (K, f, f) with operator norm max|eigvalsh| <= tol, solved only
+    where ||d||_2 >= ||d||_F / sqrt(f) admits it (factor 2 for rounding)."""
+    near = np.flatnonzero(np.linalg.norm(d, axis=(1, 2)) <= 2 * tol * np.sqrt(d.shape[-1]))
+    return near[np.abs(np.linalg.eigvalsh(d[near])).max(axis=-1) <= tol] if near.size else near
+
+
 @dataclass
 class DiscreteMeasure:
-    """Weighted finite collection of operator points (weights sum to one); `points` becomes one stack (N, f, f)."""
+    """Weighted finite collection of operator points (weights sum to one). `points`, a list, a stack or an `Eigh`,
+    becomes one stack (N, f, f), and `eigh` its `Eigh`: the one given, or one stacked `eigh` solved here."""
 
     points: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self):  # f: the last axis of the first entry, a point or an Eigh's stack
+        self.eigh = _eigh(self.points, _asmat(self.points[0]).shape[-1] if len(self.points) else 0)
+        self.points = self.eigh.points
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (len(self.points),):
             raise ValueError(f"weights must be a list of {len(self.points)} numbers, one per point")
@@ -252,35 +267,28 @@ class DiscreteMeasure:
             raise ValueError("weights must be positive and finite")
         if abs(self.weights.sum() - 1.0) > 1e-10:
             raise ValueError("weights must sum to one (volume constraint)")
-        # operator-norm distances to all later points: max|eigvalsh| of the Hermitian differences,
-        # solved only where ||d||_2 >= ||d||_F / sqrt(f) admits <= 1e-12 (factor 2 for rounding)
-        mats = self.points = _stack(self.points, len(_asmat(self.points[0])))  # a support is not empty
-        for i in range(len(mats) - 1):
-            d = mats[i + 1 :] - mats[i]
-            near = d[np.linalg.norm(d, axis=(1, 2)) <= 2e-12 * np.sqrt(d.shape[1])]
-            if len(near) and np.abs(np.linalg.eigvalsh(near)).max(axis=-1).min() <= 1e-12:
+        for i in range(len(self.points) - 1):  # operator-norm distances to all later points
+            if _within(self.points[i + 1 :] - self.points[i], 1e-12).size:
                 raise ValueError("duplicate points in the measure support")
 
 
 def merge_duplicates(points, weights):
-    """Sum the weights of points that coincide up to operator-norm distance 1e-9."""
-    out_pts: list = []
-    out_w: list = []
-    for p, w in zip(points, weights):
-        for i, q in enumerate(out_pts):
-            if np.linalg.norm(_asmat(p) - _asmat(q), 2) <= 1e-9:
-                out_w[i] += w
-                break
+    """(points, weights) with the weight of each point within 1e-9 (`_within`) of a kept one added to the first such."""
+    a, keep, out_w = _stack(points, _asmat(points[0]).shape[-1] if len(points) else 0), [], []
+    for k, w in enumerate(weights):
+        hit = _within(a[keep] - a[k], 1e-9)
+        if hit.size:
+            out_w[hit[0]] += w
         else:
-            out_pts.append(p)
+            keep.append(k)
             out_w.append(w)
-    return out_pts, np.asarray(out_w)
+    return a[keep], np.asarray(out_w)
 
 
 def _support(measure_or_points, weights):
-    """(points, weights) of a DiscreteMeasure, or the points and weights given."""
+    """(points, weights) of a DiscreteMeasure, its points as their `Eigh`, or the points and weights given."""
     if isinstance(measure_or_points, DiscreteMeasure):
-        return measure_or_points.points, measure_or_points.weights
+        return measure_or_points.eigh, measure_or_points.weights
     return measure_or_points, np.asarray(weights, dtype=float)
 
 
@@ -304,7 +312,7 @@ def constraints(measure_or_points, weights=None):
     the integral of its set alone, bitwise.
     """
     points, w = _support(measure_or_points, weights)
-    f = _asmat(points[0]).shape[-1]  # a support is not empty
+    f = _asmat(points[0]).shape[-1]  # a support is not empty; an Eigh's first entry is its stack
     tr = np.real(np.trace(_stack(points, f), axis1=-2, axis2=-1))
     volume, trace = np.sum(w, axis=-1), sum(w[..., k] * tr[..., k] for k in range(w.shape[-1]))
     return (volume, trace) if w.ndim == 2 else (float(volume), float(trace))
@@ -312,7 +320,7 @@ def constraints(measure_or_points, weights=None):
 
 def ell(xs, measure: DiscreteMeasure, cfg: SystemConfig) -> np.ndarray:
     """Euler-Lagrange function ell(x) = sum_j w_j L(x, x_j) - s of each point of xs (a list or a stack (N, f, f))."""
-    return lagrangians(xs, measure.points, cfg) @ measure.weights - cfg.s
+    return lagrangians(xs, measure.eigh, cfg) @ measure.weights - cfg.s
 
 
 @dataclass
@@ -438,8 +446,8 @@ def config_from_json(c: dict) -> SystemConfig:
 
 
 def points_from_json(obj: dict):
-    """(points (N, f, f), SystemConfig) of a measure or pairs file: its N x f x f table of [re, im] pairs, validated
-    as one stack. A ragged table raises as its first point that is bad alone would."""
+    """(`Eigh` of the points (N, f, f), SystemConfig) of a measure or pairs file: its N x f x f table of [re, im] pairs,
+    validated as one stack (`validate_points`). A ragged table raises as its first point that is bad alone would."""
     cfg, pts = config_from_json(obj["config"]), obj["points"]
     try:
         a = json_array("point entry", pts) if pts != [] else np.zeros((0, cfg.f, cfg.f, 2))
@@ -449,7 +457,7 @@ def points_from_json(obj: dict):
         a = np.zeros(0)  # no table of [re, im] pairs
     if a.ndim != 4 or a.shape[3] != 2:
         raise ValueError(f"points must be a list of {cfg.f} x {cfg.f} tables of [re, im] pairs")
-    return validate_points(a.view(complex)[..., 0], cfg)[0], cfg
+    return validate_points(a.view(complex)[..., 0], cfg), cfg
 
 
 def measure_from_json(obj: dict):
@@ -458,5 +466,5 @@ def measure_from_json(obj: dict):
     try:
         weights = json_array("weight", obj["weights"])
     except TypeError:
-        raise ValueError(f"weights must be a list of {len(points)} numbers, one per point") from None
+        raise ValueError(f"weights must be a list of {len(points.points)} numbers, one per point") from None
     return DiscreteMeasure(points=points, weights=weights), cfg

@@ -37,11 +37,6 @@ class CheckFailure(Exception):
     pass
 
 
-def _raisable(*names) -> tuple:
-    """The classes among `names` ("module.Class") whose module is loaded; an unloaded module raised none of them."""
-    return tuple(getattr(sys.modules[m], c) for m, _, c in (n.rpartition(".") for n in names) if m in sys.modules)
-
-
 def _json_value(obj):
     """The JSON value of what json cannot encode itself: a complex number as [re, im], a numpy array or scalar."""
     if isinstance(obj, complex):
@@ -62,10 +57,11 @@ def _writing(path):
 
 @contextlib.contextmanager
 def _reading(what, path):
-    """Scope that reads and parses `path`; a missing or malformed input exits 2 naming the file."""
+    """Scope that reads and parses `path`; a missing or malformed input (a bad zip, once zipfile is loaded) exits 2."""
     try:
         yield
-    except (OSError, KeyError, TypeError, ValueError, *_raisable("zipfile.BadZipFile")) as exc:
+    except (OSError, KeyError, TypeError, ValueError,
+            getattr(sys.modules.get("zipfile"), "BadZipFile", OSError)) as exc:
         raise ValidationError(f"cannot load {what} {path}: {exc}") from exc
 
 
@@ -283,16 +279,16 @@ def cmd_cfs_classify(args) -> int:
     with _reading("pairs file", args.pairs), open(args.pairs) as fh:
         obj = json.load(fh)
         points, cfg = cfs.points_from_json(obj)
-        pairs = obj["pairs"] if "pairs" in obj else np.transpose(np.triu_indices(len(points), 1)).tolist()
+        count = len(points.points)
+        pairs = obj["pairs"] if "pairs" in obj else np.transpose(np.triu_indices(count, 1)).tolist()
         if not isinstance(pairs, list):
             raise ValueError(f"pairs {pairs!r} is not a list of index pairs")
         for pair in pairs:
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and all(type(i) is int and 0 <= i < len(points) for i in pair)):
-                raise ValueError(f"pair {pair!r} is not two point indices in [0, {len(points)})")
+            if not (isinstance(pair, list) and len(pair) == 2 and all(type(i) is int and 0 <= i < count for i in pair)):
+                raise ValueError(f"pair {pair!r} is not two point indices in [0, {count})")
     rng = np.random.default_rng(args.seed)
-    frames = cfs.spin_frames(points, cfg)  # one eigendecomposition of the points for all three engines
-    loop = [(0, 1), (1, 2), (2, 0), (0, 2), (2, 1), (1, 0)] if len(points) >= 3 else []
+    frames = cfs.spin_frames(points, cfg)  # the validation's eigendecomposition, for all three engines
+    loop = [(0, 1), (1, 2), (2, 0), (0, 2), (2, 1), (1, 0)] if count >= 3 else []
     i, j = np.array(pairs + loop, dtype=int).reshape(-1, 2).T
     p = len(pairs)
     spectra = cfs.chain_spectra(frames, i[:p], j[:p], cfg)
@@ -372,11 +368,7 @@ def cmd_vacuum_build(args) -> int:
 
     try:
         spec = lattice.LatticeSpec(L=args.L, T=args.T, a=args.a, epsilon=args.eps, dims=args.dims)
-        md = lattice.MassData(
-            charged_masses=tuple(map(float, args.masses.split(","))),  # MassData checks that there are three
-            neutrino_masses=tuple(map(float, args.neutrino_masses.split(","))),
-            tau_reg=args.tau,
-        )
+        md = lattice.MassData(charged_masses=args.masses, neutrino_masses=args.neutrino_masses, tau_reg=args.tau)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     need, have = lattice.build_peak_bytes(spec), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -544,6 +536,7 @@ def build_parser(group=None) -> argparse.ArgumentParser:
     seed = ("--seed", {"type": _bounded(int, lambda v: v >= 0, "a non-negative integer"), "default": 0})
     tol = ("--tol", {"type": _bounded(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")})
     infile = ("--infile", {"required": True})
+    masses = _bounded(lambda t: tuple(map(float, t.split(","))), lambda v: len(v) == 3, "three comma-separated numbers")
     commands = {
         ("octonion", "table"): (cmd_octonion_table, out, fmt),
         ("octonion", "check"): (cmd_octonion_check, out,
@@ -580,8 +573,8 @@ def build_parser(group=None) -> argparse.ArgumentParser:
                               ("--a", {"type": float, "default": 0.5}),
                               ("--eps", {"type": float, "default": 1.0}),
                               ("--dims", {"choices": ("1+1", "1+3"), "default": "1+1"}),
-                              ("--masses", {"default": "0.5,0.7,0.9"}),
-                              ("--neutrino-masses", {"default": "0.1,0.2,0.3"}),
+                              ("--masses", {"type": masses, "default": "0.5,0.7,0.9"}),
+                              ("--neutrino-masses", {"type": masses, "default": "0.1,0.2,0.3"}),
                               ("--tau", {"type": float, "default": 1.0})),
         ("vacuum", "residual"): (cmd_vacuum_residual, out,
                                  fmt,
@@ -636,7 +629,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (*_raisable("octo_cfs.cfs.EigensolverError"), np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

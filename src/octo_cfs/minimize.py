@@ -156,13 +156,12 @@ def minimize(
         raise MaxIterations(f"trace constraint not met ({res.message}): trace={trace}")
 
     kept = w > cfs.zero_cut(w)  # a weight inside the zero cut has collapsed: its point carries no measure
-    merged_pts, merged_w = cfs.merge_duplicates(cfs.validate_points(points[kept], cfg)[0], w[kept])
-    merged_w = merged_w / merged_w.sum()
-    measure = cfs.DiscreteMeasure(points=merged_pts, weights=merged_w)
+    merged_pts, merged_w = cfs.merge_duplicates(points[kept], w[kept])
+    measure = cfs.DiscreteMeasure(points=cfs.validate_points(merged_pts, cfg), weights=merged_w / merged_w.sum())
 
     volume, trace = cfs.constraints(measure)
-    # support row sum_j w_j L(x_i, x_j); the action is its weighted mean
-    row = cfs.lagrangians(measure.points, measure.points, cfg) @ measure.weights
+    # support row ell(x_i) at s = 0, sum_j w_j L(x_i, x_j); the action is its weighted mean
+    row = cfs.ell(measure.points, measure, replace(cfg, s=0.0))
     s_posthoc = float(np.dot(measure.weights, row))
     ell_support = (row - s_posthoc).tolist()
     ell_spread = float(row.max() - row.min())
@@ -243,9 +242,8 @@ def _sqp(fun, grad, x):
     return result(False, "Iteration limit reached")
 
 
-def _perturbed_point(rng, point: np.ndarray, cfg):
-    """Signature-preserving random perturbation of a support point."""
-    w, vecs = np.linalg.eigh(point)
+def _perturbed_point(rng, w: np.ndarray, vecs: np.ndarray, cfg):
+    """Signature-preserving random perturbation of a support point with spectrum w and eigenvectors vecs."""
     keep = np.abs(w) > cfs.zero_cut(w)
     w2 = w.copy()
     w2[keep] *= 1.0 + PROBE_REL * rng.standard_normal(int(keep.sum()))
@@ -262,8 +260,8 @@ def _probe_off_support(measure, cfg, s_posthoc, seed: int) -> float:
     probes = []
     for i in range(PROBE_SAMPLES):
         if i % 2 == 0:
-            base = measure.points[int(rng.integers(len(measure.points)))]
-            z = _perturbed_point(rng, base, cfg)
+            k = int(rng.integers(len(measure.points)))
+            z = _perturbed_point(rng, measure.eigh.eigenvalues[k], measure.eigh.eigenvectors[k], cfg)
         else:
             z = cfs.random_point(rng, cfg)
             while not z.matrix.any():  # ell(0) = -s: the zero point probes nothing

@@ -15,7 +15,6 @@ from octo_cfs.cfs import (
     SPACELIKE,
     TIMELIKE,
     DiscreteMeasure,
-    EigensolverError,
     NotHermitian,
     NotSpinConnectable,
     SignatureViolation,
@@ -213,6 +212,9 @@ def test_discrete_measure_validation():
     DiscreteMeasure(points=[x, y, diag_point(cfg, 1.0, 1e-11)], weights=[0.25, 0.25, 0.5])
     pts, w = merge_duplicates([x, x, y], [0.25, 0.25, 0.5])
     assert len(pts) == 2 and np.allclose(w, [0.5, 0.5])
+    near = validate_point(x.matrix + 5e-10 * np.eye(2), cfg)  # within 1e-9 of x: x merges into it, the first
+    pts, w = merge_duplicates([near, y, x], [0.25, 0.5, 0.25])
+    assert np.array_equal(pts, [near.matrix, y.matrix]) and w.tolist() == [0.5, 0.5]
 
 
 def test_ell_single_point():
@@ -474,7 +476,7 @@ def dense_product_spectrum(x, y, cfg, digits=None):
     if len(nonzero) > 2 * cfg.n:
         order = np.argsort(-np.abs(nonzero))
         if np.abs(nonzero[order[2 * cfg.n :]]).max() > 1e-5 * scale:
-            raise EigensolverError("product has more than 2n significant eigenvalues")
+            raise AssertionError("product has more than 2n significant eigenvalues")
         nonzero = nonzero[order[: 2 * cfg.n]]
     out = np.zeros(2 * cfg.n, dtype=complex)
     out[: len(nonzero)] = nonzero
@@ -719,8 +721,17 @@ def test_pair_engine_rejects_point_beyond_spin_dimension():
     cfg = SystemConfig(f=4, n=1, kappa=0.1)
     x = np.diag([1.0, -1.0, 0.5, 0.0]).astype(complex)  # three eigenvalues beyond the cut, 2n = 2
     y = np.eye(4, dtype=complex)
-    with pytest.raises(EigensolverError):
+    with pytest.raises(SignatureViolation):
         pair_spectra([x], [y], cfg)
+
+
+def test_pair_engine_rejects_rank_2n_point_with_more_than_n_of_one_sign():
+    cfg = SystemConfig(f=4, n=1, kappa=0.1)
+    x = np.diag([1.0, 0.5, 0.0, 0.0]).astype(complex)  # rank 2 = 2n, but two positive eigenvalues
+    with pytest.raises(SignatureViolation, match="^2 positive and 0 negative eigenvalues exceed spin dimension 1$"):
+        pair_spectra([x], [x], cfg)
+    with pytest.raises(SignatureViolation):
+        pair_spectra([x], [np.eye(4, dtype=complex)], cfg)
 
 
 def test_ell_batch_matches_single_points():
@@ -768,7 +779,8 @@ def _json_numbers(key, obj):
 
 
 def _validate_point_alone(m, cfg):
-    """(Hermitian part, spectrum) of one point, checked by the code `validate_points` stacks, as written for one."""
+    """(Hermitian part, spectrum, eigenvectors) of one point, checked by the code `validate_points` stacks, as written
+    for one."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian("point must be a square matrix")
@@ -780,12 +792,12 @@ def _validate_point_alone(m, cfg):
     if np.abs(a - a.conj().T).max(initial=0.0) > 1e-12 * scale:
         raise NotHermitian("point is not Hermitian")
     a = 0.5 * (a + a.conj().T)
-    w = np.linalg.eigvalsh(a)
+    w, v = np.linalg.eigh(a)
     cut = RANK_TOL * max(1.0, np.abs(w).max(initial=0.0))
     n_pos, n_neg = int(np.sum(w > cut)), int(np.sum(w < -cut))
     if n_pos > cfg.n or n_neg > cfg.n:
         raise SignatureViolation(f"{n_pos} positive and {n_neg} negative eigenvalues exceed spin dimension {cfg.n}")
-    return a, w
+    return a, w, v
 
 
 def oracle_points(obj):
@@ -826,12 +838,12 @@ def test_points_from_json_equals_the_per_point_path_bitwise(case):
     obj, cfg = case
     want = oracle_points(obj)
     got, got_cfg = points_from_json(obj)
-    stack, spectra = validate_points(json_array("point entry", obj["points"]).reshape(-1, cfg.f, cfg.f, 2)
-                                     .view(complex)[..., 0], cfg)
-    assert got_cfg == cfg and got.shape == stack.shape == (len(want), cfg.f, cfg.f)
-    assert got.tobytes() == stack.tobytes() == b"".join(a.tobytes() for a, _ in want)
-    assert spectra.tobytes() == b"".join(w.tobytes() for _, w in want)
-    for m, (a, w) in zip(stack, want):  # the one-point view is the stack of one
+    stack = validate_points(json_array("point entry", obj["points"]).reshape(-1, cfg.f, cfg.f, 2)
+                            .view(complex)[..., 0], cfg)
+    assert got_cfg == cfg and got.points.shape == stack.points.shape == (len(want), cfg.f, cfg.f)
+    for k in range(3):  # the Hermitian parts, their spectra and their eigenvectors
+        assert got[k].tobytes() == stack[k].tobytes() == b"".join(one[k].tobytes() for one in want)
+    for m, (a, w, _) in zip(stack.points, want):  # the one-point view is the stack of one
         point = validate_point(m, cfg)
         assert point.matrix.tobytes() == a.tobytes() and point.eigenvalues.tobytes() == w.tobytes()
 
@@ -875,14 +887,15 @@ def _file_of_64_points(tmp_path):
 
 @pytest.mark.parametrize("argv", [["action", "--measure"], ["el-residual", "--measure"], ["classify", "--pairs"]],
                          ids=lambda argv: argv[0])
-def test_a_point_file_is_validated_by_one_eigvalsh(tmp_path, monkeypatch, argv):
+def test_a_point_file_is_decomposed_by_one_eigh(tmp_path, monkeypatch, argv):
+    """Validation and the engines read one stacked `eigh` of the file's points; no `eigvalsh` solves them again."""
     path = _file_of_64_points(tmp_path)
-    eigvalsh, calls = np.linalg.eigvalsh, []
+    calls = {"eigh": [], "eigvalsh": []}
+    for name, solver in [(name, getattr(np.linalg, name)) for name in calls]:
+        def spy(a, solver=solver, name=name):
+            calls[name].append(np.shape(a))
+            return solver(a)
 
-    def spy(a):
-        calls.append(np.shape(a))
-        return eigvalsh(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        monkeypatch.setattr(np.linalg, name, spy)
     assert main(["cfs", *argv, str(path), "--out", str(tmp_path / "out.json")]) == 0
-    assert calls == [(64, 16, 16)]
+    assert calls == {"eigh": [(64, 16, 16)], "eigvalsh": []}

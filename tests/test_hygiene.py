@@ -1,4 +1,5 @@
 import ast
+import builtins
 from pathlib import Path
 
 import octo_cfs
@@ -510,3 +511,37 @@ def test_reports_built_outside_emit_are_found():
 def test_every_cli_report_leaves_through_emit():
     # _emit builds every report's meta and returns EXIT_OK; a handler returns what _emit returns
     assert reports_outside_emit(ast.parse((SRC / "cli.py").read_text())) == []
+
+
+def unraised_exceptions(trees: dict) -> list:
+    """The exception classes the modules define (subclasses of a builtin exception or of one of theirs, by name) that
+    no call and no `raise` in them names: nothing can raise them, so no caller meets them."""
+    classes = {node.name: node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+    def is_exception(cls):
+        if cls in classes:
+            return any(is_exception(name(base)) for base in classes[cls].bases)
+        builtin = getattr(builtins, cls or "", None)
+        return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    named = {name(node.func) if isinstance(node, ast.Call) else name(node.exc)
+             for tree in trees.values() for node in ast.walk(tree) if isinstance(node, (ast.Call, ast.Raise))}
+    return sorted(cls for cls in classes if is_exception(cls) and cls not in named)
+
+
+def test_unraised_exceptions_are_found():
+    tree = ast.parse(
+        "class A(ValueError):\n    pass\n\nclass B(A):\n    pass\n\nclass C(errors.A):\n    pass\n\n"
+        "class D:\n    pass\n\nclass E(RuntimeError):\n    pass\n\n"
+        "def f():\n    raise mod.B('x')\n\nFAILURE = A\nstored = [E('y')]\nraise C\n"
+    )
+    # A is only bound to a name and D is no exception; B and C are raised, and E is built
+    assert unraised_exceptions({"m": tree}) == ["A"]
+
+
+def test_every_exception_class_is_raised_or_built_in_src():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    assert unraised_exceptions(trees) == []
