@@ -115,17 +115,21 @@ def check_signature(w, n: int):
 
 def random_point(rng, cfg: SystemConfig) -> OperatorPoint:
     """Random rank <= min(2n, f) point with at most n positive and n negative eigenvalues."""
+    return validate_point(_random_matrix(rng, cfg), cfg)
+
+
+def _random_matrix(rng, cfg: SystemConfig) -> np.ndarray:
+    """The matrix of a `random_point`, before validation."""
     f, n = cfg.f, cfg.n
     n_pos = int(rng.integers(0, min(n, f) + 1))
     n_neg = int(rng.integers(0, min(n, f - n_pos) + 1))
     k = n_pos + n_neg
-    m = np.zeros((f, f), dtype=complex)
-    if k:
-        g = rng.standard_normal((f, k)) + 1j * rng.standard_normal((f, k))
-        q, _ = np.linalg.qr(g)
-        vals = np.concatenate([0.2 + rng.random(n_pos), -(0.2 + rng.random(n_neg))])
-        m = (q * vals) @ q.conj().T
-    return validate_point(m, cfg)
+    if not k:
+        return np.zeros((f, f), dtype=complex)
+    g = rng.standard_normal((f, k)) + 1j * rng.standard_normal((f, k))
+    q, _ = np.linalg.qr(g)
+    vals = np.concatenate([0.2 + rng.random(n_pos), -(0.2 + rng.random(n_neg))])
+    return (q * vals) @ q.conj().T
 
 
 #: Pairs per batched closed-chain eigensolve in `chain_spectra`.

@@ -486,14 +486,17 @@ def cmd_majorana_check(args) -> int:
 def cmd_potentials_scan(args) -> int:
     from . import potentials
 
-    try:
-        params = json.loads(args.params)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"--params must be a JSON object: {exc}") from exc
-    try:
-        p = (potentials.TreeParams if args.tree else potentials.LoopParams)(**params)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(str(exc)) from exc
+    kind = potentials.TreeParams if args.tree else potentials.LoopParams
+    try:  # text that is not JSON raises json.JSONDecodeError, a ValueError
+        params, names = json.loads(args.params), kind.__dataclass_fields__
+        if not isinstance(params, dict):
+            raise ValueError(f"must be a JSON object, got {args.params}")
+        for key in (*names, *params):  # the first key that is in one of them only
+            if (key in names) != (key in params):
+                raise ValueError(f"{'unknown' if key in params else 'missing'} key {key!r}")
+        p = kind(**params)
+    except ValueError as exc:
+        raise ValidationError(f"--params: {exc}") from exc
     if args.tree:
         fields = ("kind", "sL", "sR", "value", "classification", "is_global")
         rows = [tuple(getattr(q, k) for k in fields) for q in potentials.tree_stationary_points(p)]

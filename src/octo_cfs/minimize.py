@@ -53,13 +53,13 @@ class MeasureFamily:
         self.index, self.signs = np.asarray(self.index, dtype=int), np.asarray(self.signs, dtype=float)
         self.n_points, self.n_params = len(self.index), int(self.index.max()) + 1
 
-    def point_fn(self, theta: np.ndarray) -> np.ndarray:
-        """The points at theta (..., n_params) as an array (..., N, f, f)."""
+    def point_fn(self, theta: np.ndarray) -> cfs.Eigh:
+        """The `cfs.Eigh` of the diagonal points at theta (..., n_params): their entries and the standard basis."""
         entries = self.signs * theta[..., self.index] ** 2
         f = entries.shape[-1]
         points = np.zeros(entries.shape + (f,), dtype=complex)
         points[..., np.arange(f), np.arange(f)] = entries
-        return points
+        return cfs.Eigh(points, entries, np.broadcast_to(np.eye(f), points.shape))
 
 
 @dataclass
@@ -89,7 +89,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _unpack(family: MeasureFamily, v: np.ndarray):
-    """(points, weights) of one vector v or of each row of a stack of them."""
+    """(points as their `cfs.Eigh`, weights) of one vector v or of each row of a stack of them."""
     return family.point_fn(v[..., : family.n_params]), softmax(v[..., family.n_params :])
 
 
@@ -139,7 +139,7 @@ def minimize(
     if not np.all(np.isfinite(v)):
         raise InfeasibleStart(f"x0 must be finite, got {v.tolist()}")
     try:
-        cfs.validate_points(_unpack(family, v)[0], cfg)
+        cfs.validate_points(_unpack(family, v)[0].points, cfg)
     except (cfs.NotHermitian, cfs.SignatureViolation) as exc:
         raise InfeasibleStart(f"initial family point invalid: {exc}") from exc
 
@@ -156,7 +156,7 @@ def minimize(
         raise MaxIterations(f"trace constraint not met ({res.message}): trace={trace}")
 
     kept = w > cfs.zero_cut(w)  # a weight inside the zero cut has collapsed: its point carries no measure
-    merged_pts, merged_w = cfs.merge_duplicates(points[kept], w[kept])
+    merged_pts, merged_w = cfs.merge_duplicates(points.points[kept], w[kept])
     measure = cfs.DiscreteMeasure(points=cfs.validate_points(merged_pts, cfg), weights=merged_w / merged_w.sum())
 
     volume, trace = cfs.constraints(measure)
@@ -242,20 +242,19 @@ def _sqp(fun, grad, x):
     return result(False, "Iteration limit reached")
 
 
-def _perturbed_point(rng, w: np.ndarray, vecs: np.ndarray, cfg):
-    """Signature-preserving random perturbation of a support point with spectrum w and eigenvectors vecs."""
+def _perturbed_point(rng, w: np.ndarray, vecs: np.ndarray, cfg) -> np.ndarray:
+    """Signature-preserving random perturbation of the support point with spectrum w and eigenvectors vecs."""
     keep = np.abs(w) > cfs.zero_cut(w)
     w2 = w.copy()
     w2[keep] *= 1.0 + PROBE_REL * rng.standard_normal(int(keep.sum()))
     g = rng.standard_normal((cfg.f, cfg.f)) + 1j * rng.standard_normal((cfg.f, cfg.f))
     e, v = np.linalg.eigh(PROBE_REL * 0.5 * (g + g.conj().T) / np.sqrt(cfg.f))
     u = (v * np.exp(1j * e)) @ v.conj().T  # exp(ih) of the Hermitian h
-    m = (u @ (vecs * w2)) @ vecs.conj().T @ u.conj().T
-    return cfs.validate_point(0.5 * (m + m.conj().T), cfg)
+    return (u @ (vecs * w2)) @ vecs.conj().T @ u.conj().T
 
 
 def _probe_off_support(measure, cfg, s_posthoc, seed: int) -> float:
-    """max(-ell) over random perturbations of the support plus random points."""
+    """max(-ell) over random perturbations of the support plus random points, validated as one stack."""
     rng = np.random.default_rng(seed)
     probes = []
     for i in range(PROBE_SAMPLES):
@@ -263,11 +262,11 @@ def _probe_off_support(measure, cfg, s_posthoc, seed: int) -> float:
             k = int(rng.integers(len(measure.points)))
             z = _perturbed_point(rng, measure.eigh.eigenvalues[k], measure.eigh.eigenvectors[k], cfg)
         else:
-            z = cfs.random_point(rng, cfg)
-            while not z.matrix.any():  # ell(0) = -s: the zero point probes nothing
-                z = cfs.random_point(rng, cfg)
+            z = cfs._random_matrix(rng, cfg)
+            while not z.any():  # ell(0) = -s: the zero point probes nothing
+                z = cfs._random_matrix(rng, cfg)
         probes.append(z)
-    return float(np.max(-cfs.ell(probes, measure, replace(cfg, s=s_posthoc))))
+    return float(np.max(-cfs.ell(cfs.validate_points(np.array(probes), cfg), measure, replace(cfg, s=s_posthoc))))
 
 
 def make_family(spec: dict, cfg: cfs.SystemConfig) -> tuple:

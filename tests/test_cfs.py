@@ -899,3 +899,17 @@ def test_a_point_file_is_decomposed_by_one_eigh(tmp_path, monkeypatch, argv):
         monkeypatch.setattr(np.linalg, name, spy)
     assert main(["cfs", *argv, str(path), "--out", str(tmp_path / "out.json")]) == 0
     assert calls == {"eigh": [(64, 16, 16)], "eigvalsh": []}
+
+
+def test_minimize_decomposes_each_point_set_it_builds_once(monkeypatch):
+    """The family hands its points' `Eigh` to the engine, and the probe set is validated as one stack whose `eigh`
+    the engine reads: no family stack and no single probe reaches `eigh`."""
+    from octo_cfs.minimize import PROBE_SAMPLES, MinimizeOptions, make_family, minimize
+
+    cfg = SystemConfig(f=4, n=2, kappa=0.2)
+    family, x0 = make_family({"type": "diagonal", "signs": [[1, 1, -1, -1], [-1, -1, 1, 1], [1, -1, 1, -1]]}, cfg)
+    shapes, solver = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(np.shape(a)) or solver(a))
+    minimize(family, cfg, x0, MinimizeOptions(seed=1))
+    assert (1, 4, 4) not in shapes and not [s for s in shapes if len(s) == 4]  # one point; the (2p, N, f, f) stack
+    assert shapes.count((PROBE_SAMPLES, 4, 4)) == 1 and len(shapes) <= 103

@@ -1235,9 +1235,15 @@ def test_non_finite_or_mistyped_parameters_exit_2(tmp_path, capsys):
     for mode, params, reason in (("--tree", tree % '"a"', "mu2 must be a finite real number, got 'a'"),
                                  ("--tree", tree % "NaN", "mu2 must be a finite real number, got nan"),
                                  ("--loop", loop % "NaN", "M must be a finite real number, got nan"),
-                                 ("--tree", tree % 10**400, f"mu2 must be a finite real number, got {10**400}")):
+                                 ("--tree", tree % 10**400, f"mu2 must be a finite real number, got {10**400}"),
+                                 ("--tree", "[2.0, 1.0, 3.0]", "must be a JSON object, got [2.0, 1.0, 3.0]"),
+                                 ("--loop", '"M"', 'must be a JSON object, got "M"'),
+                                 ("--tree", '{"mu2": 2.0, "lambda1": 1.0}', "missing key 'lambda2'"),
+                                 ("--loop", '{"lambda1": 0.0063, "g": 1.0, "M": 1.0}', "missing key 'lambda2'"),
+                                 ("--tree", tree % '2.0, "x": 1', "unknown key 'x'"),
+                                 ("--loop", loop % '1.0, "mu2": 2.0', "unknown key 'mu2'")):
         assert run(["potentials", "scan", mode, "--params", params]) == 2
-        assert reason in capsys.readouterr().err
+        assert f"error: --params: {reason}\n" in capsys.readouterr().err
 
 
 def _with_header(vac, path, edit):

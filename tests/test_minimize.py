@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,11 +254,11 @@ def test_table_point_fn_equals_the_closures_it_replaced(data):
     vector = st.lists(st.floats(allow_nan=False), min_size=fam.n_params, max_size=fam.n_params)
     thetas = np.array(data.draw(st.lists(vector, min_size=1, max_size=4), label="thetas"))
     with np.errstate(over="ignore", invalid="ignore"):  # theta^2 may overflow, and 0 * inf is nan
-        stack = fam.point_fn(thetas)
+        stack = fam.point_fn(thetas).points
         assert stack.shape == (len(thetas), fam.n_points, f, f)
         for theta, points in zip(thetas, stack):
             want = np.array(oracle(theta))
-            assert fam.point_fn(theta).tobytes() == want.tobytes()
+            assert fam.point_fn(theta).points.tobytes() == want.tobytes()
             assert points.tobytes() == want.tobytes()
 
 
@@ -268,9 +270,36 @@ def test_unpack_of_a_stack_equals_unpack_of_each_row(name, data):
     vector = st.lists(st.floats(-1e3, 1e3), min_size=len(x0), max_size=len(x0))  # logits far enough apart to underflow
     vs = np.array(data.draw(st.lists(vector, min_size=1, max_size=8)))
     points, weights = _unpack(fam, vs)
-    for v, p, w in zip(vs, points, weights):
+    for v, p, w in zip(vs, points.points, weights):
         p1, w1 = _unpack(fam, v)
-        assert p.tobytes() == p1.tobytes() and w.tobytes() == w1.tobytes()
+        assert p.tobytes() == p1.points.tobytes() and w.tobytes() == w1.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_family_eigh_gives_the_engine_the_bits_of_its_raw_points(data):
+    """The family's own `cfs.Eigh` (entries, standard basis) stands in for the `eigh` of its points bitwise, on a
+    single vector and on a (2p, p) stack as the SQP's gradient passes it."""
+    name = data.draw(st.sampled_from([*sorted(GRADIENT_FAMILIES), "random signs"]), label="family")
+    if name in GRADIENT_FAMILIES:
+        cfg, spec = GRADIENT_FAMILIES[name]
+    else:
+        f = data.draw(st.integers(1, 4), label="f")
+        row = st.lists(st.sampled_from([-1, 0, 1]), min_size=f, max_size=f)
+        signs = np.array(data.draw(st.lists(row, min_size=1, max_size=3), label="signs"))
+        n = max(1, int(np.sum(signs > 0, axis=1).max()), int(np.sum(signs < 0, axis=1).max()))
+        cfg, spec = cfs.SystemConfig(f=f, n=n, kappa=0.2), {"type": "diagonal", "signs": signs.tolist()}
+    cfg = replace(cfg, kappa=data.draw(st.sampled_from([0.05, 0.2, 0.5]), label="kappa"))
+    fam, x0 = make_family(spec, cfg)
+    p = len(x0)
+    vector = st.lists(st.floats(-1e3, 1e3), min_size=p, max_size=p)
+    rows = data.draw(st.lists(vector, min_size=2 * p, max_size=2 * p), label="stack")
+    v = np.array(rows) if data.draw(st.booleans(), label="stacked") else np.array(rows[0])
+    points, w = _unpack(fam, v)
+    assert isinstance(points, cfs.Eigh)
+    for call in (lambda x: cfs.action(x, w, cfg=cfg), lambda x: cfs.constraints(x, w),
+                 lambda x: cfs.pair_spectra(x, x, cfg)):
+        assert np.asarray(call(points)).tobytes() == np.asarray(call(points.points)).tobytes()
 
 
 def test_each_gradient_is_one_batched_action_call(monkeypatch):
