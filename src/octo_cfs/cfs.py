@@ -19,7 +19,7 @@ import numpy as np
 RANK_TOL = 1e-9
 #: Relative tolerance for the "all moduli equal" test of the causal classification.
 CAUSAL_TOL = 1e-8
-#: A stack (..., N, f, f) of Hermitian points with its `np.linalg.eigh`, solved once: spectra (..., N, f), eigenvectors.
+#: The engine's one point-set type: a Hermitian stack (..., N, f, f), its spectra (..., N, f) and eigenvectors.
 Eigh = namedtuple("Eigh", "points eigenvalues eigenvectors")
 
 SPACELIKE = "spacelike"
@@ -63,12 +63,6 @@ class OperatorPoint:
 
     matrix: np.ndarray
     eigenvalues: np.ndarray  # real spectrum from validation
-
-
-def _asmat(x) -> np.ndarray:
-    if isinstance(x, OperatorPoint):
-        return x.matrix
-    return np.asarray(x, dtype=complex)
 
 
 def validate_point(m, cfg: SystemConfig) -> OperatorPoint:
@@ -136,29 +130,14 @@ def _random_matrix(rng, cfg: SystemConfig) -> np.ndarray:
 PAIR_BLOCK = 256
 
 
-def _stack(points, f: int) -> np.ndarray:
-    """Points as one complex array (..., N, f, f): an array or an Eigh's as is, a list of N points (or none) stacked."""
-    if isinstance(points, Eigh):
-        return points.points
-    if isinstance(points, np.ndarray):
-        return points.astype(complex, copy=False)
-    return np.array([_asmat(p) for p in points], dtype=complex).reshape(len(points), f, f)
-
-
-def _eigh(points, f: int) -> Eigh:
-    """`points` as an `Eigh`: an `Eigh` as it is, other points (see `_stack`) decomposed by one stacked `eigh`."""
-    a = _stack(points, f)
-    return points if isinstance(points, Eigh) else Eigh(a, *np.linalg.eigh(a))
-
-
-def spin_frames(points, cfg: SystemConfig):
+def spin_frames(points: Eigh, cfg: SystemConfig):
     """Per point: the top min(2n, f) eigenpairs by modulus with sub-cut eigenvalues zeroed, ||x||_2, the matrix.
 
-    `points` is an `Eigh` or points for one stacked `eigh`: a list or an array (..., f, f), such as a stack (B, N, f, f)
-    of B point sets; the results keep its leading axes. The zero cut is that of `check_signature`, which raises
-    SignatureViolation for a point with more than n eigenvalues beyond it on either side.
+    `points` is the `Eigh` of a stack (..., f, f), such as a stack (B, N, f, f) of B point sets; the results keep its
+    leading axes. The zero cut is that of `check_signature`, which raises SignatureViolation for a point with more
+    than n eigenvalues beyond it on either side.
     """
-    a, w, v = _eigh(points, cfg.f)
+    a, w, v = points
     top = np.abs(w).max(axis=-1, initial=0.0)
     w = np.where(np.abs(w) > check_signature(w, cfg.n)[..., None], w, 0.0)
     order = np.argsort(-np.abs(w), axis=-1, kind="stable")[..., : 2 * cfg.n]
@@ -188,17 +167,17 @@ def chain_spectra(frames, i, j, cfg: SystemConfig) -> np.ndarray:
     return np.take_along_axis(out, np.lexsort((np.angle(out), -np.abs(out))), axis=-1)[back]
 
 
-def pair_spectra(xs, ys, cfg: SystemConfig) -> np.ndarray:
-    """The 2n eigenvalues of xy for every pair of xs x ys (see `chain_spectra`): (..., len(xs), len(ys), 2n).
+def pair_spectra(xs: Eigh, ys: Eigh, cfg: SystemConfig) -> np.ndarray:
+    """The 2n eigenvalues of xy for every pair of xs x ys (see `chain_spectra`): (..., N_x, N_y, 2n).
 
-    xs and ys are lists of points, arrays (..., N, f, f) with equal leading axes, such as stacks (B, N, f, f)
-    of B point sets, or their `Eigh`s; each set's spectra are bitwise those it has alone. When xs and ys hold equal
-    matrices, the frames are those of one (ys if an `Eigh`), so the spectra of (x, y) and (y, x) are one solve and
-    L(x, y) = L(y, x) bitwise. Otherwise each pair (i, j) is the pair (i, len(xs) + j) of the two sets' frames joined.
+    xs and ys are the `Eigh`s of stacks (..., N, f, f) with equal leading axes, such as stacks (B, N, f, f) of B point
+    sets; each set's spectra are bitwise those it has alone. When xs and ys hold equal matrices, the frames are those
+    of ys, so the spectra of (x, y) and (y, x) are one solve and L(x, y) = L(y, x) bitwise. Otherwise each pair (i, j)
+    is the pair (i, N_x + j) of the two sets' frames joined.
     """
-    a, b = _stack(xs, cfg.f), _stack(ys, cfg.f)
+    a, b = xs.points, ys.points
     same = a.shape == b.shape and np.array_equal(a, b)
-    sets = [ys if isinstance(ys, Eigh) else xs] if same else [xs, ys]
+    sets = [ys] if same else [xs, ys]
     frames = [np.concatenate(x, axis=a.ndim - 3) for x in zip(*(spin_frames(p, cfg)[:3] for p in sets))]
     lead, nx, ny, size = a.shape[:-3], a.shape[-3], b.shape[-3], frames[0].shape[-2]
     s, i, j = np.indices((math.prod(lead), nx, ny)).reshape(3, -1)
@@ -231,9 +210,9 @@ def causal_classes(lam: np.ndarray) -> np.ndarray:
     return np.where(spacelike, SPACELIKE, np.where(timelike, TIMELIKE, LIGHTLIKE))
 
 
-def product_spectrum(x, y, cfg: SystemConfig) -> np.ndarray:
-    """All 2n eigenvalues of xy (one pair of `pair_spectra`)."""
-    return pair_spectra([x], [y], cfg)[0, 0]
+def product_spectrum(x: OperatorPoint, y: OperatorPoint, cfg: SystemConfig) -> np.ndarray:
+    """All 2n eigenvalues of xy (see `chain_spectra`), the pair validated as one stack."""
+    return chain_spectra(spin_frames(validate_points(np.array([x.matrix, y.matrix]), cfg), cfg), [0], [1], cfg)[0]
 
 
 def causal_class(x, y, cfg: SystemConfig) -> str:
@@ -255,15 +234,13 @@ def _within(d, tol: float) -> np.ndarray:
 
 @dataclass
 class DiscreteMeasure:
-    """Weighted finite collection of operator points (weights sum to one). `points`, a list, a stack or an `Eigh`,
-    becomes one stack (N, f, f), and `eigh` its `Eigh`: the one given, or one stacked `eigh` solved here."""
+    """Weighted finite collection of operator points (weights sum to one): `points`, an `Eigh`, is kept as `eigh`."""
 
     points: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self):  # f: the last axis of the first entry, a point or an Eigh's stack
-        self.eigh = _eigh(self.points, _asmat(self.points[0]).shape[-1] if len(self.points) else 0)
-        self.points = self.eigh.points
+    def __post_init__(self):
+        self.eigh, self.points = self.points, self.points.points
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (len(self.points),):
             raise ValueError(f"weights must be a list of {len(self.points)} numbers, one per point")
@@ -276,21 +253,21 @@ class DiscreteMeasure:
                 raise ValueError("duplicate points in the measure support")
 
 
-def merge_duplicates(points, weights):
+def merge_duplicates(points: np.ndarray, weights):
     """(points, weights) with the weight of each point within 1e-9 (`_within`) of a kept one added to the first such."""
-    a, keep, out_w = _stack(points, _asmat(points[0]).shape[-1] if len(points) else 0), [], []
+    keep, out_w = [], []
     for k, w in enumerate(weights):
-        hit = _within(a[keep] - a[k], 1e-9)
+        hit = _within(points[keep] - points[k], 1e-9)
         if hit.size:
             out_w[hit[0]] += w
         else:
             keep.append(k)
             out_w.append(w)
-    return a[keep], np.asarray(out_w)
+    return points[keep], np.asarray(out_w)
 
 
 def _support(measure_or_points, weights):
-    """(points, weights) of a DiscreteMeasure, its points as their `Eigh`, or the points and weights given."""
+    """(`Eigh`, weights) of a DiscreteMeasure, or the `Eigh` and weights given."""
     if isinstance(measure_or_points, DiscreteMeasure):
         return measure_or_points.eigh, measure_or_points.weights
     return measure_or_points, np.asarray(weights, dtype=float)
@@ -316,14 +293,13 @@ def constraints(measure_or_points, weights=None):
     the integral of its set alone, bitwise.
     """
     points, w = _support(measure_or_points, weights)
-    f = _asmat(points[0]).shape[-1]  # a support is not empty; an Eigh's first entry is its stack
-    tr = np.real(np.trace(_stack(points, f), axis1=-2, axis2=-1))
+    tr = np.real(np.trace(points.points, axis1=-2, axis2=-1))
     volume, trace = np.sum(w, axis=-1), sum(w[..., k] * tr[..., k] for k in range(w.shape[-1]))
     return (volume, trace) if w.ndim == 2 else (float(volume), float(trace))
 
 
-def ell(xs, measure: DiscreteMeasure, cfg: SystemConfig) -> np.ndarray:
-    """Euler-Lagrange function ell(x) = sum_j w_j L(x, x_j) - s of each point of xs (a list or a stack (N, f, f))."""
+def ell(xs: Eigh, measure: DiscreteMeasure, cfg: SystemConfig) -> np.ndarray:
+    """Euler-Lagrange function ell(x) = sum_j w_j L(x, x_j) - s of each point of xs, the `Eigh` of a stack (N, f, f)."""
     return lagrangians(xs, measure.eigh, cfg) @ measure.weights - cfg.s
 
 
@@ -336,15 +312,15 @@ class SpinSpace:
     eigenvalues: np.ndarray  # the d non-zero eigenvalues of x (basis order)
 
 
-def spin_space(x) -> SpinSpace:
+def spin_space(x: OperatorPoint) -> SpinSpace:
     """Spin space S_x = image(x) with the spin product  <u|v>_x = -<u, x v>.
 
     The basis is that of `spin_frames` (n = f bounds no rank): the eigenvectors beyond the zero cut.
     """
-    a = _asmat(x)
-    w, v, _, _ = spin_frames([a], SystemConfig(len(a), len(a), 1.0))
+    cfg = SystemConfig(len(x.matrix), len(x.matrix), 1.0)
+    w, v, _, _ = spin_frames(validate_points(x.matrix[None], cfg), cfg)
     k = np.count_nonzero(w[0])
-    return SpinSpace(point=a, basis=v[0, :, :k], eigenvalues=w[0, :k])
+    return SpinSpace(point=x.matrix, basis=v[0, :, :k], eigenvalues=w[0, :k])
 
 
 def kernel(sx: SpinSpace, sy: SpinSpace) -> np.ndarray:
@@ -372,10 +348,11 @@ def kernel_residuals(frames, i, j, phi):
             np.linalg.norm((pi[i] @ y_phi - pi[i] @ (pi[j] @ y_phi))[..., 0], axis=1))
 
 
-def completeness_check(x, y, phi) -> float:
-    """Completeness residual of one pair of points (see `kernel_residuals`)."""
-    f = len(_asmat(x))
-    return float(kernel_residuals(spin_frames([x, y], SystemConfig(f, f, 1.0)), [0], [1], [phi])[1][0])
+def completeness_check(x: OperatorPoint, y: OperatorPoint, phi) -> float:
+    """Completeness residual of one pair of points (see `kernel_residuals`), validated as one stack."""
+    cfg = SystemConfig(len(x.matrix), len(x.matrix), 1.0)
+    frames = spin_frames(validate_points(np.array([x.matrix, y.matrix]), cfg), cfg)
+    return float(kernel_residuals(frames, [0], [1], [phi])[1][0])
 
 
 def spin_connections(frames, i, j):
@@ -438,8 +415,16 @@ def json_array(key: str, obj) -> np.ndarray:
         raise ValueError(f"{key} must be a finite real number, got an integer beyond the float range") from None
 
 
+def json_object(key: str, obj) -> dict:
+    """obj if it is a JSON object; any other JSON value raises ValueError naming key and the value's type."""
+    if type(obj) is not dict:
+        raise ValueError(f"{key} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def config_from_json(c: dict) -> SystemConfig:
     """SystemConfig from a file's "config" object: JSON integers f and n, JSON numbers kappa and an optional s."""
+    json_object("config", c)
     for key in ("f", "n"):
         if type(c[key]) is not int:
             raise ValueError(f"config {key} must be a JSON integer, got {c[key]!r}")
@@ -452,7 +437,7 @@ def config_from_json(c: dict) -> SystemConfig:
 def points_from_json(obj: dict):
     """(`Eigh` of the points (N, f, f), SystemConfig) of a measure or pairs file: its N x f x f table of [re, im] pairs,
     validated as one stack (`validate_points`). A ragged table raises as its first point that is bad alone would."""
-    cfg, pts = config_from_json(obj["config"]), obj["points"]
+    cfg, pts = config_from_json(json_object("top level", obj)["config"]), obj["points"]
     try:
         a = json_array("point entry", pts) if pts != [] else np.zeros((0, cfg.f, cfg.f, 2))
     except TypeError:  # ragged: each point alone, in order, until one raises as it would by itself

@@ -62,7 +62,8 @@ def _reading(what, path):
         yield
     except (OSError, KeyError, TypeError, ValueError,
             getattr(sys.modules.get("zipfile"), "BadZipFile", OSError)) as exc:
-        raise ValidationError(f"cannot load {what} {path}: {exc}") from exc
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValidationError(f"cannot load {what} {path}: {reason}") from exc
 
 
 def _override(cfg, flag, value):
@@ -326,7 +327,7 @@ def cmd_cfs_minimize(args) -> int:
     from . import cfs, minimize
 
     with _reading("family file", args.family), open(args.family) as fh:
-        spec = json.load(fh)
+        spec = cfs.json_object("top level", json.load(fh))
         cfg = _override(cfs.config_from_json(spec["config"]), "kappa", args.kappa)
         family, x0 = minimize.make_family(spec["family"], cfg)
     options = minimize.MinimizeOptions(seed=args.seed)
@@ -349,7 +350,7 @@ def cmd_cfs_el_residual(args) -> int:
     with _reading("measure file", args.measure), open(args.measure) as fh:
         measure, cfg = cfs.measure_from_json(json.load(fh))
     cfg = _override(cfg, "s", args.s)
-    ells = cfs.ell(measure.points, measure, cfg).tolist()
+    ells = cfs.ell(measure.eigh, measure, cfg).tolist()
     payload = {
         "ell": ells,
         "spread": max(ells) - min(ells) if ells else 0.0,

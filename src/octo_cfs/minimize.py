@@ -161,7 +161,7 @@ def minimize(
 
     volume, trace = cfs.constraints(measure)
     # support row ell(x_i) at s = 0, sum_j w_j L(x_i, x_j); the action is its weighted mean
-    row = cfs.ell(measure.points, measure, replace(cfg, s=0.0))
+    row = cfs.ell(measure.eigh, measure, replace(cfg, s=0.0))
     s_posthoc = float(np.dot(measure.weights, row))
     ell_support = (row - s_posthoc).tolist()
     ell_spread = float(row.max() - row.min())

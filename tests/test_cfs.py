@@ -31,6 +31,8 @@ from octo_cfs.cfs import (
     ell,
     json_array,
     kernel,
+    kernel_residuals,
+    lagrangian,
     lagrangian_first_term,
     lagrangians,
     measure_from_json,
@@ -56,6 +58,21 @@ def diag_point(cfg, *vals):
     for i, v in enumerate(vals):
         m[i, i] = v
     return validate_point(m, cfg)
+
+
+def stack_of(points, cfg):
+    """The `Eigh` of a list of points, validated as one stack (N, f, f)."""
+    return validate_points(np.array([p.matrix for p in points], dtype=complex).reshape(-1, cfg.f, cfg.f), cfg)
+
+
+def eigh_of(a):
+    """The `Eigh` of a stack (..., f, f) of matrices as it is, unvalidated, as a family's `point_fn` builds one."""
+    return cfs.Eigh(a, *np.linalg.eigh(a))
+
+
+def lag(x, y, cfg):
+    """L(x, y) of one pair of points."""
+    return lagrangians(stack_of([x], cfg), stack_of([y], cfg), cfg)[0, 0]
 
 
 def multiset_distance(a, b):
@@ -126,10 +143,10 @@ def test_lagrangian_worked_examples():
     kappa = 0.3
     cfg = SystemConfig(f=2, n=1, kappa=kappa)
     x = diag_point(cfg, 1.0, -1.0)
-    assert abs(lagrangians([x], [x], cfg)[0, 0] - 4 * kappa) < 1e-14
+    assert abs(lag(x, x, cfg) - 4 * kappa) < 1e-14
     x2 = diag_point(cfg, 2.0, -1.0)
-    assert abs(lagrangians([x2], [x], cfg)[0, 0] - (0.5 + 9 * kappa)) < 1e-14
-    assert abs(lagrangians([x2], [x], cfg)[0, 0] - lagrangians([x], [x2], cfg)[0, 0]) < 1e-14
+    assert abs(lag(x2, x, cfg) - (0.5 + 9 * kappa)) < 1e-14
+    assert abs(lag(x2, x, cfg) - lag(x, x2, cfg)) < 1e-14
 
 
 def test_lagrangian_spacelike_spectrum():
@@ -139,7 +156,7 @@ def test_lagrangian_spacelike_spectrum():
     y = validate_point(np.diag([0.5, -0.5, 0.5, -0.5]).astype(complex), cfg)
     assert causal_class(x, y, cfg) == SPACELIKE
     assert lagrangian_first_term(x, y, cfg) < 1e-12
-    assert abs(lagrangians([x], [y], cfg)[0, 0] - cfg.kappa * 4.0) < 1e-14  # kappa (4 * 0.5)^2
+    assert abs(lag(x, y, cfg) - cfg.kappa * 4.0) < 1e-14  # kappa (4 * 0.5)^2
 
 
 def test_product_spectrum_nonzero_count_matches_rank():
@@ -175,21 +192,21 @@ def test_zero_product_is_spacelike():
     yb[2, 2] = 1.0
     y = validate_point(yb, cfg)
     assert causal_class(x, y, cfg) == SPACELIKE
-    assert lagrangians([x], [y], cfg)[0, 0] == 0.0
+    assert lag(x, y, cfg) == 0.0
 
 
 def test_action_and_constraints():
     cfg = SystemConfig(f=3, n=1, kappa=0.2)
     x = diag_point(cfg, 1.0)
-    volume, trace = constraints([x], [1.0])
+    volume, trace = constraints(stack_of([x], cfg), [1.0])
     assert volume == 1.0 and abs(trace - 1.0) < 1e-14
 
     # two equal points with weight 1/2 each: action reduces to L(x, x)
-    a = action([x, x], [0.5, 0.5], cfg=cfg)
-    assert abs(a - lagrangians([x], [x], cfg)[0, 0]) < 1e-14
+    a = action(stack_of([x, x], cfg), [0.5, 0.5], cfg=cfg)
+    assert abs(a - lag(x, x, cfg)) < 1e-14
 
     y = diag_point(cfg, 1.0, -1.0)
-    _, tr = constraints([y], [1.0])
+    _, tr = constraints(stack_of([y], cfg), [1.0])
     assert tr == 0.0  # trace constraint violated, flagged by the caller
 
 
@@ -197,23 +214,24 @@ def test_discrete_measure_validation():
     cfg = CFG21
     x = diag_point(cfg, 1.0, 0.0)
     y = diag_point(cfg, 0.0, 1.0)
-    m = DiscreteMeasure(points=[x, y], weights=[0.5, 0.5])
+    m = DiscreteMeasure(points=stack_of([x, y], cfg), weights=[0.5, 0.5])
     assert constraints(m) == (1.0, 1.0)
     with pytest.raises(ValueError):
-        DiscreteMeasure(points=[x, x], weights=[0.5, 0.5])
+        DiscreteMeasure(points=stack_of([x, x], cfg), weights=[0.5, 0.5])
     with pytest.raises(ValueError):
-        DiscreteMeasure(points=[x, y], weights=[0.7, 0.7])
+        DiscreteMeasure(points=stack_of([x, y], cfg), weights=[0.7, 0.7])
     # duplicates are points within operator-norm distance 1e-12
     with pytest.raises(ValueError):
-        DiscreteMeasure(points=[x, y, diag_point(cfg, 1.0, 5e-13)], weights=[0.25, 0.25, 0.5])
+        DiscreteMeasure(points=stack_of([x, y, diag_point(cfg, 1.0, 5e-13)], cfg), weights=[0.25, 0.25, 0.5])
     # operator norm 0.9e-12, Frobenius norm 0.9e-12 sqrt(2) > 1e-12: only the eigvalsh fallback rejects it
     with pytest.raises(ValueError):
-        DiscreteMeasure(points=[x, validate_point(x.matrix + 0.9e-12 * np.eye(2), cfg)], weights=[0.5, 0.5])
-    DiscreteMeasure(points=[x, y, diag_point(cfg, 1.0, 1e-11)], weights=[0.25, 0.25, 0.5])
-    pts, w = merge_duplicates([x, x, y], [0.25, 0.25, 0.5])
+        DiscreteMeasure(points=stack_of([x, validate_point(x.matrix + 0.9e-12 * np.eye(2), cfg)], cfg),
+                        weights=[0.5, 0.5])
+    DiscreteMeasure(points=stack_of([x, y, diag_point(cfg, 1.0, 1e-11)], cfg), weights=[0.25, 0.25, 0.5])
+    pts, w = merge_duplicates(np.array([x.matrix, x.matrix, y.matrix]), [0.25, 0.25, 0.5])
     assert len(pts) == 2 and np.allclose(w, [0.5, 0.5])
     near = validate_point(x.matrix + 5e-10 * np.eye(2), cfg)  # within 1e-9 of x: x merges into it, the first
-    pts, w = merge_duplicates([near, y, x], [0.25, 0.5, 0.25])
+    pts, w = merge_duplicates(np.array([near.matrix, y.matrix, x.matrix]), [0.25, 0.5, 0.25])
     assert np.array_equal(pts, [near.matrix, y.matrix]) and w.tolist() == [0.5, 0.5]
 
 
@@ -222,14 +240,14 @@ def test_ell_single_point():
     x_m = np.diag([1.0, 0.0]).astype(complex)
     cfg0 = SystemConfig(f=2, n=1, kappa=kappa)
     x = validate_point(x_m, cfg0)
-    s_val = lagrangians([x], [x], cfg0)[0, 0]
+    s_val = lag(x, x, cfg0)
     cfg = SystemConfig(f=2, n=1, kappa=kappa, s=s_val)
-    measure = DiscreteMeasure(points=[x], weights=[1.0])
-    assert abs(ell([x], measure, cfg)[0]) < 1e-14
+    measure = DiscreteMeasure(points=stack_of([x], cfg), weights=[1.0])
+    assert abs(ell(stack_of([x], cfg), measure, cfg)[0]) < 1e-14
 
     # disjoint support: only zero spectra contribute, ell = -s = 0 for s=0
     y = validate_point(np.diag([0.0, -1.0]).astype(complex), cfg0)
-    assert ell([y], DiscreteMeasure(points=[x], weights=[1.0]), cfg0)[0] == lagrangians([y], [x], cfg0)[0, 0]
+    assert ell(stack_of([y], cfg0), measure, cfg0)[0] == lag(y, x, cfg0)
 
 
 def gram(s) -> np.ndarray:
@@ -243,10 +261,10 @@ def signature(s) -> tuple:
 
 
 def test_spin_space_signatures():
-    x = np.diag([1.0, -1.0]).astype(complex)
+    x = diag_point(CFG21, 1.0, -1.0)
     sx = spin_space(x)
     assert len(sx.eigenvalues) == 2 and signature(sx) == (1, 1)
-    y = np.diag([1.0, 0.0]).astype(complex)
+    y = diag_point(CFG21, 1.0, 0.0)
     sy = spin_space(y)
     assert len(sy.eigenvalues) == 1 and signature(sy) == (0, 1)
 
@@ -333,7 +351,7 @@ def _timelike_pair(cfg):
 def connections(points, pairs, cfg):
     """`spin_connections` of the pairs (i, j) of `points`."""
     i, j = np.array(pairs).reshape(-1, 2).T
-    return spin_connections(spin_frames(points, cfg), i, j)
+    return spin_connections(spin_frames(stack_of(points, cfg), cfg), i, j)
 
 
 def test_spin_connection_identity_at_coincidence():
@@ -443,7 +461,7 @@ def test_measure_json_round_trip():
     cfg = SystemConfig(f=2, n=1, kappa=0.1, s=0.25)
     x = diag_point(cfg, 1.0, 0.0)
     y = diag_point(cfg, 0.0, 1.0)
-    m = DiscreteMeasure(points=[x, y], weights=[0.5, 0.5])
+    m = DiscreteMeasure(points=stack_of([x, y], cfg), weights=[0.5, 0.5])
     obj = measure_to_json(m, cfg)
     m2, cfg2 = measure_from_json(obj)
     assert cfg2 == cfg
@@ -545,7 +563,7 @@ def assert_pair_spectra_match_dense_oracle(left, right, cfg):
     of xy can be further off than the engine (6.2e-13 against 8.5e-14 in
     `test_pair_spectra_match_the_50_digit_oracle_where_the_dense_one_misses`).
     """
-    lam = pair_spectra(left, right, cfg)
+    lam = pair_spectra(stack_of(left, cfg), stack_of(right, cfg), cfg)
     assert lam.shape == (len(left), len(right), 2 * cfg.n)
     for i, x in enumerate(left):
         for j, y in enumerate(right):
@@ -584,24 +602,25 @@ def test_pair_spectra_match_the_50_digit_oracle_where_the_dense_one_misses():
 def test_pair_engine_invariants(case, c, seed):
     cfg, xs, ys, kind = case
     big = max(_opnorm(p) for p in xs + ys) ** 2
-    lag = lagrangians(xs, xs, cfg)
+    ex, ey = stack_of(xs, cfg), stack_of(ys, cfg)
+    sym = lagrangians(ex, ex, cfg)
     tol_l = 1e-12 * big**2 * (1.0 + cfg.kappa * 4 * cfg.n**2)
     # L(x, y) = L(y, x)
-    assert np.abs(lag - lag.T).max() <= tol_l
+    assert np.abs(sym - sym.T).max() <= tol_l
     # invariance under a common unitary x -> U x U*
     r = np.random.default_rng(seed)
     u, _ = np.linalg.qr(r.standard_normal((cfg.f, cfg.f)) + 1j * r.standard_normal((cfg.f, cfg.f)))
-    rot = [validate_point(u @ p.matrix @ u.conj().T, cfg) for p in xs]
-    assert np.abs(lagrangians(rot, rot, cfg) - lag).max() <= tol_l
+    rot = stack_of([validate_point(u @ p.matrix @ u.conj().T, cfg) for p in xs], cfg)
+    assert np.abs(lagrangians(rot, rot, cfg) - sym).max() <= tol_l
     # homogeneity of the spectrum under x -> c x, and sum of eigenvalues = tr(xy)
-    lam = pair_spectra(xs, ys, cfg)
-    scaled = pair_spectra([validate_point(c * p.matrix, cfg) for p in xs], ys, cfg)
+    lam = pair_spectra(ex, ey, cfg)
+    scaled = pair_spectra(stack_of([validate_point(c * p.matrix, cfg) for p in xs], cfg), ey, cfg)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             unit = _opnorm(x) * _opnorm(y)
             assert multiset_distance(scaled[i, j], c * lam[i, j]) <= 1e-12 * c * unit
             assert abs(lam[i, j].sum() - np.sum(x.matrix * y.matrix.T)) <= 1e-12 * unit
-    cross = lagrangians(xs, ys, cfg)
+    cross = lagrangians(ex, ey, cfg)
     if kind == "orthogonal":
         assert np.all(cross == 0.0)  # spacelike with the all-zero spectrum: exactly 0
     if kind == "commuting":
@@ -611,24 +630,50 @@ def test_pair_engine_invariants(case, c, seed):
                 assert lagrangian_first_term(x, y, cfg) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=point_sets(), data=st.data())
+def test_one_pair_functions_equal_the_engine_path_they_replaced(case, data):
+    """Each one-pair function validates (x, y) as one stack; it equals bitwise what it computed through the engine's
+    list path, `pair_spectra([x], [y])` and `spin_frames([x, y])` (one stacked `eigh` of the raw matrices), x == y
+    included."""
+    cfg, xs, ys, _ = case
+    pts = xs + ys
+    x, y = (pts[data.draw(st.integers(0, len(pts) - 1))] for _ in range(2))
+    full = SystemConfig(cfg.f, cfg.f, 1.0)  # the n = f config of spin_space and completeness_check
+    r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    phi = r.standard_normal(cfg.f) + 1j * r.standard_normal(cfg.f)
+    for a, b in ((x, y), (x, x), (y, x)):
+        lam = pair_spectra(validate_points(a.matrix[None], cfg), validate_points(b.matrix[None], cfg), cfg)[0, 0]
+        assert product_spectrum(a, b, cfg).tobytes() == lam.tobytes()
+        assert causal_class(a, b, cfg) == str(causal_classes(lam))
+        assert lagrangian_first_term(a, b, cfg) == float(lagrangian(lam, 0.0))
+        frames = spin_frames(eigh_of(np.array([a.matrix, b.matrix])), full)
+        assert completeness_check(a, b, phi) == float(kernel_residuals(frames, [0], [1], [phi])[1][0])
+        k = np.count_nonzero(frames[0][0])
+        space = spin_space(a)
+        assert space.basis.tobytes() == frames[1][0, :, :k].tobytes()
+        assert space.eigenvalues.tobytes() == frames[0][0, :k].tobytes()
+
+
 def test_pair_engine_matches_dense_lagrangian_across_blocks(monkeypatch):
     cfg = SystemConfig(f=8, n=2, kappa=0.3)
     r = np.random.default_rng(7)
     xs = [random_point(r, cfg) for _ in range(7)]
     ys = [random_point(r, cfg) for _ in range(4)]
     ref = np.array([[dense_lagrangian(x, y, cfg) for y in ys] for x in xs])
-    whole = lagrangians(xs, ys, cfg)
+    ex, ey = stack_of(xs, cfg), stack_of(ys, cfg)
+    whole = lagrangians(ex, ey, cfg)
     monkeypatch.setattr(cfs, "PAIR_BLOCK", 3)
-    blocked = lagrangians(xs, ys, cfg)
+    blocked = lagrangians(ex, ey, cfg)
     assert np.abs(whole - ref).max() <= 1e-13 * max(1.0, ref.max())
     assert np.abs(blocked - whole).max() <= 1e-14 * max(1.0, ref.max())
     # xs against itself: each unordered pair is solved once (in blocks of 3 pairs) for both orders
-    sym = lagrangians(xs, xs, cfg)
+    sym = lagrangians(ex, ex, cfg)
     assert np.array_equal(sym, sym.T)
     ref_sym = np.array([[dense_lagrangian(x, y, cfg) for y in xs] for x in xs])
     assert np.abs(sym - ref_sym).max() <= 1e-13 * max(1.0, ref_sym.max())
     # two distinct sets: each order is its own solve, so L(x, y) = L(y, x) holds to rounding
-    assert np.abs(whole - lagrangians(ys, xs, cfg).T).max() <= 1e-12 * max(1.0, ref.max())
+    assert np.abs(whole - lagrangians(ey, ex, cfg).T).max() <= 1e-12 * max(1.0, ref.max())
 
 
 @settings(max_examples=60, deadline=None)
@@ -636,8 +681,8 @@ def test_pair_engine_matches_dense_lagrangian_across_blocks(monkeypatch):
 def test_chain_spectra_of_a_pair_list_are_the_triangle_entries(case, data):
     """Random pair lists with repeated and reversed pairs, over random, zero and rank-deficient points."""
     cfg, xs, ys, _ = case
-    pts = xs + ys
-    index = st.integers(0, len(pts) - 1)
+    pts = stack_of(xs + ys, cfg)
+    index = st.integers(0, len(pts.points) - 1)
     pairs = data.draw(st.lists(st.tuples(index, index), max_size=12))
     pairs += [(j, i) for i, j in pairs[: len(pairs) // 2]]
     i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
@@ -669,27 +714,30 @@ def test_batched_action_matches_each_measure_alone(dims, batch, count, c, seed):
     cfg = SystemConfig(f=dims[0], n=dims[1], kappa=0.25)
     r = np.random.default_rng(seed)
     stack = np.array([[_any_rank_point(r, cfg) for _ in range(count)] for _ in range(batch)])
+    sets = eigh_of(stack)
     w = r.dirichlet(np.ones(count), size=batch)
-    got = action(stack, w, cfg=cfg)
+    got = action(sets, w, cfg=cfg)
     assert got.shape == (batch,)
-    alone = [action(list(stack[b]), w[b], cfg=cfg) for b in range(batch)]
+    alone = [action(eigh_of(stack[b]), w[b], cfg=cfg) for b in range(batch)]
     assert got.tobytes() == np.array(alone).tobytes()
-    integrals_alone = [constraints(list(stack[b]), w[b]) for b in range(batch)]  # (volume, trace) per set
-    assert np.array(constraints(stack, w)).tobytes() == np.array(integrals_alone).T.tobytes()
+    integrals_alone = [constraints(eigh_of(stack[b]), w[b]) for b in range(batch)]  # (volume, trace) per set
+    assert np.array(constraints(sets, w)).tobytes() == np.array(integrals_alone).T.tobytes()
     with pytest.MonkeyPatch.context() as mp:  # blocks that split the stack mid-set
         mp.setattr(cfs, "PAIR_BLOCK", 4)
-        assert action(stack, w, cfg=cfg).tobytes() == got.tobytes()
+        assert action(sets, w, cfg=cfg).tobytes() == got.tobytes()
     tol = 1e-12 * np.maximum(1.0, np.abs(got))
     scale = np.linspace(1.0, c, batch)
-    assert np.all(np.abs(action(scale[:, None, None, None] * stack, w, cfg=cfg) - scale**4 * got) <= scale**4 * tol)
-    lag = lagrangians(stack, stack, cfg)
-    ys = [_any_rank_point(r, cfg) for _ in range(count + 1)]  # a second set, distinct from each of the stack
+    scaled = eigh_of(scale[:, None, None, None] * stack)
+    assert np.all(np.abs(action(scaled, w, cfg=cfg) - scale**4 * got) <= scale**4 * tol)
+    lag_sets = lagrangians(sets, sets, cfg)
+    ys = eigh_of(np.array([_any_rank_point(r, cfg) for _ in range(count + 1)]))  # distinct from each of the stack
     for b in range(batch):
-        alone = lagrangians(list(stack[b]), list(stack[b]), cfg)
-        assert lag[b].tobytes() == alone.tobytes() and np.array_equal(alone, alone.T)
-        cross = lagrangians(stack[b], ys, cfg)  # L(x, y) = L(y, x) across two sets, each order its own solve
-        assert np.all(np.abs(cross - lagrangians(ys, stack[b], cfg).T) <= 1e-12 * np.maximum(1.0, np.abs(cross)))
-    spectra = pair_spectra(stack, stack, cfg)
+        one = eigh_of(stack[b])
+        alone = lagrangians(one, one, cfg)
+        assert lag_sets[b].tobytes() == alone.tobytes() and np.array_equal(alone, alone.T)
+        cross = lagrangians(one, ys, cfg)  # L(x, y) = L(y, x) across two sets, each order its own solve
+        assert np.all(np.abs(cross - lagrangians(ys, one, cfg).T) <= 1e-12 * np.maximum(1.0, np.abs(cross)))
+    spectra = pair_spectra(sets, sets, cfg)
     assert spectra.shape == (batch, count, count, 2 * cfg.n)
     if cfg.f < 2 * cfg.n:
         assert np.all(spectra[..., cfg.f:] == 0.0)
@@ -698,12 +746,13 @@ def test_batched_action_matches_each_measure_alone(dims, batch, count, c, seed):
 def test_pairs_are_keyed_by_value_not_by_object():
     cfg = SystemConfig(f=16, n=2, kappa=0.2)
     r = np.random.default_rng(3)
-    xs = [random_point(r, cfg) for _ in range(12)]
+    xs = stack_of([random_point(r, cfg) for _ in range(12)], cfg)
     sym = lagrangians(xs, xs, cfg)
-    copies = lagrangians(xs, [validate_point(p.matrix.copy(), cfg) for p in xs], cfg)
+    copies = lagrangians(xs, validate_points(xs.points.copy(), cfg), cfg)
     assert copies.tobytes() == sym.tobytes() and np.array_equal(copies, copies.T)
     measure = DiscreteMeasure(points=xs, weights=np.full(12, 1 / 12))
-    assert ell(list(measure.points), measure, cfg).tobytes() == ell(measure.points, measure, cfg).tobytes()
+    on_support = ell(validate_points(measure.points.copy(), cfg), measure, cfg)
+    assert on_support.tobytes() == ell(measure.eigh, measure, cfg).tobytes()
 
 
 def test_pair_spectra_of_two_stacks_equal_each_pair_of_sets_alone():
@@ -711,10 +760,10 @@ def test_pair_spectra_of_two_stacks_equal_each_pair_of_sets_alone():
     r = np.random.default_rng(5)
     xs = np.array([[random_point(r, cfg).matrix for _ in range(4)] for _ in range(3)])
     ys = np.array([[random_point(r, cfg).matrix for _ in range(5)] for _ in range(3)])
-    got = pair_spectra(xs, ys, cfg)
+    got = pair_spectra(eigh_of(xs), eigh_of(ys), cfg)
     assert got.shape == (3, 4, 5, 2 * cfg.n)
     for b in range(3):
-        assert got[b].tobytes() == pair_spectra(list(xs[b]), list(ys[b]), cfg).tobytes()
+        assert got[b].tobytes() == pair_spectra(eigh_of(xs[b]), eigh_of(ys[b]), cfg).tobytes()
 
 
 def test_pair_engine_rejects_point_beyond_spin_dimension():
@@ -722,16 +771,16 @@ def test_pair_engine_rejects_point_beyond_spin_dimension():
     x = np.diag([1.0, -1.0, 0.5, 0.0]).astype(complex)  # three eigenvalues beyond the cut, 2n = 2
     y = np.eye(4, dtype=complex)
     with pytest.raises(SignatureViolation):
-        pair_spectra([x], [y], cfg)
+        pair_spectra(eigh_of(x[None]), eigh_of(y[None]), cfg)
 
 
 def test_pair_engine_rejects_rank_2n_point_with_more_than_n_of_one_sign():
     cfg = SystemConfig(f=4, n=1, kappa=0.1)
     x = np.diag([1.0, 0.5, 0.0, 0.0]).astype(complex)  # rank 2 = 2n, but two positive eigenvalues
     with pytest.raises(SignatureViolation, match="^2 positive and 0 negative eigenvalues exceed spin dimension 1$"):
-        pair_spectra([x], [x], cfg)
+        pair_spectra(eigh_of(x[None]), eigh_of(x[None]), cfg)
     with pytest.raises(SignatureViolation):
-        pair_spectra([x], [np.eye(4, dtype=complex)], cfg)
+        pair_spectra(eigh_of(x[None]), eigh_of(np.eye(4, dtype=complex)[None]), cfg)
 
 
 def test_ell_batch_matches_single_points():
@@ -740,9 +789,9 @@ def test_ell_batch_matches_single_points():
     pts = [random_point(r, cfg) for _ in range(5)]
     while any(not p.matrix.any() for p in pts):
         pts = [random_point(r, cfg) for _ in range(5)]
-    measure = DiscreteMeasure(points=pts, weights=np.full(5, 0.2))
-    batch = ell(pts, measure, cfg)
-    single = np.array([ell([p], measure, cfg)[0] for p in pts])
+    measure = DiscreteMeasure(points=stack_of(pts, cfg), weights=np.full(5, 0.2))
+    batch = ell(stack_of(pts, cfg), measure, cfg)
+    single = np.array([ell(stack_of([p], cfg), measure, cfg)[0] for p in pts])
     assert batch.shape == (5,)
     assert np.abs(batch - single).max() <= 1e-14
     a = action(measure, cfg=cfg)
@@ -752,9 +801,9 @@ def test_ell_batch_matches_single_points():
 def test_action_without_cfg_fails_at_the_call():
     x = diag_point(CFG21, 1.0, -1.0)
     with pytest.raises(TypeError, match="cfg"):
-        action([x], [1.0])
+        action(stack_of([x], CFG21), [1.0])
     with pytest.raises(TypeError, match="cfg"):
-        action(DiscreteMeasure(points=[x], weights=[1.0]))
+        action(DiscreteMeasure(points=stack_of([x], CFG21), weights=[1.0]))
 
 
 def test_system_config_rejects_non_finite_or_out_of_range_parameters():

@@ -161,7 +161,7 @@ def _measure_file(tmp_path):
     cfg = cfs.SystemConfig(f=2, n=1, kappa=0.2)
     x = cfs.validate_point(np.diag([1.0, 0.0]).astype(complex), cfg)
     y = cfs.validate_point(np.diag([0.0, 1.0]).astype(complex), cfg)
-    m = cfs.DiscreteMeasure(points=[x, y], weights=[0.5, 0.5])
+    m = cfs.DiscreteMeasure(points=cfs.validate_points(np.array([x.matrix, y.matrix]), cfg), weights=[0.5, 0.5])
     path = tmp_path / "measure.json"
     path.write_text(json.dumps(cfs.measure_to_json(m, cfg)))
     return path
@@ -356,6 +356,35 @@ def test_cfs_minimize_family_that_is_not_an_object_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cannot load family file {fam_path}: family must be a JSON object, got {bad!r}\n"
+
+
+def test_malformed_input_files_exit_2_naming_what_is_wrong(tmp_path, capsys):
+    # before, a top level or config that is not an object exited with Python's indexing text ("list indices must be
+    # integers or slices, not str"), and a missing key with its bare repr
+    measure = read_json(_measure_file(tmp_path))
+    family = {"config": measure["config"], "family": {"type": "diagonal", "signs": [[1, -1], [-1, 1]]}}
+
+    def without(obj, key):
+        return {k: v for k, v in obj.items() if k != key}
+
+    files = {"measure": measure, "pairs": without(measure, "weights"), "family": family}
+    commands = {"measure": [["action", "--measure"], ["el-residual", "--measure"]], "pairs": [["classify", "--pairs"]],
+                "family": [["minimize", "--family"]]}
+    cases = [(kind, [], "top level must be a JSON object, got list") for kind in files]
+    cases += [(kind, "x", "top level must be a JSON object, got str") for kind in files]
+    cases += [(kind, {**obj, "config": []}, "config must be a JSON object, got list") for kind, obj in files.items()]
+    cases += [(kind, {**obj, "config": without(obj["config"], "n")}, "missing key 'n'") for kind, obj in files.items()]
+    cases += [("measure", without(measure, "points"), "missing key 'points'"),
+              ("pairs", without(measure, "points"), "missing key 'points'"),
+              ("measure", without(measure, "weights"), "missing key 'weights'"),
+              ("family", without(family, "family"), "missing key 'family'"),
+              ("family", {**family, "family": {"type": "diagonal"}}, "missing key 'signs'")]
+    path = tmp_path / "input.json"
+    for kind, obj, reason in cases:
+        path.write_text(json.dumps(obj))
+        for command in commands[kind]:
+            assert run(["cfs", *command, str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: cannot load {kind} file {path}: {reason}\n")
 
 
 def test_cfs_action_rejects_non_integer_dimensions(tmp_path, capsys):
@@ -950,7 +979,8 @@ def test_reproducibility_byte_identical(tmp_path, capsys):
     cfg = cfs.SystemConfig(f=6, n=2, kappa=0.2)
     pts = [p for p in (cfs.random_point(r, cfg) for _ in range(8)) if p.matrix.any()][:5]
     meas_path = tmp_path / "measure.json"
-    meas = cfs.DiscreteMeasure(points=pts, weights=np.full(len(pts), 1.0 / len(pts)))
+    meas = cfs.DiscreteMeasure(points=cfs.validate_points(np.array([p.matrix for p in pts]), cfg),
+                               weights=np.full(len(pts), 1.0 / len(pts)))
     meas_path.write_text(json.dumps(cfs.measure_to_json(meas, cfg)))
     for cmd_suffix in (
         ["octonion", "check", "--seed", "9"],
@@ -1265,7 +1295,7 @@ def test_container_header_without_masses_exits_2(tmp_path, capsys, cmd):
     broken = _with_header(vac, tmp_path / "broken.okn", lambda header: {k: header[k] for k in header if k != "masses"})
     capsys.readouterr()
     assert run(["vacuum", cmd[0], "--infile", str(broken), *cmd[1:]]) == 2
-    assert capsys.readouterr().err == f"error: cannot load kernel container {broken}: 'masses'\n"
+    assert capsys.readouterr().err == f"error: cannot load kernel container {broken}: missing key 'masses'\n"
 
 
 def test_container_header_without_tau_reg_exits_2(tmp_path, capsys):
@@ -1280,7 +1310,7 @@ def test_container_header_without_tau_reg_exits_2(tmp_path, capsys):
     broken = _with_header(vac, tmp_path / "broken.okn", drop_tau)
     capsys.readouterr()
     assert run(["vacuum", "localize", "--infile", str(broken), "--point", "2,3"]) == 2
-    assert capsys.readouterr().err == f"error: cannot load kernel container {broken}: 'tau_reg'\n"
+    assert capsys.readouterr().err == f"error: cannot load kernel container {broken}: missing key 'tau_reg'\n"
 
 
 def test_container_with_the_older_repeated_header_values_still_loads(tmp_path, capsys):

@@ -545,3 +545,48 @@ def test_unraised_exceptions_are_found():
 def test_every_exception_class_is_raised_or_built_in_src():
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
     assert unraised_exceptions(trees) == []
+
+
+def eigh_sites(tree: ast.Module) -> list:
+    """The function around each use of the `linalg.eigh` solver, as "name" or "Class.name" ("<module>" outside any),
+    one entry per use in source order: `np.linalg.eigh`, `numpy.linalg.eigh`, `linalg.eigh` or a name imported from
+    numpy.linalg. An attribute merely named `eigh`, such as a measure's `.eigh`, is no use."""
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                for alias in node.names if alias.name == "eigh"}
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            solver = isinstance(child, ast.Attribute) and child.attr == "eigh" and (
+                isinstance(child.value, ast.Attribute) and child.value.attr == "linalg"
+                or isinstance(child.value, ast.Name) and child.value.id == "linalg")
+            if solver or isinstance(child, ast.Name) and child.id in imported:
+                found.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_eigh_sites_are_found():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy.linalg import eigh as solve\n\n"
+        "def f(a):\n    return np.linalg.eigh(a)\n\n"
+        "class K:\n    def g(self, a):\n        solver = numpy.linalg.eigh\n        return solver(a)\n\n"
+        "def h(m):\n    return m.eigh, np.linalg.eigvalsh(m), solve(m)\n\n"
+        "w = linalg.eigh(np.eye(2))\n"
+    )
+    # m.eigh is an attribute named eigh, and eigvalsh another solver
+    assert eigh_sites(tree) == ["f", "K.g", "h", "<module>"]
+
+
+def test_only_validate_points_decomposes_points_in_cfs():
+    # every point set reaches the causal engine as the `Eigh` that validation solved: no second `eigh` in cfs
+    source = (SRC / "cfs.py").read_text()
+    assert eigh_sites(ast.parse(source)) == ["validate_points"]
+    planted = source + "\n\ndef spin_frames_of(a, cfg):\n    return spin_frames(Eigh(a, *np.linalg.eigh(a)), cfg)\n"
+    assert eigh_sites(ast.parse(planted)) == ["validate_points", "spin_frames_of"]
