@@ -417,16 +417,12 @@ def cmd_vacuum_localize(args) -> int:
     from . import cfs, lattice
 
     spec, md, coefficients, seas = _container(args.infile)
-    try:
-        point = tuple(int(v) for v in args.point.split(","))
-    except ValueError:
-        point = ()
-    bounds = (spec.T,) + (spec.L,) * spec.spatial_dims
+    point, bounds = args.point, (spec.T,) + (spec.L,) * spec.spatial_dims
     if len(point) != len(bounds):
         raise ValidationError(f"--point needs {len(bounds)} comma-separated integer coordinates")
     if not all(0 <= v < b for v, b in zip(point, bounds)):
         raise ValidationError(
-            f"--point {args.point} is off the lattice: need 0 <= t < {spec.T} and 0 <= x_j < {spec.L}"
+            f"--point {','.join(map(str, point))} is off the lattice: need 0 <= t < {spec.T} and 0 <= x_j < {spec.L}"
         )
     try:  # the two bases E_nu and E_c, then the sectors e0..e7
         spectra = lattice.local_spectra([(1, 0), (0, 1), *coefficients], seas, md.tau_reg)
@@ -439,7 +435,7 @@ def cmd_vacuum_localize(args) -> int:
         "charged_sector": describe(spectra[1]),
         "sectors": {f"e{i}": describe(w) for i, w in enumerate(spectra[2:])},
     }
-    return _emit(args, payload, infile=args.infile, point=list(point))
+    return _emit(args, payload, infile=args.infile, point=point)
 
 
 def cmd_vacuum_act(args) -> int:
@@ -447,14 +443,7 @@ def cmd_vacuum_act(args) -> int:
     from .mult_algebra import chain
 
     spec, md, coefficients, seas = _container(args.infile)
-    try:
-        word = [int(v) for v in args.op.split(",")]
-        if not all(0 <= v <= 7 for v in word):
-            raise ValueError(f"{args.op!r} has an index outside 0..7")
-        op = chain(word).astype(complex)
-    except ValueError as exc:
-        raise ValidationError(f"--op must be a comma-separated word of indices 0..7: {exc}") from exc
-    coefficients = op @ coefficients
+    coefficients = chain(args.op).astype(complex) @ coefficients
     if args.container:
         with _writing(args.container):
             bases = lattice.save_kernels(args.container, spec, md, seas, coefficients)
@@ -464,7 +453,7 @@ def cmd_vacuum_act(args) -> int:
     payload = {
         "sector_norms": {f"e{i}": v for i, v in enumerate(norms)},
     }
-    return _emit(args, payload, infile=args.infile, op=word, out=args.container)
+    return _emit(args, payload, infile=args.infile, op=args.op, out=args.container)
 
 
 # ---------------------------------------------------------------- majorana
@@ -527,13 +516,12 @@ def _bounded(convert, ok, bound: str):
     return parse
 
 
-def build_parser(group=None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     """The CLI, declared once: (group, verb) -> the handler and exactly the flags it reads.
 
     A flag is (name, add_argument keywords); a tuple of names is a required choice of one of them.
-    The table is built per call, so it holds the module's current cmd_* functions. When `group`
-    names a group, only its verbs are built; the other groups stay bare parsers, so usage lines and
-    errors read as with every verb built. Any other `group` builds no verb, and no `group` every verb.
+    The table is built per call, so it holds the module's current cmd_* functions. A flag's type
+    parses its text, so a malformed number or list exits 2 before a handler runs.
     """
     out = ("--out", {})
     fmt = ("--format", {"choices": ("json", "csv"), "default": "json"})
@@ -541,6 +529,9 @@ def build_parser(group=None) -> argparse.ArgumentParser:
     tol = ("--tol", {"type": _bounded(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")})
     infile = ("--infile", {"required": True})
     masses = _bounded(lambda t: tuple(map(float, t.split(","))), lambda v: len(v) == 3, "three comma-separated numbers")
+    point = _bounded(lambda t: [int(v) for v in t.split(",")], lambda p: True, "comma-separated integer coordinates")
+    word = _bounded(lambda t: [int(v) for v in t.split(",")], lambda w: all(0 <= v <= 7 for v in w),
+                    "a comma-separated word of indices 0..7")
     commands = {
         ("octonion", "table"): (cmd_octonion_table, out, fmt),
         ("octonion", "check"): (cmd_octonion_check, out,
@@ -585,10 +576,10 @@ def build_parser(group=None) -> argparse.ArgumentParser:
                                  infile),
         ("vacuum", "localize"): (cmd_vacuum_localize, out,
                                  infile,
-                                 ("--point", {"required": True})),
+                                 ("--point", {"type": point, "required": True})),
         ("vacuum", "act"): (cmd_vacuum_act, ("--out", {"dest": "container"}),
                             infile,
-                            ("--op", {"required": True})),
+                            ("--op", {"type": word, "required": True})),
         ("majorana", "check"): (cmd_majorana_check, out,
                                 seed,
                                 ("--variant", {"choices": ("paper", "derived", "both"), "default": "both"})),
@@ -606,8 +597,6 @@ def build_parser(group=None) -> argparse.ArgumentParser:
     verbs = {name: groups.add_parser(name).add_subparsers(dest="verb", required=True)
              for name in dict.fromkeys(name for name, _ in commands)}
     for (name, verb), (handler, *flags) in commands.items():
-        if group is not None and name != group:
-            continue
         p = verbs[name].add_parser(verb)
         p.set_defaults(handler=handler)
         for names, kwargs in flags:
@@ -621,8 +610,7 @@ def build_parser(group=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     import numpy as np  # after parse_args, so --version, --help and usage errors load no numpy
     try:
         with np.errstate(all="ignore"):

@@ -516,19 +516,24 @@ def save_kernels(path, spec: LatticeSpec, md: MassData, seas, coefficients: np.n
 def load_header(path) -> tuple:
     """(LatticeSpec, MassData, the 8 x 2 sector coefficients C) of a kernel container, without reading its seas.
 
-    Each dataclass takes its fields from its header object by name and checks them; C holds finite [re, im] pairs.
+    Checked in this order: the format, so an older container or another zip is told to rebuild it; each header
+    section, whose dataclass takes and checks its fields by name; C's finite [re, im] pairs; and the sea members.
     """
     with zipfile.ZipFile(path, "r") as zf:
-        header = json.loads(zf.read("header.json"))
+        members = zf.namelist()
+        header = json.loads(zf.read("header.json")) if "header.json" in members else None
     if not isinstance(header, dict) or header.get("format") != CONTAINER_FORMAT:
         raise ValueError(f"not a format {CONTAINER_FORMAT} kernel container; rebuild it with `vacuum build`")
-    spec, md = (cls(**{f.name: header[key][f.name] for f in fields(cls)})
-                for key, cls in (("lattice", LatticeSpec), ("masses", MassData)))
+    sections = [cfs.json_object(key, header[key]) for key in ("lattice", "masses")]
+    spec, md = (cls(**{f.name: section[f.name] for f in fields(cls)})
+                for cls, section in zip((LatticeSpec, MassData), sections))
     pairs = cfs.json_array("coefficients", header["coefficients"])
     if pairs.shape != VACUUM_COEFFICIENTS.shape + (2,):
         raise ValueError(f"coefficients must be an 8 x 2 matrix of [re, im] pairs, got shape {pairs.shape}")
     if not np.isfinite(pairs).all():
         raise ValueError("coefficients must be finite")
+    if missing := [f"{name}.npy" for name in SEA_LABELS if f"{name}.npy" not in members]:
+        raise ValueError(f"missing member {missing[0]!r}")
     return spec, md, pairs.view(complex)[..., 0]
 
 

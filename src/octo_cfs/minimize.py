@@ -278,20 +278,16 @@ def make_family(spec: dict, cfg: cfs.SystemConfig) -> tuple:
     tied, i.e. points diag(p, -q) and diag(-q, p) with p = u^2, q = v^2.
     Both validate against f and the spin dimension.
     """
-    if not isinstance(spec, dict):
-        raise ValueError(f"family must be a JSON object, got {spec!r}")
-    kind = spec.get("type")
+    kind = cfs.json_object("family", spec).get("type")
     if kind == "mirror_pair":
         signs, index, default = np.array([[1.0, -1.0], [-1.0, 1.0]]), [[0, 1], [1, 0]], [1.2, 0.4, 0.1, -0.1]
     elif kind == "diagonal":
-        try:  # the template as numpy reads it, which takes true and "1" for 1: json_array's type check comes next
-            template = np.asarray(spec["signs"], dtype=float)
-            ok = template.ndim == 2 and template.size > 0 and bool(np.isin(template, (-1, 0, 1)).all())
-        except (TypeError, ValueError, OverflowError):  # ragged rows or entries that are not numbers
-            ok = False
-        if not ok:
+        try:
+            signs = cfs.json_array("family signs", spec["signs"])
+        except TypeError:  # ragged rows
+            signs = np.zeros(0)
+        if signs.ndim != 2 or signs.size == 0 or not np.isin(signs, (-1, 0, 1)).all():
             raise ValueError(f"signs must be a non-empty 2-D table of -1, 0 and 1, got {spec['signs']!r}")
-        signs = cfs.json_array("family signs", spec["signs"])
         index = np.arange(signs.size).reshape(signs.shape)
         default = np.concatenate([np.full(signs.size, 0.8), np.zeros(len(signs))])
     else:

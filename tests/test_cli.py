@@ -324,13 +324,18 @@ def test_cfs_minimize_with_f_below_2n(tmp_path):
 
 
 def test_cfs_minimize_rejects_bad_sign_templates(tmp_path, capsys):
+    # a table of the wrong shape or values names the table; an entry that is not a JSON number is named by
+    # cfs.json_array, as every numeric table's is
     fam_path = tmp_path / "family.json"
-    for bad in ([], [1, -1], [[1, 2]], [[1, -1], [1]], [[]], [["a", "b"]], [[10**400, 1]]):
+    cases = [(bad, f"signs must be a non-empty 2-D table of -1, 0 and 1, got {bad!r}")
+             for bad in ([], [1, -1], [[1, 2]], [[1, -1], [1]], [[]])]
+    cases += [([["a", "b"]], "family signs must be a JSON number, got 'a'"),
+              ([[10**400, 1]], "family signs must be a finite real number, got an integer beyond the float range")]
+    for bad, reason in cases:
         fam_path.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.2},
                                         "family": {"type": "diagonal", "signs": bad}}))
         assert run(["cfs", "minimize", "--family", str(fam_path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and f"signs must be a non-empty 2-D table of -1, 0 and 1, got {bad!r}" in captured.err
+        assert capsys.readouterr() == ("", f"error: cannot load family file {fam_path}: {reason}\n")
 
 
 def test_json_booleans_and_numeric_strings_are_not_numbers(tmp_path, capsys):
@@ -350,12 +355,12 @@ def test_json_booleans_and_numeric_strings_are_not_numbers(tmp_path, capsys):
 
 def test_cfs_minimize_family_that_is_not_an_object_exits_2(tmp_path, capsys):
     fam_path = tmp_path / "family.json"
-    for bad in ([1, 2], "mirror_pair", None):
+    for bad, kind in (([1, 2], "list"), ("mirror_pair", "str"), (None, "NoneType")):
         fam_path.write_text(json.dumps({"config": {"f": 2, "n": 1, "kappa": 0.2}, "family": bad}))
         assert run(["cfs", "minimize", "--family", str(fam_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: cannot load family file {fam_path}: family must be a JSON object, got {bad!r}\n"
+        assert captured.err == f"error: cannot load family file {fam_path}: family must be a JSON object, got {kind}\n"
 
 
 def test_malformed_input_files_exit_2_naming_what_is_wrong(tmp_path, capsys):
@@ -754,23 +759,33 @@ def test_vacuum_commands_reject_old_format_container(tmp_path, capsys):
     with zipfile.ZipFile(old, "w") as zf:
         zf.writestr("header.json", json.dumps(header))
         zf.writestr("e0.npy", b"")
-    for cmd in (["residual"], ["localize", "--point", "2,3"], ["act", "--op", "1,2"]):
-        assert run(["vacuum", cmd[0], "--infile", str(old), *cmd[1:]]) == 2
-        assert "rebuild it with `vacuum build`" in capsys.readouterr().err
+    with zipfile.ZipFile(headless := tmp_path / "headless.okn", "w") as zf:  # a zip that is no container at all
+        zf.writestr("e0.npy", b"")
+    for path in (old, headless):
+        for cmd in (["residual"], ["localize", "--point", "2,3"], ["act", "--op", "1,2"]):
+            assert run(["vacuum", cmd[0], "--infile", str(path), *cmd[1:]]) == 2
+            assert "rebuild it with `vacuum build`" in capsys.readouterr().err
 
 
 def test_vacuum_commands_reject_bad_point_and_op(tmp_path, capsys):
     vac = tmp_path / "vac.okn"
     assert run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(vac)]) == 0
     capsys.readouterr()
-    off = "off the lattice: need 0 <= t < 4 and 0 <= x_j < 4"
-    for cmd, reason in ((["localize", "--point", "2,x"], "integer coordinates"),
-                        (["localize", "--point", "99,3"], off),
-                        (["localize", "--point", "2,-1"], off),
-                        (["localize", "--point", "3,4"], off),
-                        (["act", "--op", "1,99"], "'1,99' has an index outside 0..7")):
-        assert run(["vacuum", cmd[0], "--infile", str(vac), *cmd[1:]]) == 2
-        assert reason in capsys.readouterr().err
+    # text that is not integers, or a letter outside 0..7, fails at parse time, naming the flag
+    for cmd, reason in ((["localize", "--point", "2,x"], "--point: must be comma-separated integer coordinates"),
+                        (["localize", "--point", ""], "--point: must be comma-separated integer coordinates"),
+                        (["act", "--op", "1,99"], "--op: must be a comma-separated word of indices 0..7"),
+                        (["act", "--op", "1,,2"], "--op: must be a comma-separated word of indices 0..7")):
+        with pytest.raises(SystemExit) as exc:
+            run(["vacuum", cmd[0], "--infile", str(vac), *cmd[1:]])
+        assert exc.value.code == 2
+        assert f"argument {reason}, got {cmd[2]!r}\n" in capsys.readouterr().err
+    # the count and the bounds of a point need the lattice, so localize checks them
+    off = "error: --point {} is off the lattice: need 0 <= t < 4 and 0 <= x_j < 4\n"
+    for point, err in (("2,3,1", "error: --point needs 2 comma-separated integer coordinates\n"),
+                       ("99,3", off.format("99,3")), ("2,-1", off.format("2,-1")), ("3,4", off.format("3,4"))):
+        assert run(["vacuum", "localize", "--infile", str(vac), "--point", point]) == 2
+        assert capsys.readouterr() == ("", err)
 
 
 def test_vacuum_commands_reject_non_container(tmp_path):
@@ -828,7 +843,8 @@ def test_cfs_minimize_loads_no_scipy(tmp_path):
 def test_cli_import_and_parse_errors_load_no_layer_and_no_numpy():
     assert _modules_after("pass") == {"scipy": [], "numpy": [], "octo_cfs": []}
     for argv in (["--version"], ["--help"], ["cfs", "--help"], ["bogus"], ["cfs", "action"],
-                 ["octonion", "check", "--tol", "nan"]):
+                 ["octonion", "check", "--tol", "nan"], ["vacuum", "act", "--infile", "v.okn", "--op", "1,8"],
+                 ["vacuum", "localize", "--infile", "v.okn", "--point", "2,x"]):
         call = f"try:\n    octo_cfs.cli.main({argv!r})\nexcept SystemExit as exc:\n    assert exc.code in (0, 2)"
         assert _modules_after(call) == {"scipy": [], "numpy": [], "octo_cfs": []}, argv
 
@@ -1034,7 +1050,7 @@ def test_emit_maps_numpy_scalars_and_complex_to_json_values(capsys):
         "t": (np.False_, None, "y", 4, 0.25, True), "nested": [{"k": np.arange(2)}],
         "za": np.array([1j, 2.0]), "big": np.float64(1e300), "tiny": np.float64(5e-324),
     }
-    args = build_parser("clifford").parse_args(["clifford", "dim"])
+    args = build_parser().parse_args(["clifford", "dim"])
     assert _emit(args, obj) == 0
     text = capsys.readouterr().out
     plain = json.loads(text)
@@ -1146,8 +1162,7 @@ def test_each_command_takes_only_the_common_flags_it_reads(command, capsys):
                                   ["bogus"], ["octonion", "bogus"], ["cfs", "action"], ["octonion", "table", "--bogus"]],
                          ids=" ".join)
 def test_main_parses_with_one_group_as_with_every_group(argv, capsys):
-    # a first token that names no group builds no verb
-    assert set(_table(build_parser(argv[0]))) == {key for key in READS if key[0] == argv[0]}
+    # main parses with the one parser every caller builds: help exits 0 and a usage error 2, with the same output
     outcomes = []
     for parse in (main, build_parser().parse_args):
         with pytest.raises(SystemExit) as exc:
@@ -1360,6 +1375,8 @@ MALFORMED_HEADERS = {
                        "charged_masses must be a JSON number, got '0.5'"),
     "masses_nested": ("masses", "neutrino_masses", [[0.1], [0.2], [0.3]],
                       "neutrino_masses must be three masses, got [[0.1], [0.2], [0.3]]"),
+    "lattice_list": (None, "lattice", [], "lattice must be a JSON object, got list"),
+    "masses_string": (None, "masses", "x", "masses must be a JSON object, got str"),
 }
 
 
@@ -1381,6 +1398,21 @@ def test_every_reader_rejects_a_malformed_header_naming_the_field(tmp_path, caps
     capsys.readouterr()
     assert run(["vacuum", cmd[0], "--infile", str(broken), *cmd[1:]]) == 2
     assert capsys.readouterr() == ("", f"error: cannot load kernel container {broken}: {reason}\n")
+
+
+@pytest.mark.parametrize("cmd", [["residual"], ["localize", "--point", "1,1"], ["act", "--op", "1,2"]],
+                         ids=lambda cmd: cmd[0])
+def test_every_reader_names_a_missing_sea_member(tmp_path, capsys, cmd):
+    # zipfile raises KeyError for an absent member, which is not a missing header key: load_header names the member
+    vac, broken = tmp_path / "vac.okn", tmp_path / "broken.okn"
+    assert run(["vacuum", "build", "--L", "4", "--T", "4", "--out", str(vac)]) == 0
+    with zipfile.ZipFile(vac) as zf, zipfile.ZipFile(broken, "w") as bz:
+        for name in zf.namelist():
+            if name != "c_2.npy":
+                bz.writestr(name, zf.read(name))
+    capsys.readouterr()
+    assert run(["vacuum", cmd[0], "--infile", str(broken), *cmd[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot load kernel container {broken}: missing member 'c_2.npy'\n")
 
 
 NON_FINITE = "numerical failure: the report holds NaN or an infinite number\n"
