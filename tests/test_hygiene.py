@@ -1,11 +1,13 @@
 import ast
 import builtins
+import re
 from pathlib import Path
 
 import octo_cfs
 
 SRC = Path(octo_cfs.__file__).parent
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 #: Public src functions that no command or acceptance test reaches, kept on purpose: qualified name -> reason.
 EXEMPT = {
@@ -590,3 +592,11 @@ def test_only_validate_points_decomposes_points_in_cfs():
     assert eigh_sites(ast.parse(source)) == ["validate_points"]
     planted = source + "\n\ndef spin_frames_of(a, cfg):\n    return spin_frames(Eigh(a, *np.linalg.eigh(a)), cfg)\n"
     assert eigh_sites(ast.parse(planted)) == ["validate_points", "spin_frames_of"]
+
+
+def test_the_console_script_and_python_m_enter_through_one_function():
+    # pyproject.toml is read as text: tomllib is 3.11+, and requires-python admits 3.10
+    script = re.search(r'^octo-cfs = "octo_cfs\.cli:(\w+)"$', PYPROJECT.read_text(), re.MULTILINE)
+    guard, = [node for node in ast.parse((SRC / "cli.py").read_text()).body
+              if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert script is not None and [ast.unparse(line) for line in guard.body] == [f"sys.exit({script[1]}())"]
