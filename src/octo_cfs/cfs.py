@@ -57,18 +57,19 @@ class SystemConfig:
             raise ValueError(f"s must be non-negative and finite, got {self.s}")
 
 
-@dataclass
-class OperatorPoint:
-    """A validated point of the operator manifold."""
+class OperatorPoint(Eigh):
+    """A validated point of the operator manifold: the one-point `Eigh` (f, f), (f,), (f, f) its validation solved."""
 
-    matrix: np.ndarray
-    eigenvalues: np.ndarray  # real spectrum from validation
+    __slots__ = ()
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.points
 
 
 def validate_point(m, cfg: SystemConfig) -> OperatorPoint:
     """Check Hermiticity and the signature bound (<= n positive, <= n negative eigenvalues) of one point."""
-    a, w, _ = validate_points(np.asarray(m, dtype=complex)[None], cfg)
-    return OperatorPoint(matrix=a[0], eigenvalues=w[0])
+    return OperatorPoint(*(x[0] for x in validate_points(np.asarray(m, dtype=complex)[None], cfg)))
 
 
 def validate_points(a, cfg: SystemConfig) -> Eigh:
@@ -130,18 +131,18 @@ def _random_matrix(rng, cfg: SystemConfig) -> np.ndarray:
 PAIR_BLOCK = 256
 
 
-def spin_frames(points: Eigh, cfg: SystemConfig):
-    """Per point: the top min(2n, f) eigenpairs by modulus with sub-cut eigenvalues zeroed, ||x||_2, the matrix.
+def spin_frames(points: Eigh, cfg: SystemConfig) -> Eigh:
+    """The `Eigh` of the spin spaces: per point its matrix and its top min(2n, f) eigenpairs by modulus, the
+    eigenvalues inside the zero cut set to exactly 0, in descending modulus.
 
-    `points` is the `Eigh` of a stack (..., f, f), such as a stack (B, N, f, f) of B point sets; the results keep its
+    `points` is the `Eigh` of a stack (..., f, f), such as a stack (B, N, f, f) of B point sets; the frames keep its
     leading axes. The zero cut is that of `check_signature`, which raises SignatureViolation for a point with more
     than n eigenvalues beyond it on either side.
     """
     a, w, v = points
-    top = np.abs(w).max(axis=-1, initial=0.0)
     w = np.where(np.abs(w) > check_signature(w, cfg.n)[..., None], w, 0.0)
     order = np.argsort(-np.abs(w), axis=-1, kind="stable")[..., : 2 * cfg.n]
-    return np.take_along_axis(w, order, axis=-1), np.take_along_axis(v, order[..., None, :], axis=-1), top, a
+    return Eigh(a, np.take_along_axis(w, order, axis=-1), np.take_along_axis(v, order[..., None, :], axis=-1))
 
 
 def chain_spectra(frames, i, j, cfg: SystemConfig) -> np.ndarray:
@@ -151,9 +152,11 @@ def chain_spectra(frames, i, j, cfg: SystemConfig) -> np.ndarray:
     chain Lambda_x G Lambda_y G*, G = U_x* U_y, on the spin spaces: one batched 2n x 2n `eigvals` per
     PAIR_BLOCK pairs, each unordered pair solved once, as (min(i, j), max(i, j)) (yx has the spectrum of
     xy). Eigenvalues below RANK_TOL * ||x|| ||y|| are exact zeros (a vanishing product yields the
-    all-zero spectrum, not dust); each spectrum is sorted by descending modulus, then phase.
+    all-zero spectrum, not dust); each spectrum is sorted by descending modulus, then phase. ||x||_2 is
+    the frame's first |eigenvalue|, 0 where the whole spectrum lies inside the zero cut.
     """
-    w, u, top = frames[:3]
+    w, u = frames.eigenvalues, frames.eigenvectors
+    top = np.abs(w[:, 0])
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     keys, back = np.unique(lo * len(w) + hi, return_inverse=True)
     lo, hi = np.divmod(keys, len(w))
@@ -172,16 +175,15 @@ def pair_spectra(xs: Eigh, ys: Eigh, cfg: SystemConfig) -> np.ndarray:
 
     xs and ys are the `Eigh`s of stacks (..., N, f, f) with equal leading axes, such as stacks (B, N, f, f) of B point
     sets; each set's spectra are bitwise those it has alone. When xs and ys hold equal matrices, the frames are those
-    of ys, so the spectra of (x, y) and (y, x) are one solve and L(x, y) = L(y, x) bitwise. Otherwise each pair (i, j)
-    is the pair (i, N_x + j) of the two sets' frames joined.
+    of ys, so the spectra of (x, y) and (y, x) are one solve and L(x, y) = L(y, x) bitwise. Otherwise the frames are
+    those of the two `Eigh`s joined, and each pair (i, j) is their pair (i, N_x + j).
     """
     a, b = xs.points, ys.points
     same = a.shape == b.shape and np.array_equal(a, b)
-    sets = [ys] if same else [xs, ys]
-    frames = [np.concatenate(x, axis=a.ndim - 3) for x in zip(*(spin_frames(p, cfg)[:3] for p in sets))]
-    lead, nx, ny, size = a.shape[:-3], a.shape[-3], b.shape[-3], frames[0].shape[-2]
+    frames = spin_frames(ys if same else Eigh(*(np.concatenate(x, axis=a.ndim - 3) for x in zip(xs, ys))), cfg)
+    lead, nx, ny, size = a.shape[:-3], a.shape[-3], b.shape[-3], frames.points.shape[-3]
     s, i, j = np.indices((math.prod(lead), nx, ny)).reshape(3, -1)
-    frames = [x.reshape(-1, *x.shape[len(lead) + 1 :]) for x in frames]  # the sets one after another
+    frames = Eigh(*(x.reshape(-1, *x.shape[len(lead) + 1 :]) for x in frames))  # the sets one after another
     lam = chain_spectra(frames, s * size + i, s * size + j + (0 if same else nx), cfg)
     return lam.reshape(*lead, nx, ny, 2 * cfg.n)
 
@@ -210,9 +212,14 @@ def causal_classes(lam: np.ndarray) -> np.ndarray:
     return np.where(spacelike, SPACELIKE, np.where(timelike, TIMELIKE, LIGHTLIKE))
 
 
+def _pair(x: OperatorPoint, y: OperatorPoint) -> Eigh:
+    """The `Eigh` (2, f, f) of two validated points: their stored eigenpairs, stacked."""
+    return Eigh(*map(np.stack, zip(x, y)))
+
+
 def product_spectrum(x: OperatorPoint, y: OperatorPoint, cfg: SystemConfig) -> np.ndarray:
-    """All 2n eigenvalues of xy (see `chain_spectra`), the pair validated as one stack."""
-    return chain_spectra(spin_frames(validate_points(np.array([x.matrix, y.matrix]), cfg), cfg), [0], [1], cfg)[0]
+    """All 2n eigenvalues of xy (see `chain_spectra`), from the eigenpairs the two validations solved."""
+    return chain_spectra(spin_frames(_pair(x, y), cfg), [0], [1], cfg)[0]
 
 
 def causal_class(x, y, cfg: SystemConfig) -> str:
@@ -303,32 +310,24 @@ def ell(xs: Eigh, measure: DiscreteMeasure, cfg: SystemConfig) -> np.ndarray:
     return lagrangians(xs, measure.eigh, cfg) @ measure.weights - cfg.s
 
 
-@dataclass
-class SpinSpace:
-    """Image of a point with its orthonormal basis and indefinite spin product."""
+def spin_space(x: OperatorPoint) -> Eigh:
+    """Spin space S_x = image(x) with the spin product  <u|v>_x = -<u, x v>: the one-point `Eigh` of x, its d
+    eigenvalues beyond the zero cut and their eigenvectors (f, d), an orthonormal basis of S_x.
 
-    point: np.ndarray
-    basis: np.ndarray  # f x d, orthonormal columns spanning image(x)
-    eigenvalues: np.ndarray  # the d non-zero eigenvalues of x (basis order)
-
-
-def spin_space(x: OperatorPoint) -> SpinSpace:
-    """Spin space S_x = image(x) with the spin product  <u|v>_x = -<u, x v>.
-
-    The basis is that of `spin_frames` (n = f bounds no rank): the eigenvectors beyond the zero cut.
+    The eigenpairs are those of x's frame (`spin_frames` with n = f, which bounds no rank), in its order.
     """
-    cfg = SystemConfig(len(x.matrix), len(x.matrix), 1.0)
-    w, v, _, _ = spin_frames(validate_points(x.matrix[None], cfg), cfg)
-    k = np.count_nonzero(w[0])
-    return SpinSpace(point=x.matrix, basis=v[0, :, :k], eigenvalues=w[0, :k])
+    f = len(x.points)
+    a, w, v = spin_frames(x, SystemConfig(f, f, 1.0))
+    k = np.count_nonzero(w)
+    return Eigh(a, w[:k], v[:, :k])
 
 
-def kernel(sx: SpinSpace, sy: SpinSpace) -> np.ndarray:
+def kernel(sx: Eigh, sy: Eigh) -> np.ndarray:
     """Kernel of the fermionic projector P(x,y) = pi_x y|_{S_y} as a matrix S_y -> S_x."""
-    return sx.basis.conj().T @ (sy.point @ sy.basis)
+    return sx.eigenvectors.conj().T @ (sy.points @ sy.eigenvectors)
 
 
-def closed_chain(sx: SpinSpace, sy: SpinSpace) -> np.ndarray:
+def closed_chain(sx: Eigh, sy: Eigh) -> np.ndarray:
     """A_xy = P(x,y) P(y,x): an endomorphism of S_x."""
     return kernel(sx, sy) @ kernel(sy, sx)
 
@@ -340,7 +339,7 @@ def kernel_residuals(frames, i, j, phi):
     is summed entrywise per pair. Completeness: P(x,y) phi = -sum_i psi^{b_i}(x) <psi^{b_i}(y)|phi>_y for
     the probe phi[k] projected to S_y; with b_i the canonical basis of C^f the sum is pi_x pi_y (y phi).
     """
-    w, u, _, mats = frames
+    mats, w, u = frames.points, frames.eigenvalues, frames.eigenvectors
     tr_chain = np.einsum("ka,kab,kb->k", w[i], np.abs(u[i].conj().swapaxes(1, 2) @ u[j]) ** 2, w[j])
     pi = (u * (w != 0)[:, None, :]) @ u.conj().swapaxes(1, 2)  # projectors onto the spin spaces
     y_phi = mats[j] @ (pi[j] @ np.reshape(phi, (len(i), mats.shape[-1], 1)))
@@ -349,10 +348,9 @@ def kernel_residuals(frames, i, j, phi):
 
 
 def completeness_check(x: OperatorPoint, y: OperatorPoint, phi) -> float:
-    """Completeness residual of one pair of points (see `kernel_residuals`), validated as one stack."""
-    cfg = SystemConfig(len(x.matrix), len(x.matrix), 1.0)
-    frames = spin_frames(validate_points(np.array([x.matrix, y.matrix]), cfg), cfg)
-    return float(kernel_residuals(frames, [0], [1], [phi])[1][0])
+    """Completeness residual of one pair of validated points (see `kernel_residuals`)."""
+    f = len(x.points)
+    return float(kernel_residuals(spin_frames(_pair(x, y), SystemConfig(f, f, 1.0)), [0], [1], [phi])[1][0])
 
 
 def spin_connections(frames, i, j):
@@ -365,7 +363,7 @@ def spin_connections(frames, i, j):
     NotSpinConnectable that stops it: unequal dimensions, a singular A or V, or a residual
     ||D* gram_x D - gram_y|| (NaN for a non-finite D) above 1e-8 * max(1, ||gram_y||).
     """
-    w, u, _, mats = frames
+    mats, w, u = frames.points, frames.eigenvalues, frames.eigenvectors
     dim, same = np.count_nonzero(w, axis=1), np.all(mats[i] == mats[j], axis=(1, 2))
     out = [NotSpinConnectable("spin spaces have different dimensions") for _ in i]
     resid = np.full(len(i), np.nan)

@@ -386,7 +386,7 @@ def occupied_modes(masses, spec: LatticeSpec, tau_reg: float) -> SeaModes:
                     weight=np.exp(-spec.epsilon * omega))
 
 
-class LocalCorrelation(cfs.OperatorPoint):
+class LocalCorrelation:
     """F = -psi^dag metric psi kept as its factor psi; the dense `matrix` is built on first access.
 
     `eigenvalues` is the full ascending spectrum, one entry per column of psi,
@@ -405,7 +405,7 @@ class LocalCorrelation(cfs.OperatorPoint):
 
 
 def _cut(w: np.ndarray, n: int) -> np.ndarray:
-    """Ascending spectrum with the entries inside the cfs.validate_point zero cut set to exactly 0."""
+    """Ascending spectrum with the entries inside the zero cut of `cfs.check_signature` set to exactly 0."""
     cut = cfs.check_signature(w, n)
     return np.sort(np.where(np.abs(w) > cut, w, 0.0))
 

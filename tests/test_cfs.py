@@ -277,7 +277,7 @@ def test_kernel_trace_identity():
         p_xx = kernel(sx, sx)
         assert abs(np.trace(p_xx) - np.trace(x.matrix)) < 1e-10
         # the spin product -<u, x v> in the basis of S_x is its gram matrix, real and diagonal
-        assert np.abs(-sx.basis.conj().T @ x.matrix @ sx.basis - gram(sx)).max(initial=0.0) < 1e-10
+        assert np.abs(-sx.eigenvectors.conj().T @ x.matrix @ sx.eigenvectors - gram(sx)).max(initial=0.0) < 1e-10
 
 
 def test_closed_chain_spectrum_matches_product():
@@ -316,16 +316,16 @@ def test_physical_wavefunction_and_completeness():
     u = np.zeros(6, dtype=complex)
     u[3] = 1.0
     sx = spin_space(x)
-    assert np.allclose(sx.basis @ (sx.basis.conj().T @ u), 0.0)  # psi^u(x) = pi_x u
+    assert np.allclose(sx.eigenvectors @ (sx.eigenvectors.conj().T @ u), 0.0)  # psi^u(x) = pi_x u
 
 
 def test_single_point_projector_acts_as_x():
     cfg = SystemConfig(f=4, n=2, kappa=0.1)
     x = random_point(rng, cfg)
     sx = spin_space(x)
-    phi = sx.basis @ (rng.standard_normal(len(sx.eigenvalues)) + 1j * rng.standard_normal(len(sx.eigenvalues)))
+    phi = sx.eigenvectors @ (rng.standard_normal(len(sx.eigenvalues)) + 1j * rng.standard_normal(len(sx.eigenvalues)))
     p_xx = kernel(sx, sx)
-    lhs = sx.basis @ (p_xx @ (sx.basis.conj().T @ phi))
+    lhs = sx.eigenvectors @ (p_xx @ (sx.eigenvectors.conj().T @ phi))
     assert np.allclose(lhs, x.matrix @ phi, atol=1e-10)
 
 
@@ -397,7 +397,7 @@ def sqrtm_spin_connection(sx, sy, tol=1e-8):
     """Reference for `spin_connections`: the per-pair `scipy.linalg.sqrtm` path it replaced."""
     if len(sx.eigenvalues) != len(sy.eigenvalues):
         raise NotSpinConnectable("spin spaces have different dimensions")
-    if np.array_equal(sx.point, sy.point):
+    if np.array_equal(sx.points, sy.points):
         return np.eye(len(sx.eigenvalues), dtype=complex)
     p_xy = kernel(sx, sy)
     a_yx = kernel(sy, sx) @ p_xy  # closed chain on S_y
@@ -439,7 +439,7 @@ def test_spin_connections_match_sqrtm_oracle(n, extra, count, scale, seed):
         assert not isinstance(d, NotSpinConnectable), (i, j, d)
         # U_x D U_y* does not depend on the order or the phases of either basis; both paths lose
         # about eps * cond(A) of D to rounding, so a near-singular chain A widens the 1e-12
-        amb, amb_ref = sx.basis @ d @ sy.basis.conj().T, sx.basis @ ref @ sy.basis.conj().T
+        amb, amb_ref = sx.eigenvectors @ d @ sy.eigenvectors.conj().T, sx.eigenvectors @ ref @ sy.eigenvectors.conj().T
         rtol = 1e-12 + 1e-15 * np.linalg.cond(kernel(sy, sx) @ kernel(sx, sy)) if len(sx.eigenvalues) else 0.0
         assert np.linalg.norm(amb - amb_ref) <= rtol * np.linalg.norm(amb_ref)
         unitarity = np.linalg.norm(d.conj().T @ gram(sx) @ d - gram(sy))
@@ -633,9 +633,9 @@ def test_pair_engine_invariants(case, c, seed):
 @settings(max_examples=60, deadline=None)
 @given(case=point_sets(), data=st.data())
 def test_one_pair_functions_equal_the_engine_path_they_replaced(case, data):
-    """Each one-pair function validates (x, y) as one stack; it equals bitwise what it computed through the engine's
-    list path, `pair_spectra([x], [y])` and `spin_frames([x, y])` (one stacked `eigh` of the raw matrices), x == y
-    included."""
+    """Each one-pair function, which reads the eigenpairs its two points' validations solved, equals bitwise the path
+    it replaced: `pair_spectra` of the two points validated again, and the frames of one stacked `eigh` of the raw
+    matrices, x == y included."""
     cfg, xs, ys, _ = case
     pts = xs + ys
     x, y = (pts[data.draw(st.integers(0, len(pts) - 1))] for _ in range(2))
@@ -649,10 +649,81 @@ def test_one_pair_functions_equal_the_engine_path_they_replaced(case, data):
         assert lagrangian_first_term(a, b, cfg) == float(lagrangian(lam, 0.0))
         frames = spin_frames(eigh_of(np.array([a.matrix, b.matrix])), full)
         assert completeness_check(a, b, phi) == float(kernel_residuals(frames, [0], [1], [phi])[1][0])
-        k = np.count_nonzero(frames[0][0])
+        k = np.count_nonzero(frames.eigenvalues[0])
         space = spin_space(a)
-        assert space.basis.tobytes() == frames[1][0, :, :k].tobytes()
-        assert space.eigenvalues.tobytes() == frames[0][0, :k].tobytes()
+        assert space.eigenvectors.tobytes() == frames.eigenvectors[0, :, :k].tobytes()
+        assert space.eigenvalues.tobytes() == frames.eigenvalues[0, :k].tobytes()
+
+
+def test_one_pair_functions_decompose_nothing(monkeypatch):
+    """The five one-pair functions read the eigenpairs `validate_point` solved: no `eigh` or `eigvalsh` runs."""
+    cfg = SystemConfig(f=6, n=2, kappa=0.1)
+    r = np.random.default_rng(17)
+    x, y = random_point(r, cfg), random_point(r, cfg)
+    phi = r.standard_normal(cfg.f) + 1j * r.standard_normal(cfg.f)
+    calls = []
+    for name, solver in [(name, getattr(np.linalg, name)) for name in ("eigh", "eigvalsh")]:
+        def spy(a, solver=solver, name=name):
+            calls.append(name)
+            return solver(a)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    product_spectrum(x, y, cfg), causal_class(x, y, cfg), lagrangian_first_term(x, y, cfg)
+    spin_space(x), completeness_check(x, y, phi)
+    assert calls == []
+
+
+def chain_spectra_of_stored_norms(w, u, top, i, j, cfg):
+    """`chain_spectra` as it was when the frames stored ||x||_2 = max|eigenvalue| as `top`, beside the frame."""
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    keys, back = np.unique(lo * len(w) + hi, return_inverse=True)
+    a, b = np.divmod(keys, len(w))
+    g = u[a].conj().swapaxes(1, 2) @ u[b]
+    lam = np.linalg.eigvals((w[a, :, None] * g * w[b, None, :]) @ g.conj().swapaxes(1, 2))
+    scale = np.maximum(top[a] * top[b], 1e-300)[:, None]
+    out = np.zeros((len(keys), 2 * cfg.n), dtype=complex)
+    out[:, : lam.shape[1]] = np.where(np.abs(lam) > RANK_TOL * scale, lam, 0.0)
+    return np.take_along_axis(out, np.lexsort((np.angle(out), -np.abs(out))), axis=-1)[back]
+
+
+def test_a_point_wholly_inside_the_zero_cut_has_exact_zero_spectra():
+    """The one point whose ||x||_2, read off its frame, differs from max|eigenvalue|: 0 against 1e-12. Its chain
+    is the zero matrix, so its spectra are exact zeros under either norm, and every spectrum of the set is
+    bitwise the one computed with the stored norms."""
+    cfg = SystemConfig(f=4, n=2, kappa=0.1)
+    r = np.random.default_rng(23)
+    tiny = validate_point(np.diag([1e-12, -1e-13, 0.0, 0.0]), cfg)
+    pts = stack_of([random_point(r, cfg) for _ in range(3)] + [tiny], cfg)
+    frames = spin_frames(pts, cfg)
+    assert np.all(frames.eigenvalues[3] == 0.0) and np.abs(pts.eigenvalues[3]).max() == 1e-12
+    i, j = np.indices((4, 4)).reshape(2, -1)
+    lam = chain_spectra(frames, i, j, cfg)
+    assert np.all(lam[(i == 3) | (j == 3)] == 0.0)
+    stored = chain_spectra_of_stored_norms(frames.eigenvalues, frames.eigenvectors, np.abs(pts.eigenvalues).max(-1),
+                                           i, j, cfg)
+    assert lam.tobytes() == stored.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=point_sets())
+def test_spin_frames_are_the_top_2n_eigenpairs_with_the_cut_ones_zeroed(case):
+    cfg, xs, ys, _ = case
+    pts = stack_of(xs + ys, cfg)
+    frames = spin_frames(pts, cfg)
+    assert isinstance(frames, cfs.Eigh) and frames.points.tobytes() == pts.points.tobytes()
+    w, v = pts.eigenvalues, pts.eigenvectors
+    assert frames.eigenvalues.shape == (len(w), 2 * cfg.n)
+    beyond = np.abs(w) > cfs.zero_cut(w)[:, None]
+    for k, (fw, fv) in enumerate(zip(frames.eigenvalues, frames.eigenvectors)):
+        assert np.all(np.diff(np.abs(fw)) <= 0.0)
+        # each column is a distinct eigenpair of the input, every one beyond the cut among them, the rest zeroed
+        cols = [next(m for m in range(cfg.f) if np.array_equal(fv[:, c], v[k, :, m])) for c in range(len(fw))]
+        assert len(set(cols)) == len(cols) and set(np.flatnonzero(beyond[k])) <= set(cols)
+        assert fw.tobytes() == np.where(beyond[k, cols], w[k, cols], 0.0).tobytes()
+    top = np.abs(w).max(axis=-1)
+    big = beyond.any(axis=-1)
+    assert np.abs(frames.eigenvalues[big, 0]).tobytes() == top[big].tobytes()
+    assert np.all(frames.eigenvalues[~big] == 0.0)
 
 
 def test_pair_engine_matches_dense_lagrangian_across_blocks(monkeypatch):

@@ -594,6 +594,21 @@ def test_only_validate_points_decomposes_points_in_cfs():
     assert eigh_sites(ast.parse(planted)) == ["validate_points", "spin_frames_of"]
 
 
+def call_sites(tree: ast.Module, name: str) -> list:
+    """The top-level function or class around each call of `name`, as a bare name or an attribute, in source order."""
+    return [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and getattr(call.func, "id", getattr(call.func, "attr", None)) == name]
+
+
+def test_only_the_readers_of_outside_points_validate_in_cfs():
+    # a validated point carries its eigenpairs, so the one-pair functions stack them and validate nothing again
+    source = (SRC / "cfs.py").read_text()
+    assert call_sites(ast.parse(source), "validate_points") == ["validate_point", "points_from_json"]
+    planted = source + "\n\ndef spectrum_of(x, y, cfg):\n    return cfs.validate_points(np.array([x, y]), cfg)\n"
+    assert call_sites(ast.parse(planted), "validate_points") == ["validate_point", "points_from_json", "spectrum_of"]
+
+
 def test_the_console_script_and_python_m_enter_through_one_function():
     # pyproject.toml is read as text: tomllib is 3.11+, and requires-python admits 3.10
     script = re.search(r'^octo-cfs = "octo_cfs\.cli:(\w+)"$', PYPROJECT.read_text(), re.MULTILINE)

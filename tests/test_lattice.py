@@ -653,6 +653,7 @@ def test_octonionic_and_direct_scalars_agree():
     assert np.allclose(np.sort(f_direct.eigenvalues), np.sort(f_ok.eigenvalues), atol=1e-12)
     cfg = cfs.SystemConfig(f=f_direct.matrix.shape[0], n=16, kappa=1.0)
     g = vacuum_local_correlation(MD, SPEC, (3, 4))
+    f_direct, f_ok, g = (cfs.validate_point(p.matrix, cfg) for p in (f_direct, f_ok, g))
     assert cfs.causal_class(f_direct, g, cfg) == cfs.causal_class(f_ok, g, cfg)
 
 
