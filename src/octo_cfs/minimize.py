@@ -3,11 +3,10 @@
 Weights live on the probability simplex through a softmax reparametrization,
 so the volume constraint is exact by construction; the trace constraint is
 the one equality constraint of an SQP solve (`_sqp`, SLSQP's method for a
-single equality, in numpy). Gradients of the action and of the trace are
-central finite differences of the objective the solve minimizes (the
-Lagrangian is only piecewise smooth in the eigenvalue moduli): one call of it
-on the stack of the 2p stepped vectors, which it unpacks for one batched
-`cfs.action` and `cfs.constraints`.
+single equality, in numpy). Each evaluation (`_evaluate`) returns the action,
+the trace gap and their central-difference gradients (the Lagrangian is only
+piecewise smooth in the eigenvalue moduli) from one stacked engine call: v and
+its 2p stepped vectors, unpacked once for one `cfs.action` and `cfs.constraints`.
 """
 
 from __future__ import annotations
@@ -93,19 +92,22 @@ def _unpack(family: MeasureFamily, v: np.ndarray):
     return family.point_fn(v[..., : family.n_params]), softmax(v[..., family.n_params :])
 
 
-def _central(fun, v: np.ndarray):
-    """Central-difference gradients at v of each output of `fun`, an objective that accepts a stack of vectors.
+def _evaluate(family: MeasureFamily, cfg: cfs.SystemConfig, v: np.ndarray):
+    """(S, T - 1, dS, dT) at v: the action and trace gap, as Python floats, and their central-difference gradients.
 
-    Coordinate i steps by h_i = FD_STEP * max(1, |v_i|) both ways; `fun` gets the 2p stepped vectors in
-    one call, as a stack (2p, p). Each gradient is bitwise that of per-coordinate differences.
+    Coordinate i steps by h_i = FD_STEP * max(1, |v_i|) both ways. The stack [v; v + h_i e_i; v - h_i e_i]
+    (2p + 1, p) is unpacked once for one `cfs.action` and one `cfs.constraints`, which give each set in it
+    bitwise the result it has alone; each gradient is bitwise that of per-coordinate differences.
     """
     p = len(v)
     h = FD_STEP * np.maximum(1.0, np.abs(v))
-    vs = np.tile(v, (2, p, 1))
+    vs = np.tile(v, (2 * p + 1, 1))
     diag = np.arange(p)
-    vs[0, diag, diag] += h
-    vs[1, diag, diag] -= h
-    return tuple((out[:p] - out[p:]) / (2.0 * h) for out in fun(vs.reshape(-1, p)))
+    vs[1 + diag, diag] += h
+    vs[1 + p + diag, diag] -= h
+    points, w = _unpack(family, vs)
+    action, gap = cfs.action(points, w, cfg=cfg), cfs.constraints(points, w)[1] - 1.0
+    return float(action[0]), float(gap[0]), *((out[1 : p + 1] - out[p + 1 :]) / (2.0 * h) for out in (action, gap))
 
 
 def minimize(
@@ -143,11 +145,7 @@ def minimize(
     except (cfs.NotHermitian, cfs.SignatureViolation) as exc:
         raise InfeasibleStart(f"initial family point invalid: {exc}") from exc
 
-    def action_and_gap(vv):
-        points, w = _unpack(family, vv)
-        return cfs.action(points, w, cfg=cfg), cfs.constraints(points, w)[1] - 1.0
-
-    res = _sqp(action_and_gap, lambda vv: _central(action_and_gap, vv), v)
+    res = _sqp(lambda vv: _evaluate(family, cfg, vv), v)
     if not np.all(np.isfinite(np.append(res.x, res.fun))):
         raise LineSearchFailure(f"SQP diverged: {res.message}")
     points, w = _unpack(family, res.x)
@@ -183,19 +181,20 @@ def minimize(
     return measure, report
 
 
-def _sqp(fun, grad, x):
+def _sqp(fun, x):
     """min f(x) subject to the one equality c(x) = 0 by SLSQP's method, in numpy.
 
-    `fun(x)` returns (f, c) and `grad(x)` returns their gradients (g, a). B is a damped (Powell)
-    BFGS approximation of the Hessian of the Lagrangian f - lam c, starting from the identity and
-    reset to it when the step is not a descent direction of the L1 merit f + mu |c|. Each step
-    solves the KKT system [[B, a], [a^T, 0]] by least squares, so a vanishing a ends unconverged,
-    not in a LinAlgError. The line search, the penalty update mu = max(|lam|, (mu + |lam|) / 2)
-    and the stopping tests are SLSQP's with acc = ACC. Returns x, fun, nit, nfev, success and
-    message.
+    `fun(x)` returns (f, c) and their gradients (g, a) from one evaluation, at the start and at each
+    line-search trial; the BFGS update reads those of the last trial, the point the search returns.
+    B is a damped (Powell) BFGS approximation of the Hessian of the Lagrangian f - lam c, starting
+    from the identity and reset to it when the step is not a descent direction of the L1 merit
+    f + mu |c|. Each step solves the KKT system [[B, a], [a^T, 0]] by least squares, so a vanishing
+    a ends unconverged, not in a LinAlgError. The line search, the penalty update
+    mu = max(|lam|, (mu + |lam|) / 2) and the stopping tests are SLSQP's with acc = ACC. Returns x,
+    fun, nit, nfev, success and message.
     """
     n = len(x)
-    (f, c), (g, a) = fun(x), grad(x)
+    f, c, g, a = fun(x)
     nfev, B, mu, resets = 1, np.eye(n), 0.0, 1
 
     def result(success, failure=""):
@@ -220,10 +219,11 @@ def _sqp(fun, grad, x):
             B = np.eye(n)
             continue
         x0, f0, t0, alpha = x, f, f + mu * abs(c), 1.0
+        lag_grad0 = g - lam * a
         for _ in range(11):
             slope, s = alpha * slope, alpha * s
             x = x0 + s
-            f, c = fun(x)
+            f, c, g, a = fun(x)
             nfev += 1
             drop = f + mu * abs(c) - t0
             if drop <= slope / 10.0:
@@ -231,8 +231,6 @@ def _sqp(fun, grad, x):
             alpha = max(slope / (2.0 * (slope - drop)), 0.1)
         if (abs(f - f0) < ACC or np.linalg.norm(s) < ACC) and abs(c) < ACC:
             return result(True)
-        lag_grad0 = g - lam * a
-        g, a = grad(x)
         u, bs = g - lam * a - lag_grad0, B @ s
         su, sbs = float(s @ u), float(s @ bs)
         if su < 0.2 * sbs:  # Powell's damping keeps B positive definite

@@ -1031,5 +1031,5 @@ def test_minimize_decomposes_each_point_set_it_builds_once(monkeypatch):
     shapes, solver = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(np.shape(a)) or solver(a))
     minimize(family, cfg, x0, MinimizeOptions(seed=1))
-    assert (1, 4, 4) not in shapes and not [s for s in shapes if len(s) == 4]  # one point; the (2p, N, f, f) stack
+    assert (1, 4, 4) not in shapes and not [s for s in shapes if len(s) == 4]  # one point; the (2p + 1, N, f, f) stack
     assert shapes.count((PROBE_SAMPLES, 4, 4)) == 1 and len(shapes) <= 103

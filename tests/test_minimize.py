@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from octo_cfs.minimize import (
     MaxIterations,
     MeasureFamily,
     MinimizeOptions,
-    _central,
+    _evaluate,
     _sqp,
     _unpack,
     make_family,
@@ -204,13 +205,17 @@ def test_batched_gradients_equal_per_coordinate_differences(name, data):
     fam, x0 = make_family(spec, cfg)
     v = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=len(x0), max_size=len(x0))))
 
-    def objective(vv):  # one vector or a stack of them
-        points, w = fam.point_fn(vv[..., : fam.n_params]), softmax(vv[..., fam.n_params :])
+    def objective(vv):  # one vector, through the single-set calls
+        points, w = fam.point_fn(vv[: fam.n_params]), softmax(vv[fam.n_params :])
         return cfs.action(points, w, cfg=cfg), cfs.constraints(points, w)[1] - 1.0
 
+    want_f, want_c = objective(v)
     want_action = _central_gradient(lambda vv: objective(vv)[0], v)
     want_trace = _central_gradient(lambda vv: objective(vv)[1], v)
-    got_action, got_trace = _central(objective, v)
+    f, c, got_action, got_trace = _evaluate(fam, cfg, v)
+    assert type(f) is float and type(c) is float
+    assert np.float64(f).tobytes() == np.float64(want_f).tobytes()
+    assert np.float64(c).tobytes() == np.float64(want_c).tobytes()
     assert got_action.tobytes() == want_action.tobytes()
     assert got_trace.tobytes() == want_trace.tobytes()
 
@@ -303,25 +308,24 @@ def test_family_eigh_gives_the_engine_the_bits_of_its_raw_points(data):
         assert np.asarray(call(points)).tobytes() == np.asarray(call(raw)).tobytes()
 
 
-def test_each_gradient_is_one_batched_action_call(monkeypatch):
+def test_each_evaluation_is_one_stacked_action_call(monkeypatch):
     cfg, spec = GRADIENT_FAMILIES["diagonal"]
     fam, x0 = make_family(spec, cfg)
     calls = []
     action = cfs.action
-    monkeypatch.setattr(cfs, "action", lambda *a, **kw: calls.append(np.ndim(a[1])) or action(*a, **kw))
+    monkeypatch.setattr(cfs, "action", lambda *a, **kw: calls.append(np.shape(a[1])) or action(*a, **kw))
     _, report = minimize(fam, cfg, x0, MinimizeOptions(seed=1))
-    # one plain call per objective evaluation, one batched call per gradient of the SQP
-    assert calls.count(1) == report.nfev and 0 < calls.count(2) <= report.nit + 1
+    # the point and its 2p stepped vectors in one call per evaluation, no single-set call
+    assert calls == [(2 * len(x0) + 1, fam.n_points)] * report.nfev and report.nfev == 66
 
 
 def test_sqp_reaches_the_closed_form_of_a_quadratic():
-    res = _sqp(lambda x: (float(x @ x), float(x.sum()) - 1.0), lambda x: (2.0 * x, np.ones(2)),
-               np.array([2.0, -3.0]))
+    res = _sqp(lambda x: (float(x @ x), float(x.sum()) - 1.0, 2.0 * x, np.ones(2)), np.array([2.0, -3.0]))
     assert res.success and np.allclose(res.x, [0.5, 0.5], atol=1e-12)
 
 
 def test_sqp_ends_unconverged_on_a_constraint_with_zero_gradient():
-    res = _sqp(lambda x: (float(x @ x), -1.0), lambda x: (2.0 * x, np.zeros(2)), np.array([1.0, 2.0]))
+    res = _sqp(lambda x: (float(x @ x), -1.0, 2.0 * x, np.zeros(2)), np.array([1.0, 2.0]))
     assert not res.success and np.all(np.isfinite(res.x))
 
 
@@ -345,17 +349,96 @@ def test_sqp_reaches_the_action_of_slsqp(name, kappa, seed):
     v0 = x0 + 0.2 * np.random.default_rng(seed).standard_normal(len(x0))
 
     def fun(v):
+        return _evaluate(fam, cfg, v)
+
+    oracle = scipy.optimize.minimize(
+        lambda v: fun(v)[0], v0, method="SLSQP", jac=lambda v: fun(v)[2],
+        constraints=[{"type": "eq", "fun": lambda v: fun(v)[1], "jac": lambda v: fun(v)[3]}],
+        options={"maxiter": MAXITER, "ftol": ACC},
+    )
+    action, gap = fun(_sqp(fun, v0).x)[:2]
+    assert abs(action - fun(oracle.x)[0]) < 1e-9
+    assert abs(gap) < 1e-8
+
+
+def _two_callable_sqp(fun, grad, x):
+    """`_sqp` as it was when `grad` was a second callable, verbatim: the oracle of the one-callable solve."""
+    n = len(x)
+    (f, c), (g, a) = fun(x), grad(x)
+    nfev, B, mu, resets = 1, np.eye(n), 0.0, 1
+
+    def result(success, failure=""):
+        message = "Optimization terminated successfully" if success else failure
+        return SimpleNamespace(x=x, fun=f, nit=nit, nfev=nfev, success=success, message=message)
+
+    for nit in range(1, MAXITER + 1):
+        kkt = np.block([[B, a[:, None]], [a[None, :], np.zeros((1, 1))]])
+        if not (np.all(np.isfinite(kkt)) and np.isfinite(f + c)):
+            return result(False, "Non-finite iterate")
+        sol = np.linalg.lstsq(kkt, -np.append(g, c), rcond=None)[0]
+        s, lam = sol[:n], -sol[n]  # B s + g = lam a
+        gs = float(g @ s)
+        mu = max(abs(lam), (mu + abs(lam)) / 2.0)
+        if abs(gs) + abs(lam * c) < ACC and abs(c) < ACC:
+            return result(True)
+        slope = gs - mu * abs(c)  # directional derivative of the merit along s
+        if slope >= 0.0:
+            resets += 1
+            if resets > 5:  # SLSQP's relaxed test, whose step clause holds here
+                return result(abs(c) < 10.0 * ACC, "Positive directional derivative for linesearch")
+            B = np.eye(n)
+            continue
+        x0, f0, t0, alpha = x, f, f + mu * abs(c), 1.0
+        for _ in range(11):
+            slope, s = alpha * slope, alpha * s
+            x = x0 + s
+            f, c = fun(x)
+            nfev += 1
+            drop = f + mu * abs(c) - t0
+            if drop <= slope / 10.0:
+                break
+            alpha = max(slope / (2.0 * (slope - drop)), 0.1)
+        if (abs(f - f0) < ACC or np.linalg.norm(s) < ACC) and abs(c) < ACC:
+            return result(True)
+        lag_grad0 = g - lam * a
+        g, a = grad(x)
+        u, bs = g - lam * a - lag_grad0, B @ s
+        su, sbs = float(s @ u), float(s @ bs)
+        if su < 0.2 * sbs:  # Powell's damping keeps B positive definite
+            theta = 0.8 * sbs / (sbs - su)
+            u, su = theta * u + (1.0 - theta) * bs, 0.2 * sbs
+        B = B + np.outer(u, u) / su - np.outer(bs, bs) / sbs
+    return result(False, "Iteration limit reached")
+
+
+def _two_callable_central(fun, v: np.ndarray):
+    """The stacked central differences `_sqp`'s `grad` callable took, verbatim."""
+    p = len(v)
+    h = FD_STEP * np.maximum(1.0, np.abs(v))
+    vs = np.tile(v, (2, p, 1))
+    diag = np.arange(p)
+    vs[0, diag, diag] += h
+    vs[1, diag, diag] -= h
+    return tuple((out[:p] - out[p:]) / (2.0 * h) for out in fun(vs.reshape(-1, p)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 11])
+@pytest.mark.parametrize("kappa", [0.05, 0.2, 0.5])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_FAMILIES))
+def test_one_evaluation_per_trial_point_solves_as_the_two_callable_sqp(name, kappa, seed):
+    """Iterates, counts and outcome of the solve equal those of the value-then-gradient solve, bitwise; the
+    starts include rejected line-search trials (diagonal_2x2 at kappa 0.2, seed 7: 72 evaluations in 28 steps)."""
+    dims, spec = DIFFERENTIAL_FAMILIES[name]
+    cfg = cfs.SystemConfig(kappa=kappa, **dims)
+    fam, x0 = make_family(spec, cfg)
+    v0 = x0 + 0.2 * np.random.default_rng(seed).standard_normal(len(x0))
+
+    def action_and_gap(v):  # one vector or a stack of them
         points, w = _unpack(fam, v)
         return cfs.action(points, w, cfg=cfg), cfs.constraints(points, w)[1] - 1.0
 
-    def grad(v):
-        return _central(fun, v)
-
-    oracle = scipy.optimize.minimize(
-        lambda v: fun(v)[0], v0, method="SLSQP", jac=lambda v: grad(v)[0],
-        constraints=[{"type": "eq", "fun": lambda v: fun(v)[1], "jac": lambda v: grad(v)[1]}],
-        options={"maxiter": MAXITER, "ftol": ACC},
-    )
-    action, gap = fun(_sqp(fun, grad, v0).x)
-    assert abs(action - fun(oracle.x)[0]) < 1e-9
-    assert abs(gap) < 1e-8
+    want = _two_callable_sqp(action_and_gap, lambda v: _two_callable_central(action_and_gap, v), v0)
+    got = _sqp(lambda v: _evaluate(fam, cfg, v), v0)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert (got.fun, got.nit, got.nfev, got.success, got.message) == (
+        want.fun, want.nit, want.nfev, want.success, want.message)
